@@ -182,10 +182,8 @@ BM_FlywheelSimulation(benchmark::State &state)
 BENCHMARK(BM_FlywheelSimulation)->Unit(benchmark::kMillisecond);
 
 // ---- snapshot codec -----------------------------------------------
-// Save/restore cost of a warmed-up Flywheel core through both
-// containers.  The binary codec is the checkpoint default and must
-// stay near-memcpy; JSON is the debug escape hatch and is expected
-// to be an order of magnitude behind (see README "Checkpoints").
+// Save/restore cost of a warmed-up Flywheel core through the binary
+// container, which must stay near-memcpy (see README "Checkpoints").
 
 void
 BM_SnapshotSave(benchmark::State &state)
@@ -206,26 +204,6 @@ BM_SnapshotSave(benchmark::State &state)
     state.SetBytesProcessed(std::int64_t(state.iterations() * bytes));
 }
 BENCHMARK(BM_SnapshotSave);
-
-void
-BM_SnapshotSaveJson(benchmark::State &state)
-{
-    StaticProgram prog(benchmarkByName("gzip"));
-    WorkloadStream stream(prog);
-    CoreParams p;
-    FlywheelCore core(p, stream);
-    core.run(20000);
-    std::size_t bytes = 0;
-    for (auto _ : state) {
-        Snapshot snap;
-        core.save(snap);
-        std::string blob = snap.serialize(Snapshot::Codec::Json);
-        bytes = blob.size();
-        benchmark::DoNotOptimize(blob);
-    }
-    state.SetBytesProcessed(std::int64_t(state.iterations() * bytes));
-}
-BENCHMARK(BM_SnapshotSaveJson);
 
 void
 BM_SnapshotRestore(benchmark::State &state)
@@ -249,29 +227,6 @@ BM_SnapshotRestore(benchmark::State &state)
         std::int64_t(state.iterations() * blob.size()));
 }
 BENCHMARK(BM_SnapshotRestore);
-
-void
-BM_SnapshotRestoreJson(benchmark::State &state)
-{
-    StaticProgram prog(benchmarkByName("gzip"));
-    WorkloadStream stream(prog);
-    CoreParams p;
-    FlywheelCore core(p, stream);
-    core.run(20000);
-    Snapshot snap;
-    core.save(snap);
-    const std::string blob = snap.serialize(Snapshot::Codec::Json);
-    for (auto _ : state) {
-        Snapshot back;
-        std::string error;
-        if (!Snapshot::deserialize(blob, &back, &error))
-            state.SkipWithError(error.c_str());
-        core.restore(back);
-    }
-    state.SetBytesProcessed(
-        std::int64_t(state.iterations() * blob.size()));
-}
-BENCHMARK(BM_SnapshotRestoreJson);
 
 // ---- observability layer ------------------------------------------
 // The emit-site contract is that a masked-out (or absent) tracer

@@ -4,7 +4,6 @@
 #include <set>
 
 #include "common/log.hh"
-#include "core/batch.hh"
 #include "core/report.hh"
 #include "serve/client.hh"
 #include "snapshot/checkpointer.hh"
@@ -28,15 +27,6 @@ SessionOptions::fromEnv()
             FW_WARN("ignoring FLYWHEEL_CHECKPOINT_CAP_MB='%s' (want "
                     "a decimal megabyte count); store stays uncapped",
                     cap);
-    }
-    if (const char *batch = std::getenv("FLYWHEEL_BATCH")) {
-        unsigned width = 0;
-        if (parseBatchWidth(batch, &width))
-            opts.batchWidth = width;
-        else
-            FW_WARN("ignoring FLYWHEEL_BATCH='%s' (want a decimal "
-                    "lane count 1..256); running scalar",
-                    batch);
     }
     return opts;
 }
@@ -87,10 +77,8 @@ Session::Session(SessionOptions options)
     : runner_([&options] {
           SweepOptions sweep;
           sweep.jobs = options.jobs;
-          sweep.batchWidth = options.batchWidth;
           sweep.cachePath = options.cachePath;
           sweep.checkpointDir = options.checkpointDir;
-          sweep.checkpointJson = options.checkpointJson;
           sweep.checkpointCapBytes = options.checkpointCapBytes;
           sweep.progress = options.progress;
           sweep.obs = options.obs;

@@ -28,8 +28,6 @@ struct SessionOptions
 {
     /** Worker threads; 0 = FLYWHEEL_JOBS env or hardware concurrency. */
     unsigned jobs = 0;
-    /** Lanes per batched pool task (see SweepOptions::batchWidth). */
-    unsigned batchWidth = 1;
     /** Persist the result cache at this path (empty = memory only). */
     std::string cachePath;
     /**
@@ -39,8 +37,6 @@ struct SessionOptions
      * ":memory:" shares them within this process only.
      */
     std::string checkpointDir;
-    /** Persist checkpoints as JSON (see SweepOptions::checkpointJson). */
-    bool checkpointJson = false;
     /** Store size cap (see SweepOptions::checkpointCapBytes). */
     std::uint64_t checkpointCapBytes = 0;
     /** Per-point progress callback (see SweepOptions::progress). */
@@ -54,10 +50,9 @@ struct SessionOptions
 
     /**
      * Standard environment wiring: cachePath from FLYWHEEL_CACHE,
-     * checkpointDir from FLYWHEEL_CHECKPOINTS, checkpointCapBytes
-     * from FLYWHEEL_CHECKPOINT_CAP_MB and batchWidth from
-     * FLYWHEEL_BATCH if set (jobs stay 0, i.e. FLYWHEEL_JOBS /
-     * hardware concurrency).
+     * checkpointDir from FLYWHEEL_CHECKPOINTS and checkpointCapBytes
+     * from FLYWHEEL_CHECKPOINT_CAP_MB if set (jobs stay 0, i.e.
+     * FLYWHEEL_JOBS / hardware concurrency).
      */
     static SessionOptions fromEnv();
 };

@@ -86,6 +86,19 @@ makeCore(const RunConfig &config, WorkloadStream &stream)
     return std::make_unique<FlywheelCore>(params, stream);
 }
 
+namespace {
+
+/** Resolved interval-sampling schedule. */
+struct SampleSchedule
+{
+    unsigned windows = 1;          ///< 1 = contiguous measurement
+    std::uint64_t window = 0;      ///< detailed instructions per window
+    std::uint64_t lastWindow = 0;  ///< last window absorbs the remainder
+    std::uint64_t gap = 0;         ///< fast-forward between windows
+    std::uint64_t rewarm = 0;      ///< detailed re-warm per window
+};
+
+/** Derive the schedule @p policy implies for @p measure_instrs. */
 SampleSchedule
 deriveSampleSchedule(const SnapshotPolicy &policy,
                      std::uint64_t measure_instrs)
@@ -107,6 +120,8 @@ deriveSampleSchedule(const SnapshotPolicy &policy,
                                    : s.window / 4;
     return s;
 }
+
+} // namespace
 
 /**
  * Phase 1: bring the simulator to its post-warmup state — by
@@ -200,9 +215,10 @@ runMeasurePhase(const RunConfig &config, WorkloadStream &stream,
         });
 }
 
-} // namespace
-
-/** Phase 3: reduce the window deltas to a RunResult. */
+/**
+ * Phase 3: reduce the window deltas to a RunResult — derived rates,
+ * the energy model, average power.
+ */
 RunResult
 reduceToResult(const RunConfig &config, const EnergyEvents &events,
                const CoreStats &stats)
@@ -231,6 +247,8 @@ reduceToResult(const RunConfig &config, const EnergyEvents &events,
     r.averageWatts = r.energy.averageWatts(r.timePs);
     return r;
 }
+
+} // namespace
 
 RunResult
 runSim(const RunConfig &config, Checkpointer *checkpoints)

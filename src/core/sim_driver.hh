@@ -164,27 +164,7 @@ std::unique_ptr<CoreBase> makeCore(const RunConfig &config,
                                    WorkloadStream &stream);
 
 /**
- * Resolved interval-sampling schedule.  One derivation shared by
- * runSim's measurement phase and the perf harness, so what the
- * harness times is by construction the schedule runSim executes.
- */
-struct SampleSchedule
-{
-    unsigned windows = 1;          ///< 1 = contiguous measurement
-    std::uint64_t window = 0;      ///< detailed instructions per window
-    std::uint64_t lastWindow = 0;  ///< last window absorbs the remainder
-    std::uint64_t gap = 0;         ///< fast-forward between windows
-    std::uint64_t rewarm = 0;      ///< detailed re-warm per window
-
-    bool sampled() const { return windows > 1; }
-};
-
-/** Derive the schedule @p policy implies for @p measure_instrs. */
-SampleSchedule deriveSampleSchedule(const SnapshotPolicy &policy,
-                                    std::uint64_t measure_instrs);
-
-/**
- * Phase 1 of runSim, exposed for other drivers (the perf harness):
+ * Phase 1 of runSim, exposed for the perf harness:
  * bring @p core to its post-warmup state — simulating, or restoring
  * from / publishing to @p checkpoints per config.snapshot.
  * @return true if the warm state was restored from a checkpoint.
@@ -193,7 +173,7 @@ bool runSimWarmup(const RunConfig &config, CoreBase &core,
                   Checkpointer *checkpoints);
 
 /**
- * Phase 2 of runSim, exposed for other drivers: execute the
+ * Phase 2 of runSim, exposed for the perf harness: execute the
  * measurement schedule config.snapshot implies — contiguous, or N
  * detailed windows with stream fast-forwards and fresh-core re-warms
  * between them — invoking @p window(core, instrs) for each measured
@@ -206,15 +186,6 @@ void forEachMeasureWindow(
     const RunConfig &config, WorkloadStream &stream,
     std::unique_ptr<CoreBase> &core,
     const std::function<void(CoreBase &, std::uint64_t)> &window);
-
-/**
- * Phase 3 of runSim, exposed for other drivers (the batch engine):
- * reduce the measurement-window deltas to a RunResult — derived
- * rates, the energy model, average power.
- */
-RunResult reduceToResult(const RunConfig &config,
-                         const EnergyEvents &events,
-                         const CoreStats &stats);
 
 /**
  * Execute one run.  Honours config.snapshot: with a non-Off mode and

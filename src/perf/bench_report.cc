@@ -134,7 +134,6 @@ BenchReport::toJson() const
     config.add("jobs", jobs);
     config.add("sample_windows", sampleWindows);
     config.add("obs_attached", obsAttached);
-    config.add("batch_width", batchWidth);
     j.add("config", std::move(config));
 
     Json arr = Json::array();
@@ -142,7 +141,6 @@ BenchReport::toJson() const
         Json entry = Json::object();
         entry.add("bench", e.bench);
         entry.add("kind", e.kind);
-        entry.add("lanes", e.lanes);
         entry.add("instructions", e.instructions);
         Json reps = Json::array();
         for (double s : e.repSeconds)
@@ -179,6 +177,24 @@ fail(std::string *error, const std::string &what)
     return false;
 }
 
+/**
+ * Reports written while the harness had a batched mode carry
+ * `batch_width` (config) and `lanes` (per entry).  A value of 1 is a
+ * scalar measurement and still parses; anything wider timed several
+ * lanes per cell and must not gate against scalar numbers.
+ */
+bool
+scalarWidth(const Json &obj, const char *field, std::string *error)
+{
+    if (!obj.has(field))
+        return true;
+    if (!obj[field].isNumber() || obj[field].asU64() != 1)
+        return fail(error, std::string("bench report: '") + field +
+                               "' must be 1 (batched reports are no "
+                               "longer supported)");
+    return true;
+}
+
 } // namespace
 
 bool
@@ -187,8 +203,8 @@ BenchReport::fromJson(const Json &j, BenchReport *out,
 {
     if (!j.isObject())
         return fail(error, "bench report: not a JSON object");
-    // v1 documents (committed baselines predating batching) are still
-    // accepted: every v1.1 member is additive with a scalar default.
+    // v1 documents are still accepted: v1.1 only added the aggregate
+    // throughput field, which readers recompute.
     const std::string schema = j["schema"].asString();
     if (schema != kBenchSchema && schema != kBenchSchemaV1)
         return fail(error, "bench report: missing or unsupported "
@@ -233,12 +249,8 @@ BenchReport::fromJson(const Json &j, BenchReport *out,
     // Absent in pre-observability reports: false.
     if (config.has("obs_attached"))
         r.obsAttached = config["obs_attached"].asBool();
-    // Absent in pre-batching (v1) reports: scalar.
-    if (config.has("batch_width")) {
-        if (!config["batch_width"].isNumber())
-            return fail(error, "bench report: malformed config member");
-        r.batchWidth = unsigned(config["batch_width"].asU64());
-    }
+    if (!scalarWidth(config, "batch_width", error))
+        return false;
     // Telemetry is optional by design (older baselines lack it).
     if (j.has("telemetry")) {
         const Json &t = j["telemetry"];
@@ -270,12 +282,8 @@ BenchReport::fromJson(const Json &j, BenchReport *out,
         PerfEntry e;
         e.bench = entry["bench"].asString();
         e.kind = entry["kind"].asString();
-        // Absent in pre-batching (v1) reports: one lane.
-        if (entry.has("lanes")) {
-            if (!entry["lanes"].isNumber())
-                return fail(error, "bench report: malformed entry");
-            e.lanes = unsigned(entry["lanes"].asU64());
-        }
+        if (!scalarWidth(entry, "lanes", error))
+            return false;
         e.instructions = entry["instructions"].asU64();
         for (const Json &s : entry["rep_seconds"].items()) {
             if (!s.isNumber())

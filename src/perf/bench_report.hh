@@ -28,9 +28,9 @@ namespace flywheel::perf {
 
 /**
  * Version tag every BENCH_flywheel.json carries.  v1.1 added the
- * batch-width config member, the per-entry lane count and the
- * aggregate throughput field — all additive, so readers accept v1
- * documents too (missing members default to the scalar meaning).
+ * aggregate throughput field, so readers accept v1 documents too.
+ * The reader still tolerates the `batch_width` / `lanes` members of
+ * older v1.1 reports when they say 1, and rejects wider ones.
  */
 inline constexpr const char *kBenchSchema = "flywheel.bench_perf.v1.1";
 
@@ -65,15 +65,11 @@ struct PerfEntry
 {
     std::string bench;
     std::string kind;                ///< coreKindName() spelling
-    /** Lanes timed together in this cell (the harness batch width);
-     *  1 = classic scalar timing.  `instructions` spans all lanes. */
-    unsigned lanes = 1;
     std::uint64_t instructions = 0;  ///< retired in the timed window(s)
     std::vector<double> repSeconds;  ///< per-repeat wall seconds
     double medianSeconds = 0.0;
     /** Millions of simulated instructions per wall second for the
-     *  cell's timed region — across all lanes, so a batched cell
-     *  reports its combined throughput. */
+     *  cell's timed region. */
     double minstrPerSec = 0.0;
 };
 
@@ -110,10 +106,6 @@ struct BenchReport
      *  tracer + stats registry dump): measures the emit-site cost.
      *  Part of the config block for the same reason as sampling. */
     bool obsAttached = false;
-    /** Lanes per cell (see PerfEntry::lanes).  Part of the config
-     *  block so batched and scalar reports are never silently
-     *  compared against each other. */
-    unsigned batchWidth = 1;
     std::vector<PerfEntry> entries;
     BenchTelemetry telemetry;
 
@@ -122,11 +114,9 @@ struct BenchReport
 
     /**
      * Aggregate simulated-instructions throughput of the whole grid:
-     * every timed instruction of every cell (all lanes) divided by
-     * the total timed wall clock, in Minstr/s.  Unlike the geomean
-     * this weights cells by their actual simulation cost, so it is
-     * the number that answers "how many instructions does a batched
-     * sweep push through per second".
+     * every timed instruction of every cell divided by the total
+     * timed wall clock, in Minstr/s.  Unlike the geomean this weights
+     * cells by their actual simulation cost.
      */
     double aggregateMinstrPerSec() const;
 

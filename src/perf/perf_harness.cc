@@ -5,7 +5,6 @@
 #include <mutex>
 
 #include "core/baseline_core.hh"
-#include "core/batch.hh"
 #include "flywheel/flywheel_core.hh"
 #include "snapshot/checkpointer.hh"
 #include "sweep/sweep.hh"
@@ -78,43 +77,6 @@ timeOneRun(const std::string &bench_name, CoreKind kind,
     return r;
 }
 
-TimedRun
-timeOneBatch(const std::string &bench_name, CoreKind kind,
-             unsigned lanes, std::uint64_t warmup_instrs,
-             std::uint64_t measure_instrs, Checkpointer *checkpoints,
-             unsigned sample_windows)
-{
-    // Identical cell config to timeOneRun, replicated across lanes.
-    RunConfig config;
-    config.profile = benchmarkByName(bench_name);
-    config.kind = kind;
-    config.warmupInstrs = warmup_instrs;
-    config.measureInstrs = measure_instrs;
-    if (sample_windows > 0) {
-        config.snapshot.mode = SnapshotPolicy::Mode::Sample;
-        config.snapshot.sampleWindows = sample_windows;
-    }
-    if (checkpoints != nullptr &&
-        config.snapshot.mode == SnapshotPolicy::Mode::Off)
-        config.snapshot.mode = SnapshotPolicy::Mode::Reuse;
-
-    std::vector<RunConfig> configs(std::max(1u, lanes), config);
-    BatchedCore batch(configs, checkpoints);
-    // Warmups stay outside the timed region, exactly like the scalar
-    // discipline; the timed region is every lane's (possibly sampled)
-    // measurement schedule, gaps and re-warms included.
-    batch.finishWarmups();
-
-    const auto t0 = std::chrono::steady_clock::now();
-    batch.runAll();
-    const auto t1 = std::chrono::steady_clock::now();
-
-    TimedRun r;
-    r.seconds = std::chrono::duration<double>(t1 - t0).count();
-    r.instructions = batch.retiredInWindows();
-    return r;
-}
-
 BenchReport
 runPerfGrid(const PerfOptions &options, const PerfProgress &progress)
 {
@@ -128,7 +90,6 @@ runPerfGrid(const PerfOptions &options, const PerfProgress &progress)
     report.jobs = options.jobs;
     report.sampleWindows = options.sampleWindows;
     report.obsAttached = options.obsAttached;
-    report.batchWidth = std::max(1u, options.batchWidth);
 
     std::vector<std::string> benches = options.benchmarks;
     if (benches.empty())
@@ -149,7 +110,6 @@ runPerfGrid(const PerfOptions &options, const PerfProgress &progress)
     std::unique_ptr<Checkpointer> checkpointer;
     if (!options.checkpointDir.empty()) {
         Checkpointer::Options store;
-        store.jsonFormat = options.checkpointJson;
         store.capBytes = options.checkpointCapBytes;
         checkpointer = std::make_unique<Checkpointer>(
             options.checkpointDir, store);
@@ -159,22 +119,14 @@ runPerfGrid(const PerfOptions &options, const PerfProgress &progress)
     std::size_t done = 0;
     auto run_cell = [&](std::size_t idx) {
         PerfEntry &e = report.entries[idx];
-        e.lanes = report.batchWidth;
         const CoreKind kind =
             options.kinds[idx % options.kinds.size()];
         for (unsigned rep = 0; rep < options.repeats; ++rep) {
-            TimedRun r = report.batchWidth > 1
-                ? timeOneBatch(e.bench, kind, report.batchWidth,
-                               options.warmupInstrs,
-                               options.measureInstrs,
-                               checkpointer.get(),
-                               options.sampleWindows)
-                : timeOneRun(e.bench, kind,
-                             options.warmupInstrs,
-                             options.measureInstrs,
-                             checkpointer.get(),
-                             options.sampleWindows,
-                             options.obsAttached);
+            TimedRun r = timeOneRun(e.bench, kind, options.warmupInstrs,
+                                    options.measureInstrs,
+                                    checkpointer.get(),
+                                    options.sampleWindows,
+                                    options.obsAttached);
             e.repSeconds.push_back(r.seconds);
             e.instructions = r.instructions;
         }

@@ -54,8 +54,6 @@ struct PerfOptions
      * is bit-identical to simulating the warmup.
      */
     std::string checkpointDir;
-    /** Persist checkpoints as JSON (see SweepOptions::checkpointJson). */
-    bool checkpointJson = false;
     /** Store size cap (see SweepOptions::checkpointCapBytes). */
     std::uint64_t checkpointCapBytes = 0;
     /**
@@ -74,16 +72,6 @@ struct PerfOptions
      * committed baseline.
      */
     bool obsAttached = false;
-    /**
-     * Lanes per cell.  1 times scalar runs (the classic discipline);
-     * W > 1 times one BatchedCore running W lanes of the cell's
-     * config on one thread — warmups stay untimed, the timed region
-     * covers every lane's measurement windows, and the entry reports
-     * the combined simulated-instructions/sec (see PerfEntry::lanes).
-     * Does not combine with obsAttached: the masked-tracer gate
-     * measures the scalar engine's emit sites.
-     */
-    unsigned batchWidth = 1;
 };
 
 /** One timed repeat of one grid cell. */
@@ -100,18 +88,6 @@ TimedRun timeOneRun(const std::string &bench_name, CoreKind kind,
                     Checkpointer *checkpoints = nullptr,
                     unsigned sample_windows = 0,
                     bool obs_attached = false);
-
-/**
- * Build, warm up and time one W-lane batched run of a (workload,
- * kind) cell: all lanes share one BatchedCore on the calling thread,
- * warmups are driven untimed, then the lanes' measurement windows are
- * timed together.  `instructions` spans every lane.
- */
-TimedRun timeOneBatch(const std::string &bench_name, CoreKind kind,
-                      unsigned lanes, std::uint64_t warmup_instrs,
-                      std::uint64_t measure_instrs,
-                      Checkpointer *checkpoints = nullptr,
-                      unsigned sample_windows = 0);
 
 /** Called after each grid cell completes (serialized). */
 using PerfProgress = std::function<void(

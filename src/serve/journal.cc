@@ -16,10 +16,10 @@ namespace flywheel::serve {
 std::size_t
 JournalState::uniqueCompleted() const
 {
-    std::set<std::size_t> cells;
+    std::set<std::size_t> completed;
     for (const JournalEntry &e : entries)
-        cells.insert(e.cell);
-    return cells.size();
+        completed.insert(e.cell);
+    return completed.size();
 }
 
 std::string

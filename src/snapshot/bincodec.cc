@@ -92,6 +92,11 @@ lzssDecompress(const char *data, std::size_t size,
                std::size_t raw_size, std::string *out)
 {
     out->clear();
+    // No input byte expands to more than kMaxMatch output bytes (a
+    // 3-byte match token yields at most kMaxMatch), so a larger
+    // claimed size is corrupt; reject it before reserving from it.
+    if (raw_size / kMaxMatch > size)
+        return false;
     out->reserve(raw_size);
     std::size_t i = 0;
     while (i < size && out->size() < raw_size) {

@@ -207,7 +207,8 @@ std::string lzssCompress(const char *data, std::size_t size);
 
 /**
  * Decompress an lzssCompress() stream.  @return false on a malformed
- * stream (graceful: the caller reports file corruption).
+ * stream, including a @p raw_size no stream of @p size bytes can
+ * expand to (graceful: the caller reports file corruption).
  */
 bool lzssDecompress(const char *data, std::size_t size,
                     std::size_t raw_size, std::string *out);

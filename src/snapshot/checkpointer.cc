@@ -9,7 +9,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <vector>
 
 #include "common/atomic_file.hh"
@@ -80,14 +79,10 @@ fileBytes(const std::string &path)
 bool
 isCheckpointFile(const std::string &name)
 {
-    if (name.rfind("ckpt-", 0) != 0)
-        return false;
-    const auto ends_with = [&name](const char *suffix) {
-        const std::size_t n = std::strlen(suffix);
-        return name.size() >= n &&
-               name.compare(name.size() - n, n, suffix) == 0;
-    };
-    return ends_with(".fws") || ends_with(".json");
+    const std::string suffix = ".fws";
+    return name.rfind("ckpt-", 0) == 0 && name.size() >= suffix.size() &&
+           name.compare(name.size() - suffix.size(), suffix.size(),
+                        suffix) == 0;
 }
 
 } // namespace
@@ -110,9 +105,8 @@ Checkpointer::pathFor(const std::string &key) const
     if (dir_.empty())
         return "";
     char name[40];
-    std::snprintf(name, sizeof(name), "ckpt-%016llx.%s",
-                  static_cast<unsigned long long>(fnv1a64(key)),
-                  options_.jsonFormat ? "json" : "fws");
+    std::snprintf(name, sizeof(name), "ckpt-%016llx.fws",
+                  static_cast<unsigned long long>(fnv1a64(key)));
     return dir_ + "/" + name;
 }
 
@@ -263,10 +257,7 @@ Checkpointer::persist(const std::shared_ptr<const Snapshot> &snap,
     std::string error;
     const bool wrote =
         makeDirectories(dir_)
-            ? snap->writeFile(path, &error,
-                              options_.jsonFormat
-                                  ? Snapshot::Codec::Json
-                                  : Snapshot::Codec::Binary)
+            ? snap->writeFile(path, &error)
             : (error = "cannot create store directory " + dir_, false);
 
     if (!wrote) {

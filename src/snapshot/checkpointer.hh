@@ -59,13 +59,6 @@ class Checkpointer
     struct Options
     {
         /**
-         * Persist snapshots as the JSON escape hatch instead of the
-         * binary container (--snapshot-json): greppable checkpoint
-         * files for debugging, at several times the size.
-         */
-        bool jsonFormat = false;
-
-        /**
          * Size cap for the on-disk store in bytes (0 = unlimited).
          * After every persist the store is pruned oldest-first
          * (mtime LRU) until it fits; pruned files count as evictions

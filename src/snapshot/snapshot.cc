@@ -1,12 +1,11 @@
 #include "snapshot/snapshot.hh"
 
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "common/atomic_file.hh"
-#include "common/json.hh"
 #include "common/log.hh"
 
 namespace flywheel {
@@ -61,6 +60,8 @@ fnvFold(std::uint64_t h, const void *data, std::size_t size)
 //     u64  storedSize, then storedSize payload bytes
 constexpr std::size_t kMagicBytes = 18; // includes the NUL
 constexpr std::uint8_t kFlagCompressed = 1;
+/** nameLen + flags + rawSize + storedSize of one section entry. */
+constexpr std::size_t kMinSectionHeaderBytes = 4 + 1 + 8 + 8;
 
 /**
  * Bounds-checked cursor for parsing untrusted container bytes: every
@@ -112,42 +113,6 @@ struct SafeCursor
     }
 };
 
-// JSON escape hatch: the same section bytes as space-separated
-// decimal byte values — greppable, diffable, loadable anywhere.
-std::string
-bytesToPackedDecimal(const std::string &bytes)
-{
-    std::string s;
-    s.reserve(bytes.size() * 4);
-    char buf[8];
-    for (unsigned char c : bytes) {
-        const int n = std::snprintf(buf, sizeof(buf), "%u", unsigned(c));
-        if (!s.empty())
-            s += ' ';
-        s.append(buf, static_cast<std::size_t>(n));
-    }
-    return s;
-}
-
-bool
-packedDecimalToBytes(const std::string &s, std::string *out)
-{
-    out->clear();
-    out->reserve(s.size() / 2);
-    const char *p = s.c_str();
-    while (*p != '\0') {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(p, &end, 10);
-        if (end == p || v > 255)
-            return false;
-        out->push_back(static_cast<char>(v));
-        p = end;
-        while (*p == ' ')
-            ++p;
-    }
-    return true;
-}
-
 } // namespace
 
 bool
@@ -195,7 +160,7 @@ Snapshot::contentHash() const
 }
 
 std::string
-Snapshot::serializeBinary() const
+Snapshot::serialize() const
 {
     BinWriter w;
     for (std::size_t i = 0; i < kMagicBytes; ++i)
@@ -221,9 +186,11 @@ Snapshot::serializeBinary() const
 }
 
 bool
-Snapshot::deserializeBinary(const std::string &bytes, Snapshot *out,
-                            std::string *error)
+Snapshot::deserialize(const std::string &bytes, Snapshot *out,
+                      std::string *error)
 {
+    if (bytes.empty())
+        return fail(error, "empty snapshot document");
     SafeCursor c{bytes.data(), bytes.data() + bytes.size()};
 
     const char *magic = nullptr;
@@ -245,6 +212,13 @@ Snapshot::deserializeBinary(const std::string &bytes, Snapshot *out,
     std::uint32_t count = 0;
     if (!c.fixed(&want_hash) || !c.str(&snap.key_) || !c.fixed(&count))
         return fail(error, "snapshot truncated in header");
+    // Bound the count by what the remaining bytes can hold before
+    // reserving from it: a hostile count must not allocate.
+    if (count > c.left() / kMinSectionHeaderBytes)
+        return fail(error, "snapshot section count " +
+                               std::to_string(count) +
+                               " exceeds the file size: corrupt "
+                               "snapshot");
 
     snap.sections_.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
@@ -292,108 +266,16 @@ Snapshot::deserializeBinary(const std::string &bytes, Snapshot *out,
     return true;
 }
 
-std::string
-Snapshot::serializeJson() const
-{
-    Json doc = Json::object();
-    doc.set("magic", kMagic);
-    doc.set("version", kFormatVersion);
-    doc.set("key", key_);
-    doc.set("hash", hashHex(contentHash()));
-    Json sections = Json::array();
-    for (const Section &s : sections_) {
-        Json sec = Json::object();
-        sec.set("name", s.name);
-        sec.set("data", bytesToPackedDecimal(s.data));
-        sections.push(std::move(sec));
-    }
-    doc.set("sections", std::move(sections));
-    return doc.dump(0);
-}
-
 bool
-Snapshot::deserializeJson(const std::string &text, Snapshot *out,
-                          std::string *error)
-{
-    Json doc;
-    std::string parse_error;
-    if (!Json::parse(text, doc, &parse_error))
-        return fail(error, "snapshot unreadable (truncated or not "
-                           "JSON): " +
-                               parse_error);
-    if (!doc.isObject() || !doc["magic"].isString() ||
-        doc["magic"].asString() != kMagic)
-        return fail(error, "not a flywheel snapshot (bad magic tag)");
-    if (!doc["version"].isNumber() ||
-        doc["version"].asU64() != std::uint64_t(kFormatVersion))
-        return fail(error, "snapshot format version " +
-                               std::to_string(doc["version"].asU64()) +
-                               " unsupported (want " +
-                               std::to_string(kFormatVersion) + ")");
-    if (!doc["sections"].isArray())
-        return fail(error, "snapshot has no section payload");
-
-    Snapshot snap;
-    snap.key_ = doc["key"].asString();
-    for (const Json &sec : doc["sections"].items()) {
-        if (!sec.isObject() || !sec["name"].isString() ||
-            !sec["data"].isString())
-            return fail(error,
-                        "malformed snapshot section entry: corrupt "
-                        "snapshot");
-        Section s;
-        s.name = sec["name"].asString();
-        if (!packedDecimalToBytes(sec["data"].asString(), &s.data))
-            return fail(error, "snapshot section '" + s.name +
-                                   "' has malformed byte data: "
-                                   "corrupt snapshot");
-        snap.sections_.push_back(std::move(s));
-    }
-
-    const std::string want = doc["hash"].asString();
-    const std::string got = hashHex(snap.contentHash());
-    if (want != got)
-        return fail(error, "snapshot content hash mismatch (file " +
-                               want + ", payload " + got +
-                               "): corrupt snapshot");
-    *out = std::move(snap);
-    return true;
-}
-
-std::string
-Snapshot::serialize(Codec codec) const
-{
-    return codec == Codec::Binary ? serializeBinary()
-                                  : serializeJson();
-}
-
-bool
-Snapshot::deserialize(const std::string &bytes, Snapshot *out,
-                      std::string *error)
-{
-    if (bytes.empty())
-        return fail(error, "empty snapshot document");
-    // The binary container opens with the NUL-terminated magic; the
-    // JSON escape hatch, like any JSON object, opens with '{'.
-    if (bytes[0] == '{')
-        return deserializeJson(bytes, out, error);
-    return deserializeBinary(bytes, out, error);
-}
-
-bool
-Snapshot::writeFile(const std::string &path, std::string *error,
-                    Codec codec) const
+Snapshot::writeFile(const std::string &path, std::string *error) const
 {
     // Unique-temp + rename (common/atomic_file.hh): several
     // processes may share one checkpoint store and cold-start the
     // same key concurrently; a fixed ".tmp" would let their writes
     // interleave before the rename and publish a corrupt
     // (hash-rejected) file.
-    std::string doc = serialize(codec);
-    if (codec == Codec::Json)
-        doc += '\n';
     std::string inner;
-    if (!atomicWriteFile(path, doc, &inner))
+    if (!atomicWriteFile(path, serialize(), &inner))
         return fail(error, inner);
     return true;
 }

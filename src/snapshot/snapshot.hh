@@ -11,21 +11,16 @@
  * fixed-width binary codec (snapshot/bincodec.hh).  The arena-backed
  * containers make those sections little more than memcpys of
  * contiguous buffers.  The content hash is computed over the raw
- * section bytes — independent of the on-disk codec — so a state
- * round-tripped through either container hashes identically.
+ * section bytes, before compression.
  *
- * Two on-disk containers share that payload:
- *
- * - Binary (default): magic + version + content hash + key + a
- *   length-prefixed section table with per-section LZSS compression.
- *   This is the checkpoint-store format.
- * - JSON (--snapshot-json debug escape hatch): the same header
- *   fields and the same section bytes as space-separated decimal
- *   byte strings — human-greppable, loadable by any JSON tool.
- *
- * Both containers reject truncated, corrupted or version-mismatched
- * input with a clear error instead of restoring garbage (the same
- * hardening discipline as the sweep ResultCache).
+ * The on-disk container (the checkpoint-store `.fws` format) is magic
+ * + version + content hash + key + a length-prefixed section table
+ * with per-section LZSS compression.  The decoder rejects truncated,
+ * corrupted or version-mismatched input with a clear error instead of
+ * restoring garbage (the same hardening discipline as the sweep
+ * ResultCache), and bounds every length field before allocating.
+ * `flywheel_bench --dump-checkpoint FILE` prints a decoded file's
+ * header and section table as JSON for debugging.
  *
  * Restoring a snapshot into a freshly constructed core over an
  * identically configured program/stream and then simulating must be
@@ -56,13 +51,6 @@ class Snapshot
     /** Document magic tag. */
     static constexpr const char *kMagic = "flywheel-snapshot";
 
-    /** On-disk container for serialize()/writeFile(). */
-    enum class Codec
-    {
-        Binary, ///< default: compressed section table
-        Json,   ///< --snapshot-json debug escape hatch
-    };
-
     /**
      * Identity key recorded in the header (the Checkpointer's
      * checkpoint key): a loaded snapshot whose key does not match the
@@ -89,36 +77,39 @@ class Snapshot
     {
         return sections_[i].name;
     }
+    /** Raw (uncompressed) bytes of section @p i. */
+    const std::string &sectionData(std::size_t i) const
+    {
+        return sections_[i].data;
+    }
 
     /** Total raw payload bytes across all sections. */
     std::size_t payloadBytes() const;
 
     /**
-     * FNV-1a 64-bit hash over section names, lengths and raw bytes —
-     * codec-independent, so a binary file and its JSON escape-hatch
-     * twin carry the same hash.
+     * FNV-1a 64-bit hash over section names, lengths and raw bytes
+     * (before compression).
      */
     std::uint64_t contentHash() const;
 
-    /** Full document (header + payload) in @p codec's container. */
-    std::string serialize(Codec codec = Codec::Binary) const;
+    /** Full document: header + compressed section table. */
+    std::string serialize() const;
 
     /**
-     * Parse a serialized document of either container (binary is
-     * recognized by magic, JSON by its leading '{').  Rejects — with
-     * a clear *error — truncation, a wrong magic tag, a format
-     * version other than kFormatVersion, and a payload whose content
-     * hash does not match the header (corruption).
+     * Parse a serialized document.  Rejects — with a clear *error —
+     * truncation, a wrong magic tag, a format version other than
+     * kFormatVersion, length fields the remaining bytes cannot hold,
+     * and a payload whose content hash does not match the header
+     * (corruption).
      */
     static bool deserialize(const std::string &bytes, Snapshot *out,
                             std::string *error = nullptr);
 
     /** Write atomically (write-then-rename). @return false + *error. */
     bool writeFile(const std::string &path,
-                   std::string *error = nullptr,
-                   Codec codec = Codec::Binary) const;
+                   std::string *error = nullptr) const;
 
-    /** Read and deserialize @p path (either container). */
+    /** Read and deserialize @p path. */
     static bool readFile(const std::string &path, Snapshot *out,
                          std::string *error = nullptr);
 
@@ -128,13 +119,6 @@ class Snapshot
         std::string name;
         std::string data;
     };
-
-    std::string serializeBinary() const;
-    std::string serializeJson() const;
-    static bool deserializeBinary(const std::string &bytes,
-                                  Snapshot *out, std::string *error);
-    static bool deserializeJson(const std::string &text, Snapshot *out,
-                                std::string *error);
 
     std::string key_;
     std::vector<Section> sections_;

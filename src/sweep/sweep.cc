@@ -6,7 +6,6 @@
 
 #include "common/json.hh"
 #include "common/log.hh"
-#include "core/batch.hh"
 #include "core/report.hh"
 #include "workload/profiles.hh"
 
@@ -200,7 +199,6 @@ SweepRunner::SweepRunner(SweepOptions options)
 {
     if (!options_.checkpointDir.empty()) {
         Checkpointer::Options store;
-        store.jsonFormat = options_.checkpointJson;
         store.capBytes = options_.checkpointCapBytes;
         checkpointer_ = std::make_unique<Checkpointer>(
             options_.checkpointDir, store);
@@ -251,115 +249,6 @@ SweepRunner::runOne(const RunConfig &config, bool *from_cache)
         .run(config, from_cache);
 }
 
-void
-SweepRunner::runGridBatched(const std::vector<SweepPoint> &points,
-                            std::vector<SweepRecord> *records,
-                            const std::function<void(std::size_t)> &report)
-{
-    // lint: wallclock(telemetry only; simulated results never read it)
-    using Clock = std::chrono::steady_clock;
-    const unsigned width = options_.batchWidth;
-
-    /** One scheduler task: a lane set for one BatchedCore, or one
-     *  scalar cell (observed, or a leftover group of one). */
-    struct SchedTask
-    {
-        std::vector<std::size_t> cells;
-        bool batched = false;
-    };
-    std::vector<SchedTask> tasks;
-
-    // Pass 1, serial: resolve cache hits immediately (same key
-    // derivation as CellExecutor — on the obs-stamped config, before
-    // the result-neutral Reuse stamping), route observed cells to the
-    // scalar executor, and bucket the remaining cache misses by
-    // benchmark in first-appearance order.  Lanes of one BatchedCore
-    // share a StaticProgram only when their profiles match, so
-    // cross-benchmark groups would batch in name only.
-    std::vector<std::pair<std::string, std::vector<std::size_t>>> buckets;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        SweepRecord &rec = (*records)[i];
-        rec.point = points[i];
-        RunConfig cfg = points[i].config;
-        if (!cfg.obs.active() && options_.obs.active())
-            cfg.obs = options_.obs;
-        if (cfg.obs.active()) {
-            tasks.push_back({{i}, false});
-            continue;
-        }
-        if (cache_.lookup(configKey(cfg), &rec.result)) {
-            rec.fromCache = true;
-            report(i);
-            continue;
-        }
-        auto bucket = buckets.begin();
-        for (; bucket != buckets.end(); ++bucket) {
-            if (bucket->first == points[i].bench)
-                break;
-        }
-        if (bucket == buckets.end()) {
-            buckets.push_back({points[i].bench, {}});
-            bucket = buckets.end() - 1;
-        }
-        bucket->second.push_back(i);
-    }
-
-    // Pass 2: chunk each bucket into lane sets of `width`; a leftover
-    // group of one runs scalar (a one-lane batch is pure overhead).
-    for (const auto &bucket : buckets) {
-        const std::vector<std::size_t> &cells = bucket.second;
-        for (std::size_t at = 0; at < cells.size(); at += width) {
-            SchedTask task;
-            const std::size_t end = std::min(cells.size(),
-                                             at + width);
-            task.cells.assign(cells.begin() + at, cells.begin() + end);
-            task.batched = task.cells.size() > 1;
-            tasks.push_back(std::move(task));
-        }
-    }
-
-    pool_.parallelFor(tasks.size(), [&](std::size_t t) {
-        const SchedTask &task = tasks[t];
-        const auto task_start = Clock::now();
-        if (!task.batched) {
-            const std::size_t i = task.cells.front();
-            SweepRecord &rec = (*records)[i];
-            rec.result = runOne(rec.point.config, &rec.fromCache);
-            rec.wallSeconds =
-                std::chrono::duration<double>(Clock::now() - task_start)
-                    .count();
-            report(i);
-            return;
-        }
-        // The CellExecutor policy, vectorized: checkpoint every
-        // lane's warmup by default (result-neutral), simulate the
-        // lane set, store each lane back under its scalar cache key.
-        std::vector<RunConfig> configs;
-        configs.reserve(task.cells.size());
-        for (std::size_t i : task.cells) {
-            RunConfig cfg = points[i].config;
-            if (checkpointer_ &&
-                cfg.snapshot.mode == SnapshotPolicy::Mode::Off)
-                cfg.snapshot.mode = SnapshotPolicy::Mode::Reuse;
-            configs.push_back(std::move(cfg));
-        }
-        std::vector<RunResult> results =
-            runSimBatch(configs, checkpointer_.get());
-        const double wall =
-            std::chrono::duration<double>(Clock::now() - task_start)
-                .count() /
-            double(task.cells.size());
-        for (std::size_t k = 0; k < task.cells.size(); ++k) {
-            const std::size_t i = task.cells[k];
-            SweepRecord &rec = (*records)[i];
-            rec.result = std::move(results[k]);
-            rec.wallSeconds = wall;
-            cache_.store(configKey(points[i].config), rec.result);
-            report(i);
-        }
-    });
-}
-
 SweepTable
 SweepRunner::run(const std::vector<SweepPoint> &points)
 {
@@ -393,20 +282,16 @@ SweepRunner::run(const std::vector<SweepPoint> &points)
                           records[i].result, records[i].fromCache);
     };
 
-    if (options_.batchWidth > 1) {
-        runGridBatched(points, &records, report);
-    } else {
-        pool_.parallelFor(points.size(), [&](std::size_t i) {
-            SweepRecord &rec = records[i];
-            rec.point = points[i];
-            const auto cell_start = Clock::now();
-            rec.result = runOne(rec.point.config, &rec.fromCache);
-            rec.wallSeconds =
-                std::chrono::duration<double>(Clock::now() - cell_start)
-                    .count();
-            report(i);
-        });
-    }
+    pool_.parallelFor(points.size(), [&](std::size_t i) {
+        SweepRecord &rec = records[i];
+        rec.point = points[i];
+        const auto cell_start = Clock::now();
+        rec.result = runOne(rec.point.config, &rec.fromCache);
+        rec.wallSeconds =
+            std::chrono::duration<double>(Clock::now() - cell_start)
+                .count();
+        report(i);
+    });
 
     if (!options_.cachePath.empty())
         cache_.save();

@@ -204,14 +204,6 @@ struct SweepOptions
 {
     /** Worker threads; 0 = FLYWHEEL_JOBS env or hardware concurrency. */
     unsigned jobs = 0;
-    /**
-     * Lanes per batched thread-pool task (core/batch.hh).  Width > 1
-     * groups same-benchmark cache-miss cells into lane sets run by one
-     * BatchedCore; cells with observability attachments, cache hits
-     * and leftover groups of one fall back to the scalar CellExecutor.
-     * Results are byte-identical for every width (and every --jobs).
-     */
-    unsigned batchWidth = 1;
     /** Persist the result cache at this path (empty = memory only). */
     std::string cachePath;
     /**
@@ -223,11 +215,6 @@ struct SweepOptions
      * pay the detailed warmup once.
      */
     std::string checkpointDir;
-    /**
-     * Persist checkpoints as the JSON debug escape hatch instead of
-     * the binary container (--snapshot-json).
-     */
-    bool checkpointJson = false;
     /**
      * On-disk checkpoint store size cap in bytes; 0 = unlimited.
      * Enforced after every persist by mtime-LRU pruning.
@@ -279,17 +266,6 @@ class SweepRunner
     unsigned jobs() const { return pool_.threadCount(); }
 
   private:
-    /**
-     * Batched grid scheduler (options_.batchWidth > 1): resolves
-     * cache hits up front, groups same-benchmark cache-miss cells
-     * into lane sets for runSimBatch(), and falls back to the scalar
-     * CellExecutor for observed cells and leftover groups of one.
-     * @p report publishes one finished record to the progress hook.
-     */
-    void runGridBatched(const std::vector<SweepPoint> &points,
-                        std::vector<SweepRecord> *records,
-                        const std::function<void(std::size_t)> &report);
-
     SweepOptions options_;
     ResultCache cache_;
     std::unique_ptr<Checkpointer> checkpointer_;

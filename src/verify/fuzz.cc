@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <memory>
 
-#include "core/batch.hh"
 #include "core/report.hh"
 #include "snapshot/snapshot.hh"
 #include "workload/generator.hh"
@@ -250,66 +249,6 @@ runSnapshotFuzzCase(const FuzzCase &c)
         ? double(core_c->stats().ecRetired) /
               double(core_c->stats().retired)
         : 0.0;
-    return report;
-}
-
-DiffReport
-runBatchFuzzCase(const FuzzCase &c)
-{
-    DiffReport report;
-    report.reproHint = c.options.reproHint + " --batch";
-
-    // Seed-derived batching parameters, from a stream distinct from
-    // the case expansion, the snapshot split and the generator.
-    Pcg32 rng(c.seed ^ 0xba7c4ed5eedf00dULL, 0x0b47c4ed);
-
-    auto to_config = [&](const FuzzCase &fc) {
-        RunConfig config;
-        config.profile = fc.profile;
-        config.kind = fc.options.kind;
-        config.params = fc.options.params;
-        config.measureInstrs = fc.options.instructions;
-        // Warmups exercise the quantum-split warmup phase; sampling
-        // policies exercise the gap-skip/re-warm phase.
-        config.warmupInstrs = rng.below(3) ? 500 + rng.below(2500) : 0;
-        if (rng.chance(0.4)) {
-            config.snapshot.mode = SnapshotPolicy::Mode::Sample;
-            config.snapshot.sampleWindows = 2 + rng.below(3);
-        }
-        return config;
-    };
-
-    // A heterogeneous lane group: this case twice (the duplicated
-    // profile takes the shared-StaticProgram path) plus a sibling
-    // case with a different program and core geometry.
-    const RunConfig a = to_config(c);
-    const RunConfig b =
-        to_config(makeFuzzCase(c.seed ^ 0x0ddba11));
-    const RunConfig a2 = to_config(c);
-    const std::vector<RunConfig> lanes = {a, b, a2};
-
-    BatchOptions batching;
-    // Down to one retired instruction per rotation: every quantum
-    // boundary is a retirement boundary, so any width must reproduce
-    // the scalar bytes exactly.
-    batching.quantumInstrs =
-        pick<std::uint64_t>(rng, {1, 97, 1024, 100000});
-
-    const std::vector<RunResult> batched =
-        runSimBatch(lanes, nullptr, batching);
-
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-        const RunResult scalar = runSim(lanes[i]);
-        const std::string want = toJson(scalar).dump();
-        const std::string got = toJson(batched[i]).dump();
-        report.instructionsChecked += lanes[i].measureInstrs;
-        if (want != got) {
-            report.failures.push_back(DiffFailure{
-                "batch-lane-" + std::to_string(i), 0,
-                "lane result diverged from scalar runSim (quantum " +
-                    std::to_string(batching.quantumInstrs) + ")"});
-        }
-    }
     return report;
 }
 

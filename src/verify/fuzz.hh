@@ -58,17 +58,6 @@ DiffReport runFuzzCase(const FuzzCase &c);
  */
 DiffReport runSnapshotFuzzCase(const FuzzCase &c);
 
-/**
- * Batched-vs-scalar differential: expand the case (plus a sibling
- * case, so the lane group is heterogeneous) into RunConfigs with
- * seed-derived warmups and sampling policies, run each scalar through
- * runSim() and together through one BatchedCore at a seed-derived
- * quantum (down to a single instruction), and require every lane's
- * serialized RunResult to match its scalar run byte for byte — the
- * machine-checked form of the batch engine's identity contract.
- */
-DiffReport runBatchFuzzCase(const FuzzCase &c);
-
 } // namespace flywheel
 
 #endif // FLYWHEEL_VERIFY_FUZZ_HH

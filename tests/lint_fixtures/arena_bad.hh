@@ -9,20 +9,9 @@ struct Record
     double weight = 1.0;
 };
 
-struct LaneState
-{
-    unsigned long remaining = 0;
-    bool active = false;
-};
-
 class BadArena
 {
     ArenaVector<Record> records_;  ///< no is_trivially_copyable assert
-};
-
-class BadLanes
-{
-    LaneArray<LaneState> lanes_;   ///< no is_trivially_copyable assert
 };
 
 } // namespace flywheel

@@ -14,26 +14,11 @@ struct Slot
 static_assert(std::is_trivially_copyable_v<Slot>,
               "arena containers memcpy entries on snapshot save");
 
-struct HotLane
-{
-    unsigned long remaining = 0;
-    bool active = false;
-};
-
-static_assert(std::is_trivially_copyable_v<HotLane>,
-              "LaneArray elements are captured with memcpy");
-
 class GoodArena
 {
     ArenaVector<Slot> slots_;
     ArenaRing<Tick> ticks_;        ///< alias of a builtin: no assert needed
     ArenaVector<Slot *> cursor_;   ///< pointers are trivially copyable
-};
-
-class GoodLanes
-{
-    LaneArray<HotLane> lanes_;     ///< asserted above
-    LaneArray<Tick> stamps_;       ///< alias of a builtin: no assert needed
 };
 
 } // namespace flywheel

@@ -2,8 +2,8 @@
  * @file
  * Unit tests for the shared CLI helper header (tools/cli_util.hh):
  * list splitting, strict number parsing (including the fatal paths),
- * the output-file plumbing, and the repeat-median / host-metadata
- * helpers every tool shares.
+ * the output-file plumbing, the checkpoint dump verb, and the
+ * repeat-median / host-metadata helpers every tool shares.
  */
 
 #include "tools/cli_util.hh"
@@ -16,6 +16,8 @@
 #include <sstream>
 
 #include "sweep/sweep.hh"
+#include "workload/generator.hh"
+#include "workload/profiles.hh"
 
 using namespace flywheel;
 
@@ -227,29 +229,78 @@ TEST(SnapshotFlags, ParsesTheSharedFlagSet)
     EXPECT_EQ(j, 0);
 }
 
-TEST(SnapshotFlags, ParsesStoreFormatAndCapFlags)
+TEST(SnapshotFlags, ParsesCapFlag)
 {
-    const char *argv_c[] = {"prog", "--snapshot-json",
-                            "--checkpoint-cap-mb", "256"};
+    const char *argv_c[] = {"prog", "--checkpoint-cap-mb", "256"};
     char **argv = const_cast<char **>(argv_c);
 
     cli::SnapshotFlags flags;
     flags.dir = "/tmp/store";
     flags.capBytes = 0;  // isolate from FLYWHEEL_CHECKPOINT_CAP_MB
     int i = 1;
-    EXPECT_TRUE(flags.tryParse(argv[i], 4, argv, &i));
-    EXPECT_TRUE(flags.jsonFormat);
-    ++i;
-    EXPECT_TRUE(flags.tryParse(argv[i], 4, argv, &i));
+    EXPECT_TRUE(flags.tryParse(argv[i], 3, argv, &i));
     EXPECT_EQ(flags.capBytes, 256ull << 20);
 
-    // apply() stamps all three store knobs onto any options struct
-    // with the shared field names.
+    // apply() stamps both store knobs onto any options struct with
+    // the shared field names.
     SweepOptions opts;
     flags.apply(&opts);
     EXPECT_EQ(opts.checkpointDir, "/tmp/store");
-    EXPECT_TRUE(opts.checkpointJson);
     EXPECT_EQ(opts.checkpointCapBytes, 256ull << 20);
+}
+
+TEST(DumpCheckpoint, ListsEverySectionWithItsRawSize)
+{
+    // A real checkpoint: a warmed Flywheel core's full state.
+    RunConfig config;
+    config.profile = benchmarkByName("gcc");
+    config.kind = CoreKind::Flywheel;
+    StaticProgram program(config.profile);
+    WorkloadStream stream(program);
+    auto core = makeCore(config, stream);
+    core->run(2000);
+    Snapshot snap;
+    snap.setKey("dump-test-key");
+    core->save(snap);
+    const std::string path = ::testing::TempDir() + "fw_dump_ckpt.fws";
+    std::string error;
+    ASSERT_TRUE(snap.writeFile(path, &error)) << error;
+
+    std::ostringstream out, err;
+    ASSERT_EQ(cli::dumpCheckpoint(path, out, err), 0) << err.str();
+    Json doc;
+    ASSERT_TRUE(Json::parse(out.str(), doc, &error)) << error;
+    EXPECT_EQ(doc["key"].asString(), "dump-test-key");
+    EXPECT_EQ(doc["version"].asU64(),
+              std::uint64_t(Snapshot::kFormatVersion));
+    EXPECT_EQ(doc["hash"].asString().size(), 16u);
+    const Json &sections = doc["sections"];
+    ASSERT_EQ(sections.size(), snap.sectionCount());
+    ASSERT_GT(snap.sectionCount(), 0u);
+    for (std::size_t i = 0; i < snap.sectionCount(); ++i) {
+        EXPECT_EQ(sections.at(i)["name"].asString(), snap.sectionName(i));
+        EXPECT_EQ(sections.at(i)["bytes"].asU64(),
+                  snap.sectionData(i).size());
+        EXPECT_EQ(sections.at(i)["fnv1a"].asString().size(), 16u);
+    }
+
+    // A truncated file exits non-zero with the decoder's error.
+    const std::string bytes = snap.serialize();
+    const std::string cut = ::testing::TempDir() + "fw_dump_cut.fws";
+    {
+        std::ofstream f(cut, std::ios::binary);
+        f << bytes.substr(0, bytes.size() / 2);
+    }
+    Snapshot unused;
+    std::string decode_error;
+    ASSERT_FALSE(Snapshot::readFile(cut, &unused, &decode_error));
+    std::ostringstream out2, err2;
+    EXPECT_NE(cli::dumpCheckpoint(cut, out2, err2), 0);
+    EXPECT_NE(err2.str().find(decode_error), std::string::npos)
+        << err2.str();
+    EXPECT_TRUE(out2.str().empty());
+    std::remove(path.c_str());
+    std::remove(cut.c_str());
 }
 
 TEST(SnapshotFlagsDeathTest, RejectsDegenerateSampleCounts)

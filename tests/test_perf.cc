@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 using namespace flywheel;
@@ -258,9 +260,8 @@ TEST(ComparePerf, RelativeModeSurvivesDegenerateGeomean)
 
 TEST(BenchReportJson, AcceptsLegacyV1SchemaTag)
 {
-    // Committed baselines written before the batching fields existed
-    // carry the v1 tag and none of the additive members; they must
-    // keep parsing with scalar defaults.
+    // Older committed baselines carry the v1 tag; they must keep
+    // parsing.
     BenchReport original = sampleReport();
     std::string bytes = original.toJson().dump(2);
     const std::string tag = "\"flywheel.bench_perf.v1.1\"";
@@ -274,9 +275,58 @@ TEST(BenchReportJson, AcceptsLegacyV1SchemaTag)
     BenchReport restored;
     ASSERT_TRUE(BenchReport::fromJson(parsed, &restored, &error))
         << error;
-    EXPECT_EQ(restored.batchWidth, 1u);
-    for (const PerfEntry &e : restored.entries)
-        EXPECT_EQ(e.lanes, 1u);
+    EXPECT_EQ(restored.entries.size(), original.entries.size());
+}
+
+TEST(BenchReportJson, AcceptsScalarWidthFieldsOfOlderReports)
+{
+    // The committed baseline predates the batch engine's removal and
+    // records batch_width = 1 and lanes = 1; it must keep parsing.
+    std::ifstream file(std::string(FLYWHEEL_REPO_DIR) +
+                       "/bench/baseline_perf.json");
+    ASSERT_TRUE(file);
+    std::ostringstream text;
+    text << file.rdbuf();
+    ASSERT_NE(text.str().find("\"batch_width\": 1"), std::string::npos);
+    ASSERT_NE(text.str().find("\"lanes\": 1"), std::string::npos);
+
+    Json parsed;
+    std::string error;
+    ASSERT_TRUE(Json::parse(text.str(), parsed, &error)) << error;
+    BenchReport restored;
+    EXPECT_TRUE(BenchReport::fromJson(parsed, &restored, &error))
+        << error;
+    EXPECT_FALSE(restored.entries.empty());
+}
+
+TEST(BenchReportJson, RejectsBatchedReports)
+{
+    // A report that timed several lanes per cell measures a different
+    // quantity; gating it against scalar numbers would pass silently.
+    const auto with_member = [](const std::string &after,
+                                const std::string &member) {
+        std::string bytes = sampleReport().toJson().dump(2);
+        const std::size_t pos = bytes.find(after);
+        EXPECT_NE(pos, std::string::npos) << after;
+        bytes.insert(pos + after.size(), member);
+        Json j;
+        std::string error;
+        EXPECT_TRUE(Json::parse(bytes, j, &error)) << error;
+        return j;
+    };
+
+    BenchReport r;
+    std::string error;
+    EXPECT_FALSE(BenchReport::fromJson(
+        with_member("\"obs_attached\": false", ", \"batch_width\": 8"),
+        &r, &error));
+    EXPECT_NE(error.find("batch_width"), std::string::npos) << error;
+
+    error.clear();
+    EXPECT_FALSE(BenchReport::fromJson(
+        with_member("\"kind\": \"flywheel\"", ", \"lanes\": 8"), &r,
+        &error));
+    EXPECT_NE(error.find("lanes"), std::string::npos) << error;
 }
 
 TEST(BenchReportJson, AggregateSumsInstructionsOverTime)

@@ -233,93 +233,51 @@ TEST(SnapshotFile, BinaryRejectsTruncationCorruptionAndVersionMismatch)
     EXPECT_NE(error.find("cannot read"), std::string::npos) << error;
 }
 
-TEST(SnapshotFile, JsonEscapeHatchRejectsTheSameClasses)
+/** Container header up to (not including) the section count. */
+BinWriter
+headerWriter()
 {
-    const Snapshot snap = snapshotOf(CoreKind::Flywheel);
-    const std::string text = snap.serialize(Snapshot::Codec::Json);
-
-    Snapshot out;
-    std::string error;
-    EXPECT_TRUE(Snapshot::deserialize(text, &out, &error)) << error;
-
-    // Truncation: not parseable JSON.
-    EXPECT_FALSE(Snapshot::deserialize(text.substr(0, text.size() / 2),
-                                       &out, &error));
-    EXPECT_NE(error.find("unreadable"), std::string::npos) << error;
-
-    // Corruption: flip one decimal digit inside a section's byte
-    // string; the document stays valid JSON but the content hash no
-    // longer matches.
-    std::string corrupt = text;
-    const std::size_t pos = corrupt.find("\"data\": \"");
-    ASSERT_NE(pos, std::string::npos);
-    const std::size_t digit =
-        corrupt.find_first_of("0123456789", pos + 9);
-    ASSERT_NE(digit, std::string::npos);
-    corrupt[digit] = corrupt[digit] == '9' ? '3' : '9';
-    EXPECT_FALSE(Snapshot::deserialize(corrupt, &out, &error));
-    EXPECT_NE(error.find("corrupt"), std::string::npos) << error;
-
-    // Version mismatch: clear error naming both versions.
-    std::string versioned = text;
-    const std::string vtag =
-        "\"version\": " + std::to_string(Snapshot::kFormatVersion);
-    const std::size_t vpos = versioned.find(vtag);
-    ASSERT_NE(vpos, std::string::npos);
-    versioned.replace(vpos, vtag.size(), "\"version\": 99");
-    EXPECT_FALSE(Snapshot::deserialize(versioned, &out, &error));
-    EXPECT_NE(error.find("version 99"), std::string::npos) << error;
-
-    // Wrong magic: not a snapshot at all.
-    std::string magic = text;
-    const std::size_t mpos = magic.find("flywheel-snapshot");
-    ASSERT_NE(mpos, std::string::npos);
-    magic.replace(mpos, 8, "deadbeef");
-    EXPECT_FALSE(Snapshot::deserialize(magic, &out, &error));
-    EXPECT_NE(error.find("magic"), std::string::npos) << error;
+    BinWriter w;
+    // The magic tag is stored with its NUL terminator.
+    w.raw(std::string(Snapshot::kMagic, std::strlen(Snapshot::kMagic) + 1));
+    w.u32(static_cast<std::uint32_t>(Snapshot::kFormatVersion));
+    w.u64(0);  // content hash; never reached
+    w.str("test-key");
+    return w;
 }
 
-TEST(SnapshotCodec, BinaryAndJsonDecodeEqualWithIdenticalHash)
+TEST(SnapshotFile, RejectsSectionCountBeyondFileSize)
 {
-    // Differential check across the two containers, for every
-    // snapshot kind: the same state serialized through either codec
-    // must decode to equal snapshots carrying the identical content
-    // hash (the hash covers the raw section bytes, not the encoding).
-    for (CoreKind kind : {CoreKind::Baseline,
-                          CoreKind::RegisterAllocation,
-                          CoreKind::Flywheel}) {
-        SCOPED_TRACE(coreKindName(kind));
-        const Snapshot snap = snapshotOf(kind);
+    // A hostile u32 section count must be rejected from the bytes
+    // actually present, not reserved (which threw std::bad_alloc).
+    BinWriter w = headerWriter();
+    w.u32(0xFFFFFFFFu);
+    Snapshot out;
+    std::string error;
+    bool ok = true;
+    EXPECT_NO_THROW(ok = Snapshot::deserialize(w.take(), &out, &error));
+    EXPECT_FALSE(ok);
+    EXPECT_NE(error.find("section count"), std::string::npos) << error;
+}
 
-        const std::string bin = snap.serialize(Snapshot::Codec::Binary);
-        const std::string json = snap.serialize(Snapshot::Codec::Json);
-        ASSERT_NE(bin, json);
-
-        Snapshot from_bin, from_json;
-        std::string error;
-        ASSERT_TRUE(Snapshot::deserialize(bin, &from_bin, &error))
-            << error;
-        ASSERT_TRUE(Snapshot::deserialize(json, &from_json, &error))
-            << error;
-
-        EXPECT_EQ(from_bin.key(), snap.key());
-        EXPECT_EQ(from_json.key(), snap.key());
-        EXPECT_EQ(from_bin.contentHash(), snap.contentHash());
-        EXPECT_EQ(from_json.contentHash(), snap.contentHash());
-        EXPECT_EQ(from_bin.sectionCount(), from_json.sectionCount());
-        for (std::size_t i = 0; i < from_bin.sectionCount(); ++i)
-            EXPECT_EQ(from_bin.sectionName(i), from_json.sectionName(i));
-
-        // Decode-equal, byte for byte: re-serializing both decoded
-        // snapshots through one codec must produce identical bytes.
-        EXPECT_EQ(from_bin.serialize(Snapshot::Codec::Binary),
-                  from_json.serialize(Snapshot::Codec::Binary));
-
-        // And the binary container must actually be the compact one.
-        EXPECT_LT(bin.size(), json.size() / 5)
-            << "binary " << bin.size() << " B vs JSON " << json.size()
-            << " B";
-    }
+TEST(SnapshotFile, RejectsRawSizeBeyondCompressedExpansion)
+{
+    // A compressed section whose u64 raw size no LZSS stream of its
+    // stored size can expand to (reserving it threw
+    // std::length_error).
+    BinWriter w = headerWriter();
+    w.u32(1);
+    w.str("payload");
+    w.u8(1);  // compressed
+    w.u64(std::uint64_t(1) << 62);
+    w.u64(4);
+    w.raw(std::string("\0abc", 4));
+    Snapshot out;
+    std::string error;
+    bool ok = true;
+    EXPECT_NO_THROW(ok = Snapshot::deserialize(w.take(), &out, &error));
+    EXPECT_FALSE(ok);
+    EXPECT_NE(error.find("corrupt"), std::string::npos) << error;
 }
 
 TEST(CheckpointerTest, ComputesOncePerKeyAndReloadsFromDisk)

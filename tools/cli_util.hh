@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/log.hh"
-#include "core/batch.hh"
 #include "obs/stats_registry.hh"
 #include "obs/trace.hh"
 #include "perf/bench_report.hh"
@@ -184,42 +183,6 @@ parseJobs(const std::string &s, const char *flag)
 }
 
 /**
- * Parse a --batch lane count with the FLYWHEEL_BATCH environment
- * variable's rules (parseBatchWidth: plain decimal in 1..256), so the
- * CLIs and the environment reject the same garbage the same way.
- * Width 1 means scalar execution (the default everywhere).
- */
-inline unsigned
-parseBatch(const std::string &s, const char *flag)
-{
-    unsigned v = 0;
-    if (!parseBatchWidth(s.c_str(), &v))
-        FW_FATAL("%s: expected an integer in 1..256, got '%s'", flag,
-                 s.c_str());
-    return v;
-}
-
-/**
- * Default batch width from the FLYWHEEL_BATCH environment variable
- * (1 = scalar when unset or unparsable; a bad value warns, matching
- * SessionOptions::fromEnv).
- */
-inline unsigned
-batchWidthFromEnv()
-{
-    const char *env = std::getenv("FLYWHEEL_BATCH");
-    if (!env)
-        return 1;
-    unsigned v = 0;
-    if (parseBatchWidth(env, &v))
-        return v;
-    FW_WARN("ignoring FLYWHEEL_BATCH='%s' (want a decimal lane count "
-            "1..256); running scalar",
-            env);
-    return 1;
-}
-
-/**
  * Parse a positive seconds value (decimal, fractions allowed) for
  * timing flags like --lease-timeout / --heartbeat; fatal on garbage.
  */
@@ -303,7 +266,6 @@ rejectUnknownFlag(const char *argv0, const std::string &flag,
  *   --checkpoint-dir DIR    warm checkpoint store (default: the
  *                           FLYWHEEL_CHECKPOINTS environment variable)
  *   --no-checkpoints        disable checkpoint reuse entirely
- *   --snapshot-json         persist checkpoints as JSON (debugging)
  *   --checkpoint-cap-mb N   cap the on-disk store, LRU-pruned
  *                           (default: FLYWHEEL_CHECKPOINT_CAP_MB)
  *   --sample N              interval sampling with N detailed windows
@@ -312,7 +274,6 @@ struct SnapshotFlags
 {
     std::string dir;
     bool disabled = false;
-    bool jsonFormat = false;
     std::uint64_t capBytes = 0;
     unsigned sampleWindows = 0;
 
@@ -340,10 +301,6 @@ struct SnapshotFlags
         }
         if (flag == "--no-checkpoints") {
             disabled = true;
-            return true;
-        }
-        if (flag == "--snapshot-json") {
-            jsonFormat = true;
             return true;
         }
         if (flag == "--checkpoint-cap-mb") {
@@ -379,7 +336,6 @@ struct SnapshotFlags
     apply(Options *opts) const
     {
         opts->checkpointDir = checkpointDir();
-        opts->checkpointJson = jsonFormat;
         opts->checkpointCapBytes = capBytes;
     }
 
@@ -393,10 +349,6 @@ struct SnapshotFlags
             "DIR\n"
             "                        (default: FLYWHEEL_CHECKPOINTS)\n"
             "  --no-checkpoints      always simulate the warmup\n"
-            "  --snapshot-json       persist checkpoints as JSON "
-            "instead of the\n"
-            "                        binary container (debug escape "
-            "hatch)\n"
             "  --checkpoint-cap-mb N cap the on-disk store at N MB, "
             "pruning\n"
             "                        oldest checkpoints first "
@@ -407,6 +359,49 @@ struct SnapshotFlags
             "windows\n";
     }
 };
+
+/**
+ * The read-only `flywheel_bench --dump-checkpoint FILE` verb: decode
+ * a `.fws` checkpoint and print its key, format version, content hash
+ * and, per section, the name, raw byte count and FNV-1a hash of the
+ * raw bytes as JSON on @p out.  Diffing two dumps shows which
+ * component's section differs between two checkpoints.
+ * @return the exit status: 0, or 1 with the decoder's error on
+ * @p err when the file does not decode.
+ */
+inline int
+dumpCheckpoint(const std::string &path, std::ostream &out,
+               std::ostream &err)
+{
+    Snapshot snap;
+    std::string error;
+    if (!Snapshot::readFile(path, &snap, &error)) {
+        err << error << '\n';
+        return 1;
+    }
+    const auto hex = [](std::uint64_t h) {
+        char buf[20];
+        std::snprintf(buf, sizeof(buf), "%016llx",
+                      static_cast<unsigned long long>(h));
+        return std::string(buf);
+    };
+    Json doc = Json::object();
+    doc.add("key", snap.key());
+    doc.add("version", Snapshot::kFormatVersion);
+    doc.add("hash", hex(snap.contentHash()));
+    Json sections = Json::array();
+    for (std::size_t i = 0; i < snap.sectionCount(); ++i) {
+        Json s = Json::object();
+        s.add("name", snap.sectionName(i));
+        s.add("bytes", std::uint64_t(snap.sectionData(i).size()));
+        s.add("fnv1a", hex(fnv1a64(snap.sectionData(i))));
+        sections.push(std::move(s));
+    }
+    doc.add("sections", std::move(sections));
+    doc.write(out, 2);
+    out << '\n';
+    return 0;
+}
 
 /**
  * The observability flag set shared by the grid-running CLIs:

@@ -11,6 +11,7 @@
  *   flywheel_bench --all
  *   flywheel_bench --spec specs/fig12.json       # data, not code
  *   flywheel_bench --dump-spec fig12             # registry -> JSON
+ *   flywheel_bench --dump-checkpoint d/ckpt-X.fws  # sections -> JSON
  *   flywheel_bench --validate-spec specs/fig12.json
  *   flywheel_bench --check-golden tests/golden
  *
@@ -57,10 +58,7 @@ usage(const char *argv0)
         "run control:\n"
         "  --jobs N             worker threads (default: FLYWHEEL_JOBS "
         "or all cores)\n"
-        "  --batch W            lanes per batched task (default: "
-        "FLYWHEEL_BATCH or 1);\n"
-        "                       results byte-identical to scalar\n"
-        "  --cache FILE         persistent result cache (default: "
+        "  --cache FILE        persistent result cache (default: "
         "FLYWHEEL_CACHE)\n"
         "  --progress           per-point progress on stderr\n"
         "\n"
@@ -84,7 +82,11 @@ usage(const char *argv0)
         "  --prune-checkpoints   prune the checkpoint store at "
         "--checkpoint-dir\n"
         "                        down to --checkpoint-cap-mb "
-        "(0 = empty it)\n",
+        "(0 = empty it)\n"
+        "  --dump-checkpoint FILE  print a .fws checkpoint's header "
+        "and section\n"
+        "                        table (name, bytes, FNV-1a) as "
+        "JSON\n",
         argv0, cli::SnapshotFlags::usageText(),
         cli::ObsFlags::usageText());
 }
@@ -186,6 +188,7 @@ main(int argc, char **argv)
     std::vector<std::string> spec_paths;
     std::vector<std::string> validate_paths;
     std::string dump_spec_name;
+    std::string dump_checkpoint_path;
     std::string check_golden_dir;
     std::string refresh_golden_dir;
     std::string json_path;
@@ -217,12 +220,12 @@ main(int argc, char **argv)
             spec_paths.push_back(value());
         } else if (flag == "--dump-spec") {
             dump_spec_name = value();
+        } else if (flag == "--dump-checkpoint") {
+            dump_checkpoint_path = value();
         } else if (flag == "--validate-spec") {
             validate_paths.push_back(value());
         } else if (flag == "--jobs") {
             opts.jobs = cli::parseJobs(value(), "--jobs");
-        } else if (flag == "--batch") {
-            opts.batchWidth = cli::parseBatch(value(), "--batch");
         } else if (flag == "--cache") {
             opts.cachePath = value();
         } else if (flag == "--progress") {
@@ -251,6 +254,7 @@ main(int argc, char **argv)
     // a CI script skip work while reporting success.
     const int modes = (list_only ? 1 : 0) +
                       (!dump_spec_name.empty() ? 1 : 0) +
+                      (!dump_checkpoint_path.empty() ? 1 : 0) +
                       (!validate_paths.empty() ? 1 : 0) +
                       (!check_golden_dir.empty() ? 1 : 0) +
                       (!refresh_golden_dir.empty() ? 1 : 0) +
@@ -262,7 +266,8 @@ main(int argc, char **argv)
     if (modes > 1) {
         std::fprintf(stderr,
                      "choose one mode: --list, --dump-spec, "
-                     "--validate-spec, --check-golden, "
+                     "--dump-checkpoint, --validate-spec, "
+                     "--check-golden, "
                      "--refresh-golden, --prune-checkpoints, or a "
                      "--figure/--all/--spec run\n");
         return 2;
@@ -313,6 +318,9 @@ main(int argc, char **argv)
         std::printf("%s\n", def->spec.toJson().dump(2).c_str());
         return 0;
     }
+    if (!dump_checkpoint_path.empty())
+        return cli::dumpCheckpoint(dump_checkpoint_path, std::cout,
+                                   std::cerr);
     if (!validate_paths.empty()) {
         bool ok = true;
         for (const std::string &path : validate_paths) {

@@ -52,12 +52,7 @@ usage(const char *argv0)
         "a\n"
         "                     fresh image, diff against the "
         "straight-through run\n"
-        "  --batch            batched-engine mode: run each case's\n"
-        "                     configs through one multi-lane\n"
-        "                     BatchedCore at a seed-derived quantum "
-        "and\n"
-        "                     require byte-identical scalar results\n"
-        "  --jobs N           worker threads (default: FLYWHEEL_JOBS "
+        "  --jobs N          worker threads (default: FLYWHEEL_JOBS "
         "or all cores)\n"
         "  --list             print each case instead of running it\n"
         "  --quiet            only print failures and the summary\n"
@@ -88,7 +83,6 @@ main(int argc, char **argv)
     std::uint64_t instr_override = 0;
     unsigned jobs = 0;
     bool snapshots = false;
-    bool batch = false;
     bool list_only = false;
     bool quiet = false;
     std::string check_golden_dir;
@@ -111,8 +105,6 @@ main(int argc, char **argv)
             instr_override = cli::parseU64(value(), "--instrs");
         } else if (flag == "--snapshots") {
             snapshots = true;
-        } else if (flag == "--batch") {
-            batch = true;
         } else if (flag == "--jobs") {
             jobs = cli::parseJobs(value(), "--jobs");
         } else if (flag == "--list") {
@@ -142,17 +134,11 @@ main(int argc, char **argv)
 
     // Tracing is a focused-repro tool: one seed, one core, one file.
     if (!trace_path.empty() &&
-        (explicit_seeds.size() != 1 || snapshots || batch ||
-         list_only || !check_golden_dir.empty() ||
-         !refresh_golden_dir.empty())) {
+        (explicit_seeds.size() != 1 || snapshots || list_only ||
+         !check_golden_dir.empty() || !refresh_golden_dir.empty())) {
         std::fprintf(stderr, "%s: --trace requires exactly one --seed "
-                             "(and no --snapshots/--batch/--list/"
-                             "golden modes)\n", argv[0]);
-        return 2;
-    }
-    if (snapshots && batch) {
-        std::fprintf(stderr, "%s: --snapshots and --batch are separate "
-                             "differential modes; pick one\n", argv[0]);
+                             "(and no --snapshots/--list/golden "
+                             "modes)\n", argv[0]);
         return 2;
     }
 
@@ -231,9 +217,8 @@ main(int argc, char **argv)
         if (instr_override)
             c.options.instructions = instr_override;
         c.options.tracer = tracer.get();  // null unless --trace
-        DiffReport report = batch       ? runBatchFuzzCase(c)
-                            : snapshots ? runSnapshotFuzzCase(c)
-                                        : runFuzzCase(c);
+        DiffReport report =
+            snapshots ? runSnapshotFuzzCase(c) : runFuzzCase(c);
         Outcome &out = outcomes[i];
         out.failed = !report.ok();
         if (out.failed) {

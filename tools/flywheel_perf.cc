@@ -60,9 +60,6 @@ usage(const char *argv0)
         "(default: 3)\n"
         "  --jobs N          worker threads over cells (default: 1;\n"
         "                    >1 distorts per-cell throughput)\n"
-        "  --batch W         time W lanes of each cell in one batched\n"
-        "                    engine (default: 1 = scalar); entries\n"
-        "                    report the combined Minstr/s of all lanes\n"
         "\n"
         "%s"
         "\n"
@@ -105,14 +102,11 @@ printTable(const perf::BenchReport &report)
                     e.medianSeconds, e.minstrPerSec);
     }
     std::printf("geomean Minstr/s: %.3f  aggregate: %.3f  "
-                "(%s, %s, %u hw threads",
+                "(%s, %s, %u hw threads)\n",
                 report.geomeanMinstrPerSec(),
                 report.aggregateMinstrPerSec(),
                 report.host.compiler.c_str(),
                 report.host.build.c_str(), report.host.hwThreads);
-    if (report.batchWidth > 1)
-        std::printf(", %u lanes/cell", report.batchWidth);
-    std::printf(")\n");
 }
 
 bool
@@ -188,8 +182,6 @@ main(int argc, char **argv)
                 FW_FATAL("--repeats: must be positive");
         } else if (flag == "--jobs") {
             options.jobs = cli::parseJobs(value(), "--jobs");
-        } else if (flag == "--batch") {
-            options.batchWidth = cli::parseBatch(value(), "--batch");
         } else if (flag == "--json") {
             json_path = value();
         } else if (flag == "--layout-report") {
@@ -226,9 +218,6 @@ main(int argc, char **argv)
     // either way.
     snapshot.apply(&options);
     options.sampleWindows = snapshot.sampleWindows;
-    if (options.batchWidth > 1 && obs_gate >= 0.0)
-        FW_FATAL("--obs-gate times the scalar engine's emit sites; "
-                 "run it without --batch");
 
     perf::BenchReport baseline;
     if (!compare_path.empty() && !loadReport(compare_path, &baseline))
@@ -302,15 +291,6 @@ main(int argc, char **argv)
                      "contiguous throughput are different quantities\n",
                      report.sampleWindows, compare_path.c_str(),
                      baseline.sampleWindows);
-        return 2;
-    }
-    if (report.batchWidth != baseline.batchWidth) {
-        std::fprintf(stderr,
-                     "cannot compare: this run timed %u lanes per "
-                     "cell, baseline %s timed %u — batched and scalar "
-                     "throughput are different quantities\n",
-                     report.batchWidth, compare_path.c_str(),
-                     baseline.batchWidth);
         return 2;
     }
     bool ok = true;

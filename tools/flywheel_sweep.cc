@@ -49,12 +49,7 @@ usage(const char *argv0)
         "run control:\n"
         "  --jobs N          worker threads (default: FLYWHEEL_JOBS or "
         "all cores)\n"
-        "  --batch W         lanes per batched task (default: "
-        "FLYWHEEL_BATCH or 1);\n"
-        "                    same-benchmark cells share one lane "
-        "group, results\n"
-        "                    byte-identical to scalar\n"
-        "  --warmup N        warm-up instructions per point\n"
+        "  --warmup N       warm-up instructions per point\n"
         "  --instrs N        measured instructions per point\n"
         "  --cache FILE      persistent result cache (JSON)\n"
         "\n"
@@ -78,7 +73,6 @@ main(int argc, char **argv)
 {
     SweepAxes axes;
     SweepOptions opts;
-    opts.batchWidth = cli::batchWidthFromEnv();
     cli::SnapshotFlags snapshot;
     cli::ObsFlags obs_flags;
     std::string out_path;
@@ -143,8 +137,6 @@ main(int argc, char **argv)
             }
         } else if (flag == "--jobs") {
             opts.jobs = cli::parseJobs(value(), "--jobs");
-        } else if (flag == "--batch") {
-            opts.batchWidth = cli::parseBatch(value(), "--batch");
         } else if (flag == "--warmup") {
             axes.warmupInstrs = cli::parseU64(value(), "--warmup");
         } else if (flag == "--instrs") {

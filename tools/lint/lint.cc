@@ -1122,11 +1122,7 @@ checkArenaSafety(const std::vector<ParsedFile> &files,
         const std::vector<std::string> &asserts =
             asserts_by_stem[pathStem(f.path)];
         for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-            // LaneArray (the batch engine's SoA container) shares the
-            // arena containers' memcpy capture contract, so it shares
-            // their use-site assert requirement.
-            if (t[i].text != "ArenaVector" && t[i].text != "ArenaRing" &&
-                t[i].text != "LaneArray")
+            if (t[i].text != "ArenaVector" && t[i].text != "ArenaRing")
                 continue;
             if (t[i + 1].text != "<")
                 continue;
