@@ -6,7 +6,7 @@
  * residency, energy breakdown).
  *
  * Uses the Experiment API: the two runs are one declarative
- * ExperimentSpec executed by a Session (worker pool + result cache),
+ * ExperimentSpec executed by a Session (worker pool + result store),
  * and the report pulls its rows from the finished table by identity.
  *
  *   ./quickstart [benchmark]       (default: gzip)

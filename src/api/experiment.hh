@@ -109,7 +109,7 @@ struct ExperimentSpec
     std::uint64_t measureInstrs = 0;
     /**
      * Times each point is executed by Session::run(); repeats bypass
-     * the result cache and must reproduce the first run bit-exactly
+     * the result store and must reproduce the first run bit-exactly
      * (a determinism tripwire for long campaigns).
      */
     unsigned repeat = 1;
@@ -120,7 +120,7 @@ struct ExperimentSpec
      * separated by fast-forwarded gaps.  sampleFastForward /
      * sampleWarmup of 0 derive from the window length (see
      * SnapshotPolicy).  Sampling parameters are part of the
-     * ResultCache key, so sampled and full runs never alias.
+     * result-store key, so sampled and full runs never alias.
      */
     unsigned sampleWindows = 0;
     std::uint64_t sampleFastForward = 0;

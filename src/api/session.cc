@@ -7,7 +7,6 @@
 #include "core/report.hh"
 #include "serve/client.hh"
 #include "snapshot/checkpointer.hh"
-#include "sweep/result_cache.hh"
 
 namespace flywheel {
 
@@ -16,7 +15,7 @@ SessionOptions::fromEnv()
 {
     SessionOptions opts;
     if (const char *cache = std::getenv("FLYWHEEL_CACHE"))
-        opts.cachePath = cache;
+        opts.cacheDir = cache;
     if (const char *ckpt = std::getenv("FLYWHEEL_CHECKPOINTS"))
         opts.checkpointDir = ckpt;
     if (const char *cap = std::getenv("FLYWHEEL_CHECKPOINT_CAP_MB")) {
@@ -77,7 +76,7 @@ Session::Session(SessionOptions options)
     : runner_([&options] {
           SweepOptions sweep;
           sweep.jobs = options.jobs;
-          sweep.cachePath = options.cachePath;
+          sweep.cacheDir = options.cacheDir;
           sweep.checkpointDir = options.checkpointDir;
           sweep.checkpointCapBytes = options.checkpointCapBytes;
           sweep.progress = options.progress;

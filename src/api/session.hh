@@ -1,7 +1,7 @@
 /**
  * @file
  * Session — the one front door to the simulator.  A Session owns a
- * SweepRunner (worker pool + content-hash result cache) and executes
+ * SweepRunner (worker pool + content-keyed result store) and executes
  * declarative ExperimentSpecs: run() simulates a spec's grid (with
  * optional bit-exact repeat checking), verify() routes its
  * non-baseline points through the differential checker, and the
@@ -28,8 +28,11 @@ struct SessionOptions
 {
     /** Worker threads; 0 = FLYWHEEL_JOBS env or hardware concurrency. */
     unsigned jobs = 0;
-    /** Persist the result cache at this path (empty = memory only). */
-    std::string cachePath;
+    /**
+     * Result-file directory (see SweepOptions::cacheDir); a serve
+     * store's `results/` works too.  Empty keeps results in memory.
+     */
+    std::string cacheDir;
     /**
      * Warm checkpoint store shared by every run of the session (see
      * SweepOptions::checkpointDir): "" disables checkpointing, a
@@ -44,12 +47,12 @@ struct SessionOptions
     /**
      * Observability attachments stamped onto every run of the session
      * (see SweepOptions::obs): stats collection and/or pipeline
-     * tracing.  Observed runs bypass the result-cache lookup.
+     * tracing.  Observed runs bypass the result-store lookup.
      */
     ObsConfig obs;
 
     /**
-     * Standard environment wiring: cachePath from FLYWHEEL_CACHE,
+     * Standard environment wiring: cacheDir from FLYWHEEL_CACHE,
      * checkpointDir from FLYWHEEL_CHECKPOINTS and checkpointCapBytes
      * from FLYWHEEL_CHECKPOINT_CAP_MB if set (jobs stay 0, i.e.
      * FLYWHEEL_JOBS / hardware concurrency).
@@ -101,7 +104,7 @@ class Session
      */
     SweepTable run(const ExperimentSpec &spec);
 
-    /** Run one ad-hoc config through the session cache. */
+    /** Run one ad-hoc config through the session's result store. */
     RunResult runOne(const RunConfig &config, bool *from_cache = nullptr);
 
     /**
@@ -134,7 +137,7 @@ class Session
                        const GoldenOptions &opts = {});
 
     SweepRunner &runner() { return runner_; }
-    ResultCache &cache() { return runner_.cache(); }
+    ResultStore &cache() { return runner_.cache(); }
     unsigned jobs() const { return runner_.jobs(); }
 
   private:

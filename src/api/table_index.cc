@@ -3,7 +3,7 @@
 #include <cstdio>
 
 #include "common/log.hh"
-#include "sweep/result_cache.hh"
+#include "sweep/result_store.hh"
 
 namespace flywheel {
 

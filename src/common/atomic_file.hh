@@ -2,12 +2,13 @@
  * @file
  * Atomic whole-file replacement.
  *
- * Both on-disk stores that sweep processes share (the ResultCache
- * JSON file and the Checkpointer's snapshot blobs) are published
- * with write-to-temp + rename(2).  The temp name must be unique per
- * process *and* per call: several workers cold-starting the same key
- * concurrently with a fixed ".tmp" suffix would interleave writes in
- * one temp file and rename a torn hybrid into place.
+ * Both on-disk stores that sweep processes share (the ResultStore's
+ * per-key result files and the Checkpointer's snapshot blobs) are
+ * published with write-to-temp + rename(2).  The temp name must be
+ * unique per process *and* per call: several workers cold-starting
+ * the same key concurrently with a fixed ".tmp" suffix would
+ * interleave writes in one temp file and rename a torn hybrid into
+ * place.
  */
 
 #ifndef FLYWHEEL_COMMON_ATOMIC_FILE_HH

@@ -1,7 +1,7 @@
 /**
  * @file
  * Minimal JSON value type with a parser and a deterministic writer,
- * used for structured result export and the sweep result cache.  No
+ * used for structured result export and the sweep result store.  No
  * third-party dependency: the subset implemented (null, bool, finite
  * numbers, strings, arrays, objects) is exactly what the simulator's
  * own artifacts need.

@@ -28,11 +28,12 @@ void writeComparison(std::ostream &os, const std::string &title_a,
                      const RunResult &a, const std::string &title_b,
                      const RunResult &b);
 
-// ---- structured serialization (sweep export / result cache) ----
+// ---- structured serialization (sweep export / result store) ----
 //
-// Field names are part of the on-disk format: the sweep result cache
-// and exported result files are read back by fromJson, so renames
-// require a cache-format version bump in src/sweep/result_cache.cc.
+// Field names are part of the on-disk format: result-store files are
+// read back by fromJson, so renames require a kResultSchema bump in
+// src/sweep/result_store.hh.  (Not configKey's "v=" field: that one
+// is hashed into exported configHash values and checkpoint keys.)
 
 Json toJson(const EnergyBreakdown &e);
 Json toJson(const CoreStats &s);
@@ -46,7 +47,7 @@ RunResult runResultFromJson(const Json &j);
 
 /**
  * True if @p j carries every field runResultFromJson reads.  Lets
- * readers of persisted results (the sweep cache) reject entries
+ * readers of persisted results (the result store) reject entries
  * written by an older field set instead of silently zero-filling.
  */
 bool runResultJsonComplete(const Json &j);

@@ -41,7 +41,8 @@ enum class CoreKind
  * tests/test_snapshot.cc, the save/restore fuzz mode and ultimately
  * the golden figures).  Sample changes what is measured — N detailed
  * windows separated by fast-forwarded gaps — so sampling parameters
- * are part of the ResultCache key while Save/Reuse are not.
+ * are part of the result-store key (configKey) while Save/Reuse are
+ * not.
  */
 struct SnapshotPolicy
 {
@@ -75,8 +76,8 @@ struct SnapshotPolicy
 
 /**
  * Observability attachments for one run.  None of this enters the
- * result-cache key or the serialized RunResult: stats/trace documents
- * describe *how* a run executed, while the cached result is *what* it
+ * result-store key or the serialized RunResult: stats/trace documents
+ * describe *how* a run executed, while the stored result is *what* it
  * computed — the golden figures and the sweep determinism contract
  * stay byte-identical whether or not observation is on.
  */

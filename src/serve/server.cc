@@ -19,7 +19,6 @@
 #include "common/atomic_file.hh"
 #include "common/log.hh"
 #include "core/report.hh"
-#include "sweep/result_cache.hh"
 
 namespace flywheel::serve {
 
@@ -814,9 +813,9 @@ ServeDaemon::maybeFinalize(const std::string &jobId)
         return;
     Job &job = it->second;
 
-    // Assemble rows in expansion order with the same
-    // (configKey|label) dedup rule as flywheel_bench's merged export,
-    // so the served table is byte-identical to the single-process
+    // Assemble rows in expansion order with the same exportRowKey
+    // dedup rule as flywheel_bench's merged export, so the served
+    // table is byte-identical to the single-process
     // `flywheel_bench --spec ... --json/--csv` output.
     SweepTable table;
     std::set<std::string> seen;
@@ -828,8 +827,7 @@ ServeDaemon::maybeFinalize(const std::string &jobId)
                     jobId.c_str(), cell);
             return;
         }
-        if (!seen.insert(job.keys[cell] + "|" + job.points[cell].label)
-                 .second)
+        if (!seen.insert(exportRowKey(job.points[cell])).second)
             continue;
         SweepRecord rec;
         rec.point = job.points[cell];

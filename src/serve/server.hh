@@ -24,7 +24,7 @@
  *    echoed inline in `done` frames, and every completion is
  *    journaled durably before it is acknowledged.
  *  - finalize: when the last cell lands, rows are assembled in
- *    expansion order with the same (configKey|label) dedup rule as
+ *    expansion order with the same dedup rule (exportRowKey) as
  *    `flywheel_bench` exports, so the served table is byte-identical
  *    to a single-process run of the same spec.
  *
@@ -35,7 +35,8 @@
  *
  * Store layout under --store DIR:
  *   job-<id>.json      per-job journal (serve/journal.hh)
- *   results/           per-cell RunResult files (serve/store.hh)
+ *   results/           per-cell RunResult files (serve/store.hh); also
+ *                      usable as a local `flywheel_bench --cache` dir
  *   checkpoints/       workers' shared warm-up checkpoint store
  */
 

@@ -1,14 +1,9 @@
 /**
  * @file
- * Shared per-cell result store for the distributed sweep service.
- *
- * One finished RunResult per file, named by the FNV-1a digest of the
- * cell's full configKey and published with unique-temp + rename
- * (common/atomic_file.hh) — the same concurrency story as the
- * checkpoint store, so any number of worker processes on one
- * directory (local disk or NFS) never tear each other's files.  The
- * payload records the complete key alongside the result, so a digest
- * collision or foreign file reads as a miss, never as a wrong result.
+ * The distributed sweep service's result store: the shared
+ * `<store>/results` directory, one RunResult file per cell, read and
+ * written through the same ResultStore a local sweep uses
+ * (sweep/result_store.hh).
  *
  * This is the durability layer under the job journal: a worker
  * persists the cell result *before* reporting completion, so a
@@ -20,42 +15,11 @@
 #ifndef FLYWHEEL_SERVE_STORE_HH
 #define FLYWHEEL_SERVE_STORE_HH
 
-#include <cstdint>
-#include <string>
-
-#include "core/sim_driver.hh"
+#include "sweep/result_store.hh"
 
 namespace flywheel::serve {
 
-/** Result-file format tag. */
-inline constexpr const char *kResultSchema =
-    "flywheel.serve.result.v1";
-
-class ResultStore
-{
-  public:
-    /** Store rooted at @p dir; "" disables (lookups miss, saves drop). */
-    explicit ResultStore(std::string dir);
-
-    bool enabled() const { return !dir_.empty(); }
-    const std::string &dir() const { return dir_; }
-
-    /** Result-file path for a cell's configKey. */
-    std::string pathFor(const std::string &key) const;
-
-    /**
-     * Load the stored result for @p key; false on missing file,
-     * malformed payload, version or key mismatch, or an incomplete
-     * field set (older writer) — all of which simply mean "rerun".
-     */
-    bool lookup(const std::string &key, RunResult *out) const;
-
-    /** Atomically publish @p result under @p key; false on IO error. */
-    bool save(const std::string &key, const RunResult &result) const;
-
-  private:
-    std::string dir_;
-};
+using flywheel::ResultStore;
 
 } // namespace flywheel::serve
 

@@ -14,7 +14,6 @@
 #include "core/report.hh"
 #include "serve/store.hh"
 #include "snapshot/checkpointer.hh"
-#include "sweep/result_cache.hh"
 #include "sweep/sweep.hh"
 
 namespace flywheel::serve {
@@ -191,28 +190,28 @@ runWorker(const WorkerOptions &options)
             return 1;
         }
 
+        // The executor publishes a computed result to the store before
+        // returning, so it is durable before the done frame: the
+        // server journals on that frame, and a journaled cell must be
+        // reloadable.
         const SweepPoint &point = points->second[cell];
-        const std::string key = configKey(point.config);
-        RunResult result;
-        double wall = 0.0;
-        const bool store_hit = store.lookup(key, &result);
-        if (!store_hit) {
-            const auto start = Clock::now();
-            result = CellExecutor(nullptr, checkpointer.get())
-                         .run(point.config);
-            wall = std::chrono::duration<double>(Clock::now() - start)
-                       .count();
-            // Publish before reporting: the server journals on the
-            // done frame, and a journaled cell must be reloadable.
-            store.save(key, result);
-        }
+        const auto start = Clock::now();
+        bool store_hit = false;
+        const RunResult result =
+            CellExecutor(&store, checkpointer.get())
+                .run(point.config, &store_hit);
+        const double wall =
+            store_hit ? 0.0
+                      : std::chrono::duration<double>(Clock::now() -
+                                                      start)
+                            .count();
 
         Json done = Json::object();
         done.add("type", "done");
         done.add("worker", name);
         done.add("job", jobId);
         done.add("cell", std::uint64_t(cell));
-        done.add("key", key);
+        done.add("key", configKey(point.config));
         done.add("wall", wall);
         done.add("storeHit", store_hit);
         done.add("result", toJson(result));

@@ -3,20 +3,23 @@
  * Worker side of the sweep service: connect to a ServeDaemon, pull
  * leased cells, simulate them, publish results.
  *
- * A worker is intentionally stateless between cells — everything it
- * knows (the job spec, the shared store path, the heartbeat interval)
- * arrives over the wire, so `flywheel_serve --worker --connect
- * HOST:PORT` on another machine joins a sweep with no shared
- * filesystem assumption beyond the store directory itself.  Cells
- * run through the same CellExecutor as a local SweepRunner (with the
- * shared warm-checkpoint store), which is what keeps distributed
- * results byte-identical to single-process ones.
+ * Everything a worker needs to know (the job spec, the shared store
+ * path, the heartbeat interval) arrives over the wire, so
+ * `flywheel_serve --worker --connect HOST:PORT` on another machine
+ * joins a sweep with no shared filesystem assumption beyond the store
+ * directory itself.  Between cells it keeps only what it can rebuild:
+ * expanded job specs and the in-memory fronts of its result and
+ * checkpoint stores.  Cells run through
+ * the same CellExecutor and ResultStore as a local SweepRunner, which
+ * is what keeps distributed results byte-identical to single-process
+ * ones.
  *
- * Per cell: check the shared ResultStore first (another worker, or a
- * previous life of this sweep, may have done it), otherwise simulate
- * and publish to the store *before* reporting `done` — the server's
- * journal append must never precede result durability.  A heartbeat
- * thread pings the server so leases survive long cells.
+ * Per cell: the executor checks the shared `results/` store first
+ * (another worker, or a previous life of this sweep, may have done
+ * it), otherwise simulates and publishes the result file *before* the
+ * worker reports `done` — the server's journal append must never
+ * precede result durability.  A heartbeat thread pings the server so
+ * leases survive long cells.
  */
 
 #ifndef FLYWHEEL_SERVE_WORKER_HH

@@ -15,7 +15,7 @@
 #include "common/log.hh"
 #include "core/sim_driver.hh"
 #include "obs/stats_registry.hh"
-#include "sweep/result_cache.hh"
+#include "sweep/result_store.hh"
 
 namespace flywheel {
 

@@ -13,8 +13,8 @@
  *    with the same key concurrently, exactly one worker simulates the
  *    warmup and every other worker blocks briefly and then restores;
  *  - an optional on-disk store (one content-hashed snapshot file per
- *    key under a directory, alongside the ResultCache in spirit), so
- *    later processes reuse checkpoints across invocations.
+ *    key under a directory, like the sweep ResultStore's result
+ *    files), so later processes reuse checkpoints across invocations.
  *
  * Keys canonicalize away everything that provably cannot influence
  * warm state: the energy-model tech node and gating flag, the

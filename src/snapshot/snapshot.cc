@@ -29,8 +29,12 @@ hashHex(std::uint64_t h)
     return buf;
 }
 
-// Incremental FNV-1a so the content hash folds over section pieces
-// without concatenating them (same constants as sweep::fnv1a64).
+// Incremental FNV-1a-style fold so the content hash covers section
+// pieces without concatenating them.  The prime is FNV-1a's, but the
+// offset basis is one digit short of FNV-1a's 14695981039346656037,
+// so this is not fnv1a64.  Every .fws file's header hash is computed
+// with this basis: changing it would need a kFormatVersion bump,
+// which re-keys every checkpoint.
 constexpr std::uint64_t kFnvBasis = 1469598103934665603ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 

@@ -18,7 +18,8 @@
  * with per-section LZSS compression.  The decoder rejects truncated,
  * corrupted or version-mismatched input with a clear error instead of
  * restoring garbage (the same hardening discipline as the sweep
- * ResultCache), and bounds every length field before allocating.
+ * ResultStore's result files), and bounds every length field before
+ * allocating.
  * `flywheel_bench --dump-checkpoint FILE` prints a decoded file's
  * header and section table as JSON for debugging.
  *
@@ -87,8 +88,9 @@ class Snapshot
     std::size_t payloadBytes() const;
 
     /**
-     * FNV-1a 64-bit hash over section names, lengths and raw bytes
-     * (before compression).
+     * FNV-1a-style 64-bit hash over section names, lengths and raw
+     * bytes (before compression).  Its offset basis differs from
+     * fnv1a64's; see snapshot.cc.
      */
     std::uint64_t contentHash() const;
 

@@ -1,10 +1,8 @@
-#include "sweep/result_cache.hh"
+#include "sweep/result_store.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
-#include <vector>
 
 #include "common/atomic_file.hh"
 #include "common/json.hh"
@@ -14,6 +12,14 @@
 namespace flywheel {
 
 namespace {
+
+/**
+ * The leading "v=" field of every configKey.  It is hashed into each
+ * exported table's configHash and into every checkpoint key and file
+ * name, so bumping it re-keys every store; a RunResult serialization
+ * change bumps kResultSchema instead.
+ */
+constexpr unsigned kConfigKeyVersion = 2;
 
 /** Append "name=value;" with deterministic double formatting. */
 class KeyBuilder
@@ -67,7 +73,7 @@ std::string
 configKey(const RunConfig &c)
 {
     KeyBuilder k;
-    k.add("v", unsigned(ResultCache::kFormatVersion));
+    k.add("v", kConfigKeyVersion);
 
     // Workload profile: every knob, not just the name, so ad-hoc
     // profiles and future recalibrations never alias.
@@ -189,155 +195,107 @@ fnv1a64(const std::string &s)
     return h;
 }
 
-ResultCache::ResultCache(std::string path) : path_(std::move(path))
+ResultStore::ResultStore(std::string dir) : dir_(std::move(dir)) {}
+
+std::string
+ResultStore::pathFor(const std::string &key) const
 {
-    if (!path_.empty())
-        load();
+    char digest[20];
+    std::snprintf(digest, sizeof(digest), "%016llx",
+                  static_cast<unsigned long long>(fnv1a64(key)));
+    return dir_ + "/result-" + digest + ".json";
 }
 
 bool
-ResultCache::lookup(const std::string &key, RunResult *out) const
+ResultStore::lookup(const std::string &key, RunResult *out)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(key);
-    if (it == entries_.end()) {
-        ++misses_;
-        return false;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = entries_.find(key);
+        if (it != entries_.end()) {
+            ++hits_;
+            *out = it->second;
+            return true;
+        }
     }
-    ++hits_;
-    if (out)
-        *out = it->second;
-    return true;
+    // Read outside the lock so the cells of a sweep load concurrently.
+    // Misses are not remembered: another process may publish the key
+    // at any time.
+    const bool found = readFile(key, out);
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (found) {
+        ++hits_;
+        entries_.emplace(key, *out);
+    } else {
+        ++misses_;
+    }
+    return found;
 }
 
-void
-ResultCache::store(const std::string &key, const RunResult &result)
+std::uint64_t
+ResultStore::hits() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    entries_[key] = result;
+    return hits_;
 }
 
-std::size_t
-ResultCache::size() const
+std::uint64_t
+ResultStore::misses() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
+    return misses_;
 }
 
-ResultCache::LoadStatus
-ResultCache::tryLoad(std::string *error)
+bool
+ResultStore::readFile(const std::string &key, RunResult *out) const
 {
-    std::ifstream in(path_);
+    if (!persistent())
+        return false;
+    std::ifstream in(pathFor(key));
     if (!in)
-        return LoadStatus::Missing; // first use: no file yet
+        return false;
     std::ostringstream text;
     text << in.rdbuf();
 
     Json doc;
-    if (!Json::parse(text.str(), doc, error))
-        return LoadStatus::ParseError;
-    if (!doc.isObject()) {
-        // Parsed fine but is not a cache document — deterministic,
-        // unlike a torn read, so it must not trigger the retry.
-        FW_WARN("result cache %s is not a JSON object; starting "
-                "empty",
-                path_.c_str());
-        return LoadStatus::BadShape;
-    }
-    if (doc["version"].asU64() != std::uint64_t(kFormatVersion)) {
-        FW_WARN("result cache %s has format version %llu (want %d); "
-                "starting empty",
-                path_.c_str(),
-                (unsigned long long)doc["version"].asU64(),
-                kFormatVersion);
-        return LoadStatus::BadVersion;
-    }
-    if (!doc["entries"].isObject()) {
-        FW_WARN("result cache %s has no usable entries section; "
-                "starting empty",
-                path_.c_str());
-        return LoadStatus::BadShape;
-    }
-    std::size_t incomplete = 0;
-    for (const auto &m : doc["entries"].members()) {
-        // An entry missing any field (written by an older build with
-        // the same format version) must miss, not zero-fill.
-        if (!runResultJsonComplete(m.second)) {
-            ++incomplete;
-            continue;
-        }
-        entries_[m.first] = runResultFromJson(m.second);
-    }
-    if (incomplete)
-        FW_WARN("result cache %s: dropped %zu incomplete entries",
-                path_.c_str(), incomplete);
-    FW_INFORM("result cache %s: loaded %zu entries", path_.c_str(),
-              entries_.size());
-    return LoadStatus::Ok;
-}
-
-void
-ResultCache::load()
-{
-    std::string error;
-    LoadStatus status = tryLoad(&error);
-    if (status == LoadStatus::ParseError) {
-        // On filesystems where the writer's rename(2) is not
-        // atomically visible to concurrent readers (NFS and friends),
-        // a load can glimpse a torn document even though every writer
-        // publishes via temp + rename.  The race window is one
-        // rename, so a single immediate retry reads the settled file;
-        // only a parse failure earns it — a version or shape mismatch
-        // is deterministic and would just fail identically again.
-        ++loadRetries_;
-        std::string retry_error;
-        status = tryLoad(&retry_error);
-        if (status == LoadStatus::ParseError)
-            FW_WARN("result cache %s unreadable after retry (%s); "
-                    "starting empty",
-                    path_.c_str(), retry_error.c_str());
-        else if (status == LoadStatus::Ok)
-            FW_WARN("result cache %s read torn (%s) but settled on "
-                    "retry",
-                    path_.c_str(), error.c_str());
-    }
+    if (!Json::parse(text.str(), doc, nullptr) || !doc.isObject())
+        return false;
+    if (!doc["v"].isString() || doc["v"].asString() != kResultSchema)
+        return false;
+    if (!doc["key"].isString() || doc["key"].asString() != key)
+        return false;  // digest collision or foreign file: a miss
+    if (!runResultJsonComplete(doc["result"]))
+        return false;
+    *out = runResultFromJson(doc["result"]);
+    return true;
 }
 
 bool
-ResultCache::save() const
+ResultStore::save(const std::string &key, const RunResult &result)
 {
-    if (path_.empty())
-        return true;
-    std::lock_guard<std::mutex> lock(mutex_);
-    Json doc = Json::object();
-    doc.set("version", unsigned(kFormatVersion));
-    // Emit in sorted key order: the file must be byte-stable no
-    // matter which worker finished first.
-    std::vector<const std::string *> keys;
-    keys.reserve(entries_.size());
-    for (const auto &e : entries_)  // lint: detorder(sorted below)
-        keys.push_back(&e.first);
-    std::sort(keys.begin(), keys.end(),
-              [](const std::string *a, const std::string *b) {
-                  return *a < *b;
-              });
-    Json ents = Json::object();
-    for (const std::string *key : keys)
-        ents.add(*key, toJson(entries_.at(*key)));
-    doc.set("entries", std::move(ents));
-
-    // Unique-temp + rename: concurrent sweep processes sharing the
-    // cache file may save at the same moment; each publishes a
-    // complete document and the last rename wins.
-    std::ostringstream text;
-    doc.write(text, 2);
-    text << '\n';
-    std::string error;
-    if (!atomicWriteFile(path_, text.str(), &error)) {
-        FW_WARN("result cache save failed: %s", error.c_str());
-        return false;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        entries_[key] = result;
     }
-    return true;
+    if (!persistent())
+        return true;
+    std::string error = "cannot create directory";
+    if (makeDirectories(dir_)) {
+        Json doc = Json::object();
+        doc.add("v", kResultSchema);
+        doc.add("key", key);
+        doc.add("result", toJson(result));
+        if (atomicWriteFile(pathFor(key), doc.dump(0) + "\n", &error))
+            return true;
+    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!warned_) {
+        warned_ = true;
+        FW_WARN("result store %s: %s (results stay in memory; further "
+                "write failures are silent)",
+                dir_.c_str(), error.c_str());
+    }
+    return false;
 }
 
 } // namespace flywheel

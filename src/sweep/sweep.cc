@@ -94,6 +94,12 @@ makePoint(const std::string &bench_name, CoreKind kind, ClockPoint clock,
     return pt;
 }
 
+std::string
+exportRowKey(const SweepPoint &point)
+{
+    return configKey(point.config) + "|" + point.label;
+}
+
 namespace {
 
 Json
@@ -195,7 +201,7 @@ SweepTable::writeCsv(std::ostream &os) const
 }
 
 SweepRunner::SweepRunner(SweepOptions options)
-    : options_(options), cache_(options.cachePath), pool_(options.jobs)
+    : options_(options), cache_(options.cacheDir), pool_(options.jobs)
 {
     if (!options_.checkpointDir.empty()) {
         Checkpointer::Options store;
@@ -221,22 +227,22 @@ CellExecutor::run(const RunConfig &config, bool *from_cache)
     RunResult result;
     // An observed run must actually execute: a cache hit would skip
     // the simulation its stats/trace documents are meant to describe.
-    // Storing the result back is still sound — the cached payload
-    // excludes everything ObsConfig adds.
-    if (!cfg.obs.active() && cache_ && cache_->lookup(key, &result)) {
+    // Saving the result is still sound — the stored payload excludes
+    // everything ObsConfig adds.
+    if (!cfg.obs.active() && store_ && store_->lookup(key, &result)) {
         if (from_cache)
             *from_cache = true;
         return result;
     }
     // A runner with a checkpoint store checkpoints every cell's
     // warmup by default; an explicit per-config policy wins.  The
-    // cache key is unchanged (Save/Reuse are result-neutral).
+    // result key is unchanged (Save/Reuse are result-neutral).
     if (checkpointer_ &&
         cfg.snapshot.mode == SnapshotPolicy::Mode::Off)
         cfg.snapshot.mode = SnapshotPolicy::Mode::Reuse;
     result = runSim(cfg, checkpointer_);
-    if (cache_)
-        cache_->store(key, result);
+    if (store_)
+        store_->save(key, result);
     if (from_cache)
         *from_cache = false;
     return result;
@@ -292,9 +298,6 @@ SweepRunner::run(const std::vector<SweepPoint> &points)
                 .count();
         report(i);
     });
-
-    if (!options_.cachePath.empty())
-        cache_.save();
 
     SweepTable table;
     for (auto &rec : records) {

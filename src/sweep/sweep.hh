@@ -12,8 +12,10 @@
  *    RNG and statistics are per-core instances; see the audit notes
  *    in README.md);
  *  - incremental re-runs: completed points are memoized in a
- *    ResultCache keyed by the full simulation-relevant config, so
- *    repeating or extending a sweep only simulates new points;
+ *    ResultStore keyed by the full simulation-relevant config (in
+ *    memory, and in one file per point under an optional cache
+ *    directory), so repeating or extending a sweep only simulates new
+ *    points;
  *  - structured export: a finished sweep serializes to JSON and CSV
  *    with byte-stable output.
  */
@@ -30,7 +32,7 @@
 
 #include "core/sim_driver.hh"
 #include "snapshot/checkpointer.hh"
-#include "sweep/result_cache.hh"
+#include "sweep/result_store.hh"
 #include "sweep/thread_pool.hh"
 
 namespace flywheel {
@@ -53,10 +55,18 @@ struct SweepPoint
      * Free-form row tag (grid-block name).  Presentation metadata
      * only: it distinguishes points that share (bench, kind, clock)
      * but came from different spec blocks; it is not part of the
-     * result-cache key.
+     * result-store key.
      */
     std::string label;
 };
+
+/**
+ * Identity of an exported row: configKey plus label.  Merged exports
+ * keep the first row per identity, so figures sharing grid points
+ * (fig12/13/14 run one grid) export them once, and served and local
+ * tables dedup alike.
+ */
+std::string exportRowKey(const SweepPoint &point);
 
 /** Short lower-case name for a core kind ("baseline", "ra", "flywheel"). */
 const char *coreKindName(CoreKind kind);
@@ -173,28 +183,28 @@ class SweepTable
 
 /**
  * One-cell execution policy — the single place that knows how a grid
- * cell runs: observability stamping, result-cache lookup (skipped for
+ * cell runs: observability stamping, result-store lookup (skipped for
  * observed runs), the checkpointer's default Reuse policy, runSim(),
- * and the store-back.  SweepRunner routes every thread-pool task
- * through this, and the distributed serve workers (src/serve/) run
- * the identical path with a null cache — which is what makes a
- * served table byte-identical to a local run.
+ * and the save that publishes the result.  SweepRunner routes every
+ * thread-pool task through this, and the distributed serve workers
+ * (src/serve/) run the identical path over the shared store — which
+ * is what makes a served table byte-identical to a local run.
  */
 class CellExecutor
 {
   public:
-    /** Any of @p cache / @p checkpointer may be null (disabled). */
-    CellExecutor(ResultCache *cache, Checkpointer *checkpointer,
+    /** Any of @p store / @p checkpointer may be null (disabled). */
+    CellExecutor(ResultStore *store, Checkpointer *checkpointer,
                  ObsConfig obs = {})
-        : cache_(cache), checkpointer_(checkpointer),
+        : store_(store), checkpointer_(checkpointer),
           obs_(std::move(obs))
     {}
 
-    /** Execute one config through the cache/checkpointer policy. */
+    /** Execute one config through the store/checkpointer policy. */
     RunResult run(const RunConfig &config, bool *from_cache = nullptr);
 
   private:
-    ResultCache *cache_;
+    ResultStore *store_;
     Checkpointer *checkpointer_;
     ObsConfig obs_;
 };
@@ -204,8 +214,11 @@ struct SweepOptions
 {
     /** Worker threads; 0 = FLYWHEEL_JOBS env or hardware concurrency. */
     unsigned jobs = 0;
-    /** Persist the result cache at this path (empty = memory only). */
-    std::string cachePath;
+    /**
+     * Result-file directory shared across runs and processes (see
+     * ResultStore); empty keeps results in memory only.
+     */
+    std::string cacheDir;
     /**
      * Warm checkpoint store shared by every grid cell: "" disables
      * checkpointing entirely (historical behaviour), a directory
@@ -231,16 +244,16 @@ struct SweepOptions
     /**
      * Observability attachments stamped onto every cell that does not
      * bring its own (see ObsConfig).  Observed cells bypass the
-     * result-cache lookup: a cache hit would skip the simulation the
+     * result-store lookup: a cache hit would skip the simulation the
      * stats/trace documents are supposed to describe.
      */
     ObsConfig obs;
 };
 
 /**
- * Thread-pooled experiment runner.  The pool and cache persist across
- * run() calls, so one runner can serve several grids in a session and
- * later grids reuse earlier points.
+ * Thread-pooled experiment runner.  The pool and result store persist
+ * across run() calls, so one runner can serve several grids in a
+ * session and later grids reuse earlier points.
  */
 class SweepRunner
 {
@@ -256,10 +269,10 @@ class SweepRunner
     /** Axes convenience overload. */
     SweepTable run(const SweepAxes &axes) { return run(axes.expand()); }
 
-    /** Run one config through the cache. */
+    /** Run one config through the result store. */
     RunResult runOne(const RunConfig &config, bool *from_cache = nullptr);
 
-    ResultCache &cache() { return cache_; }
+    ResultStore &cache() { return cache_; }
     /** Shared warm checkpoint store (null when disabled). */
     Checkpointer *checkpointer() { return checkpointer_.get(); }
     ThreadPool &pool() { return pool_; }
@@ -267,7 +280,7 @@ class SweepRunner
 
   private:
     SweepOptions options_;
-    ResultCache cache_;
+    ResultStore cache_;
     std::unique_ptr<Checkpointer> checkpointer_;
     ThreadPool pool_;
 };

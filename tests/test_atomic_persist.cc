@@ -1,11 +1,10 @@
 /**
  * @file
- * Atomic disk persists: concurrent writers sharing a store file (the
- * distributed-sweep precursor) must never publish a torn file.  The
- * first test demonstrates the failure mode of the old scheme — a
- * fixed ".tmp" temp name shared by every writer — and the rest pin
- * the unique-temp + rename() behavior of common/atomic_file.hh and
- * its users (ResultCache, Snapshot).
+ * Atomic disk persists: concurrent writers sharing a store must never
+ * publish a torn file.  The first test demonstrates the failure mode
+ * of a fixed ".tmp" temp name shared by every writer, and the rest
+ * pin the unique-temp + rename() behavior of common/atomic_file.hh
+ * and its users (ResultStore, Snapshot).
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +22,7 @@
 #include "common/atomic_file.hh"
 #include "snapshot/bincodec.hh"
 #include "snapshot/snapshot.hh"
-#include "sweep/result_cache.hh"
+#include "sweep/result_store.hh"
 
 namespace {
 
@@ -59,8 +58,8 @@ readAll(const std::string &path)
 
 // The bug the helper exists to fix: with a fixed temp name, two
 // writers interleaving open/write/rename produce a hybrid of both
-// payloads.  This test documents the torn result the OLD
-// ResultCache::save() scheme (path + ".tmp" for everyone) allowed.
+// payloads.  This test documents the torn result that a shared
+// path + ".tmp" scheme allows.
 TEST(AtomicPersist, FixedTempNameTearsUnderInterleaving)
 {
     TempDir td;
@@ -132,32 +131,35 @@ TEST(AtomicPersist, AtomicWriteFileReportsUnwritablePath)
     EXPECT_FALSE(error.empty());
 }
 
-// End-to-end: two ResultCache instances sharing one path (as two
-// sweep processes would) saving concurrently must always leave a
-// loadable file containing one saver's complete entry set.
-TEST(AtomicPersist, ConcurrentResultCacheSavesStayLoadable)
+// End-to-end: two ResultStores on one directory (as two sweep
+// processes would be) saving disjoint key sets concurrently must
+// leave every key loadable — one file per key, so neither saver's
+// set replaces the other's.
+TEST(AtomicPersist, ConcurrentResultStoreSavesKeepEveryKey)
 {
     TempDir td;
-    const std::string path = td.file("results.json");
+    const std::string dir = td.file("results");
 
-    flywheel::ResultCache a(path);
-    flywheel::ResultCache b(path);
-    flywheel::RunResult r{};
-    for (int i = 0; i < 16; ++i) {
-        a.store("a-key-" + std::to_string(i), r);
-        b.store("b-key-" + std::to_string(i), r);
-    }
+    flywheel::ResultStore a(dir);
+    flywheel::ResultStore b(dir);
+    const flywheel::RunResult r{};
+    auto saveAll = [&r](flywheel::ResultStore &store,
+                        const std::string &prefix) {
+        for (int i = 0; i < 16; ++i)
+            EXPECT_TRUE(store.save(prefix + std::to_string(i), r));
+    };
+    std::thread ta([&] { saveAll(a, "a-key-"); });
+    std::thread tb([&] { saveAll(b, "b-key-"); });
+    ta.join();
+    tb.join();
 
-    for (int round = 0; round < 20; ++round) {
-        std::thread ta([&] { EXPECT_TRUE(a.save()); });
-        std::thread tb([&] { EXPECT_TRUE(b.save()); });
-        ta.join();
-        tb.join();
-        flywheel::ResultCache loaded(path);
-        EXPECT_EQ(loaded.size(), 16u)
-            << "round " << round
-            << ": reloaded cache is not one saver's entry set";
-    }
+    flywheel::ResultStore fresh(dir);
+    flywheel::RunResult out;
+    for (const char *prefix : {"a-key-", "b-key-"})
+        for (int i = 0; i < 16; ++i)
+            EXPECT_TRUE(fresh.lookup(prefix + std::to_string(i), &out))
+                << prefix << i;
+    EXPECT_EQ(fresh.hits(), 32u);
 }
 
 // Snapshot::writeFile goes through the same helper; a quick

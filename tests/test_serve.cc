@@ -3,11 +3,13 @@
  * Tests for the distributed sweep service: the NDJSON frame codec
  * (round-trip, malformed-frame rejection, buffer overflow poisoning),
  * server-address parsing, the durable job journal (replay, torn-tail
- * tolerance, resume validation), the shared result store, the
- * lease-based scheduler (LPT order, expiry reassignment, worker
- * release), and an in-process end-to-end run — one ServeDaemon on a
- * Unix socket plus two worker threads must produce a table
- * byte-identical to a single-process Session::run of the same spec.
+ * tolerance, resume validation), the lease-based scheduler (LPT
+ * order, expiry reassignment, worker release), and in-process
+ * end-to-end runs — one ServeDaemon on a Unix socket plus worker
+ * threads must produce a table byte-identical to a single-process
+ * Session::run of the same spec, and its results/ directory must
+ * serve a local Session as a result store.  The store itself is
+ * tested in test_sweep.cc.
  */
 
 #include <gtest/gtest.h>
@@ -30,7 +32,6 @@
 #include "serve/server.hh"
 #include "serve/store.hh"
 #include "serve/worker.hh"
-#include "sweep/result_cache.hh"
 #include "sweep/sweep.hh"
 
 namespace flywheel {
@@ -312,57 +313,6 @@ TEST(ServeJournal, NameParsingIsStrict)
     EXPECT_FALSE(serve::journalIdFromName("job-abc", &id));
 }
 
-// ------------------------------------------------------------- store
-
-TEST(ServeStore, SaveThenLookupRoundTrips)
-{
-    TempDir td;
-    ResultStore store(td / "results");
-    ASSERT_TRUE(store.enabled());
-
-    RunResult r;
-    r.instructions = 123;
-    r.timePs = 456;
-    ASSERT_TRUE(store.save("key-a", r));
-
-    RunResult out;
-    ASSERT_TRUE(store.lookup("key-a", &out));
-    EXPECT_EQ(out.instructions, 123u);
-    EXPECT_EQ(out.timePs, 456u);
-    EXPECT_FALSE(store.lookup("key-b", &out));  // distinct digest
-}
-
-TEST(ServeStore, KeyMismatchAndGarbageReadAsMisses)
-{
-    TempDir td;
-    ResultStore store(td / "results");
-    RunResult r;
-    ASSERT_TRUE(store.save("key-a", r));
-
-    // A digest collision (or a file copied from another store) holds
-    // a different full key; it must miss, never return wrong bytes.
-    {
-        std::ifstream in(store.pathFor("key-a"));
-        std::stringstream text;
-        text << in.rdbuf();
-        std::ofstream out(store.pathFor("key-b"));
-        out << text.str();
-    }
-    RunResult out;
-    EXPECT_FALSE(store.lookup("key-b", &out));
-    EXPECT_TRUE(store.lookup("key-a", &out));
-
-    {
-        std::ofstream corrupt(store.pathFor("key-c"));
-        corrupt << "{\"v\": \"flywheel.serve.result.v1\", garbage";
-    }
-    EXPECT_FALSE(store.lookup("key-c", &out));
-
-    ResultStore disabled("");
-    EXPECT_FALSE(disabled.enabled());
-    EXPECT_FALSE(disabled.lookup("key-a", &out));
-}
-
 // --------------------------------------------------------- scheduler
 
 TEST(ServeScheduler, LeasesDrainAJobExactlyOnce)
@@ -564,10 +514,15 @@ TEST(ServeEndToEnd, DistributedRunMatchesLocalByteForByte)
     EXPECT_EQ(rcA, 0);  // both workers got a clean `bye`
     EXPECT_EQ(rcB, 0);
 
-    // The distributed table must be byte-identical to a
-    // single-process run of the same spec.
-    Session session(SessionOptions{});
+    // The daemon's results/ directory is an ordinary result store: a
+    // local Session reading it answers every cell without simulating,
+    // and its table is byte-identical to the served one.
+    SessionOptions cached;
+    cached.cacheDir = options.storeDir + "/results";
+    Session session(cached);
     SweepTable local = session.run(spec);
+    for (const SweepRecord &row : local.rows())
+        EXPECT_TRUE(row.fromCache) << row.point.bench;
     std::ostringstream localJson;
     local.writeJson(localJson);
     EXPECT_EQ(servedJson, localJson.str());

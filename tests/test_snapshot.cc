@@ -6,8 +6,9 @@
  * — file-level hardening (corrupt / truncated / version-mismatched
  * snapshots rejected with clear errors), the Checkpointer's
  * compute-once and disk-reuse semantics, checkpoint-key
- * canonicalization, the ResultCache-key sampling regression, interval
- * sampling, and the CoreStats window-delta operators.
+ * canonicalization, the result-key sampling regression, interval
+ * sampling, the pinned container content hash, and the CoreStats
+ * window-delta operators.
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +25,7 @@
 #include "core/sim_driver.hh"
 #include "snapshot/checkpointer.hh"
 #include "snapshot/snapshot.hh"
-#include "sweep/result_cache.hh"
+#include "sweep/result_store.hh"
 #include "sweep/sweep.hh"
 #include "workload/generator.hh"
 #include "workload/profiles.hh"
@@ -244,6 +245,26 @@ headerWriter()
     w.u64(0);  // content hash; never reached
     w.str("test-key");
     return w;
+}
+
+TEST(SnapshotFile, ContentHashIsPinned)
+{
+    // Every .fws header carries this hash.  Its offset basis is not
+    // fnv1a64's, and changing it would invalidate every stored
+    // checkpoint, so the value of one fixed snapshot is pinned.
+    Snapshot snap;
+    snap.setKey("pinned");
+    BinWriter w;
+    w.u64(0x0123456789ABCDEFULL);
+    w.str("flywheel");
+    snap.addSection("payload", w.take());
+    EXPECT_EQ(snap.contentHash(), 0x1a84ca978718f499ULL);
+
+    Snapshot back;
+    std::string error;
+    ASSERT_TRUE(Snapshot::deserialize(snap.serialize(), &back, &error))
+        << error;
+    EXPECT_EQ(back.contentHash(), 0x1a84ca978718f499ULL);
 }
 
 TEST(SnapshotFile, RejectsSectionCountBeyondFileSize)
@@ -520,7 +541,7 @@ TEST(CheckpointKeyTest, CanonicalizesResultNeutralAxes)
     EXPECT_EQ(checkpointKey(clocked_b), checkpointKey(base_b));
 }
 
-TEST(ResultCacheKey, SampledRunsNeverAliasFullRuns)
+TEST(ResultKey, SampledRunsNeverAliasFullRuns)
 {
     const RunConfig full = smallConfig("gcc", CoreKind::Flywheel);
 

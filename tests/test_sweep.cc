@@ -1,21 +1,25 @@
 /**
  * @file
  * Tests for the parallel sweep engine: thread-pool behaviour,
- * determinism across worker counts, result-cache hits (in-memory and
- * on-disk), JSON round-trip of RunResult, and export stability.
+ * determinism across worker counts, result-store hits (in-memory and
+ * on-disk, including hostile result files), JSON round-trip of
+ * RunResult, and export stability.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/json.hh"
 #include "core/report.hh"
-#include "sweep/result_cache.hh"
+#include "sweep/result_store.hh"
 #include "sweep/sweep.hh"
 #include "sweep/thread_pool.hh"
 
@@ -39,6 +43,27 @@ smallGrid()
         pt.config.measureInstrs = 5000;
     }
     return points;
+}
+
+/** Self-cleaning path under the test temp directory. */
+struct ScratchPath
+{
+    std::string path;
+    explicit ScratchPath(const std::string &name)
+        : path(::testing::TempDir() + name)
+    {
+        std::filesystem::remove_all(path);
+    }
+    ~ScratchPath() { std::filesystem::remove_all(path); }
+};
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
 }
 
 TEST(ThreadPool, RunsEverySubmittedTask)
@@ -168,6 +193,23 @@ TEST(ConfigKey, DistinguishesEveryAxis)
     EXPECT_EQ(key, configKey(same.config));
 }
 
+TEST(ConfigKey, DigestIsPinned)
+{
+    // The digest names result files and is exported as configHash;
+    // checkpoint keys embed the key itself.  Any change to configKey's
+    // bytes re-keys every store and table, so it must be deliberate:
+    // update this value only together with such a change.
+    SweepPoint pt = makePoint("gcc", CoreKind::Flywheel, {0.5, 0.5});
+    pt.config.warmupInstrs = 100000;
+    pt.config.measureInstrs = 300000;
+    EXPECT_EQ(configKey(pt.config).rfind("v=2;bench=gcc;seed=102;", 0),
+              0u);
+    EXPECT_EQ(fnv1a64(configKey(pt.config)), 0x001d66fe852e92f7ULL);
+    // fnv1a64 itself is standard 64-bit FNV-1a.
+    EXPECT_EQ(fnv1a64(""), 14695981039346656037ULL);
+    EXPECT_EQ(fnv1a64("key-a"), 0x71132af295f22d16ULL);
+}
+
 TEST(SweepRunner, DeterministicAcrossJobCounts)
 {
     std::vector<SweepPoint> points = smallGrid();
@@ -212,11 +254,12 @@ TEST(SweepRunner, CacheHitsOnRerun)
     SweepTable first = runner.run(points);
     for (const auto &row : first.rows())
         EXPECT_FALSE(row.fromCache);
-    EXPECT_EQ(runner.cache().size(), points.size());
+    EXPECT_EQ(runner.cache().misses(), points.size());
 
     SweepTable second = runner.run(points);
     for (const auto &row : second.rows())
         EXPECT_TRUE(row.fromCache);
+    EXPECT_EQ(runner.cache().hits(), points.size());
     for (std::size_t i = 0; i < first.size(); ++i)
         EXPECT_EQ(toJson(first.at(i).result).dump(),
                   toJson(second.at(i).result).dump());
@@ -225,23 +268,28 @@ TEST(SweepRunner, CacheHitsOnRerun)
 TEST(SweepRunner, DiskCachePersistsAcrossRunners)
 {
     std::vector<SweepPoint> points = smallGrid();
-    const std::string path = "test_sweep_cache.json";
-    std::remove(path.c_str());
+    // A nested, not-yet-existing directory: saves create it.
+    const ScratchPath scratch("fw_sweep_cache");
+    const std::string dir = scratch.path + "/nested/results";
 
     std::string first_json;
     {
         SweepOptions opts;
         opts.jobs = 2;
-        opts.cachePath = path;
+        opts.cacheDir = dir;
         SweepRunner runner(opts);
         std::ostringstream os;
         runner.run(points).writeJson(os);
         first_json = os.str();
+        // Every cell is published when it finishes, one file per key.
+        for (const SweepPoint &pt : points)
+            EXPECT_TRUE(std::filesystem::exists(
+                runner.cache().pathFor(configKey(pt.config))));
     }
     {
         SweepOptions opts;
         opts.jobs = 2;
-        opts.cachePath = path;
+        opts.cacheDir = dir;
         SweepRunner runner(opts); // fresh process stand-in
         SweepTable table = runner.run(points);
         for (const auto &row : table.rows())
@@ -250,7 +298,6 @@ TEST(SweepRunner, DiskCachePersistsAcrossRunners)
         table.writeJson(os);
         EXPECT_EQ(os.str(), first_json);
     }
-    std::remove(path.c_str());
 }
 
 TEST(SweepRunner, ProgressCallbackFiresOncePerPoint)
@@ -451,145 +498,133 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_FALSE(Json::parse("1 2", out));
 }
 
-class ResultCacheDiskCorruption : public ::testing::Test
+RunResult
+resultWithInstructions(std::uint64_t instructions)
 {
-  protected:
-    void SetUp() override { std::remove(kPath); }
-    void TearDown() override { std::remove(kPath); }
-
-    void
-    writeFile(const std::string &contents)
-    {
-        std::ofstream out(kPath);
-        out << contents;
-    }
-
-    /** The cache must start cold but stay fully usable. */
-    void
-    expectColdButUsable()
-    {
-        ResultCache cache(kPath);
-        EXPECT_EQ(cache.size(), 0u);
-        RunResult r;
-        r.instructions = 7;
-        cache.store("k", r);
-        EXPECT_TRUE(cache.save());
-        ResultCache reloaded(kPath);
-        EXPECT_EQ(reloaded.size(), 1u);
-    }
-
-    static constexpr const char *kPath = "test_cache_corrupt.json";
-};
-
-TEST_F(ResultCacheDiskCorruption, TruncatedJsonStartsCold)
-{
-    // A file cut off mid-document (e.g. by a full disk or kill -9
-    // from a tool that did not write atomically).
-    writeFile("{\"version\": 1, \"entries\": {\"k\": {\"instr");
-    expectColdButUsable();
-}
-
-TEST_F(ResultCacheDiskCorruption, BinaryGarbageStartsCold)
-{
-    writeFile(std::string("\x00\xff\xfe{]garbage\x7f", 12));
-    expectColdButUsable();
-}
-
-TEST_F(ResultCacheDiskCorruption, WrongShapeStartsCold)
-{
-    // Parseable JSON that is not a cache document.
-    writeFile("[1, 2, 3]");
-    expectColdButUsable();
-}
-
-TEST_F(ResultCacheDiskCorruption, WrongVersionStartsCold)
-{
-    writeFile("{\"version\": 999, \"entries\": {}}");
-    expectColdButUsable();
-}
-
-TEST_F(ResultCacheDiskCorruption, NonObjectEntriesStartsCold)
-{
-    writeFile("{\"version\": 1, \"entries\": [1, 2]}");
-    expectColdButUsable();
-}
-
-TEST_F(ResultCacheDiskCorruption, NestingBombStartsCold)
-{
-    // Hostile nesting must not crash the parser (depth cap).
-    std::string bomb(50000, '[');
-    writeFile(bomb);
-    expectColdButUsable();
-}
-
-TEST_F(ResultCacheDiskCorruption, IncompleteEntriesAreDropped)
-{
-    writeFile("{\"version\": 1, \"entries\": "
-              "{\"partial\": {\"instructions\": 5}}}");
-    ResultCache cache(kPath);
-    EXPECT_EQ(cache.size(), 0u);
-    RunResult out;
-    EXPECT_FALSE(cache.lookup("partial", &out));
-}
-
-TEST_F(ResultCacheDiskCorruption, ParseFailureRetriesExactlyOnce)
-{
-    // On a rename-lagging filesystem (NFS and friends) a reader can
-    // glimpse a torn document even though every writer publishes via
-    // temp + rename; the load retries once.  A persistently garbage
-    // file still starts cold, with the retry visible in the counter.
-    writeFile("{\"version\": 2, \"entries\": {\"k\": {\"instr");
-    ResultCache cache(kPath);
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.loadRetries(), 1u);
-}
-
-TEST_F(ResultCacheDiskCorruption, DeterministicMismatchNeverRetries)
-{
-    // Version and shape mismatches re-read identically, so only a
-    // parse failure earns the second attempt.
-    writeFile("{\"version\": 999, \"entries\": {}}");
-    {
-        ResultCache cache(kPath);
-        EXPECT_EQ(cache.loadRetries(), 0u);
-    }
-    writeFile("[1, 2, 3]");
-    {
-        ResultCache cache(kPath);
-        EXPECT_EQ(cache.loadRetries(), 0u);
-    }
-}
-
-TEST_F(ResultCacheDiskCorruption, CleanAndMissingLoadsNeverRetry)
-{
-    {
-        ResultCache cache(kPath);  // no file yet
-        EXPECT_EQ(cache.loadRetries(), 0u);
-        RunResult r;
-        r.instructions = 7;
-        cache.store("k", r);
-        EXPECT_TRUE(cache.save());
-    }
-    ResultCache cache(kPath);
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.loadRetries(), 0u);
-}
-
-TEST(ResultCache, LookupMissThenHit)
-{
-    ResultCache cache;
     RunResult r;
-    r.instructions = 123;
+    r.instructions = instructions;
     r.timePs = 456;
+    return r;
+}
 
-    EXPECT_FALSE(cache.lookup("k", nullptr));
-    cache.store("k", r);
+TEST(ResultStore, MemoryOnlyLookupMissThenHit)
+{
+    ResultStore store;
+    EXPECT_FALSE(store.persistent());
     RunResult out;
-    ASSERT_TRUE(cache.lookup("k", &out));
+    EXPECT_FALSE(store.lookup("k", &out));
+    EXPECT_TRUE(store.save("k", resultWithInstructions(123)));
+    ASSERT_TRUE(store.lookup("k", &out));
     EXPECT_EQ(out.instructions, 123u);
     EXPECT_EQ(out.timePs, 456u);
-    EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(store.hits(), 1u);
+    EXPECT_EQ(store.misses(), 1u);
+}
+
+TEST(ResultStore, SaveThenLookupRoundTripsThroughFiles)
+{
+    const ScratchPath dir("fw_result_store_roundtrip");
+    ResultStore store(dir.path);
+    ASSERT_TRUE(store.persistent());
+    ASSERT_TRUE(store.save("key-a", resultWithInstructions(123)));
+
+    // One file per key, named by the key's FNV-1a digest, holding the
+    // schema tag, the full key and the result.
+    EXPECT_EQ(store.pathFor("key-a"),
+              dir.path + "/result-71132af295f22d16.json");
+    const std::string bytes = readFile(store.pathFor("key-a"));
+    EXPECT_EQ(bytes.rfind("{\"v\": \"flywheel.serve.result.v1\", "
+                          "\"key\": \"key-a\", \"result\": {",
+                          0),
+              0u)
+        << bytes;
+    EXPECT_EQ(bytes.back(), '\n');
+
+    ResultStore fresh(dir.path);  // fresh process stand-in
+    RunResult out;
+    ASSERT_TRUE(fresh.lookup("key-a", &out));
+    EXPECT_EQ(out.instructions, 123u);
+    EXPECT_EQ(out.timePs, 456u);
+    EXPECT_FALSE(fresh.lookup("key-b", &out));  // distinct digest
+}
+
+TEST(ResultStore, KeyMismatchAndGarbageReadAsMisses)
+{
+    const ScratchPath dir("fw_result_store_garbage");
+    std::string valid;  // a well-formed file for "key-a"
+    {
+        ResultStore writer(dir.path);
+        ASSERT_TRUE(writer.save("key-a", resultWithInstructions(5)));
+        valid = readFile(writer.pathFor("key-a"));
+    }
+    const std::string complete = toJson(resultWithInstructions(5)).dump(0);
+    const std::string head = "{\"v\": \"flywheel.serve.result.v1\", "
+                             "\"key\": \"k\", \"result\": ";
+
+    // Each payload sits in the file for key "k".  Every one must read
+    // as a miss, and a later save and lookup of "k" must still work.
+    const std::vector<std::pair<const char *, std::string>> payloads = {
+        // A digest collision, or a file copied from another store,
+        // holds a different full key: a miss, never wrong bytes.
+        {"foreign key", valid},
+        // Cut off mid-document (a full disk, or a non-atomic writer).
+        {"truncated JSON", head + "{\"instr"},
+        {"binary garbage", std::string("\x00\xff\xfe{]garbage\x7f", 12)},
+        {"non-object root", "[1, 2, 3]"},
+        {"wrong schema",
+         "{\"v\": \"flywheel.serve.result.v999\", \"key\": \"k\", "
+         "\"result\": " + complete + "}"},
+        {"non-string schema",
+         "{\"v\": 1, \"key\": \"k\", \"result\": " + complete + "}"},
+        {"non-object result", head + "[1, 2]}"},
+        // Hostile nesting must not crash the parser (depth cap).
+        {"nesting bomb", std::string(50000, '[')},
+        // Written by an older field set: a miss, not zero-filled.
+        {"incomplete result", head + "{\"instructions\": 5}}"},
+        {"empty file", ""},
+    };
+    for (const auto &[what, bytes] : payloads) {
+        ResultStore store(dir.path);
+        {
+            std::ofstream out(store.pathFor("k"), std::ios::binary);
+            out << bytes;
+        }
+        RunResult out;
+        EXPECT_FALSE(store.lookup("k", &out)) << what;
+        ASSERT_TRUE(store.save("k", resultWithInstructions(9))) << what;
+        ResultStore fresh(dir.path);
+        ASSERT_TRUE(fresh.lookup("k", &out)) << what;
+        EXPECT_EQ(out.instructions, 9u) << what;
+    }
+}
+
+TEST(ResultStore, UnwritableDirectoryWarnsOnceAndServesFromMemory)
+{
+    // A regular file where the directory should be: no save can
+    // publish, whoever runs the test.
+    const ScratchPath blocker("fw_result_store_blocked");
+    {
+        std::ofstream file(blocker.path);
+        file << "not a directory";
+    }
+    ResultStore store(blocker.path);
+    ::testing::internal::CaptureStderr();
+    for (std::uint64_t i = 0; i < 3; ++i)
+        EXPECT_FALSE(
+            store.save("k" + std::to_string(i), resultWithInstructions(i)));
+    const std::string warnings = ::testing::internal::GetCapturedStderr();
+    std::size_t count = 0;
+    for (std::size_t at = warnings.find("result store");
+         at != std::string::npos;
+         at = warnings.find("result store", at + 1))
+        ++count;
+    EXPECT_EQ(count, 1u) << warnings;
+
+    for (std::uint64_t i = 0; i < 3; ++i) {
+        RunResult out;
+        ASSERT_TRUE(store.lookup("k" + std::to_string(i), &out));
+        EXPECT_EQ(out.instructions, i);
+    }
 }
 
 } // namespace

@@ -8,6 +8,7 @@
  *   flywheel_bench --list
  *   flywheel_bench --figure fig12                # one figure
  *   flywheel_bench --figure fig12 --figure fig13 # shared grid cached
+ *   flywheel_bench --figure fig12 --cache DIR    # results kept in DIR
  *   flywheel_bench --all
  *   flywheel_bench --spec specs/fig12.json       # data, not code
  *   flywheel_bench --dump-spec fig12             # registry -> JSON
@@ -58,8 +59,9 @@ usage(const char *argv0)
         "run control:\n"
         "  --jobs N             worker threads (default: FLYWHEEL_JOBS "
         "or all cores)\n"
-        "  --cache FILE        persistent result cache (default: "
-        "FLYWHEEL_CACHE)\n"
+        "  --cache DIR          result-file directory, e.g. a serve "
+        "store's results/\n"
+        "                       (default: FLYWHEEL_CACHE)\n"
         "  --progress           per-point progress on stderr\n"
         "\n"
         "%s"
@@ -110,15 +112,11 @@ struct MergedExport
     std::set<std::string> seen;
     SweepTelemetry telemetry;
 
-    /**
-     * Figures sharing grid points (fig12/13/14 run one grid) must
-     * not duplicate them in the exported dataset.
-     */
+    /** Keep the first row per exportRowKey (see sweep.hh). */
     void
     add(const SweepRecord &row)
     {
-        if (seen.insert(configKey(row.point.config) + "|" +
-                        row.point.label).second)
+        if (seen.insert(exportRowKey(row.point)).second)
             table.add(row);
     }
 
@@ -227,7 +225,7 @@ main(int argc, char **argv)
         } else if (flag == "--jobs") {
             opts.jobs = cli::parseJobs(value(), "--jobs");
         } else if (flag == "--cache") {
-            opts.cachePath = value();
+            opts.cacheDir = value();
         } else if (flag == "--progress") {
             progress = true;
         } else if (flag == "--json") {

@@ -5,7 +5,7 @@
  *
  *   flywheel_sweep --bench gcc,vortex --kind baseline,flywheel \
  *       --fe 0,0.25,0.5,0.75,1.0 --be 0.5 --node 0.13um \
- *       --jobs 8 --cache sweep_cache.json --out results.json
+ *       --jobs 8 --cache sweep_cache --out results.json
  *
  * Omitted axes default to: all ten benchmarks, flywheel kind, one
  * FE0/BE0 clock point, 0.13um, no power gating.  Output is
@@ -51,7 +51,8 @@ usage(const char *argv0)
         "all cores)\n"
         "  --warmup N       warm-up instructions per point\n"
         "  --instrs N        measured instructions per point\n"
-        "  --cache FILE      persistent result cache (JSON)\n"
+        "  --cache DIR       result-file directory (one file per "
+        "point)\n"
         "\n"
         "%s"
         "\n"
@@ -142,7 +143,7 @@ main(int argc, char **argv)
         } else if (flag == "--instrs") {
             axes.measureInstrs = cli::parseU64(value(), "--instrs");
         } else if (flag == "--cache") {
-            opts.cachePath = value();
+            opts.cacheDir = value();
         } else if (flag == "--out") {
             out_path = value();
         } else if (flag == "--csv") {
@@ -181,11 +182,11 @@ main(int argc, char **argv)
                      runner.jobs());
     SweepTable table = runner.run(points);
 
-    if (!quiet && !opts.cachePath.empty())
+    if (!quiet && !opts.cacheDir.empty())
         std::fprintf(stderr, "cache: %llu hits, %llu misses (%s)\n",
                      (unsigned long long)runner.cache().hits(),
                      (unsigned long long)runner.cache().misses(),
-                     opts.cachePath.c_str());
+                     opts.cacheDir.c_str());
     if (telemetry) {
         const SweepTelemetry &t = table.telemetry();
         std::fprintf(stderr,
