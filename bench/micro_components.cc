@@ -93,36 +93,52 @@ BENCHMARK(BM_ExecCacheLookup);
 void
 BM_IssueWindowSelectCycle(benchmark::State &state)
 {
-    // Steady-state Wake-Up/Select traffic: every iteration selects
-    // the oldest visible entries (one issue group), removes them, and
-    // dispatches replacements — the exact per-cycle pattern of
-    // CoreBase::stepIssue.
+    // Steady-state Wake-Up/Select traffic, the per-cycle pattern of
+    // CoreBase::stepIssue: select up to one issue group of ready
+    // entries oldest first, issue them (writing the scoreboard and
+    // waking their consumers), then dispatch replacements.  Each new
+    // entry extends one of four dependency chains, and every third one
+    // also reads a neighbouring chain, so the traffic exercises
+    // wake-up as well as select.
+    constexpr unsigned kRegs = 512;
+    constexpr Tick kPeriod = 1000;
     Arena arena;
-    IssueWindow iw(arena, 128);
+    ArenaVector<Tick> ready(arena);
+    ready.assign(kRegs, 0);
+    IssueWindow iw(arena, 128, ready, kRegs);
     std::deque<InFlightInst> live;   // stable addresses
     InstSeqNum seq = 1;
+    Tick now = 0;
     auto fill = [&] {
         while (!iw.full()) {
+            const auto dest = static_cast<PhysReg>(seq % kRegs);
             live.emplace_back();
-            live.back().arch.seq = seq++;
-            live.back().iwVisible = 0;
-            iw.insert(&live.back());
+            InFlightInst &inst = live.back();
+            inst.arch.seq = seq;
+            inst.destPhys = dest;
+            inst.src1Phys = static_cast<PhysReg>((seq - 4) % kRegs);
+            if (seq % 3 == 0)
+                inst.src2Phys = static_cast<PhysReg>((seq - 9) % kRegs);
+            inst.iwVisible = now + kPeriod;
+            ready[dest] = kTickMax;
+            iw.insert(&inst);
+            ++seq;
         }
     };
     fill();
-    std::vector<InFlightInst *> selected;
     for (auto _ : state) {
-        iw.visibleOldestFirst(1, selected);
+        now += kPeriod;
         unsigned n = 0;
-        for (InFlightInst *p : selected) {
-            if (n++ == 6)
-                break;
+        for (InFlightInst *p = iw.firstReady(now); p != nullptr && n < 6;
+             p = iw.nextReady(p, false), ++n) {
             iw.remove(p);
+            ready[p->destPhys] = now + kPeriod;
+            iw.wake(p->destPhys);
         }
         while (!live.empty() && !live.front().inIw)
             live.pop_front();
         fill();
-        benchmark::DoNotOptimize(selected.size());
+        benchmark::DoNotOptimize(n);
     }
 }
 BENCHMARK(BM_IssueWindowSelectCycle);

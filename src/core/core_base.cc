@@ -101,7 +101,7 @@ CoreBase::CoreBase(const CoreParams &params, WorkloadStream &stream,
       btb_(arena_, params.btb),
       fus_(arena_, params.fus, params.lat),
       lsq_(arena_, params.lsqEntries),
-      iw_(arena_, params.iwEntries),
+      iw_(arena_, params.iwEntries, regReady_, phys_regs),
       rob_(arena_, params.robEntries),
       feQueue_(arena_,
                static_cast<std::size_t>(params.feStages - 1 +
@@ -372,6 +372,7 @@ CoreBase::issueOne(InFlightInst *p, Tick now, Tick be_period)
             static_cast<Tick>(exec_cycles + params_.wakeupExtraDelay) *
                 be_period +
             mem_extra;
+        iw_.wake(p->destPhys);  // tag broadcast to waiting consumers
         ++events_.resultBusOps;
         ++events_.rfWrites;
         if (!p->fromEc)
@@ -408,17 +409,23 @@ void
 CoreBase::stepIssue(Tick now, Tick be_period)
 {
     fus_.beginCycle(now);
-    iw_.visibleOldestFirst(now, eligible_);
     issuedGroup_.clear();
 
-    for (InFlightInst *p : eligible_) {
-        if (issuedGroup_.size() >= params_.issueWidth)
-            break;
-        if (!operandsReady(*p, now))
-            continue;
+    // The window hands out only entries whose operands have arrived,
+    // oldest first.  The refusals below are not about operands, so a
+    // refused entry simply stays ready for the next cycle.  A load
+    // refused for an older unknown store address means every younger
+    // load is refused too (only younger stores can still issue this
+    // cycle), so the rest of the walk passes loads over.
+    bool loads_blocked = false;
+    for (InFlightInst *p = iw_.firstReady(now);
+         p != nullptr && issuedGroup_.size() < params_.issueWidth;
+         p = iw_.nextReady(p, loads_blocked)) {
         FW_LAYOUT_TOUCH(InFlightInst, arch.op);
-        if (p->isLoad() && !lsq_.loadMayIssue(p->arch.seq))
+        if (p->isLoad() && !lsq_.loadMayIssue(p->arch.seq)) {
+            loads_blocked = true;
             continue;
+        }
         if (!fus_.tryIssue(p->arch.op, now, double(be_period)))
             continue;
         iw_.remove(p);

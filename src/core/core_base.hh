@@ -216,7 +216,10 @@ class CoreBase
     void stepRetire(Tick now, Tick be_period);
 
     // ---- helpers ---------------------------------------------------------
-    /** Operand readiness against the physical scoreboard. */
+    /**
+     * Operand readiness against the physical scoreboard (the EC
+     * replay interlock; window entries are woken by issueOne).
+     */
     bool operandsReady(const InFlightInst &inst, Tick now) const;
     /** Issue bookkeeping shared by window issue and EC replay. */
     void issueOne(InFlightInst *inst, Tick now, Tick be_period);
@@ -290,8 +293,6 @@ class CoreBase
     RetireHook retireHook_;  // lint: nosnapshot(callback, re-attached by the driver)
 
   private:
-    // lint: nosnapshot(per-cycle scratch, cleared before use)
-    std::vector<InFlightInst *> eligible_;   // scratch for stepIssue
     std::vector<InFlightInst *> issuedGroup_;  // lint: nosnapshot(per-cycle scratch)
     Tick memTicks_;  // lint: nosnapshot(derived from params in ctor)
     // lint: nosnapshot(derived from params in ctor)

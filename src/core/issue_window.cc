@@ -1,5 +1,7 @@
 #include "core/issue_window.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 #include "obs/layout_profile.hh"
 #include "obs/stats_registry.hh"
@@ -7,11 +9,26 @@
 
 namespace flywheel {
 
-IssueWindow::IssueWindow(Arena &arena, unsigned entries)
-    : order_(arena), visible_(arena), capacity_(entries)
+IssueWindow::IssueWindow(Arena &arena, unsigned entries,
+                         const ArenaVector<Tick> &reg_ready,
+                         unsigned phys_regs)
+    : order_(arena),
+      regReady_(reg_ready),
+      waitHead_(arena),
+      waitNext_(arena),
+      visQueue_(arena, entries),
+      timed_(arena),
+      readyBits_(arena),
+      loadBits_(arena),
+      capacity_(entries)
 {
-    order_.reserve(static_cast<std::size_t>(entries) * 2);
-    visible_.reserve(static_cast<std::size_t>(entries) * 2);
+    const std::size_t slots = static_cast<std::size_t>(entries) * 2;
+    order_.reserve(slots);
+    waitHead_.assign(phys_regs, kNoSlot);
+    waitNext_.assign(slots, kNoSlot);
+    timed_.reserve(entries);
+    readyBits_.assign((slots + 63) / 64, 0);
+    loadBits_.assign((slots + 63) / 64, 0);
 }
 
 void
@@ -23,45 +40,104 @@ IssueWindow::insert(InFlightInst *inst)
     lastSeq_ = inst->arch.seq;
     if (order_.size() == order_.capacity())
         compact();
-    inst->iwPos = static_cast<std::uint32_t>(order_.size());
+    const auto slot = static_cast<std::uint32_t>(order_.size());
+    inst->iwPos = slot;
     order_.push_back(inst);
-    visible_.push_back(inst->iwVisible);
     inst->inIw = true;
     ++used_;
+    setLoadBit(slot);
+    schedule(slot);
 }
 
 void
 IssueWindow::remove(InFlightInst *inst)
 {
-    FW_ASSERT(inst->inIw && inst->iwPos < order_.size() &&
-                  order_[inst->iwPos] == inst,
+    const std::uint32_t slot = inst->iwPos;
+    const std::uint64_t bit = std::uint64_t(1) << (slot % 64);
+    FW_ASSERT(inst->inIw && slot < order_.size() &&
+                  order_[slot] == inst,
               "removing instruction not in the window");
-    order_[inst->iwPos] = nullptr;
-    visible_[inst->iwPos] = kTickMax;
+    FW_ASSERT(readyBits_[slot / 64] & bit,
+              "removing an instruction that is not ready");
+    readyBits_[slot / 64] &= ~bit;
+    order_[slot] = nullptr;
     inst->inIw = false;
     --used_;
-    if (used_ == 0) {
+    // Only ready entries leave, so an empty window has no waiters and
+    // no timed entries: the slots can restart from zero.
+    if (used_ == 0)
         order_.clear();
-        visible_.clear();
+}
+
+void
+IssueWindow::setLoadBit(std::uint32_t slot)
+{
+    const std::uint64_t bit = std::uint64_t(1) << (slot % 64);
+    if (order_[slot]->isLoad())
+        loadBits_[slot / 64] |= bit;
+    else
+        loadBits_[slot / 64] &= ~bit;
+}
+
+void
+IssueWindow::schedule(std::uint32_t slot)
+{
+    const InFlightInst *p = order_[slot];
+    FW_LAYOUT_TOUCH(InFlightInst, iwVisible);
+    Tick at = p->iwVisible;
+    FW_LAYOUT_TOUCH(InFlightInst, src1Phys);
+    FW_LAYOUT_TOUCH(InFlightInst, src2Phys);
+    for (const PhysReg src : {p->src1Phys, p->src2Phys}) {
+        if (src == kNoPhysReg)
+            continue;
+        const Tick t = regReady_[src];
+        if (t == kTickMax) {
+            // Producer not issued yet: wait for its wake().
+            waitNext_[slot] = waitHead_[src];
+            waitHead_[src] = slot;
+            return;
+        }
+        at = std::max(at, t);
+    }
+    if (at <= now_) {
+        markReady(slot);
+        return;
+    }
+    if (at == p->iwVisible &&
+        (visQueue_.empty() || visQueue_.back().at <= at)) {
+        visQueue_.push_back({at, slot});
+        return;
+    }
+    timed_.push_back({at, slot});
+    std::push_heap(timed_.begin(), timed_.end(), Later());
+}
+
+void
+IssueWindow::wakeWaiters(PhysReg reg)
+{
+    std::uint32_t slot = waitHead_[reg];
+    waitHead_[reg] = kNoSlot;
+    while (slot != kNoSlot) {
+        // schedule() may relink the entry onto its other source.
+        const std::uint32_t next = waitNext_[slot];
+        schedule(slot);
+        slot = next;
     }
 }
 
 void
-IssueWindow::dropSquashed()
+IssueWindow::promote()
 {
-    for (std::size_t i = 0; i < order_.size(); ++i) {
-        InFlightInst *slot = order_[i];
-        if (slot != nullptr && slot->squashed) {
-            FW_LAYOUT_TOUCH(InFlightInst, squashed);
-            slot->inIw = false;
-            order_[i] = nullptr;
-            visible_[i] = kTickMax;
-            --used_;
-        }
+    while (!visQueue_.empty() && visQueue_.front().at <= now_) {
+        const std::uint32_t slot = visQueue_.front().slot;
+        visQueue_.pop_front();
+        markReady(slot);
     }
-    if (used_ == 0) {
-        order_.clear();
-        visible_.clear();
+    while (!timed_.empty() && timed_.front().at <= now_) {
+        const std::uint32_t slot = timed_.front().slot;
+        std::pop_heap(timed_.begin(), timed_.end(), Later());
+        timed_.pop_back();
+        markReady(slot);
     }
 }
 
@@ -74,11 +150,25 @@ IssueWindow::compact()
             continue;
         order_[i]->iwPos = static_cast<std::uint32_t>(live);
         order_[live] = order_[i];
-        visible_[live] = visible_[i];
         ++live;
     }
     order_.resize(live);
-    visible_.resize(live);
+    rebuild();
+}
+
+void
+IssueWindow::rebuild()
+{
+    std::fill(waitHead_.begin(), waitHead_.end(), kNoSlot);
+    std::fill(readyBits_.begin(), readyBits_.end(), 0);
+    visQueue_.clear();
+    timed_.clear();
+    for (std::size_t i = 0; i < order_.size(); ++i) {
+        if (order_[i] == nullptr)
+            continue;
+        setLoadBit(static_cast<std::uint32_t>(i));
+        schedule(static_cast<std::uint32_t>(i));
+    }
 }
 
 void
@@ -88,8 +178,8 @@ IssueWindow::save(BinWriter &w,
 {
     // Tombstones are kept (as all-ones sentinels) so the restored
     // array matches slot for slot: every entry's recorded iwPos
-    // remains valid without re-deriving anything.  The visibility
-    // mirror is derived state and is not serialized.
+    // remains valid without re-deriving anything.  The wake-up state
+    // is derived and is not serialized.
     constexpr std::uint64_t kNone = ~std::uint64_t(0);
     w.u64(order_.size());
     for (const InFlightInst *p : order_)
@@ -104,16 +194,14 @@ IssueWindow::restore(BinReader &r,
 {
     constexpr std::uint64_t kNone = ~std::uint64_t(0);
     order_.clear();
-    order_.reserve(static_cast<std::size_t>(capacity_) * 2);
-    visible_.clear();
-    visible_.reserve(static_cast<std::size_t>(capacity_) * 2);
     used_ = 0;
     const std::uint64_t slots = r.u64();
+    FW_ASSERT(slots <= order_.capacity(),
+              "issue-window snapshot has too many slots");
     for (std::uint64_t i = 0; i < slots; ++i) {
         const std::uint64_t idx = r.u64();
         if (idx == kNone) {
             order_.push_back(nullptr);
-            visible_.push_back(kTickMax);
             continue;
         }
         InFlightInst *p = at(idx);
@@ -121,31 +209,12 @@ IssueWindow::restore(BinReader &r,
                       p->iwPos == order_.size(),
                   "issue-window snapshot inconsistent with the ROB");
         order_.push_back(p);
-        visible_.push_back(p->iwVisible);
         ++used_;
     }
     FW_ASSERT(used_ <= capacity_, "issue-window snapshot overflows");
     lastSeq_ = r.u64();
-}
-
-void
-IssueWindow::visibleOldestFirst(Tick now,
-                                std::vector<InFlightInst *> &out) const
-{
-    // order_ is age-ordered by construction, so this is already the
-    // oldest-first enumeration — no per-cycle sort.  The scan runs
-    // over the dense visibility ticks (tombstones read as kTickMax);
-    // the ROB entry itself is only touched once its tick has passed.
-    out.clear();
-    for (std::size_t i = 0; i < visible_.size(); ++i) {
-        FW_LAYOUT_TOUCH(IssueWindow, visibleTick);
-        if (visible_[i] > now)
-            continue;
-        InFlightInst *slot = order_[i];
-        FW_LAYOUT_TOUCH(InFlightInst, issued);
-        if (!slot->issued)
-            out.push_back(slot);
-    }
+    now_ = 0;
+    rebuild();
 }
 
 void

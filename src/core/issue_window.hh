@@ -7,19 +7,40 @@
  * synchronization latency of the Dual Clock Issue Window when the
  * front-end runs in its own domain (Section 3.2).
  *
- * Operand readiness is tracked through the physical register
- * readiness scoreboard owned by the core, which models the combined
- * effect of the RAT sampling at Dispatch plus the (duplicated) tag
- * matching in Wake-Up: no wake-up is ever lost, exactly the behaviour
- * the paper's two-cycle duplicated tag match guarantees (Fig 5).
+ * Wake-up is event-driven, as in the paper's tag broadcast.  The
+ * core's physical-register scoreboard holds kTickMax for a register
+ * whose producer has not issued yet, and the tick its value can be
+ * bypassed once it has (no wake-up is ever lost, exactly the
+ * behaviour the paper's two-cycle duplicated tag match guarantees,
+ * Fig 5).  An entry therefore sits in one of three places:
  *
- * Implementation: dispatch inserts in program order (sequence numbers
- * are globally monotonic — replays bypass the window entirely), so
+ *  - on the wait list of one source register that is still unknown
+ *    (at most one at a time: the first unknown source in order);
+ *  - timed, once every source is known, until its ready tick: the
+ *    latest of its visibility and both operands;
+ *  - in the ready set once that tick has passed.
+ *
+ * When a producer issues, the core writes its scoreboard entry and
+ * calls wake(), which moves each waiter onto its other unknown source
+ * or into the timed set.  Select walks only the ready set.
+ *
+ * This relies on one invariant: while a window entry reads a
+ * register, the register's scoreboard entry only moves from kTickMax
+ * to a finite tick (through issue), so a computed ready tick never
+ * changes.  Writers that reset the scoreboard run with an empty
+ * window.
+ *
+ * Layout: dispatch inserts in program order (sequence numbers are
+ * globally monotonic — replays bypass the window entirely), so
  * entries are kept in an age-ordered array with tombstones for
- * selected entries.  Select is then a single in-order pass with no
- * per-cycle sort, and removal is O(1) through the entry's recorded
- * position.  Tombstones are compacted once they outnumber live
- * entries.
+ * selected entries, and the ready set is a bitmap over its slots: a
+ * walk in slot order is oldest-first with no per-cycle sort.  A
+ * second bitmap marks the slots holding loads, so select can pass
+ * over them once loads are blocked.  Tombstones are compacted once
+ * they fill the array.  Slot positions are part of the snapshot; the
+ * wait lists, the timed set and the bitmaps are derived from the
+ * entries and the scoreboard and are rebuilt after restore() and
+ * compaction.
  */
 
 #ifndef FLYWHEEL_CORE_ISSUE_WINDOW_HH
@@ -27,7 +48,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
+#include <type_traits>
 
 #include "common/arena.hh"
 #include "common/types.hh"
@@ -43,29 +64,65 @@ class BinReader;
 class IssueWindow
 {
   public:
-    explicit IssueWindow(Arena &arena, unsigned entries);
+    /**
+     * @p reg_ready is the core's scoreboard of @p phys_regs entries;
+     * the window only reads it.
+     */
+    IssueWindow(Arena &arena, unsigned entries,
+                const ArenaVector<Tick> &reg_ready, unsigned phys_regs);
 
     bool full() const { return used_ >= capacity_; }
     bool empty() const { return used_ == 0; }
     unsigned occupancy() const { return used_; }
     unsigned capacity() const { return capacity_; }
 
-    /** Insert at Dispatch; visibility is recorded in the inst. */
+    /**
+     * Insert at Dispatch, after renaming; visibility is recorded in
+     * the inst.
+     */
     void insert(InFlightInst *inst);
 
-    /** Remove @p inst after it has been selected. */
+    /** Remove @p inst after it has been selected (it must be ready). */
     void remove(InFlightInst *inst);
 
-    /** Drop any entries that were squashed (trace divergence). */
-    void dropSquashed();
+    /**
+     * The scoreboard entry of @p reg has just become known (its
+     * producer issued): re-examine every entry waiting on it.
+     */
+    void
+    wake(PhysReg reg)
+    {
+        if (waitHead_[reg] != kNoSlot)
+            wakeWaiters(reg);
+    }
 
     /**
-     * Collect entries visible at @p now, oldest (lowest sequence
-     * number) first, into @p out.  Readiness of operands is checked
-     * by the caller, which owns the register scoreboard.
+     * Oldest entry that is ready at @p now — visible, both operands
+     * available — after moving every entry whose ready tick has
+     * passed into the ready set; nullptr if none.  @p now must not
+     * decrease from one call to the next (restore() resets it).
      */
-    void visibleOldestFirst(Tick now,
-                            std::vector<InFlightInst *> &out) const;
+    InFlightInst *
+    firstReady(Tick now)
+    {
+        now_ = now;
+        if ((!visQueue_.empty() && visQueue_.front().at <= now) ||
+            (!timed_.empty() && timed_.front().at <= now))
+            promote();
+        return readyFrom(0, false);
+    }
+
+    /**
+     * Next-younger ready entry after @p after, which may have been
+     * removed since; with @p skip_loads, ready loads are passed over.
+     * Entries woken ready at the current tick in the meantime are
+     * included, as a live scan would see them.
+     */
+    InFlightInst *
+    nextReady(const InFlightInst *after, bool skip_loads) const
+    {
+        return readyFrom(std::size_t(after->iwPos) + 1, skip_loads);
+    }
 
     /**
      * Serialize the window (simulator snapshots).  The window stores
@@ -77,7 +134,10 @@ class IssueWindow
               const std::function<std::uint64_t(const InFlightInst *)>
                   &index_of) const;
 
-    /** Restore state saved by save(); @p at resolves ROB indices. */
+    /**
+     * Restore state saved by save(); @p at resolves ROB indices.  The
+     * scoreboard must already hold its restored values.
+     */
     void restore(BinReader &r,
                  const std::function<InFlightInst *(std::uint64_t)> &at);
 
@@ -85,19 +145,83 @@ class IssueWindow
     void registerStats(obs::StatsGroup &group) const;
 
   private:
+    /** A known future ready tick of the entry at a slot. */
+    struct Timed
+    {
+        Tick at;
+        std::uint32_t slot;
+    };
+    static_assert(std::is_trivially_copyable_v<Timed>,
+                  "arena containers memcpy entries");
+    /** Heap order for timed_: the earliest ready tick on top. */
+    struct Later
+    {
+        bool
+        operator()(const Timed &a, const Timed &b) const
+        {
+            return a.at > b.at;
+        }
+    };
+
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t(0);
+
     void compact();
+    /** Re-derive the wait lists, timed set and bitmaps from the entries. */
+    void rebuild();
+    /** Place the entry at @p slot on a wait list, timed or ready. */
+    void schedule(std::uint32_t slot);
+    void wakeWaiters(PhysReg reg);
+    /** Move every timed entry due by now_ into the ready set. */
+    void promote();
+    void setLoadBit(std::uint32_t slot);
+
+    void
+    markReady(std::uint32_t slot)
+    {
+        readyBits_[slot / 64] |= std::uint64_t(1) << (slot % 64);
+    }
+
+    /** Oldest ready entry at or after @p slot. */
+    InFlightInst *
+    readyFrom(std::size_t slot, bool skip_loads) const
+    {
+        // order_ is age-ordered by construction, so a walk in slot
+        // order is already oldest-first.
+        const std::size_t words = (order_.size() + 63) / 64;
+        for (std::size_t w = slot / 64; w < words; ++w) {
+            std::uint64_t bits = readyBits_[w];
+            if (skip_loads)
+                bits &= ~loadBits_[w];
+            if (w == slot / 64)
+                bits &= ~std::uint64_t(0) << (slot % 64);
+            if (bits != 0)
+                return order_[w * 64 + unsigned(__builtin_ctzll(bits))];
+        }
+        return nullptr;
+    }
 
     /** Live entries in age order, nullptr = tombstone. */
     ArenaVector<InFlightInst *> order_;
+    // lint: nosnapshot(the core's scoreboard, saved by the core)
+    const ArenaVector<Tick> &regReady_;
+    // lint: nosnapshot(derived; rebuilt by restore and compaction)
+    ArenaVector<std::uint32_t> waitHead_;  ///< per register: first waiter
+    // lint: nosnapshot(derived; rebuilt by restore and compaction)
+    ArenaVector<std::uint32_t> waitNext_;  ///< per slot: next waiter
     /**
-     * SoA mirror of each slot's visibility tick (kTickMax at
-     * tombstones), index-aligned with order_.  The wakeup scan is the
-     * hottest loop in the simulator (top of the flywheel.layout.v1
-     * profile), so it walks this dense Tick array and only
-     * dereferences the ROB pointer for entries whose tick has passed.
+     * The timed set.  Entries bound by visibility alone, the common
+     * case, arrive in tick order and queue in visQueue_; every other
+     * timed entry goes to the min-heap timed_.
      */
-    // lint: nosnapshot(mirror of the entries' iwVisible; restore rebuilds it)
-    ArenaVector<Tick> visible_;
+    // lint: nosnapshot(derived; rebuilt by restore and compaction)
+    ArenaRing<Timed> visQueue_;
+    // lint: nosnapshot(derived; rebuilt by restore and compaction)
+    ArenaVector<Timed> timed_;
+    // lint: nosnapshot(derived; rebuilt by restore and compaction)
+    ArenaVector<std::uint64_t> readyBits_;  ///< per slot: ready
+    // lint: nosnapshot(derived; rebuilt by restore and compaction)
+    ArenaVector<std::uint64_t> loadBits_;  ///< per slot: holds a load
+    Tick now_ = 0;  // lint: nosnapshot(last select tick; restore resets it)
     unsigned capacity_;  // lint: nosnapshot(geometry checked by restore, not mutated)
     unsigned used_ = 0;  // lint: nosnapshot(recounted from entries in restore)
     InstSeqNum lastSeq_ = 0;   ///< insertion-order guard

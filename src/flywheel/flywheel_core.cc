@@ -786,7 +786,12 @@ FlywheelCore::resolveDivergence(InFlightInst &branch, Tick now)
             pools_.rollback(b.arch.dest, b.poolPrevSlot);
             // The slot reverts to holding its previous (committed)
             // value; without this a never-written slot would poison
-            // any future reader with an eternal not-ready.
+            // any future reader with an eternal not-ready.  Wake-up
+            // relies on a register read by a window entry only going
+            // from not-ready to a known tick; dispatch waits for the
+            // replay, so no window entry can read this one.
+            FW_ASSERT(iw_.empty(),
+                      "divergence rollback with a non-empty window");
             regReady_[b.destPhys] = 0;
         }
         rob_.pop_back();
@@ -932,7 +937,12 @@ FlywheelCore::maybeRedistribute(Tick now)
     redistributionArmed_ = false;
     if (pools_.redistribute()) {
         // Pool bases moved: every physical entry now holds a
-        // committed (ready) value — nothing is in flight.
+        // committed (ready) value — nothing is in flight.  Wake-up
+        // relies on a register read by a window entry only going from
+        // not-ready to a known tick; the empty ROB keeps the window
+        // empty too.
+        FW_ASSERT(iw_.empty(),
+                  "register redistribution with a non-empty window");
         for (auto &r : regReady_)
             r = 0;
         // All recorded renaming information is stale (Section 3.5).

@@ -2,24 +2,24 @@
  * @file
  * Field-access layout profiler for the hot simulator structs.
  *
- * The per-cycle loops (issue-window wakeup scan, issued-pending
- * completion gate, LSQ disambiguation walk, Execution Cache replay)
- * spend their time chasing a handful of struct fields; which fields
- * are hot decides where they belong in the struct (first cache line)
- * and which belong in the cold tail.  FW_LAYOUT_TOUCH(Struct, field)
- * marks a field read/write at a hot site; with the default build it
- * compiles to nothing, and under -DFLYWHEEL_PROFILE_LAYOUT (CMake
- * option FLYWHEEL_PROFILE_LAYOUT) every site keeps a relaxed atomic
- * counter that layoutProfileReport() aggregates into a
- * "flywheel.layout.v1" JSON document:
+ * The per-cycle loops (issue-window wake-up and select,
+ * issued-pending completion gate, LSQ disambiguation walk, Execution
+ * Cache replay) spend their time chasing a handful of struct fields;
+ * which fields are hot decides where they belong in the struct (first
+ * cache line) and which belong in the cold tail.
+ * FW_LAYOUT_TOUCH(Struct, field) marks a field read/write at a hot
+ * site; with the default build it compiles to nothing, and under
+ * -DFLYWHEEL_PROFILE_LAYOUT (CMake option FLYWHEEL_PROFILE_LAYOUT)
+ * every site keeps a relaxed atomic counter that
+ * layoutProfileReport() aggregates into a "flywheel.layout.v1" JSON
+ * document:
  *
  *     cmake -B build-layout -S . -DFLYWHEEL_PROFILE_LAYOUT=ON
  *     build-layout/flywheel_perf --layout-report layout.json
  *
- * The checked-in field orders of InFlightInst, Lsq::Entry, TraceSlot
- * and the IssueWindow visibility SoA were chosen from this report
- * (hot fields first, cold stats/debug last); re-run it after adding
- * fields to a hot struct.
+ * The checked-in field orders of InFlightInst, Lsq::Entry and
+ * TraceSlot were chosen from this report (hot fields first, cold
+ * stats/debug last); re-run it after adding fields to a hot struct.
  */
 
 #ifndef FLYWHEEL_OBS_LAYOUT_PROFILE_HH

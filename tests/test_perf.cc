@@ -278,53 +278,61 @@ TEST(BenchReportJson, AcceptsLegacyV1SchemaTag)
     EXPECT_EQ(restored.entries.size(), original.entries.size());
 }
 
+/** sampleReport()'s JSON with @p member inserted after @p after. */
+Json
+sampleWithMember(const std::string &after, const std::string &member)
+{
+    std::string bytes = sampleReport().toJson().dump(2);
+    const std::size_t pos = bytes.find(after);
+    EXPECT_NE(pos, std::string::npos) << after;
+    bytes.insert(pos + after.size(), member);
+    Json j;
+    std::string error;
+    EXPECT_TRUE(Json::parse(bytes, j, &error)) << error;
+    return j;
+}
+
 TEST(BenchReportJson, AcceptsScalarWidthFieldsOfOlderReports)
 {
-    // The committed baseline predates the batch engine's removal and
-    // records batch_width = 1 and lanes = 1; it must keep parsing.
+    // Reports written while the harness had a batched mode record
+    // batch_width = 1 and lanes = 1; they must keep parsing.
+    BenchReport r;
+    std::string error;
+    EXPECT_TRUE(BenchReport::fromJson(
+        sampleWithMember("\"obs_attached\": false", ", \"batch_width\": 1"),
+        &r, &error))
+        << error;
+    EXPECT_TRUE(BenchReport::fromJson(
+        sampleWithMember("\"kind\": \"flywheel\"", ", \"lanes\": 1"), &r,
+        &error))
+        << error;
+
+    // So must the committed baseline the CI perf gate compares with.
     std::ifstream file(std::string(FLYWHEEL_REPO_DIR) +
                        "/bench/baseline_perf.json");
     ASSERT_TRUE(file);
     std::ostringstream text;
     text << file.rdbuf();
-    ASSERT_NE(text.str().find("\"batch_width\": 1"), std::string::npos);
-    ASSERT_NE(text.str().find("\"lanes\": 1"), std::string::npos);
-
     Json parsed;
-    std::string error;
     ASSERT_TRUE(Json::parse(text.str(), parsed, &error)) << error;
-    BenchReport restored;
-    EXPECT_TRUE(BenchReport::fromJson(parsed, &restored, &error))
-        << error;
-    EXPECT_FALSE(restored.entries.empty());
+    EXPECT_TRUE(BenchReport::fromJson(parsed, &r, &error)) << error;
+    EXPECT_FALSE(r.entries.empty());
 }
 
 TEST(BenchReportJson, RejectsBatchedReports)
 {
     // A report that timed several lanes per cell measures a different
     // quantity; gating it against scalar numbers would pass silently.
-    const auto with_member = [](const std::string &after,
-                                const std::string &member) {
-        std::string bytes = sampleReport().toJson().dump(2);
-        const std::size_t pos = bytes.find(after);
-        EXPECT_NE(pos, std::string::npos) << after;
-        bytes.insert(pos + after.size(), member);
-        Json j;
-        std::string error;
-        EXPECT_TRUE(Json::parse(bytes, j, &error)) << error;
-        return j;
-    };
-
     BenchReport r;
     std::string error;
     EXPECT_FALSE(BenchReport::fromJson(
-        with_member("\"obs_attached\": false", ", \"batch_width\": 8"),
+        sampleWithMember("\"obs_attached\": false", ", \"batch_width\": 8"),
         &r, &error));
     EXPECT_NE(error.find("batch_width"), std::string::npos) << error;
 
     error.clear();
     EXPECT_FALSE(BenchReport::fromJson(
-        with_member("\"kind\": \"flywheel\"", ", \"lanes\": 8"), &r,
+        sampleWithMember("\"kind\": \"flywheel\"", ", \"lanes\": 8"), &r,
         &error));
     EXPECT_NE(error.find("lanes"), std::string::npos) << error;
 }
