@@ -4,7 +4,6 @@
 
 #include "common/log.hh"
 #include "core/report.hh"
-#include "obs/layout_profile.hh"
 #include "snapshot/snapshot.hh"
 
 namespace flywheel {
@@ -311,10 +310,8 @@ CoreBase::stepDispatch(Tick now, Tick visible_delay)
 bool
 CoreBase::operandsReady(const InFlightInst &inst, Tick now) const
 {
-    FW_LAYOUT_TOUCH(InFlightInst, src1Phys);
     if (inst.src1Phys != kNoPhysReg && regReady_[inst.src1Phys] > now)
         return false;
-    FW_LAYOUT_TOUCH(InFlightInst, src2Phys);
     if (inst.src2Phys != kNoPhysReg && regReady_[inst.src2Phys] > now)
         return false;
     return true;
@@ -421,7 +418,6 @@ CoreBase::stepIssue(Tick now, Tick be_period)
     for (InFlightInst *p = iw_.firstReady(now);
          p != nullptr && issuedGroup_.size() < params_.issueWidth;
          p = iw_.nextReady(p, loads_blocked)) {
-        FW_LAYOUT_TOUCH(InFlightInst, arch.op);
         if (p->isLoad() && !lsq_.loadMayIssue(p->arch.seq)) {
             loads_blocked = true;
             continue;
@@ -475,7 +471,6 @@ CoreBase::stepComplete(Tick now, Tick)
     std::uint64_t completed_n = 0;
     while (i < issuedPending_.size()) {
         InFlightInst *p = issuedPending_[i];
-        FW_LAYOUT_TOUCH(InFlightInst, completeTick);
         if (p->completeTick > now) {
             ++i;
             continue;
@@ -484,7 +479,6 @@ CoreBase::stepComplete(Tick now, Tick)
         issuedPending_.pop_back();
         p->completed = true;
         ++completed_n;
-        FW_LAYOUT_TOUCH(InFlightInst, mispredicted);
         if (p->mispredicted && !p->squashed) {
             onMispredictResolved(*p, now);
             i = 0;
@@ -496,7 +490,6 @@ CoreBase::stepComplete(Tick now, Tick)
 
     minCompleteTick_ = kTickMax;
     for (const InFlightInst *p : issuedPending_) {
-        FW_LAYOUT_TOUCH(InFlightInst, completeTick);
         if (p->completeTick < minCompleteTick_)
             minCompleteTick_ = p->completeTick;
     }

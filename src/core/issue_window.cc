@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "obs/layout_profile.hh"
 #include "obs/stats_registry.hh"
 #include "snapshot/bincodec.hh"
 
@@ -83,10 +82,7 @@ void
 IssueWindow::schedule(std::uint32_t slot)
 {
     const InFlightInst *p = order_[slot];
-    FW_LAYOUT_TOUCH(InFlightInst, iwVisible);
     Tick at = p->iwVisible;
-    FW_LAYOUT_TOUCH(InFlightInst, src1Phys);
-    FW_LAYOUT_TOUCH(InFlightInst, src2Phys);
     for (const PhysReg src : {p->src1Phys, p->src2Phys}) {
         if (src == kNoPhysReg)
             continue;

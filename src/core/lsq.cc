@@ -4,7 +4,6 @@
 #include <string>
 
 #include "common/log.hh"
-#include "obs/layout_profile.hh"
 #include "obs/stats_registry.hh"
 #include "snapshot/bincodec.hh"
 
@@ -82,12 +81,9 @@ Lsq::loadForwards(InstSeqNum load_seq, Addr addr) const
     const Addr word = addr >> 3;
     for (std::size_t i = 0; i < count_; ++i) {
         const Entry &e = buf_[at(i)];
-        FW_LAYOUT_TOUCH(LsqEntry, seq);
         if (e.seq >= load_seq)
             break;
-        FW_LAYOUT_TOUCH(LsqEntry, isStore);
         if (e.isStore && e.addrKnown) {
-            FW_LAYOUT_TOUCH(LsqEntry, word);
             if (e.word == word)
                 return true;
         }
@@ -100,7 +96,6 @@ Lsq::storeIssued(InstSeqNum seq)
 {
     for (std::size_t i = 0; i < count_; ++i) {
         Entry &e = buf_[at(i)];
-        FW_LAYOUT_TOUCH(LsqEntry, seq);
         if (e.seq == seq) {
             e.addrKnown = true;
             ++knownStores_;

@@ -87,7 +87,7 @@ class Lsq
 
   private:
     /**
-     * Field order is profile-guided (flywheel.layout.v1): the
+     * Field order follows a measured field-access profile: the
      * disambiguation walks read seq on every entry, isStore/addrKnown
      * on the survivors and word only on matching known stores.
      */

@@ -121,15 +121,14 @@ deriveSampleSchedule(const SnapshotPolicy &policy,
     return s;
 }
 
-} // namespace
-
 /**
- * Phase 1: bring the simulator to its post-warmup state — by
- * simulating, or through the checkpoint store per the policy.
+ * Phase 1: bring @p core to its post-warmup state — by simulating, or
+ * by restoring from / publishing to @p checkpoints per the policy.
+ * @return true if the warm state was restored from a checkpoint.
  */
 bool
-runSimWarmup(const RunConfig &config, CoreBase &core,
-             Checkpointer *checkpoints)
+runWarmupPhase(const RunConfig &config, CoreBase &core,
+               Checkpointer *checkpoints)
 {
     const SnapshotPolicy &policy = config.snapshot;
     const bool checkpointed = checkpoints != nullptr &&
@@ -161,33 +160,6 @@ runSimWarmup(const RunConfig &config, CoreBase &core,
     return !created;
 }
 
-void
-forEachMeasureWindow(
-    const RunConfig &config, WorkloadStream &stream,
-    std::unique_ptr<CoreBase> &core,
-    const std::function<void(CoreBase &, std::uint64_t)> &window)
-{
-    // SMARTS-style interval sampling: N detailed windows, each
-    // preceded (after the first) by a stream-only fast-forward and a
-    // short detailed re-warm on a fresh core.  Only the windows are
-    // measured; a sampled result estimates a workload sampleWindows
-    // times longer than the detailed budget.  A contiguous schedule
-    // is the one-window special case.
-    const SampleSchedule sched =
-        deriveSampleSchedule(config.snapshot, config.measureInstrs);
-    for (unsigned w = 0; w < sched.windows; ++w) {
-        if (w > 0) {
-            stream.skip(sched.gap);
-            core = makeCore(config, stream);
-            core->run(sched.rewarm);
-        }
-        window(*core, w + 1 == sched.windows ? sched.lastWindow
-                                             : sched.window);
-    }
-}
-
-namespace {
-
 /**
  * Phase 2: measure.  Returns the measurement-window deltas in
  * @p events and @p stats; may replace @p core (sampling re-warms a
@@ -198,21 +170,33 @@ runMeasurePhase(const RunConfig &config, WorkloadStream &stream,
                 std::unique_ptr<CoreBase> &core, obs::Tracer *tracer,
                 EnergyEvents *events, CoreStats *stats)
 {
+    // SMARTS-style interval sampling: N detailed windows, each
+    // preceded (after the first) by a stream-only fast-forward and a
+    // short detailed re-warm on a fresh core.  Only the windows are
+    // measured; a sampled result estimates a workload sampleWindows
+    // times longer than the detailed budget.  A contiguous schedule
+    // is the one-window special case.
+    const SampleSchedule sched =
+        deriveSampleSchedule(config.snapshot, config.measureInstrs);
     *events = EnergyEvents{};
     *stats = CoreStats{};
-    forEachMeasureWindow(
-        config, stream, core,
-        [&](CoreBase &c, std::uint64_t instrs) {
-            // Sampling replaces the core between windows, so the
-            // tracer is (re)attached here rather than once up front;
-            // the inter-window re-warms run untraced by design.
-            c.setTracer(tracer);
-            const EnergyEvents before_events = c.events();
-            const CoreStats before_stats = c.stats();
-            c.run(instrs);
-            *events += c.events() - before_events;
-            *stats += c.stats() - before_stats;
-        });
+    for (unsigned w = 0; w < sched.windows; ++w) {
+        if (w > 0) {
+            stream.skip(sched.gap);
+            core = makeCore(config, stream);
+            core->run(sched.rewarm);
+        }
+        // Sampling replaces the core between windows, so the tracer
+        // is (re)attached here rather than once up front; the
+        // inter-window re-warms run untraced by design.
+        core->setTracer(tracer);
+        const EnergyEvents before_events = core->events();
+        const CoreStats before_stats = core->stats();
+        core->run(w + 1 == sched.windows ? sched.lastWindow
+                                         : sched.window);
+        *events += core->events() - before_events;
+        *stats += core->stats() - before_stats;
+    }
 }
 
 /**
@@ -281,7 +265,7 @@ runSim(const RunConfig &config, Checkpointer *checkpoints)
 
     RunTelemetry telemetry;
     const auto t0 = Clock::now();
-    telemetry.warmupRestored = runSimWarmup(config, *core, checkpoints);
+    telemetry.warmupRestored = runWarmupPhase(config, *core, checkpoints);
     const auto t1 = Clock::now();
     telemetry.warmupSeconds = seconds(t0, t1);
 

@@ -11,7 +11,6 @@
 #define FLYWHEEL_CORE_SIM_DRIVER_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -163,30 +162,6 @@ CoreParams clockedParams(double fe_boost, double be_boost);
  */
 std::unique_ptr<CoreBase> makeCore(const RunConfig &config,
                                    WorkloadStream &stream);
-
-/**
- * Phase 1 of runSim, exposed for the perf harness:
- * bring @p core to its post-warmup state — simulating, or restoring
- * from / publishing to @p checkpoints per config.snapshot.
- * @return true if the warm state was restored from a checkpoint.
- */
-bool runSimWarmup(const RunConfig &config, CoreBase &core,
-                  Checkpointer *checkpoints);
-
-/**
- * Phase 2 of runSim, exposed for the perf harness: execute the
- * measurement schedule config.snapshot implies — contiguous, or N
- * detailed windows with stream fast-forwards and fresh-core re-warms
- * between them — invoking @p window(core, instrs) for each measured
- * window.  The callback runs the core for exactly @p instrs retired
- * instructions and owns any bookkeeping around it (delta capture,
- * wall-clock timing).  One loop serves runSim and the perf harness,
- * so what the harness times cannot drift from what runSim executes.
- */
-void forEachMeasureWindow(
-    const RunConfig &config, WorkloadStream &stream,
-    std::unique_ptr<CoreBase> &core,
-    const std::function<void(CoreBase &, std::uint64_t)> &window);
 
 /**
  * Execute one run.  Honours config.snapshot: with a non-Off mode and

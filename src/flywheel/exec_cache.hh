@@ -37,8 +37,8 @@ class BinWriter;
 class BinReader;
 
 /**
- * One recorded instruction slot.  Field order is profile-guided
- * (flywheel.layout.v1): replay touches pc/rank/op and the register
+ * One recorded instruction slot.  Field order follows a measured
+ * field-access profile: replay touches pc/rank/op and the register
  * fields on every slot, while recordedEffAddr is only read when a
  * wrong-path slot is synthesized — it trails the struct.
  */

@@ -131,9 +131,6 @@ BenchReport::toJson() const
     config.add("warmup_instrs", warmupInstrs);
     config.add("measure_instrs", measureInstrs);
     config.add("repeats", repeats);
-    config.add("jobs", jobs);
-    config.add("sample_windows", sampleWindows);
-    config.add("obs_attached", obsAttached);
     j.add("config", std::move(config));
 
     Json arr = Json::array();
@@ -153,17 +150,6 @@ BenchReport::toJson() const
     j.add("entries", std::move(arr));
     j.add("geomean_minstr_per_sec", geomeanMinstrPerSec());
     j.add("aggregate_minstr_per_sec", aggregateMinstrPerSec());
-    if (telemetry.present) {
-        Json t = Json::object();
-        t.add("wall_seconds", telemetry.wallSeconds);
-        t.add("checkpoint_memory_hits", telemetry.checkpointMemoryHits);
-        t.add("checkpoint_disk_hits", telemetry.checkpointDiskHits);
-        t.add("checkpoint_computes", telemetry.checkpointComputes);
-        t.add("checkpoint_bytes_written",
-              telemetry.checkpointBytesWritten);
-        t.add("checkpoint_bytes_read", telemetry.checkpointBytesRead);
-        j.add("telemetry", std::move(t));
-    }
     return j;
 }
 
@@ -179,18 +165,22 @@ fail(std::string *error, const std::string &what)
 
 /**
  * Reports written while the harness had a batched mode carry
- * `batch_width` (config) and `lanes` (per entry).  A value of 1 is a
- * scalar measurement and still parses; anything wider timed several
- * lanes per cell and must not gate against scalar numbers.
+ * `batch_width` (config) and `lanes` (per entry); reports written
+ * while it had interval sampling carry `sample_windows` (config).
+ * The value @p plain marks a contiguous single-lane measurement and
+ * still parses; anything else timed a different quantity and must
+ * not gate against plain numbers.
  */
 bool
-scalarWidth(const Json &obj, const char *field, std::string *error)
+plainMode(const Json &obj, const char *field, std::uint64_t plain,
+          std::string *error)
 {
     if (!obj.has(field))
         return true;
-    if (!obj[field].isNumber() || obj[field].asU64() != 1)
+    if (!obj[field].isNumber() || obj[field].asU64() != plain)
         return fail(error, std::string("bench report: '") + field +
-                               "' must be 1 (batched reports are no "
+                               "' must be " + std::to_string(plain) +
+                               " (batched and sampled reports are no "
                                "longer supported)");
     return true;
 }
@@ -203,10 +193,7 @@ BenchReport::fromJson(const Json &j, BenchReport *out,
 {
     if (!j.isObject())
         return fail(error, "bench report: not a JSON object");
-    // v1 documents are still accepted: v1.1 only added the aggregate
-    // throughput field, which readers recompute.
-    const std::string schema = j["schema"].asString();
-    if (schema != kBenchSchema && schema != kBenchSchemaV1)
+    if (j["schema"].asString() != kBenchSchema)
         return fail(error, "bench report: missing or unsupported "
                            "schema tag (want " +
                                std::string(kBenchSchema) + ")");
@@ -227,7 +214,7 @@ BenchReport::fromJson(const Json &j, BenchReport *out,
         return fail(error, "bench report: malformed host member");
     if (!config["warmup_instrs"].isNumber() ||
         !config["measure_instrs"].isNumber() ||
-        !config["repeats"].isNumber() || !config["jobs"].isNumber())
+        !config["repeats"].isNumber())
         return fail(error, "bench report: malformed config member");
 
     BenchReport r;
@@ -239,36 +226,9 @@ BenchReport::fromJson(const Json &j, BenchReport *out,
     r.warmupInstrs = config["warmup_instrs"].asU64();
     r.measureInstrs = config["measure_instrs"].asU64();
     r.repeats = unsigned(config["repeats"].asU64());
-    r.jobs = unsigned(config["jobs"].asU64());
-    // Absent in pre-sampling reports (the committed baseline): 0.
-    if (config.has("sample_windows")) {
-        if (!config["sample_windows"].isNumber())
-            return fail(error, "bench report: malformed config member");
-        r.sampleWindows = unsigned(config["sample_windows"].asU64());
-    }
-    // Absent in pre-observability reports: false.
-    if (config.has("obs_attached"))
-        r.obsAttached = config["obs_attached"].asBool();
-    if (!scalarWidth(config, "batch_width", error))
+    if (!plainMode(config, "batch_width", 1, error) ||
+        !plainMode(config, "sample_windows", 0, error))
         return false;
-    // Telemetry is optional by design (older baselines lack it).
-    if (j.has("telemetry")) {
-        const Json &t = j["telemetry"];
-        if (!t.isObject())
-            return fail(error, "bench report: malformed telemetry");
-        r.telemetry.present = true;
-        r.telemetry.wallSeconds = t["wall_seconds"].asDouble();
-        r.telemetry.checkpointMemoryHits =
-            t["checkpoint_memory_hits"].asU64();
-        r.telemetry.checkpointDiskHits =
-            t["checkpoint_disk_hits"].asU64();
-        r.telemetry.checkpointComputes =
-            t["checkpoint_computes"].asU64();
-        r.telemetry.checkpointBytesWritten =
-            t["checkpoint_bytes_written"].asU64();
-        r.telemetry.checkpointBytesRead =
-            t["checkpoint_bytes_read"].asU64();
-    }
 
     for (const Json &entry : arr.items()) {
         if (!entry.isObject() || !entry["bench"].isString() ||
@@ -282,7 +242,7 @@ BenchReport::fromJson(const Json &j, BenchReport *out,
         PerfEntry e;
         e.bench = entry["bench"].asString();
         e.kind = entry["kind"].asString();
-        if (!scalarWidth(entry, "lanes", error))
+        if (!plainMode(entry, "lanes", 1, error))
             return false;
         e.instructions = entry["instructions"].asU64();
         for (const Json &s : entry["rep_seconds"].items()) {

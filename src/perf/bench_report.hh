@@ -27,20 +27,18 @@
 namespace flywheel::perf {
 
 /**
- * Version tag every BENCH_flywheel.json carries.  v1.1 added the
- * aggregate throughput field, so readers accept v1 documents too.
- * The reader still tolerates the `batch_width` / `lanes` members of
- * older v1.1 reports when they say 1, and rejects wider ones.
+ * Version tag every BENCH_flywheel.json carries.  The reader skips
+ * members older reports carry and this writer no longer emits
+ * (`jobs`, `obs_attached`, the `telemetry` block).  It accepts their
+ * `batch_width` / `lanes` members when they say 1 and their
+ * `sample_windows` member when it says 0, and rejects batched or
+ * sampled reports.
  */
 inline constexpr const char *kBenchSchema = "flywheel.bench_perf.v1.1";
 
-/** Previous tag, still accepted by BenchReport::fromJson(). */
-inline constexpr const char *kBenchSchemaV1 = "flywheel.bench_perf.v1";
-
 /**
- * Median of @p values (the one implementation all tools share; the
- * CLIs reach it through tools/cli_util.hh).  Even-sized inputs
- * average the two central elements; empty input returns 0.
+ * Median of @p values.  Even-sized inputs average the two central
+ * elements; empty input returns 0.
  */
 double median(std::vector<double> values);
 
@@ -73,23 +71,6 @@ struct PerfEntry
     double minstrPerSec = 0.0;
 };
 
-/**
- * Host-side telemetry for one harness run: total wall-clock and the
- * warm-checkpoint-store traffic behind the timed cells.  Optional in
- * the serialized report — pre-observability baselines lack the block
- * and still parse — and never read by comparePerf().
- */
-struct BenchTelemetry
-{
-    bool present = false;
-    double wallSeconds = 0.0;
-    std::uint64_t checkpointMemoryHits = 0;
-    std::uint64_t checkpointDiskHits = 0;
-    std::uint64_t checkpointComputes = 0;
-    std::uint64_t checkpointBytesWritten = 0;
-    std::uint64_t checkpointBytesRead = 0;
-};
-
 /** A full BENCH_flywheel.json document. */
 struct BenchReport
 {
@@ -97,17 +78,7 @@ struct BenchReport
     std::uint64_t warmupInstrs = 0;
     std::uint64_t measureInstrs = 0;
     unsigned repeats = 0;
-    unsigned jobs = 0;
-    /** Interval-sampling windows (0 = contiguous measurement).  Part
-     *  of the config block so sampled and full-detail reports are
-     *  never silently compared against each other. */
-    unsigned sampleWindows = 0;
-    /** Grid timed with an observability sink attached (masked
-     *  tracer + stats registry dump): measures the emit-site cost.
-     *  Part of the config block for the same reason as sampling. */
-    bool obsAttached = false;
     std::vector<PerfEntry> entries;
-    BenchTelemetry telemetry;
 
     /** Geomean of minstrPerSec over every entry. */
     double geomeanMinstrPerSec() const;

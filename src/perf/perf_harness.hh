@@ -8,12 +8,13 @@
  *
  * Measurement protocol per grid cell:
  *   repeat `repeats` times:
- *     build a fresh workload + core, run `warmupInstrs` untimed
- *     (caches, predictor, Execution Cache and pools reach steady
- *     state), then time `measureInstrs` of simulation;
+ *     runSim() the cell's RunConfig: a fresh workload + core runs
+ *     `warmupInstrs` untimed (caches, predictor, Execution Cache and
+ *     pools reach steady state), then `measureInstrs` of simulation;
+ *     the repeat's time is runSim's own measure + reduce phase time;
  *   report the median of the repeat times.
- * Simulated instruction counts are fully deterministic — identical
- * for any `jobs` value — only the wall-clock times vary.
+ * Simulated instruction counts are fully deterministic; only the
+ * wall-clock times vary.
  */
 
 #ifndef FLYWHEEL_PERF_PERF_HARNESS_HH
@@ -40,29 +41,6 @@ struct PerfOptions
     std::uint64_t measureInstrs = 200000;
     unsigned repeats = 3;
     /**
-     * Worker threads over grid cells.  1 (the default) times cells
-     * back to back — the faithful configuration; more workers finish
-     * sooner but contend for the machine, so per-cell throughput
-     * numbers drop.  Instruction counts are unaffected either way.
-     */
-    unsigned jobs = 1;
-    /**
-     * Warm checkpoint store ("" = none): the untimed warmup of each
-     * cell is restored from a checkpoint instead of simulated after
-     * the first repeat, so long --repeats runs spend their wall clock
-     * on the timed windows.  Timed results are unaffected — restoring
-     * is bit-identical to simulating the warmup.
-     */
-    std::string checkpointDir;
-    /** Store size cap (see SweepOptions::checkpointCapBytes). */
-    std::uint64_t checkpointCapBytes = 0;
-    /**
-     * Interval sampling (0 = full detail): time the measurement as N
-     * detailed windows separated by fast-forwards, i.e. measure the
-     * throughput of a sampled-mode run (see SnapshotPolicy).
-     */
-    unsigned sampleWindows = 0;
-    /**
      * Time every cell with an observability sink attached: a tracer
      * whose category mask is fully closed (every emit site takes its
      * branch and filters the event) plus a stats-registry dump at the
@@ -74,22 +52,7 @@ struct PerfOptions
     bool obsAttached = false;
 };
 
-/** One timed repeat of one grid cell. */
-struct TimedRun
-{
-    double seconds = 0.0;
-    std::uint64_t instructions = 0;  ///< retired in the timed window
-};
-
-/** Build, warm up and time one (workload, kind) simulation. */
-TimedRun timeOneRun(const std::string &bench_name, CoreKind kind,
-                    std::uint64_t warmup_instrs,
-                    std::uint64_t measure_instrs,
-                    Checkpointer *checkpoints = nullptr,
-                    unsigned sample_windows = 0,
-                    bool obs_attached = false);
-
-/** Called after each grid cell completes (serialized). */
+/** Called after each grid cell completes. */
 using PerfProgress = std::function<void(
     std::size_t done, std::size_t total, const PerfEntry &entry)>;
 

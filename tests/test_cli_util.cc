@@ -2,8 +2,7 @@
  * @file
  * Unit tests for the shared CLI helper header (tools/cli_util.hh):
  * list splitting, strict number parsing (including the fatal paths),
- * the output-file plumbing, the checkpoint dump verb, and the
- * repeat-median / host-metadata helpers every tool shares.
+ * the output-file plumbing and the checkpoint dump verb.
  */
 
 #include "tools/cli_util.hh"
@@ -47,12 +46,23 @@ TEST(ParseDoublesDeathTest, RejectsGarbage)
                 ::testing::ExitedWithCode(1), "bad number");
     EXPECT_EXIT(cli::parseDoubles(",", "--fe"),
                 ::testing::ExitedWithCode(1), "empty list");
+    // strtod accepts these spellings; a NaN threshold would pass
+    // every range check and disable a regression gate.
+    EXPECT_EXIT(cli::parseDoubles("nan", "--threshold"),
+                ::testing::ExitedWithCode(1), "bad number 'nan'");
+    EXPECT_EXIT(cli::parseDoubles("0.5,inf", "--be"),
+                ::testing::ExitedWithCode(1), "bad number 'inf'");
+    EXPECT_EXIT(cli::parseDoubles("-INFINITY", "--fe"),
+                ::testing::ExitedWithCode(1), "bad number");
 }
 
 TEST(ParseU64, ParsesPlainDecimals)
 {
     EXPECT_EQ(cli::parseU64("0", "--n"), 0u);
     EXPECT_EQ(cli::parseU64("300000", "--n"), 300000u);
+    EXPECT_EQ(cli::parseU64("4294967295", "--repeats",
+                            std::numeric_limits<unsigned>::max()),
+              4294967295u);
 }
 
 TEST(ParseU64DeathTest, RejectsSignsAndGarbage)
@@ -63,6 +73,13 @@ TEST(ParseU64DeathTest, RejectsSignsAndGarbage)
                 ::testing::ExitedWithCode(1), "bad number");
     EXPECT_EXIT(cli::parseU64("", "--n"),
                 ::testing::ExitedWithCode(1), "bad number");
+    // strtoull clamps overflow to 2^64-1 instead of failing.
+    EXPECT_EXIT(cli::parseU64("99999999999999999999", "--instrs"),
+                ::testing::ExitedWithCode(1), "out of range");
+    // A caller narrowing to unsigned must not wrap 2^32+1 to 1.
+    EXPECT_EXIT(cli::parseU64("4294967297", "--repeats",
+                              std::numeric_limits<unsigned>::max()),
+                ::testing::ExitedWithCode(1), "out of range");
 }
 
 TEST(ParseJobs, AcceptsSameRangeAsEnvVar)
@@ -77,41 +94,6 @@ TEST(ParseJobsDeathTest, RejectsZeroAndGarbage)
                 ::testing::ExitedWithCode(1), "expected an integer");
     EXPECT_EXIT(cli::parseJobs("many", "--jobs"),
                 ::testing::ExitedWithCode(1), "expected an integer");
-}
-
-TEST(Median, OddEvenAndEmpty)
-{
-    EXPECT_DOUBLE_EQ(cli::median({3.0, 1.0, 2.0}), 2.0);
-    EXPECT_DOUBLE_EQ(cli::median({4.0, 1.0, 2.0, 3.0}), 2.5);
-    EXPECT_DOUBLE_EQ(cli::median({7.5}), 7.5);
-    EXPECT_DOUBLE_EQ(cli::median({}), 0.0);
-}
-
-TEST(Median, DoesNotMutateCallerOrder)
-{
-    // Takes its argument by value: a caller's rep_seconds list keeps
-    // its chronological order for the report.
-    std::vector<double> reps{3.0, 1.0, 2.0};
-    EXPECT_DOUBLE_EQ(cli::median(reps), 2.0);
-    EXPECT_EQ(reps, (std::vector<double>{3.0, 1.0, 2.0}));
-}
-
-TEST(Geomean, PositiveValuesAndEdgeCases)
-{
-    EXPECT_NEAR(cli::geomean({2.0, 8.0}), 4.0, 1e-12);
-    EXPECT_DOUBLE_EQ(cli::geomean({5.0}), 5.0);
-    EXPECT_DOUBLE_EQ(cli::geomean({}), 0.0);
-    EXPECT_DOUBLE_EQ(cli::geomean({1.0, 0.0}), 0.0);
-}
-
-TEST(HostMeta, CollectsNonEmptyIdentity)
-{
-    cli::HostInfo h = cli::collectHostInfo();
-    EXPECT_FALSE(h.hostname.empty());
-    EXPECT_FALSE(h.cpu.empty());
-    EXPECT_GE(h.hwThreads, 1u);
-    EXPECT_FALSE(h.compiler.empty());
-    EXPECT_TRUE(h.build == "release" || h.build == "debug");
 }
 
 TEST(OpenOut, DashMeansStdout)

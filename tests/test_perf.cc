@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the throughput subsystem (src/perf): BENCH_flywheel.json
- * schema round-trip, rejection of malformed reports, determinism of
- * reported instruction counts across worker counts, the regression
- * comparator, and a tiny end-to-end harness smoke run.
+ * Tests for the throughput subsystem (src/perf): the median, geomean
+ * and host-metadata helpers, BENCH_flywheel.json schema round-trip,
+ * rejection of malformed reports, the regression comparator, and a
+ * tiny end-to-end harness smoke run checked against runSim.
  */
 
 #include "perf/bench_report.hh"
@@ -15,6 +15,9 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
+
+#include "workload/profiles.hh"
 
 using namespace flywheel;
 using perf::BenchReport;
@@ -35,7 +38,6 @@ sampleReport()
     r.warmupInstrs = 50000;
     r.measureInstrs = 200000;
     r.repeats = 3;
-    r.jobs = 1;
 
     PerfEntry a;
     a.bench = "gcc";
@@ -58,6 +60,41 @@ sampleReport()
 }
 
 } // namespace
+
+TEST(Median, OddEvenAndEmpty)
+{
+    EXPECT_DOUBLE_EQ(perf::median({3.0, 1.0, 2.0}), 2.0);
+    EXPECT_DOUBLE_EQ(perf::median({4.0, 1.0, 2.0, 3.0}), 2.5);
+    EXPECT_DOUBLE_EQ(perf::median({7.5}), 7.5);
+    EXPECT_DOUBLE_EQ(perf::median({}), 0.0);
+}
+
+TEST(Median, DoesNotMutateCallerOrder)
+{
+    // Takes its argument by value: a caller's rep_seconds list keeps
+    // its chronological order for the report.
+    std::vector<double> reps{3.0, 1.0, 2.0};
+    EXPECT_DOUBLE_EQ(perf::median(reps), 2.0);
+    EXPECT_EQ(reps, (std::vector<double>{3.0, 1.0, 2.0}));
+}
+
+TEST(Geomean, PositiveValuesAndEdgeCases)
+{
+    EXPECT_NEAR(perf::geomean({2.0, 8.0}), 4.0, 1e-12);
+    EXPECT_DOUBLE_EQ(perf::geomean({5.0}), 5.0);
+    EXPECT_DOUBLE_EQ(perf::geomean({}), 0.0);
+    EXPECT_DOUBLE_EQ(perf::geomean({1.0, 0.0}), 0.0);
+}
+
+TEST(HostMeta, CollectsNonEmptyIdentity)
+{
+    perf::HostInfo h = perf::collectHostInfo();
+    EXPECT_FALSE(h.hostname.empty());
+    EXPECT_FALSE(h.cpu.empty());
+    EXPECT_GE(h.hwThreads, 1u);
+    EXPECT_FALSE(h.compiler.empty());
+    EXPECT_TRUE(h.build == "release" || h.build == "debug");
+}
 
 TEST(BenchReportJson, RoundTripIsLossless)
 {
@@ -258,26 +295,6 @@ TEST(ComparePerf, RelativeModeSurvivesDegenerateGeomean)
     EXPECT_TRUE(rel2[1].regressed);
 }
 
-TEST(BenchReportJson, AcceptsLegacyV1SchemaTag)
-{
-    // Older committed baselines carry the v1 tag; they must keep
-    // parsing.
-    BenchReport original = sampleReport();
-    std::string bytes = original.toJson().dump(2);
-    const std::string tag = "\"flywheel.bench_perf.v1.1\"";
-    const std::size_t pos = bytes.find(tag);
-    ASSERT_NE(pos, std::string::npos);
-    bytes.replace(pos, tag.size(), "\"flywheel.bench_perf.v1\"");
-
-    Json parsed;
-    std::string error;
-    ASSERT_TRUE(Json::parse(bytes, parsed, &error)) << error;
-    BenchReport restored;
-    ASSERT_TRUE(BenchReport::fromJson(parsed, &restored, &error))
-        << error;
-    EXPECT_EQ(restored.entries.size(), original.entries.size());
-}
-
 /** sampleReport()'s JSON with @p member inserted after @p after. */
 Json
 sampleWithMember(const std::string &after, const std::string &member)
@@ -299,7 +316,7 @@ TEST(BenchReportJson, AcceptsScalarWidthFieldsOfOlderReports)
     BenchReport r;
     std::string error;
     EXPECT_TRUE(BenchReport::fromJson(
-        sampleWithMember("\"obs_attached\": false", ", \"batch_width\": 1"),
+        sampleWithMember("\"repeats\": 3", ", \"batch_width\": 1"),
         &r, &error))
         << error;
     EXPECT_TRUE(BenchReport::fromJson(
@@ -326,9 +343,16 @@ TEST(BenchReportJson, RejectsBatchedReports)
     BenchReport r;
     std::string error;
     EXPECT_FALSE(BenchReport::fromJson(
-        sampleWithMember("\"obs_attached\": false", ", \"batch_width\": 8"),
+        sampleWithMember("\"repeats\": 3", ", \"batch_width\": 8"),
         &r, &error));
     EXPECT_NE(error.find("batch_width"), std::string::npos) << error;
+
+    // Likewise a report of interval-sampled windows.
+    error.clear();
+    EXPECT_FALSE(BenchReport::fromJson(
+        sampleWithMember("\"repeats\": 3", ", \"sample_windows\": 4"),
+        &r, &error));
+    EXPECT_NE(error.find("sample_windows"), std::string::npos) << error;
 
     error.clear();
     EXPECT_FALSE(BenchReport::fromJson(
@@ -347,32 +371,6 @@ TEST(BenchReportJson, AggregateSumsInstructionsOverTime)
 
     BenchReport empty;
     EXPECT_EQ(empty.aggregateMinstrPerSec(), 0.0);
-}
-
-TEST(PerfHarness, InstructionCountsAreDeterministicAcrossJobs)
-{
-    perf::PerfOptions opts;
-    opts.benchmarks = {"gcc", "gzip"};
-    opts.kinds = {CoreKind::Baseline, CoreKind::Flywheel};
-    opts.warmupInstrs = 1000;
-    opts.measureInstrs = 4000;
-    opts.repeats = 1;
-
-    opts.jobs = 1;
-    BenchReport serial = perf::runPerfGrid(opts);
-    opts.jobs = 4;
-    BenchReport pooled = perf::runPerfGrid(opts);
-
-    ASSERT_EQ(serial.entries.size(), 4u);
-    ASSERT_EQ(pooled.entries.size(), serial.entries.size());
-    for (std::size_t i = 0; i < serial.entries.size(); ++i) {
-        // Same grid order and identical simulated work; only the
-        // wall-clock times may differ.
-        EXPECT_EQ(pooled.entries[i].bench, serial.entries[i].bench);
-        EXPECT_EQ(pooled.entries[i].kind, serial.entries[i].kind);
-        EXPECT_EQ(pooled.entries[i].instructions,
-                  serial.entries[i].instructions);
-    }
 }
 
 TEST(PerfHarness, TinySmokeRunProducesSaneReport)
@@ -403,6 +401,23 @@ TEST(PerfHarness, TinySmokeRunProducesSaneReport)
     EXPECT_GT(e.medianSeconds, 0.0);
     EXPECT_GT(e.minstrPerSec, 0.0);
     EXPECT_GT(r.geomeanMinstrPerSec(), 0.0);
+
+    // The cell times runSim itself: it retires exactly what runSim
+    // retires for the same configuration.
+    RunConfig config;
+    config.profile = benchmarkByName("gcc");
+    config.kind = CoreKind::Flywheel;
+    config.warmupInstrs = opts.warmupInstrs;
+    config.measureInstrs = opts.measureInstrs;
+    EXPECT_EQ(e.instructions, runSim(config).instructions);
+
+    // An observed grid (masked tracer + stats dump) simulates the
+    // same work; only its wall clock may differ.
+    opts.obsAttached = true;
+    BenchReport observed = perf::runPerfGrid(opts);
+    ASSERT_EQ(observed.entries.size(), 1u);
+    EXPECT_EQ(observed.entries[0].instructions, e.instructions);
+    EXPECT_GT(observed.entries[0].minstrPerSec, 0.0);
 
     // And the report it emits parses back.
     Json parsed;

@@ -3,41 +3,35 @@
  * Argument/environment helpers shared by the CLIs (flywheel_bench,
  * flywheel_sweep, flywheel_fuzz, flywheel_perf): list splitting,
  * strictly validated number parsing, output-file plumbing, the common
- * flag-value idiom, the shared per-point progress printer, and the
- * repeat-median / host-metadata helpers (re-exported from the perf
- * subsystem).  One implementation so every tool rejects the same
- * garbage — and reports the same way.
+ * flag-value idiom and the shared per-point progress printer.  One
+ * implementation so every tool rejects the same garbage — and reports
+ * the same way.
  */
 
 #ifndef FLYWHEEL_TOOLS_CLI_UTIL_HH
 #define FLYWHEEL_TOOLS_CLI_UTIL_HH
 
 #include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/log.hh"
 #include "obs/stats_registry.hh"
 #include "obs/trace.hh"
-#include "perf/bench_report.hh"
 #include "serve/protocol.hh"
 #include "snapshot/checkpointer.hh"
 #include "sweep/sweep.hh"
 #include "sweep/thread_pool.hh"
 
 namespace flywheel::cli {
-
-// Repeat-median and host-metadata helpers: one implementation in the
-// perf subsystem, surfaced here so every CLI shares it.
-using flywheel::perf::HostInfo;
-using flywheel::perf::collectHostInfo;
-using flywheel::perf::geomean;
-using flywheel::perf::median;
 
 /**
  * Render a remaining-seconds estimate as the progress line's ETA
@@ -132,7 +126,12 @@ splitList(const std::string &arg)
     return out;
 }
 
-/** Parse a comma-separated list of doubles; fatal on garbage. */
+/**
+ * Parse a comma-separated list of doubles; fatal on garbage.  Rejects
+ * the "nan" and "inf" spellings strtod accepts: a NaN fails every
+ * range check a caller makes (`v < 0 || v >= 1` is false), so it
+ * would slip through as a valid fraction.
+ */
 inline std::vector<double>
 parseDoubles(const std::string &arg, const char *flag)
 {
@@ -140,7 +139,7 @@ parseDoubles(const std::string &arg, const char *flag)
     for (const auto &tok : splitList(arg)) {
         char *end = nullptr;
         double v = std::strtod(tok.c_str(), &end);
-        if (end != tok.c_str() + tok.size())
+        if (end != tok.c_str() + tok.size() || !std::isfinite(v))
             FW_FATAL("%s: bad number '%s'", flag, tok.c_str());
         out.push_back(v);
     }
@@ -150,20 +149,27 @@ parseDoubles(const std::string &arg, const char *flag)
 }
 
 /**
- * Parse one unsigned decimal; fatal on garbage.  Rejects a leading
- * sign explicitly because strtoull silently wraps negative input
- * ("-1" -> 2^64-1), which would turn a typo into an attempt to
- * enqueue 2^64 seeds.
+ * Parse one unsigned decimal no greater than @p max; fatal on garbage.
+ * Rejects a leading sign explicitly because strtoull silently wraps
+ * negative input ("-1" -> 2^64-1), which would turn a typo into an
+ * attempt to enqueue 2^64 seeds, and rejects overflow, which strtoull
+ * clamps to 2^64-1.  A caller that narrows the result passes the
+ * narrower type's maximum as @p max.
  */
 inline std::uint64_t
-parseU64(const std::string &s, const char *flag)
+parseU64(const std::string &s, const char *flag,
+         std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
     if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])))
         FW_FATAL("%s: bad number '%s'", flag, s.c_str());
     char *end = nullptr;
+    errno = 0;
     std::uint64_t v = std::strtoull(s.c_str(), &end, 10);
     if (end != s.c_str() + s.size())
         FW_FATAL("%s: bad number '%s'", flag, s.c_str());
+    if (errno == ERANGE || v > max)
+        FW_FATAL("%s: '%s' is out of range (max %llu)", flag, s.c_str(),
+                 static_cast<unsigned long long>(max));
     return v;
 }
 
@@ -261,7 +267,7 @@ rejectUnknownFlag(const char *argv0, const std::string &flag,
 
 /**
  * The snapshot/checkpoint flag set shared by the grid-running CLIs
- * (flywheel_bench, flywheel_sweep, flywheel_perf):
+ * (flywheel_bench, flywheel_sweep):
  *
  *   --checkpoint-dir DIR    warm checkpoint store (default: the
  *                           FLYWHEEL_CHECKPOINTS environment variable)

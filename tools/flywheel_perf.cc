@@ -25,12 +25,12 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/log.hh"
-#include "obs/layout_profile.hh"
 #include "perf/perf_harness.hh"
 #include "sweep/sweep.hh"
 #include "tools/cli_util.hh"
@@ -58,18 +58,10 @@ usage(const char *argv0)
         "(default: 50000)\n"
         "  --repeats N       repeats per cell, median reported "
         "(default: 3)\n"
-        "  --jobs N          worker threads over cells (default: 1;\n"
-        "                    >1 distorts per-cell throughput)\n"
-        "\n"
-        "%s"
         "\n"
         "output:\n"
         "  --json FILE       write BENCH_flywheel.json "
         "('-' = stdout)\n"
-        "  --layout-report FILE  write the flywheel.layout.v1 field-\n"
-        "                    access profile ('-' = stdout); counts are\n"
-        "                    all zero unless the build was configured\n"
-        "                    with -DFLYWHEEL_PROFILE_LAYOUT=ON\n"
         "  --quiet           no per-cell progress, no table\n"
         "\n"
         "regression gate:\n"
@@ -87,7 +79,7 @@ usage(const char *argv0)
         "                    geomean drops more than fraction F\n"
         "                    (back-to-back on this machine, so the\n"
         "                    gate is immune to host-speed drift)\n",
-        argv0, cli::SnapshotFlags::usageText());
+        argv0);
 }
 
 void
@@ -138,9 +130,7 @@ int
 main(int argc, char **argv)
 {
     perf::PerfOptions options;
-    cli::SnapshotFlags snapshot;
     std::string json_path;
-    std::string layout_path;
     std::string compare_path;
     double threshold = 0.30;
     double obs_gate = -1.0;  // < 0 = gate off
@@ -152,9 +142,7 @@ main(int argc, char **argv)
         auto value = [&] {
             return cli::requireValue(argc, argv, &i, flag);
         };
-        if (snapshot.tryParse(flag, argc, argv, &i)) {
-            // handled
-        } else if (flag == "--bench") {
+        if (flag == "--bench") {
             options.benchmarks = cli::splitList(value());
             for (const auto &b : options.benchmarks)
                 benchmarkByName(b);  // validate early (fatal)
@@ -176,16 +164,13 @@ main(int argc, char **argv)
         } else if (flag == "--warmup") {
             options.warmupInstrs = cli::parseU64(value(), "--warmup");
         } else if (flag == "--repeats") {
-            options.repeats =
-                unsigned(cli::parseU64(value(), "--repeats"));
+            options.repeats = unsigned(
+                cli::parseU64(value(), "--repeats",
+                              std::numeric_limits<unsigned>::max()));
             if (options.repeats == 0)
                 FW_FATAL("--repeats: must be positive");
-        } else if (flag == "--jobs") {
-            options.jobs = cli::parseJobs(value(), "--jobs");
         } else if (flag == "--json") {
             json_path = value();
-        } else if (flag == "--layout-report") {
-            layout_path = value();
         } else if (flag == "--compare") {
             compare_path = value();
         } else if (flag == "--threshold") {
@@ -213,11 +198,6 @@ main(int argc, char **argv)
             cli::rejectUnknownFlag(argv[0], flag, usage);
         }
     }
-    // Checkpoints only shorten the *untimed* warmups (restores are
-    // bit-identical), so the timed windows measure the same work
-    // either way.
-    snapshot.apply(&options);
-    options.sampleWindows = snapshot.sampleWindows;
 
     perf::BenchReport baseline;
     if (!compare_path.empty() && !loadReport(compare_path, &baseline))
@@ -242,16 +222,6 @@ main(int argc, char **argv)
         std::ofstream file;
         std::ostream &os = cli::openOut(json_path, file);
         report.toJson().write(os, 2);
-        os << "\n";
-    }
-    if (!layout_path.empty()) {
-        if (!obs::layoutProfileEnabled())
-            FW_WARN("this build was configured without "
-                    "FLYWHEEL_PROFILE_LAYOUT; the layout report "
-                    "carries no counts");
-        std::ofstream file;
-        std::ostream &os = cli::openOut(layout_path, file);
-        obs::layoutProfileReport().write(os, 2);
         os << "\n";
     }
 
@@ -284,15 +254,6 @@ main(int argc, char **argv)
         return obs_ok ? 0 : 1;
 
     // ---- regression gate -------------------------------------------
-    if (report.sampleWindows != baseline.sampleWindows) {
-        std::fprintf(stderr,
-                     "cannot compare: this run measured %u sampling "
-                     "windows, baseline %s measured %u — sampled and "
-                     "contiguous throughput are different quantities\n",
-                     report.sampleWindows, compare_path.c_str(),
-                     baseline.sampleWindows);
-        return 2;
-    }
     bool ok = true;
     if (relative)
         std::printf("relative (geomean-normalized) comparison\n");
