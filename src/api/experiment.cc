@@ -297,6 +297,10 @@ GridSpec::fromJson(const Json &j, GridSpec *out, std::string *error)
                     return fail(error, std::string("grid.clocks.") + key +
                                 ": expected a number");
                 *dst = c[key].asDouble();
+                if (!validClockBoost(*dst))
+                    return fail(error, std::string("grid.clocks.") + key +
+                                ": boost " + c[key].dump(0) +
+                                " out of range (want -1 < boost <= 1999)");
             }
             out->clocks.push_back(point);
         }
@@ -347,14 +351,6 @@ ExperimentSpec::expand() const
                       std::make_move_iterator(block.begin()),
                       std::make_move_iterator(block.end()));
     }
-    if (sampleWindows > 0) {
-        for (SweepPoint &pt : points) {
-            pt.config.snapshot.mode = SnapshotPolicy::Mode::Sample;
-            pt.config.snapshot.sampleWindows = sampleWindows;
-            pt.config.snapshot.sampleFastForward = sampleFastForward;
-            pt.config.snapshot.sampleWarmup = sampleWarmup;
-        }
-    }
     return points;
 }
 
@@ -370,11 +366,6 @@ ExperimentSpec::toJson() const
     j.set("measureInstrs", measureInstrs);
     j.set("repeat", repeat);
     j.set("verify", verify);
-    Json sampling = Json::object();
-    sampling.set("windows", sampleWindows);
-    sampling.set("fastForward", sampleFastForward);
-    sampling.set("warmup", sampleWarmup);
-    j.set("sampling", std::move(sampling));
     Json gs = Json::array();
     for (const GridSpec &g : grids)
         gs.push(g.toJson());
@@ -421,30 +412,18 @@ ExperimentSpec::fromJson(const Json &j, ExperimentSpec *out,
         out->verify = j["verify"].asBool();
     }
     if (j.has("sampling")) {
+        // Older documents carry {"windows": 0, "fastForward": 0,
+        // "warmup": 0}; anything else asked for a sampled run.
         const Json &s = j["sampling"];
-        if (!s.isObject())
-            return fail(error, "spec.sampling: expected an object");
-        if (!checkKnownKeys(s, {"windows", "fastForward", "warmup"},
-                            "spec.sampling", error))
-            return false;
-        std::uint64_t windows = 0;
-        if (!parseCount(s, "windows", "spec.sampling", &windows,
-                        error) ||
-            !parseCount(s, "fastForward", "spec.sampling",
-                        &out->sampleFastForward, error) ||
-            !parseCount(s, "warmup", "spec.sampling",
-                        &out->sampleWarmup, error))
-            return false;
-        if (windows == 1 || windows > 10000)
+        bool off = s.isObject();
+        for (const auto &[key, value] : s.members())
+            off = off &&
+                  (key == "windows" || key == "fastForward" ||
+                   key == "warmup") &&
+                  value.isNumber() && value.asDouble() == 0.0;
+        if (!off)
             return fail(error,
-                        "spec.sampling.windows: expected 0 or 2..10000");
-        if (windows == 0 &&
-            (out->sampleFastForward || out->sampleWarmup))
-            return fail(error,
-                        "spec.sampling: fastForward/warmup require "
-                        "windows >= 2 (they are inert without "
-                        "sampling)");
-        out->sampleWindows = unsigned(windows);
+                        "spec.sampling: interval sampling was removed");
     }
     if (j.has("grids")) {
         if (!j["grids"].isArray())

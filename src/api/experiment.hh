@@ -114,18 +114,6 @@ struct ExperimentSpec
      */
     unsigned repeat = 1;
     /**
-     * Interval sampling (SnapshotPolicy::Mode::Sample) applied to
-     * every point: 0 = full detail (historical behaviour), N > 1 =
-     * the measurement budget is split into N detailed windows
-     * separated by fast-forwarded gaps.  sampleFastForward /
-     * sampleWarmup of 0 derive from the window length (see
-     * SnapshotPolicy).  Sampling parameters are part of the
-     * result-store key, so sampled and full runs never alias.
-     */
-    unsigned sampleWindows = 0;
-    std::uint64_t sampleFastForward = 0;
-    std::uint64_t sampleWarmup = 0;
-    /**
      * Ask Session users to route the spec's non-baseline points
      * through the differential checker (Session::verify()) after
      * running it.
@@ -138,7 +126,11 @@ struct ExperimentSpec
     /** Canonical document (every field, fixed order). */
     Json toJson() const;
 
-    /** Strict parse of a spec document. */
+    /**
+     * Strict parse of a spec document.  A `sampling` block is
+     * accepted only in the all-zero form that documents written
+     * before interval sampling was removed carry.
+     */
     static bool fromJson(const Json &j, ExperimentSpec *out,
                          std::string *error);
 

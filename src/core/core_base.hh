@@ -105,16 +105,6 @@ operator-(const CoreStats &a, const CoreStats &b)
     return d;
 }
 
-/** Element-wise accumulate (sampling-window aggregation). */
-inline CoreStats &
-operator+=(CoreStats &a, const CoreStats &b)
-{
-#define X(f) a.f += b.f;
-    FW_CORE_STATS_FIELDS(X)
-#undef X
-    return a;
-}
-
 /**
  * Common machinery of both cores; subclasses provide renaming and
  * the top-level clocking loop.

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 
@@ -22,6 +23,13 @@ clockedParams(double fe_boost, double be_boost)
     p.fePeriodPs = 1000.0 / (1.0 + fe_boost);
     p.beFastPeriodPs = 1000.0 / (1.0 + be_boost);
     return p;
+}
+
+bool
+validClockBoost(double boost)
+{
+    return std::isfinite(boost) && boost > -1.0 &&
+           std::llround(clockedParams(boost, boost).fePeriodPs) >= 1;
 }
 
 bool
@@ -88,53 +96,16 @@ makeCore(const RunConfig &config, WorkloadStream &stream)
 
 namespace {
 
-/** Resolved interval-sampling schedule. */
-struct SampleSchedule
-{
-    unsigned windows = 1;          ///< 1 = contiguous measurement
-    std::uint64_t window = 0;      ///< detailed instructions per window
-    std::uint64_t lastWindow = 0;  ///< last window absorbs the remainder
-    std::uint64_t gap = 0;         ///< fast-forward between windows
-    std::uint64_t rewarm = 0;      ///< detailed re-warm per window
-};
-
-/** Derive the schedule @p policy implies for @p measure_instrs. */
-SampleSchedule
-deriveSampleSchedule(const SnapshotPolicy &policy,
-                     std::uint64_t measure_instrs)
-{
-    SampleSchedule s;
-    if (policy.mode != SnapshotPolicy::Mode::Sample ||
-        policy.sampleWindows <= 1 ||
-        measure_instrs < policy.sampleWindows) {
-        s.window = measure_instrs;
-        s.lastWindow = measure_instrs;
-        return s;
-    }
-    s.windows = policy.sampleWindows;
-    s.window = measure_instrs / s.windows;
-    s.lastWindow = measure_instrs - s.window * (s.windows - 1);
-    s.gap = policy.sampleFastForward ? policy.sampleFastForward
-                                     : s.window;
-    s.rewarm = policy.sampleWarmup ? policy.sampleWarmup
-                                   : s.window / 4;
-    return s;
-}
-
 /**
  * Phase 1: bring @p core to its post-warmup state — by simulating, or
- * by restoring from / publishing to @p checkpoints per the policy.
+ * through @p checkpoints (restore, or simulate once and publish).
  * @return true if the warm state was restored from a checkpoint.
  */
 bool
 runWarmupPhase(const RunConfig &config, CoreBase &core,
                Checkpointer *checkpoints)
 {
-    const SnapshotPolicy &policy = config.snapshot;
-    const bool checkpointed = checkpoints != nullptr &&
-                              policy.mode != SnapshotPolicy::Mode::Off &&
-                              config.warmupInstrs > 0;
-    if (!checkpointed) {
+    if (checkpoints == nullptr || config.warmupInstrs == 0) {
         core.run(config.warmupInstrs);
         return false;
     }
@@ -150,7 +121,6 @@ runWarmupPhase(const RunConfig &config, CoreBase &core,
             core.save(*s);
             return std::shared_ptr<const Snapshot>(std::move(s));
         },
-        /*refresh=*/policy.mode == SnapshotPolicy::Mode::Save,
         &created);
     // The creator's core already holds the warm state (an
     // uninterrupted simulation); everyone else restores, which is
@@ -161,42 +131,21 @@ runWarmupPhase(const RunConfig &config, CoreBase &core,
 }
 
 /**
- * Phase 2: measure.  Returns the measurement-window deltas in
- * @p events and @p stats; may replace @p core (sampling re-warms a
- * fresh core after each fast-forward).
+ * Phase 2: measure one contiguous window on @p core, traced into
+ * @p tracer when non-null.  Returns the window deltas in @p events
+ * and @p stats.
  */
 void
-runMeasurePhase(const RunConfig &config, WorkloadStream &stream,
-                std::unique_ptr<CoreBase> &core, obs::Tracer *tracer,
-                EnergyEvents *events, CoreStats *stats)
+runMeasurePhase(const RunConfig &config, CoreBase &core,
+                obs::Tracer *tracer, EnergyEvents *events,
+                CoreStats *stats)
 {
-    // SMARTS-style interval sampling: N detailed windows, each
-    // preceded (after the first) by a stream-only fast-forward and a
-    // short detailed re-warm on a fresh core.  Only the windows are
-    // measured; a sampled result estimates a workload sampleWindows
-    // times longer than the detailed budget.  A contiguous schedule
-    // is the one-window special case.
-    const SampleSchedule sched =
-        deriveSampleSchedule(config.snapshot, config.measureInstrs);
-    *events = EnergyEvents{};
-    *stats = CoreStats{};
-    for (unsigned w = 0; w < sched.windows; ++w) {
-        if (w > 0) {
-            stream.skip(sched.gap);
-            core = makeCore(config, stream);
-            core->run(sched.rewarm);
-        }
-        // Sampling replaces the core between windows, so the tracer
-        // is (re)attached here rather than once up front; the
-        // inter-window re-warms run untraced by design.
-        core->setTracer(tracer);
-        const EnergyEvents before_events = core->events();
-        const CoreStats before_stats = core->stats();
-        core->run(w + 1 == sched.windows ? sched.lastWindow
-                                         : sched.window);
-        *events += core->events() - before_events;
-        *stats += core->stats() - before_stats;
-    }
+    core.setTracer(tracer);
+    const EnergyEvents before_events = core.events();
+    const CoreStats before_stats = core.stats();
+    core.run(config.measureInstrs);
+    *events = core.events() - before_events;
+    *stats = core.stats() - before_stats;
 }
 
 /**
@@ -237,16 +186,6 @@ reduceToResult(const RunConfig &config, const EnergyEvents &events,
 RunResult
 runSim(const RunConfig &config, Checkpointer *checkpoints)
 {
-    // A run with a checkpointing policy but no engine-provided store
-    // gets a transient one over its configured directory, so single
-    // CLI runs still share warmups across processes.
-    if (checkpoints == nullptr &&
-        config.snapshot.mode != SnapshotPolicy::Mode::Off &&
-        !config.snapshot.dir.empty()) {
-        Checkpointer local(config.snapshot.dir);
-        return runSim(config, &local);
-    }
-
     StaticProgram program(config.profile);
     WorkloadStream stream(program);
     std::unique_ptr<CoreBase> core = makeCore(config, stream);
@@ -271,7 +210,7 @@ runSim(const RunConfig &config, Checkpointer *checkpoints)
 
     EnergyEvents events;
     CoreStats stats;
-    runMeasurePhase(config, stream, core, tracer.get(), &events, &stats);
+    runMeasurePhase(config, *core, tracer.get(), &events, &stats);
     const auto t2 = Clock::now();
     telemetry.measureSeconds = seconds(t1, t2);
 
@@ -289,12 +228,6 @@ runSim(const RunConfig &config, Checkpointer *checkpoints)
     telemetry.reduceSeconds = seconds(t2, Clock::now());
     r.telemetry = telemetry;
     return r;
-}
-
-RunResult
-runSim(const RunConfig &config)
-{
-    return runSim(config, nullptr);
 }
 
 } // namespace flywheel

@@ -33,47 +33,6 @@ enum class CoreKind
 };
 
 /**
- * How a run uses the state snapshot subsystem (src/snapshot/).
- *
- * Save and Reuse affect only wall-clock time: restoring a post-warmup
- * checkpoint is bit-identical to simulating the warmup (enforced by
- * tests/test_snapshot.cc, the save/restore fuzz mode and ultimately
- * the golden figures).  Sample changes what is measured — N detailed
- * windows separated by fast-forwarded gaps — so sampling parameters
- * are part of the result-store key (configKey) while Save/Reuse are
- * not.
- */
-struct SnapshotPolicy
-{
-    enum class Mode
-    {
-        Off,     ///< simulate the warmup every run (historical behaviour)
-        Save,    ///< simulate the warmup and (re)write the checkpoint
-        Reuse,   ///< restore the checkpoint if present, else Save
-        Sample,  ///< interval sampling over the measurement window
-    };
-
-    Mode mode = Mode::Off;
-    /**
-     * On-disk checkpoint store for runs driven without an external
-     * Checkpointer ("" = none).  SweepRunner/Session-driven runs use
-     * the engine's shared store instead (SweepOptions::checkpointDir).
-     */
-    std::string dir;
-
-    // Interval sampling (mode == Sample).  The measurement window is
-    // split into sampleWindows detailed windows; between windows the
-    // workload stream fast-forwards sampleFastForward instructions
-    // without detailed simulation and a fresh core re-warms for
-    // sampleWarmup detailed (unmeasured) instructions.  Zero means
-    // "derive from the window length" (gap = one window, re-warm =
-    // a quarter window).
-    unsigned sampleWindows = 0;
-    std::uint64_t sampleFastForward = 0;
-    std::uint64_t sampleWarmup = 0;
-};
-
-/**
  * Observability attachments for one run.  None of this enters the
  * result-store key or the serialized RunResult: stats/trace documents
  * describe *how* a run executed, while the stored result is *what* it
@@ -84,8 +43,8 @@ struct ObsConfig
 {
     /** Attach a flywheel.stats.v1 registry dump to the RunResult. */
     bool collectStats = false;
-    /** Non-null = pipeline tracing on; the run merges its events
-     *  here when it finishes.  Caller owns the sink. */
+    /** Non-null = pipeline tracing on; the run adds its events here
+     *  as one run when it finishes.  Caller owns the sink. */
     obs::TraceSink *traceSink = nullptr;
     std::uint32_t traceMask = obs::kTraceCatAll;
     std::size_t traceCapacity = obs::Tracer::kDefaultCapacity;
@@ -107,7 +66,6 @@ struct RunConfig
     bool frontEndPowerGating = false;
     std::uint64_t warmupInstrs = 100000;
     std::uint64_t measureInstrs = 300000;
-    SnapshotPolicy snapshot;        ///< checkpoint/sampling policy
     ObsConfig obs;                  ///< stats/trace attachments
 };
 
@@ -157,6 +115,13 @@ struct RunResult
 CoreParams clockedParams(double fe_boost, double be_boost);
 
 /**
+ * True iff clockedParams() turns @p boost into a usable clock: finite,
+ * above -1, and with a period that still rounds to a whole picosecond
+ * of at least 1 (boost <= 1999).
+ */
+bool validClockBoost(double boost);
+
+/**
  * Build the core @p config describes over @p stream (the factory
  * runSim uses; exposed for tests and the verification subsystem).
  */
@@ -164,20 +129,16 @@ std::unique_ptr<CoreBase> makeCore(const RunConfig &config,
                                    WorkloadStream &stream);
 
 /**
- * Execute one run.  Honours config.snapshot: with a non-Off mode and
- * a configured store, the warmup phase is restored from / saved to a
- * checkpoint, and Sample mode measures N detailed windows separated
- * by fast-forwards instead of one contiguous window.
+ * Execute one run: warm-up, one contiguous measurement window, and
+ * reduction to a RunResult.  With a non-null @p checkpoints (the
+ * sweep engine's shared store) and a non-zero warm-up, the warm state
+ * is restored from the store's checkpoint for this config, or
+ * simulated once and published there; restoring is bit-identical to
+ * simulating (tests/test_snapshot.cc), so the result never depends on
+ * which happened.
  */
-RunResult runSim(const RunConfig &config);
-
-/**
- * Same, sharing @p checkpoints across runs (the sweep engine's warm
- * checkpoint store; may be null).  The run phases are: warm-up
- * (simulate / restore / save per the policy), measurement (contiguous
- * or sampled), reduction to a RunResult.
- */
-RunResult runSim(const RunConfig &config, Checkpointer *checkpoints);
+RunResult runSim(const RunConfig &config,
+                 Checkpointer *checkpoints = nullptr);
 
 /**
  * Strict instruction-count parser shared by the FLYWHEEL_SIM_INSTRS /

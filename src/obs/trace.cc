@@ -124,22 +124,11 @@ Tracer::snapshot() const
 void
 TraceSink::add(const std::string &label, const Tracer &tracer)
 {
-    std::vector<TraceEvent> events = tracer.snapshot();
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (Run &run : runs_) {
-        if (run.label == label) {
-            // Sampled runs merge several measurement windows under
-            // one label; events from later windows have later ticks.
-            run.events.insert(run.events.end(), events.begin(),
-                              events.end());
-            run.dropped += tracer.dropped();
-            return;
-        }
-    }
     Run run;
     run.label = label;
-    run.events = std::move(events);
+    run.events = tracer.snapshot();
     run.dropped = tracer.dropped();
+    std::lock_guard<std::mutex> lock(mutex_);
     runs_.push_back(std::move(run));
 }
 
@@ -176,15 +165,17 @@ TraceSink::toChromeJson() const
     std::lock_guard<std::mutex> lock(mutex_);
 
     // Deterministic output for any worker completion order: runs are
-    // serialized sorted by label, tid = 1-based sorted position.
+    // serialized sorted by label, tid = 1-based sorted position.  Runs
+    // that share a label keep add() order; the sweep engine labels a
+    // run by its config, so such runs hold identical events.
     std::vector<const Run *> ordered;
     ordered.reserve(runs_.size());
     for (const Run &run : runs_)
         ordered.push_back(&run);
-    std::sort(ordered.begin(), ordered.end(),
-              [](const Run *a, const Run *b) {
-                  return a->label < b->label;
-              });
+    std::stable_sort(ordered.begin(), ordered.end(),
+                     [](const Run *a, const Run *b) {
+                         return a->label < b->label;
+                     });
 
     Json events = Json::array();
     int tid = 0;

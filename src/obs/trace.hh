@@ -16,8 +16,8 @@
  * region of interest — at a fixed memory cost.
  *
  * TraceSink collects the tracers of a multi-run session (one per
- * sweep cell) under a mutex and writes one merged Chrome JSON
- * document, one trace "thread" per run label.
+ * sweep cell) under a mutex and writes one Chrome JSON document, one
+ * trace "thread" per run.
  */
 
 #ifndef FLYWHEEL_OBS_TRACE_HH
@@ -162,21 +162,23 @@ class Tracer
 };
 
 /**
- * Thread-safe collector merging per-run tracers into one Chrome
- * trace document.  Sweep workers add() their finished tracer's
- * events under the run's label; writeChrome() assigns one tid per
- * label (sorted, so output is deterministic for any worker count)
- * and emits `{"schema": .., "traceEvents": [..]}`.
+ * Thread-safe collector of per-run tracers for one Chrome trace
+ * document.  Sweep workers add() their finished tracer's events under
+ * the run's label; every add() is its own thread.  writeChrome()
+ * orders threads by label, so the output is the same for any worker
+ * completion order as long as runs that share a label recorded the
+ * same events (the sweep engine names a cell after its config), and
+ * emits `{"schema": .., "traceEvents": [..]}`.
  */
 class TraceSink
 {
   public:
     TraceSink() = default;
 
-    /** Merge @p tracer's current events under @p label. */
+    /** Record @p tracer's current events as a new run @p label. */
     void add(const std::string &label, const Tracer &tracer);
 
-    /** Runs merged so far. */
+    /** Runs added so far. */
     std::size_t runCount() const;
     /** Total events held across runs. */
     std::size_t eventCount() const;

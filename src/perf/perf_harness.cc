@@ -30,7 +30,7 @@ runPerfGrid(const PerfOptions &options, const PerfProgress &progress)
     for (const std::string &bench : benches) {
         for (const CoreKind kind : options.kinds) {
             // Default clock plan (FE0/BE0, Table 2 sizes) and no
-            // snapshot policy: every repeat simulates its warmup.
+            // checkpoint store: every repeat simulates its warmup.
             RunConfig config;
             config.profile = benchmarkByName(bench);
             config.kind = kind;

@@ -63,9 +63,6 @@ struct EnergyEvents
     std::uint64_t beCycles = 0;    ///< BE-domain cycles actually clocked
     std::uint64_t iwActiveCycles = 0; ///< BE cycles with the IW clocked
 
-    /** Element-wise accumulate (for aggregating across runs). */
-    EnergyEvents &operator+=(const EnergyEvents &o);
-
     /** Element-wise difference (for warm-up window subtraction). */
     EnergyEvents operator-(const EnergyEvents &o) const;
 };
@@ -106,43 +103,6 @@ EnergyEvents::operator-(const EnergyEvents &o) const
     d.beCycles = beCycles - o.beCycles;
     d.iwActiveCycles = iwActiveCycles - o.iwActiveCycles;
     return d;
-}
-
-inline EnergyEvents &
-EnergyEvents::operator+=(const EnergyEvents &o)
-{
-    icacheAccesses += o.icacheAccesses;
-    bpredLookups += o.bpredLookups;
-    btbLookups += o.btbLookups;
-    decodedOps += o.decodedOps;
-    renameOps += o.renameOps;
-    dispatchOps += o.dispatchOps;
-    iwBroadcasts += o.iwBroadcasts;
-    iwIssues += o.iwIssues;
-    ratAccesses += o.ratAccesses;
-    rfReads += o.rfReads;
-    rfWrites += o.rfWrites;
-    aluOps += o.aluOps;
-    mulOps += o.mulOps;
-    fpOps += o.fpOps;
-    resultBusOps += o.resultBusOps;
-    dcacheAccesses += o.dcacheAccesses;
-    l2Accesses += o.l2Accesses;
-    memAccesses += o.memAccesses;
-    lsqOps += o.lsqOps;
-    robOps += o.robOps;
-    ecTaLookups += o.ecTaLookups;
-    ecDaReads += o.ecDaReads;
-    ecDaWrites += o.ecDaWrites;
-    fillBufferOps += o.fillBufferOps;
-    updateOps += o.updateOps;
-    checkpointOps += o.checkpointOps;
-    totalTicks += o.totalTicks;
-    feActiveTicks += o.feActiveTicks;
-    feCycles += o.feCycles;
-    beCycles += o.beCycles;
-    iwActiveCycles += o.iwActiveCycles;
-    return *this;
 }
 
 } // namespace flywheel

@@ -26,9 +26,6 @@ checkpointKey(const RunConfig &config)
     // canonicalized away so equivalent cells share one checkpoint:
     //  - tech node and power gating feed only the energy model;
     //  - the measurement length happens after the warmup;
-    //  - the snapshot policy chooses *whether* to checkpoint, never
-    //    what the warm state is (sampling alters only the measurement
-    //    phase, which follows the warmup);
     //  - the baseline core never reads the FE/BE clock plan or any
     //    Flywheel-only mechanism parameter (it clocks everything at
     //    basePeriodPs; see BaselineCore/CoreBase).
@@ -36,7 +33,6 @@ checkpointKey(const RunConfig &config)
     canon.node = TechNode::N130;
     canon.frontEndPowerGating = false;
     canon.measureInstrs = 0;
-    canon.snapshot = SnapshotPolicy{};
     if (canon.kind == CoreKind::Baseline) {
         const CoreParams defaults;
         canon.params.fePeriodPs = canon.params.basePeriodPs;
@@ -185,7 +181,7 @@ Checkpointer::pruneStore(const std::string &dir,
 
 std::shared_ptr<const Snapshot>
 Checkpointer::acquire(const std::string &key, const Factory &make,
-                      bool refresh, bool *created)
+                      bool *created)
 {
     if (created)
         *created = false;
@@ -200,13 +196,13 @@ Checkpointer::acquire(const std::string &key, const Factory &make,
     }
 
     std::lock_guard<std::mutex> key_lock(entry->mutex);
-    if (entry->snap && !refresh) {
+    if (entry->snap) {
         std::lock_guard<std::mutex> lock(mutex_);
         ++memoryHits_;
         return entry->snap;
     }
 
-    if (!dir_.empty() && !refresh) {
+    if (!dir_.empty()) {
         const std::string path = pathFor(key);
         Snapshot snap;
         std::string error;
@@ -233,15 +229,12 @@ Checkpointer::acquire(const std::string &key, const Factory &make,
     FW_ASSERT(snap != nullptr, "checkpoint factory returned nothing");
     FW_ASSERT(snap->key() == key,
               "checkpoint factory produced a snapshot for another key");
-    const bool replaced = entry->snap != nullptr;
     entry->snap = snap;
     if (created)
         *created = true;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         ++computes_;
-        if (replaced)
-            ++evictions_;
     }
 
     if (!dir_.empty())

@@ -18,9 +18,9 @@
  *
  * Keys canonicalize away everything that provably cannot influence
  * warm state: the energy-model tech node and gating flag, the
- * measurement length, the snapshot policy itself — and, for the
- * baseline core, the Flywheel-only parameters and the FE/BE clock
- * plan it never reads.  See checkpointKey().
+ * measurement length — and, for the baseline core, the Flywheel-only
+ * parameters and the FE/BE clock plan it never reads.  See
+ * checkpointKey().
  */
 
 #ifndef FLYWHEEL_SNAPSHOT_CHECKPOINTER_HH
@@ -106,15 +106,12 @@ class Checkpointer
      * published to memory and, when a directory is configured,
      * written to disk.
      *
-     * @param refresh  skip memory/disk and recompute (save-after-
-     *                 warmup semantics: refresh a stale store).
      * @param created  set true iff @p make ran in this call — the
      *                 caller's own simulator already holds the warm
      *                 state and must not restore.
      */
     std::shared_ptr<const Snapshot> acquire(const std::string &key,
                                             const Factory &make,
-                                            bool refresh = false,
                                             bool *created = nullptr);
 
     /** Snapshot file path for @p key ("" when memory-only). */
@@ -126,10 +123,7 @@ class Checkpointer
     std::uint64_t memoryHits() const;
     std::uint64_t diskHits() const;
     std::uint64_t computes() const;
-    /**
-     * Refresh recomputes that replaced an already-published snapshot,
-     * plus on-disk files pruned by the size cap.
-     */
+    /** On-disk checkpoint files pruned by the size cap. */
     std::uint64_t evictions() const;
     std::uint64_t diskBytesWritten() const;
     std::uint64_t diskBytesRead() const;

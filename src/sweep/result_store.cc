@@ -103,19 +103,10 @@ configKey(const RunConfig &c)
         .add("warmup", c.warmupInstrs)
         .add("measure", c.measureInstrs);
 
-    // Snapshot policy: interval sampling changes what is measured, so
-    // a sampled run must never satisfy a full-run lookup (or another
-    // sampling geometry's).  Save/Reuse checkpointing is deliberately
-    // NOT part of the key — restoring a warmup checkpoint is
-    // bit-identical to simulating it, so both populate the same entry.
-    const bool sampled =
-        c.snapshot.mode == SnapshotPolicy::Mode::Sample;
-    k.add("sampled", sampled)
-        .add("sampleW", sampled ? c.snapshot.sampleWindows : 0u)
-        .add("sampleFf",
-             sampled ? c.snapshot.sampleFastForward : std::uint64_t(0))
-        .add("sampleWu",
-             sampled ? c.snapshot.sampleWarmup : std::uint64_t(0));
+    // Constants left by the removed interval sampling: dropping them
+    // would move every configHash, result file and checkpoint name.
+    for (const char *field : {"sampled", "sampleW", "sampleFf", "sampleWu"})
+        k.add(field, 0u);
 
     const CoreParams &cp = c.params;
     k.add("fetchW", cp.fetchWidth)

@@ -70,7 +70,6 @@ SweepAxes::expand() const
                             makePoint(bench, kind, clock, node, gate);
                         pt.config.warmupInstrs = warmupInstrs;
                         pt.config.measureInstrs = measureInstrs;
-                        pt.config.snapshot = snapshot;
                         points.push_back(std::move(pt));
                     }
     return points;
@@ -102,6 +101,17 @@ exportRowKey(const SweepPoint &point)
 
 namespace {
 
+/** configHash: fnv1a64 of @p config_key as 16 hex digits (64-bit
+ *  hashes do not fit a JSON double exactly). */
+std::string
+configHash(const std::string &config_key)
+{
+    char hash[20];
+    std::snprintf(hash, sizeof(hash), "%016llx",
+                  (unsigned long long)fnv1a64(config_key));
+    return hash;
+}
+
 Json
 pointJson(const SweepPoint &pt)
 {
@@ -115,11 +125,7 @@ pointJson(const SweepPoint &pt)
     j.set("gating", pt.config.frontEndPowerGating);
     j.set("warmupInstrs", pt.config.warmupInstrs);
     j.set("measureInstrs", pt.config.measureInstrs);
-    // Hex string: 64-bit hashes do not fit a JSON double exactly.
-    char hash[20];
-    std::snprintf(hash, sizeof(hash), "%016llx",
-                  (unsigned long long)fnv1a64(configKey(pt.config)));
-    j.set("configHash", hash);
+    j.set("configHash", configHash(configKey(pt.config)));
     return j;
 }
 
@@ -224,6 +230,10 @@ CellExecutor::run(const RunConfig &config, bool *from_cache)
     if (!cfg.obs.active() && obs_.active())
         cfg.obs = obs_;
     const std::string key = configKey(cfg);
+    if (cfg.obs.traceSink && cfg.obs.traceLabel.empty())
+        cfg.obs.traceLabel = std::string(cfg.profile.name) + "/" +
+                             coreKindName(cfg.kind) + "/" +
+                             configHash(key);
     RunResult result;
     // An observed run must actually execute: a cache hit would skip
     // the simulation its stats/trace documents are meant to describe.
@@ -234,12 +244,6 @@ CellExecutor::run(const RunConfig &config, bool *from_cache)
             *from_cache = true;
         return result;
     }
-    // A runner with a checkpoint store checkpoints every cell's
-    // warmup by default; an explicit per-config policy wins.  The
-    // result key is unchanged (Save/Reuse are result-neutral).
-    if (checkpointer_ &&
-        cfg.snapshot.mode == SnapshotPolicy::Mode::Off)
-        cfg.snapshot.mode = SnapshotPolicy::Mode::Reuse;
     result = runSim(cfg, checkpointer_);
     if (store_)
         store_->save(key, result);

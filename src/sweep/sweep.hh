@@ -96,8 +96,6 @@ struct SweepAxes
     std::vector<bool> gating{false};
     std::uint64_t warmupInstrs;    ///< defaults honour FLYWHEEL_* env vars
     std::uint64_t measureInstrs;
-    /** Snapshot/sampling policy stamped onto every point. */
-    SnapshotPolicy snapshot;
 
     SweepAxes();
 
@@ -183,12 +181,14 @@ class SweepTable
 
 /**
  * One-cell execution policy — the single place that knows how a grid
- * cell runs: observability stamping, result-store lookup (skipped for
- * observed runs), the checkpointer's default Reuse policy, runSim(),
- * and the save that publishes the result.  SweepRunner routes every
- * thread-pool task through this, and the distributed serve workers
- * (src/serve/) run the identical path over the shared store — which
- * is what makes a served table byte-identical to a local run.
+ * cell runs: observability stamping (a traced cell without a label is
+ * named "<bench>/<kind>/<configHash>", so each run gets its own
+ * trace thread and equal names mean equal configs), result-store
+ * lookup (skipped for observed runs), runSim() over the checkpoint
+ * store, and the save that publishes the result.  SweepRunner routes
+ * every thread-pool task through this, and the distributed serve
+ * workers (src/serve/) run the identical path over the shared store —
+ * which is what makes a served table byte-identical to a local run.
  */
 class CellExecutor
 {

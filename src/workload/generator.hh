@@ -72,8 +72,8 @@ class WorkloadStream
 
     /**
      * Fast-forward: consume @p n instructions without simulating them
-     * (interval sampling's gap between detailed windows).  The stream
-     * advances exactly as if next() had been called n times.
+     * (the stream's raw generation cost, with no core attached).  The
+     * stream advances exactly as if next() had been called n times.
      */
     void skip(std::uint64_t n);
 

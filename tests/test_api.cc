@@ -46,7 +46,9 @@ kitchenSinkSpec()
     a.benchmarks = {"gzip", "gcc"};
     a.kinds = {CoreKind::Baseline, CoreKind::RegisterAllocation,
                CoreKind::Flywheel};
-    a.clocks = {{0.0, 0.0}, {0.25, 0.5}, {1.0, 0.5}};
+    // Boosts outside the paper's 0..1 range are valid while the
+    // period stays a positive whole picosecond.
+    a.clocks = {{0.0, 0.0}, {0.25, 0.5}, {1.0, 0.5}, {-0.5, 1000.0}};
     a.nodes = {TechNode::N180, TechNode::N130, TechNode::N90,
                TechNode::N60};
     a.gating = {false, true};
@@ -89,7 +91,7 @@ TEST(ExperimentSpec, JsonRoundTripIsIdentity)
     ASSERT_EQ(back.grids.size(), 2u);
     EXPECT_EQ(back.grids[0].label, "block, \"a\"");
     EXPECT_EQ(back.grids[0].kinds.size(), 3u);
-    EXPECT_EQ(back.grids[0].clocks.size(), 3u);
+    EXPECT_EQ(back.grids[0].clocks.size(), 4u);
     EXPECT_EQ(back.grids[0].nodes.size(), 4u);
     EXPECT_EQ(back.grids[0].gating.size(), 2u);
     EXPECT_EQ(*back.grids[0].tweaks.ecTotalBlocks, 4096u);
@@ -101,7 +103,7 @@ TEST(ExperimentSpec, JsonRoundTripIsIdentity)
     std::vector<SweepPoint> p1 = back.expand();
     ASSERT_EQ(p0.size(), p1.size());
     ASSERT_EQ(p0.size(),
-              2 * 3 * 3 * 4 * 2 + benchmarkNames().size());
+              2 * 3 * 4 * 4 * 2 + benchmarkNames().size());
     for (std::size_t i = 0; i < p0.size(); ++i) {
         EXPECT_EQ(configKey(p0[i].config), configKey(p1[i].config));
         EXPECT_EQ(p0[i].label, p1[i].label);
@@ -186,20 +188,52 @@ TEST(ExperimentSpec, RejectsMalformedDocuments)
     expectRejected(head + ", \"warmupInstrs\": -5}",
                    "non-negative integer");
 
-    // Sampling block: degenerate window counts, unknown members, and
-    // parameters that would be silently inert without windows.
-    expectRejected(head + ", \"sampling\": {\"windows\": 1}}",
-                   "0 or 2..10000");
+    // Interval sampling was removed: a sampling block that asks for
+    // anything is refused by name.
+    expectRejected(head + ", \"sampling\": {\"windows\": 4}}",
+                   "interval sampling was removed");
     expectRejected(head + ", \"sampling\": {\"slices\": 4}}",
-                   "unknown field 'slices'");
-    expectRejected(head + ", \"sampling\": {\"fastForward\": 1000}}",
-                   "require windows >= 2");
+                   "interval sampling was removed");
+    // Clock boosts whose period is not a positive whole picosecond.
+    expectRejected(head + ", \"grids\": [{\"clocks\": [{\"fe\": -1, "
+                   "\"be\": 0}]}]}",
+                   "clocks.fe");
+    expectRejected(head + ", \"grids\": [{\"clocks\": [{\"fe\": 0, "
+                   "\"be\": -2}]}]}",
+                   "clocks.be");
+    expectRejected(head + ", \"grids\": [{\"clocks\": [{\"fe\": 1e9, "
+                   "\"be\": 0}]}]}",
+                   "clocks.fe");
     expectRejected(head + ", \"measureInstrs\": 1.5}",
                    "non-negative integer");
     expectRejected(head + ", \"verify\": \"yes\"}", "expected a bool");
     expectRejected(head +
                    ", \"grids\": [{\"tweaks\": {\"srtEnabled\": 1}}]}",
                    "expected a bool");
+}
+
+TEST(ExperimentSpec, LoadsDocumentsWithTheAllZeroSamplingBlock)
+{
+    // Spec files and serve journal headers written while interval
+    // sampling existed carry this block right after "verify".
+    const ExperimentSpec &fig12 = figureByName("fig12")->spec;
+    Json zeros;
+    std::string error;
+    ASSERT_TRUE(Json::parse(
+        "{\"windows\": 0, \"fastForward\": 0, \"warmup\": 0}", zeros,
+        &error)) << error;
+    const Json canonical = fig12.toJson();
+    Json old_form = Json::object();
+    for (const auto &[key, value] : canonical.members()) {
+        old_form.add(key, value);
+        if (key == "verify")
+            old_form.add("sampling", zeros);
+    }
+
+    ExperimentSpec back;
+    ASSERT_TRUE(ExperimentSpec::fromJson(old_form, &back, &error))
+        << error;
+    EXPECT_EQ(back.toJson().dump(2), canonical.dump(2));
 }
 
 TEST(ExperimentSpec, LoadReportsFileAndParseErrors)

@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
 
+#include "api/session.hh"
 #include "sweep/sweep.hh"
 #include "workload/generator.hh"
 #include "workload/profiles.hh"
@@ -188,26 +190,26 @@ TEST(UnknownFlagDeathTest, RejectExitsWithUsageStatus)
 TEST(SnapshotFlags, ParsesTheSharedFlagSet)
 {
     const char *argv_c[] = {"prog", "--checkpoint-dir", "/tmp/ck",
-                            "--sample", "8", "--no-checkpoints"};
+                            "--no-checkpoints"};
     char **argv = const_cast<char **>(argv_c);
 
     cli::SnapshotFlags flags;
-    flags.dir.clear();  // isolate from FLYWHEEL_CHECKPOINTS
+    SweepOptions opts;
     int i = 1;
-    EXPECT_TRUE(flags.tryParse(argv[i], 6, argv, &i));
-    EXPECT_EQ(flags.dir, "/tmp/ck");
-    EXPECT_EQ(flags.checkpointDir(), "/tmp/ck");
+    EXPECT_TRUE(flags.tryParse(argv[i], 4, argv, &i));
+    flags.apply(&opts);
+    EXPECT_EQ(opts.checkpointDir, "/tmp/ck");
     ++i;
-    EXPECT_TRUE(flags.tryParse(argv[i], 6, argv, &i));
-    EXPECT_EQ(flags.sampleWindows, 8u);
-    ++i;
-    EXPECT_TRUE(flags.tryParse(argv[i], 6, argv, &i));
+    EXPECT_TRUE(flags.tryParse(argv[i], 4, argv, &i));
     // --no-checkpoints wins over any configured directory.
-    EXPECT_EQ(flags.checkpointDir(), "");
+    flags.apply(&opts);
+    EXPECT_EQ(opts.checkpointDir, "");
 
+    // Interval sampling was removed: --sample is an unknown option.
     int j = 0;
     cli::SnapshotFlags other;
-    EXPECT_FALSE(other.tryParse("--jobs", 6, argv, &j));
+    EXPECT_FALSE(other.tryParse("--jobs", 4, argv, &j));
+    EXPECT_FALSE(other.tryParse("--sample", 4, argv, &j));
     EXPECT_EQ(j, 0);
 }
 
@@ -217,18 +219,48 @@ TEST(SnapshotFlags, ParsesCapFlag)
     char **argv = const_cast<char **>(argv_c);
 
     cli::SnapshotFlags flags;
-    flags.dir = "/tmp/store";
-    flags.capBytes = 0;  // isolate from FLYWHEEL_CHECKPOINT_CAP_MB
     int i = 1;
     EXPECT_TRUE(flags.tryParse(argv[i], 3, argv, &i));
-    EXPECT_EQ(flags.capBytes, 256ull << 20);
 
-    // apply() stamps both store knobs onto any options struct with
-    // the shared field names.
+    // apply() stamps the cap onto any options struct with the shared
+    // field names and leaves the directory no flag named alone.
     SweepOptions opts;
+    opts.checkpointDir = "/tmp/store";
     flags.apply(&opts);
     EXPECT_EQ(opts.checkpointDir, "/tmp/store");
     EXPECT_EQ(opts.checkpointCapBytes, 256ull << 20);
+}
+
+TEST(SnapshotFlags, LeavesTheEnvironmentToTheSessionReader)
+{
+    // FLYWHEEL_CHECKPOINTS reaches the options only through
+    // SessionOptions::fromEnv(); the flags override it only when one
+    // was given.
+    const char *saved = std::getenv("FLYWHEEL_CHECKPOINTS");
+    const std::string restore = saved ? saved : "";
+    ::setenv("FLYWHEEL_CHECKPOINTS", "/tmp/env_store", 1);
+
+    SessionOptions opts = SessionOptions::fromEnv();
+    EXPECT_EQ(opts.checkpointDir, "/tmp/env_store");
+    cli::SnapshotFlags none;
+    none.apply(&opts);
+    EXPECT_EQ(opts.checkpointDir, "/tmp/env_store");
+    SweepOptions plain;
+    none.apply(&plain);
+    EXPECT_EQ(plain.checkpointDir, "");
+
+    const char *argv_c[] = {"prog", "--checkpoint-dir", "/tmp/flag"};
+    char **argv = const_cast<char **>(argv_c);
+    cli::SnapshotFlags flags;
+    int i = 1;
+    EXPECT_TRUE(flags.tryParse(argv[i], 3, argv, &i));
+    flags.apply(&opts);
+    EXPECT_EQ(opts.checkpointDir, "/tmp/flag");
+
+    if (saved)
+        ::setenv("FLYWHEEL_CHECKPOINTS", restore.c_str(), 1);
+    else
+        ::unsetenv("FLYWHEEL_CHECKPOINTS");
 }
 
 TEST(DumpCheckpoint, ListsEverySectionWithItsRawSize)
@@ -283,14 +315,4 @@ TEST(DumpCheckpoint, ListsEverySectionWithItsRawSize)
     EXPECT_TRUE(out2.str().empty());
     std::remove(path.c_str());
     std::remove(cut.c_str());
-}
-
-TEST(SnapshotFlagsDeathTest, RejectsDegenerateSampleCounts)
-{
-    const char *argv_c[] = {"prog", "--sample", "1"};
-    char **argv = const_cast<char **>(argv_c);
-    cli::SnapshotFlags flags;
-    int i = 1;
-    EXPECT_EXIT(flags.tryParse("--sample", 3, argv, &i),
-                ::testing::ExitedWithCode(1), "--sample");
 }

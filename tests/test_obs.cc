@@ -233,7 +233,7 @@ TEST(Tracer, RingKeepsTailAndCountsDropped)
         EXPECT_EQ(got[i].a0, 6u + i);
 }
 
-TEST(TraceSink, MergesLabelsAndExportsValidChromeJson)
+TEST(TraceSink, EveryAddIsItsOwnThreadSortedByLabel)
 {
     Tracer a(obs::kTraceCatAll);
     a.instant(TraceCat::Retire, "retire", 100, 4);
@@ -243,9 +243,9 @@ TEST(TraceSink, MergesLabelsAndExportsValidChromeJson)
 
     TraceSink sink;
     sink.add("gzip", a);
-    sink.add("gzip", b);   // same label: merged, not a new thread
+    sink.add("gzip", b);   // same label: still a thread of its own
     sink.add("gcc", b);
-    EXPECT_EQ(sink.runCount(), 2u);
+    EXPECT_EQ(sink.runCount(), 3u);
     EXPECT_EQ(sink.eventCount(), 4u);
     EXPECT_EQ(sink.droppedTotal(), 0u);
 
@@ -254,14 +254,18 @@ TEST(TraceSink, MergesLabelsAndExportsValidChromeJson)
     EXPECT_TRUE(obs::validateTraceJson(doc, &error)) << error;
     EXPECT_EQ(doc["schema"].asString(), std::string(obs::kTraceSchema));
 
-    // One thread_name metadata record per label, labels sorted so the
-    // document is deterministic for any add() order.
+    // One thread_name metadata record per run, sorted by label; runs
+    // sharing a label keep add() order.
     std::vector<std::string> labels;
+    std::vector<std::size_t> events_per_tid(4, 0);
     for (const Json &e : doc["traceEvents"].items()) {
         if (e["ph"].asString() == "M")
             labels.push_back(e["args"]["name"].asString());
+        else
+            ++events_per_tid.at(std::size_t(e["tid"].asU64()));
     }
-    EXPECT_EQ(labels, (std::vector<std::string>{"gcc", "gzip"}));
+    EXPECT_EQ(labels, (std::vector<std::string>{"gcc", "gzip", "gzip"}));
+    EXPECT_EQ(events_per_tid, (std::vector<std::size_t>{0, 1, 2, 1}));
 }
 
 TEST(TraceSink, ChromePhasesAndArgs)

@@ -129,13 +129,16 @@ TEST(Energy, LeakageScalesWithTimeNotActivity)
 
 TEST(Energy, EventDifferenceIsElementwise)
 {
-    EnergyEvents a = typicalWindow();
-    EnergyEvents b = typicalWindow();
-    b += a;
-    EnergyEvents d = b - a;
-    EXPECT_EQ(d.icacheAccesses, a.icacheAccesses);
-    EXPECT_EQ(d.totalTicks, a.totalTicks);
-    EXPECT_EQ(d.beCycles, a.beCycles);
+    const EnergyEvents a = typicalWindow();
+    EnergyEvents b = a;
+    b.icacheAccesses *= 3;
+    b.totalTicks *= 3;
+    b.beCycles *= 3;
+    const EnergyEvents d = b - a;
+    EXPECT_EQ(d.icacheAccesses, 2 * a.icacheAccesses);
+    EXPECT_EQ(d.totalTicks, 2 * a.totalTicks);
+    EXPECT_EQ(d.beCycles, 2 * a.beCycles);
+    EXPECT_EQ(d.rfReads, 0u);  // fields equal in both cancel
 }
 
 TEST(Energy, AverageWattsConsistent)

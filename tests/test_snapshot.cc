@@ -5,10 +5,9 @@
  * serialize/deserialize cycle, standing in for a fresh process image
  * — file-level hardening (corrupt / truncated / version-mismatched
  * snapshots rejected with clear errors), the Checkpointer's
- * compute-once and disk-reuse semantics, checkpoint-key
- * canonicalization, the result-key sampling regression, interval
- * sampling, the pinned container content hash, and the CoreStats
- * window-delta operators.
+ * compute-once and disk-reuse semantics, runSim's restore through a
+ * Checkpointer, checkpoint-key canonicalization, the pinned container
+ * content hash, and the CoreStats window-delta operator.
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +24,6 @@
 #include "core/sim_driver.hh"
 #include "snapshot/checkpointer.hh"
 #include "snapshot/snapshot.hh"
-#include "sweep/result_store.hh"
 #include "sweep/sweep.hh"
 #include "workload/generator.hh"
 #include "workload/profiles.hh"
@@ -125,29 +123,28 @@ TEST(SnapshotRoundTrip, MidRunSnapshotContinuesBitIdentically)
 TEST(SnapshotRoundTrip, RunSimRestoresCheckpointsBitIdentically)
 {
     const std::string dir = ::testing::TempDir() + "fw_snap_ckpt";
-
-    RunConfig config = smallConfig("gzip", CoreKind::Flywheel);
-    config.snapshot.mode = SnapshotPolicy::Mode::Reuse;
-    config.snapshot.dir = dir;
+    const RunConfig config = smallConfig("gzip", CoreKind::Flywheel);
 
     // Start from an empty store.
-    Checkpointer probe(dir);
-    const std::string path = probe.pathFor(checkpointKey(config));
+    Checkpointer cold(dir);
+    const std::string path = cold.pathFor(checkpointKey(config));
     std::remove(path.c_str());
 
-    RunConfig plain = config;
-    plain.snapshot = SnapshotPolicy{};
-    const RunResult reference = runSim(plain);
+    const RunResult reference = runSim(config);
 
-    // First checkpointed run simulates the warmup and saves...
-    const RunResult cold = runSim(config);
+    // The first checkpointed run simulates the warmup and saves...
+    const RunResult first = runSim(config, &cold);
+    EXPECT_EQ(cold.computes(), 1u);
     std::ifstream saved(path);
     EXPECT_TRUE(saved.good()) << path;
-    // ...the second restores from disk in a fresh Checkpointer.
-    const RunResult warm = runSim(config);
+    // ...and a fresh store over the same directory restores it.
+    Checkpointer warm(dir);
+    const RunResult second = runSim(config, &warm);
+    EXPECT_EQ(warm.diskHits(), 1u);
+    EXPECT_TRUE(second.telemetry.warmupRestored);
 
-    EXPECT_EQ(toJson(reference).dump(), toJson(cold).dump());
-    EXPECT_EQ(toJson(reference).dump(), toJson(warm).dump());
+    EXPECT_EQ(toJson(reference).dump(), toJson(first).dump());
+    EXPECT_EQ(toJson(reference).dump(), toJson(second).dump());
 }
 
 /** A populated snapshot of @p kind's full simulator state. */
@@ -321,11 +318,11 @@ TEST(CheckpointerTest, ComputesOncePerKeyAndReloadsFromDisk)
     };
 
     bool created = false;
-    auto first = store.acquire(key, factory, false, &created);
+    auto first = store.acquire(key, factory, &created);
     EXPECT_TRUE(created);
     EXPECT_EQ(factory_runs, 1u);
 
-    auto second = store.acquire(key, factory, false, &created);
+    auto second = store.acquire(key, factory, &created);
     EXPECT_FALSE(created);
     EXPECT_EQ(factory_runs, 1u);
     EXPECT_EQ(first.get(), second.get());
@@ -333,17 +330,12 @@ TEST(CheckpointerTest, ComputesOncePerKeyAndReloadsFromDisk)
 
     // A fresh store instance (new process image) loads from disk.
     Checkpointer reopened(dir);
-    auto third = reopened.acquire(key, factory, false, &created);
+    auto third = reopened.acquire(key, factory, &created);
     EXPECT_FALSE(created);
     EXPECT_EQ(factory_runs, 1u);
     EXPECT_EQ(reopened.diskHits(), 1u);
     BinReader payload = third->section("payload");
     EXPECT_EQ(payload.u64(), 42u);
-
-    // refresh recomputes and overwrites even though both tiers hit.
-    auto fourth = reopened.acquire(key, factory, true, &created);
-    EXPECT_TRUE(created);
-    EXPECT_EQ(factory_runs, 2u);
 
     // Memory-only stores never touch the filesystem.
     Checkpointer memory(Checkpointer::kMemoryOnly);
@@ -378,7 +370,7 @@ TEST(CheckpointerTest, CreatesNestedStoreDirectories)
 
     Checkpointer reopened(dir);
     bool created = true;
-    reopened.acquire(key, factory, false, &created);
+    reopened.acquire(key, factory, &created);
     EXPECT_FALSE(created);
     EXPECT_EQ(reopened.diskHits(), 1u);
 }
@@ -468,13 +460,13 @@ TEST(CheckpointerTest, PersistFailuresAreCountedNotFatal)
     };
 
     bool created = false;
-    auto snap = store.acquire(key, factory, false, &created);
+    auto snap = store.acquire(key, factory, &created);
     EXPECT_TRUE(created);
     ASSERT_NE(snap, nullptr);
     EXPECT_EQ(store.persistFailures(), 1u);
 
     // The memory tier still works despite the dead disk tier.
-    store.acquire(key, factory, false, &created);
+    store.acquire(key, factory, &created);
     EXPECT_FALSE(created);
     EXPECT_EQ(factory_runs, 1u);
     EXPECT_NE(store.summaryLine().find("persist failure"),
@@ -511,12 +503,6 @@ TEST(CheckpointKeyTest, CanonicalizesResultNeutralAxes)
     node.measureInstrs = 999999;
     EXPECT_EQ(checkpointKey(node), key);
 
-    // The snapshot policy itself never splits checkpoints.
-    RunConfig sampled = base;
-    sampled.snapshot.mode = SnapshotPolicy::Mode::Sample;
-    sampled.snapshot.sampleWindows = 8;
-    EXPECT_EQ(checkpointKey(sampled), key);
-
     // Warmup length, workload and kind all do.
     RunConfig warm = base;
     warm.warmupInstrs += 1;
@@ -541,37 +527,6 @@ TEST(CheckpointKeyTest, CanonicalizesResultNeutralAxes)
     EXPECT_EQ(checkpointKey(clocked_b), checkpointKey(base_b));
 }
 
-TEST(ResultKey, SampledRunsNeverAliasFullRuns)
-{
-    const RunConfig full = smallConfig("gcc", CoreKind::Flywheel);
-
-    RunConfig sampled = full;
-    sampled.snapshot.mode = SnapshotPolicy::Mode::Sample;
-    sampled.snapshot.sampleWindows = 4;
-    EXPECT_NE(configKey(sampled), configKey(full));
-
-    // Different sampling geometries never alias each other either.
-    RunConfig other = sampled;
-    other.snapshot.sampleWindows = 8;
-    EXPECT_NE(configKey(other), configKey(sampled));
-    RunConfig gap = sampled;
-    gap.snapshot.sampleFastForward = 5000;
-    EXPECT_NE(configKey(gap), configKey(sampled));
-    RunConfig rewarm = sampled;
-    rewarm.snapshot.sampleWarmup = 1000;
-    EXPECT_NE(configKey(rewarm), configKey(sampled));
-
-    // Save/Reuse checkpointing is bit-identical to a plain run, so
-    // both must populate (and hit) the same cache entry.
-    RunConfig reuse = full;
-    reuse.snapshot.mode = SnapshotPolicy::Mode::Reuse;
-    reuse.snapshot.dir = "/tmp/anywhere";
-    EXPECT_EQ(configKey(reuse), configKey(full));
-    RunConfig save = full;
-    save.snapshot.mode = SnapshotPolicy::Mode::Save;
-    EXPECT_EQ(configKey(save), configKey(full));
-}
-
 TEST(CoreStatsDelta, OperatorsCoverEveryField)
 {
     // Any field the hand-written X-macro list misses would come back
@@ -589,38 +544,8 @@ TEST(CoreStatsDelta, OperatorsCoverEveryField)
     const CoreStats diff = a - zero;
     EXPECT_EQ(std::memcmp(&diff, &a, sizeof(a)), 0);
 
-    CoreStats sum{};
-    sum += a;
-    EXPECT_EQ(std::memcmp(&sum, &a, sizeof(a)), 0);
-
     const CoreStats self = a - a;
     EXPECT_EQ(std::memcmp(&self, &zero, sizeof(zero)), 0);
-}
-
-TEST(IntervalSampling, MeasuresTheBudgetDeterministically)
-{
-    RunConfig config = smallConfig("gcc", CoreKind::Flywheel);
-    config.snapshot.mode = SnapshotPolicy::Mode::Sample;
-    config.snapshot.sampleWindows = 4;
-
-    const RunResult a = runSim(config);
-    const RunResult b = runSim(config);
-    EXPECT_EQ(toJson(a).dump(), toJson(b).dump());
-
-    // The detailed budget is fully measured across the windows (each
-    // window may overshoot by up to a retire group).
-    EXPECT_GE(a.instructions, config.measureInstrs);
-    EXPECT_LT(a.instructions,
-              config.measureInstrs +
-                  4 * config.snapshot.sampleWindows);
-    EXPECT_GT(a.timePs, 0u);
-
-    // And the sampled estimate is a different measurement than the
-    // contiguous run (the stream advanced past the gaps).
-    RunConfig full = config;
-    full.snapshot = SnapshotPolicy{};
-    const RunResult contiguous = runSim(full);
-    EXPECT_NE(toJson(a).dump(), toJson(contiguous).dump());
 }
 
 TEST(SweepCheckpointSharing, CellsShareOneWarmupAndStayBitIdentical)

@@ -205,6 +205,9 @@ TEST(ConfigKey, DigestIsPinned)
     EXPECT_EQ(configKey(pt.config).rfind("v=2;bench=gcc;seed=102;", 0),
               0u);
     EXPECT_EQ(fnv1a64(configKey(pt.config)), 0x001d66fe852e92f7ULL);
+    // Checkpoint keys and .fws file names derive from configKey of a
+    // canonicalized config; pin that digest too.
+    EXPECT_EQ(fnv1a64(checkpointKey(pt.config)), 0x076a86b4817f6176ULL);
     // fnv1a64 itself is standard 64-bit FNV-1a.
     EXPECT_EQ(fnv1a64(""), 14695981039346656037ULL);
     EXPECT_EQ(fnv1a64("key-a"), 0x71132af295f22d16ULL);
@@ -241,6 +244,34 @@ TEST(SweepRunner, DeterministicAcrossJobCounts)
         tables[t].writeCsv(cb);
         EXPECT_EQ(ca.str(), cb.str());
     }
+}
+
+TEST(SweepRunner, TracesEveryCellAsItsOwnThreadForAnyJobCount)
+{
+    // Four cells of one benchmark: each must be its own trace thread
+    // (not stacked under the benchmark name in completion order), and
+    // the document must not depend on the worker count.
+    std::vector<SweepPoint> points;
+    points.push_back(makePoint("gzip", CoreKind::Baseline, {0.0, 0.0}));
+    for (double fe : {0.0, 0.5, 1.0})
+        points.push_back(makePoint("gzip", CoreKind::Flywheel, {fe, 0.5}));
+    for (auto &pt : points) {
+        pt.config.warmupInstrs = 2000;
+        pt.config.measureInstrs = 3000;
+    }
+
+    std::vector<std::string> docs;
+    for (unsigned jobs : {1u, 4u}) {
+        obs::TraceSink sink;
+        SweepOptions opts;
+        opts.jobs = jobs;
+        opts.obs.traceSink = &sink;
+        SweepRunner runner(opts);
+        runner.run(points);
+        EXPECT_EQ(sink.runCount(), points.size()) << "jobs " << jobs;
+        docs.push_back(sink.toChromeJson().dump());
+    }
+    EXPECT_TRUE(docs[0] == docs[1]) << "jobs 1 and 4 traces differ";
 }
 
 TEST(SweepRunner, CacheHitsOnRerun)

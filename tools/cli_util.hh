@@ -20,6 +20,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -266,36 +267,21 @@ rejectUnknownFlag(const char *argv0, const std::string &flag,
 }
 
 /**
- * The snapshot/checkpoint flag set shared by the grid-running CLIs
- * (flywheel_bench, flywheel_sweep):
+ * The checkpoint flag set shared by the grid-running CLIs
+ * (flywheel_bench, flywheel_sweep).  It holds only what its flags set:
+ * the environment defaults (FLYWHEEL_CHECKPOINTS,
+ * FLYWHEEL_CHECKPOINT_CAP_MB) come from SessionOptions::fromEnv(),
+ * and apply() overrides them.
  *
- *   --checkpoint-dir DIR    warm checkpoint store (default: the
- *                           FLYWHEEL_CHECKPOINTS environment variable)
+ *   --checkpoint-dir DIR    warm checkpoint store
  *   --no-checkpoints        disable checkpoint reuse entirely
  *   --checkpoint-cap-mb N   cap the on-disk store, LRU-pruned
- *                           (default: FLYWHEEL_CHECKPOINT_CAP_MB)
- *   --sample N              interval sampling with N detailed windows
  */
 struct SnapshotFlags
 {
-    std::string dir;
+    std::optional<std::string> dir;
     bool disabled = false;
-    std::uint64_t capBytes = 0;
-    unsigned sampleWindows = 0;
-
-    SnapshotFlags()
-    {
-        if (const char *env = std::getenv("FLYWHEEL_CHECKPOINTS"))
-            dir = env;
-        if (const char *cap =
-                std::getenv("FLYWHEEL_CHECKPOINT_CAP_MB")) {
-            if (!Checkpointer::parseCapMegabytes(cap, &capBytes))
-                FW_WARN("ignoring FLYWHEEL_CHECKPOINT_CAP_MB='%s' "
-                        "(want a decimal megabyte count); store "
-                        "stays uncapped",
-                        cap);
-        }
-    }
+    std::optional<std::uint64_t> capBytes;
 
     /** Consume one argv flag; true if it was one of ours. */
     bool
@@ -311,38 +297,31 @@ struct SnapshotFlags
         }
         if (flag == "--checkpoint-cap-mb") {
             const std::string arg = requireValue(argc, argv, i, flag);
-            if (!Checkpointer::parseCapMegabytes(arg.c_str(),
-                                                 &capBytes))
+            std::uint64_t bytes = 0;
+            if (!Checkpointer::parseCapMegabytes(arg.c_str(), &bytes))
                 FW_FATAL("--checkpoint-cap-mb: expected a decimal "
                          "megabyte count, got '%s'", arg.c_str());
-            return true;
-        }
-        if (flag == "--sample") {
-            std::uint64_t n = parseU64(
-                requireValue(argc, argv, i, flag), "--sample");
-            if (n == 1 || n > 10000)
-                FW_FATAL("--sample: expected 0 (full detail) or "
-                         "2..10000 windows");
-            sampleWindows = unsigned(n);
+            capBytes = bytes;
             return true;
         }
         return false;
     }
 
-    /** Effective store directory ("" when disabled or unset). */
-    std::string
-    checkpointDir() const
-    {
-        return disabled ? std::string() : dir;
-    }
-
-    /** Stamp the store knobs onto a sweep's options. */
+    /**
+     * Override the store knobs these flags set on any options struct
+     * with the shared field names; --no-checkpoints wins over any
+     * directory.
+     */
     template <typename Options>
     void
     apply(Options *opts) const
     {
-        opts->checkpointDir = checkpointDir();
-        opts->checkpointCapBytes = capBytes;
+        if (dir)
+            opts->checkpointDir = *dir;
+        if (capBytes)
+            opts->checkpointCapBytes = *capBytes;
+        if (disabled)
+            opts->checkpointDir.clear();
     }
 
     /** Shared --help block for these flags. */
@@ -350,7 +329,7 @@ struct SnapshotFlags
     usageText()
     {
         return
-            "checkpoints & sampling:\n"
+            "checkpoints:\n"
             "  --checkpoint-dir DIR  reuse warmup checkpoints from "
             "DIR\n"
             "                        (default: FLYWHEEL_CHECKPOINTS)\n"
@@ -360,9 +339,7 @@ struct SnapshotFlags
             "                        oldest checkpoints first "
             "(default:\n"
             "                        FLYWHEEL_CHECKPOINT_CAP_MB; 0 = "
-            "uncapped)\n"
-            "  --sample N            interval sampling: N detailed "
-            "windows\n";
+            "uncapped)\n";
     }
 };
 

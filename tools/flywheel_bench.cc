@@ -144,11 +144,9 @@ struct MergedExport
  * @return false on verification failure.
  */
 bool
-runSpec(Session &session, ExperimentSpec spec, unsigned sample_override,
+runSpec(Session &session, const ExperimentSpec &spec,
         MergedExport *merged)
 {
-    if (sample_override)
-        spec.sampleWindows = sample_override;
     SweepTable table = session.run(spec);
 
     if (!spec.render.empty()) {
@@ -274,11 +272,10 @@ main(int argc, char **argv)
     const bool run_mode =
         run_all || !figure_names.empty() || !spec_paths.empty();
     if (!run_mode && (!json_path.empty() || !csv_path.empty() ||
-                      progress || snapshot.sampleWindows ||
-                      obs_flags.active())) {
+                      progress || obs_flags.active())) {
         std::fprintf(stderr,
-                     "--json/--csv/--progress/--sample/--stats/--trace "
-                     "only apply to a --figure/--all/--spec run\n");
+                     "--json/--csv/--progress/--stats/--trace only "
+                     "apply to a --figure/--all/--spec run\n");
         return 2;
     }
 
@@ -288,7 +285,7 @@ main(int argc, char **argv)
         return 0;
     }
     if (prune_checkpoints) {
-        const std::string dir = snapshot.checkpointDir();
+        const std::string &dir = opts.checkpointDir;
         if (dir.empty() ||
             dir == std::string(Checkpointer::kMemoryOnly)) {
             std::fprintf(stderr,
@@ -299,11 +296,11 @@ main(int argc, char **argv)
         }
         std::uint64_t bytes = 0;
         const std::size_t removed =
-            Checkpointer::pruneStore(dir, snapshot.capBytes, &bytes);
+            Checkpointer::pruneStore(dir, opts.checkpointCapBytes, &bytes);
         std::printf("pruned %zu checkpoint file(s) (%llu bytes) from "
                     "%s; cap %llu MB\n",
                     removed, (unsigned long long)bytes, dir.c_str(),
-                    (unsigned long long)(snapshot.capBytes >> 20));
+                    (unsigned long long)(opts.checkpointCapBytes >> 20));
         return 0;
     }
     if (!dump_spec_name.empty()) {
@@ -387,8 +384,9 @@ main(int argc, char **argv)
 
     Session session(opts);
     MergedExport merged;
-    bool need_merged = !json_path.empty() || !csv_path.empty() ||
-                       obs_flags.active();
+    MergedExport *export_to = nullptr;
+    if (!json_path.empty() || !csv_path.empty() || obs_flags.active())
+        export_to = &merged;
     bool ok = true;
     bool first = true;
 
@@ -402,9 +400,7 @@ main(int argc, char **argv)
         if (!first)
             std::printf("\n");
         first = false;
-        ok = runSpec(session, def->spec, snapshot.sampleWindows,
-                     need_merged ? &merged : nullptr) &&
-             ok;
+        ok = runSpec(session, def->spec, export_to) && ok;
     }
     for (const std::string &path : spec_paths) {
         ExperimentSpec spec;
@@ -416,9 +412,7 @@ main(int argc, char **argv)
         if (!first)
             std::printf("\n");
         first = false;
-        ok = runSpec(session, spec, snapshot.sampleWindows,
-                     need_merged ? &merged : nullptr) &&
-             ok;
+        ok = runSpec(session, spec, export_to) && ok;
     }
 
     if (!json_path.empty()) {

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "api/session.hh"
 #include "common/log.hh"
 #include "sweep/sweep.hh"
 #include "tools/cli_util.hh"
@@ -74,6 +75,11 @@ main(int argc, char **argv)
 {
     SweepAxes axes;
     SweepOptions opts;
+    // Checkpoint defaults from the one environment reader; this tool
+    // takes no result cache from FLYWHEEL_CACHE.
+    const SessionOptions env = SessionOptions::fromEnv();
+    opts.checkpointDir = env.checkpointDir;
+    opts.checkpointCapBytes = env.checkpointCapBytes;
     cli::SnapshotFlags snapshot;
     cli::ObsFlags obs_flags;
     std::string out_path;
@@ -106,6 +112,10 @@ main(int argc, char **argv)
             bool is_fe = flag == "--fe";
             std::vector<double> boosts =
                 cli::parseDoubles(value(), flag.c_str());
+            for (double b : boosts)
+                if (!validClockBoost(b))
+                    FW_FATAL("%s: boost %g out of range (want -1 < "
+                             "boost <= 1999)", flag.c_str(), b);
             // Rebuild the clock grid as the fe x be product of
             // whatever has been specified so far.
             std::vector<double> other;
@@ -164,10 +174,6 @@ main(int argc, char **argv)
         setLogLevel(LogLevel::Quiet);
 
     snapshot.apply(&opts);
-    if (snapshot.sampleWindows) {
-        axes.snapshot.mode = SnapshotPolicy::Mode::Sample;
-        axes.snapshot.sampleWindows = snapshot.sampleWindows;
-    }
 
     std::vector<SweepPoint> points = axes.expand();
     if (!quiet)
