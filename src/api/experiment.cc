@@ -171,6 +171,13 @@ ParamTweaks::fromJson(const Json &j, ParamTweaks *out, std::string *error)
             return fail(error, "tweaks.srtEnabled: expected a bool");
         out->srtEnabled = j["srtEnabled"].asBool();
     }
+    // A tweak the cores cannot be built with fails here, by name,
+    // instead of aborting or wedging the run.
+    CoreParams params;
+    out->apply(params);
+    std::string why;
+    if (!validCoreParams(params, &why))
+        return fail(error, "tweaks." + why);
     return true;
 }
 

@@ -147,18 +147,14 @@ Session::submit(const std::string &serverAddress,
 VerifyReport
 Session::verify(const ExperimentSpec &spec)
 {
-    // Architectural behaviour depends on the workload and the core
-    // parameters, not on the energy model's tech node or gating flag:
-    // normalize those away so e.g. fig15's three nodes verify once.
+    // Points that simulate the same run behave identically, so e.g.
+    // fig15's three nodes verify once.
     std::vector<SweepPoint> candidates;
     std::set<std::string> seen;
     for (SweepPoint &pt : spec.expand()) {
         if (pt.kind == CoreKind::Baseline)
             continue;
-        RunConfig canon = pt.config;
-        canon.node = TechNode::N130;
-        canon.frontEndPowerGating = false;
-        if (seen.insert(configKey(canon)).second)
+        if (seen.insert(configKey(simulatedConfig(pt.config))).second)
             candidates.push_back(std::move(pt));
     }
 

@@ -1,5 +1,6 @@
 #include "core/sim_driver.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
@@ -30,6 +31,45 @@ validClockBoost(double boost)
 {
     return std::isfinite(boost) && boost > -1.0 &&
            std::llround(clockedParams(boost, boost).fePeriodPs) >= 1;
+}
+
+bool
+validCoreParams(const CoreParams &params, std::string *error)
+{
+    const auto bad = [error](const char *field, std::uint64_t value,
+                             const std::string &want) {
+        if (error)
+            *error = std::string(field) + ": " + std::to_string(value) +
+                     " out of range (want " + want + ")";
+        return false;
+    };
+    constexpr unsigned kMaxExtraDelay = 1000;
+    if (params.ecBlockSlots < 1)
+        return bad("ecBlockSlots", params.ecBlockSlots, ">= 1");
+    if (params.ecTotalBlocks < 2)
+        return bad("ecTotalBlocks", params.ecTotalBlocks, ">= 2");
+    // PoolRenameUnit gives every architectural register a pool of at
+    // least max(2, minPoolSize) and indexes the file with 16-bit
+    // PhysRegs below kNoPhysReg.
+    static_assert(kNumArchRegs == 64 && kNoPhysReg == 65535,
+                  "update the pool rule's text");
+    const char *pool_rule =
+        "64 * max(2, minPoolSize) <= poolPhysRegs <= 65535";
+    if (params.poolPhysRegs > kNoPhysReg)
+        return bad("poolPhysRegs", params.poolPhysRegs, pool_rule);
+    if (params.poolPhysRegs <
+        std::uint64_t(kNumArchRegs) * std::max(2u, params.minPoolSize)) {
+        return params.poolPhysRegs == CoreParams().poolPhysRegs
+                   ? bad("minPoolSize", params.minPoolSize, pool_rule)
+                   : bad("poolPhysRegs", params.poolPhysRegs, pool_rule);
+    }
+    if (params.extraFrontEndStages > kMaxExtraDelay)
+        return bad("extraFrontEndStages", params.extraFrontEndStages,
+                   "<= " + std::to_string(kMaxExtraDelay));
+    if (params.wakeupExtraDelay > kMaxExtraDelay)
+        return bad("wakeupExtraDelay", params.wakeupExtraDelay,
+                   "<= " + std::to_string(kMaxExtraDelay));
+    return true;
 }
 
 bool
@@ -227,6 +267,23 @@ runSim(const RunConfig &config, Checkpointer *checkpoints)
     }
     telemetry.reduceSeconds = seconds(t2, Clock::now());
     r.telemetry = telemetry;
+    return r;
+}
+
+RunConfig
+simulatedConfig(const RunConfig &config)
+{
+    RunConfig sim = config;
+    sim.node = TechNode::N130;
+    sim.frontEndPowerGating = false;
+    return sim;
+}
+
+RunResult
+reduceFor(const RunConfig &config, const RunResult &simulated)
+{
+    RunResult r = reduceToResult(config, simulated.events, simulated.stats);
+    r.telemetry = simulated.telemetry;
     return r;
 }
 

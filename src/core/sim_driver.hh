@@ -122,6 +122,19 @@ CoreParams clockedParams(double fe_boost, double be_boost);
 bool validClockBoost(double boost);
 
 /**
+ * True iff @p params meets the preconditions the cores' constructors
+ * and pipelines place on the spec-tweakable fields:
+ *  - ecBlockSlots >= 1 and ecTotalBlocks >= 2 (ExecCache);
+ *  - 64 * max(2, minPoolSize) <= poolPhysRegs <= 65535
+ *    (PoolRenameUnit: every architectural register gets a pool, and
+ *    register indices are 16-bit PhysRegs below kNoPhysReg);
+ *  - extraFrontEndStages and wakeupExtraDelay at most 1000.
+ * Otherwise false, with *error naming the field ("poolPhysRegs: ...").
+ * A pool-size conflict names poolPhysRegs unless it holds its default.
+ */
+bool validCoreParams(const CoreParams &params, std::string *error);
+
+/**
  * Build the core @p config describes over @p stream (the factory
  * runSim uses; exposed for tests and the verification subsystem).
  */
@@ -139,6 +152,24 @@ std::unique_ptr<CoreBase> makeCore(const RunConfig &config,
  */
 RunResult runSim(const RunConfig &config,
                  Checkpointer *checkpoints = nullptr);
+
+/**
+ * The run @p config actually simulates: @p config with every field
+ * that reaches only the reduction (the energy model's tech node and
+ * front-end power gating) reset to its default.  Configs with one
+ * configKey(simulatedConfig(c)) simulate bit-identically, so a single
+ * simulation serves all of them through reduceFor().  Reset only
+ * fields the core never reads.
+ */
+RunConfig simulatedConfig(const RunConfig &config);
+
+/**
+ * @p config's result from @p simulated, a finished run of
+ * simulatedConfig(config): runSim's own reduction over the simulated
+ * window's events and stats, so toJson() of the two is byte-identical
+ * to runSim(config)'s.  Carries @p simulated's telemetry.
+ */
+RunResult reduceFor(const RunConfig &config, const RunResult &simulated);
 
 /**
  * Strict instruction-count parser shared by the FLYWHEEL_SIM_INSTRS /

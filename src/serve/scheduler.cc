@@ -15,14 +15,32 @@ JobScheduler::Job::predictedWall(std::size_t cell) const
 }
 
 bool
+JobScheduler::heldBack(const Job &job, std::size_t cell) const
+{
+    return leasedRuns_.count(job.cellRun[cell]) != 0;
+}
+
+std::map<std::size_t, JobScheduler::Lease>::iterator
+JobScheduler::dropLease(Job &job,
+                        std::map<std::size_t, Lease>::iterator it)
+{
+    auto run = leasedRuns_.find(job.cellRun[it->first]);
+    if (--run->second == 0)
+        leasedRuns_.erase(run);
+    return job.leased.erase(it);
+}
+
+bool
 JobScheduler::addJob(const std::string &jobId,
                      const std::vector<std::string> &cellBench,
+                     const std::vector<std::string> &cellRun,
                      const std::set<std::size_t> &completed)
 {
     if (jobs_.count(jobId))
         return false;
     Job job;
     job.cellBench = cellBench;
+    job.cellRun = cellRun;
     for (std::size_t cell = 0; cell < cellBench.size(); ++cell) {
         if (completed.count(cell))
             job.done.insert(cell);
@@ -43,24 +61,31 @@ JobScheduler::hasJob(const std::string &jobId) const
 bool
 JobScheduler::lease(const std::string &worker, double now, WorkUnit *out)
 {
-    // FIFO across jobs: drain the oldest job with pending work first.
+    // FIFO across jobs: drain the oldest job with a leasable cell
+    // first.
     for (const std::string &jobId : order_) {
         Job &job = jobs_.at(jobId);
-        if (job.pending.empty())
-            continue;
-        // LPT greedy: heaviest predicted cell; ties break to the
-        // lowest cell index (std::set iteration order).
-        std::size_t best = *job.pending.begin();
-        double best_wall = job.predictedWall(best);
+        // LPT greedy: heaviest predicted cell that is not held back;
+        // ties break to the lowest cell index (std::set iteration
+        // order).
+        bool found = false;
+        std::size_t best = 0;
+        double best_wall = 0.0;
         for (std::size_t cell : job.pending) {
+            if (heldBack(job, cell))
+                continue;
             const double wall = job.predictedWall(cell);
-            if (wall > best_wall) {
+            if (!found || wall > best_wall) {
+                found = true;
                 best = cell;
                 best_wall = wall;
             }
         }
+        if (!found)
+            continue;
         job.pending.erase(best);
         job.leased[best] = Lease{worker, now + leaseTimeout_};
+        ++leasedRuns_[job.cellRun[best]];
         out->jobId = jobId;
         out->cell = best;
         return true;
@@ -77,7 +102,8 @@ JobScheduler::completed(const std::string &jobId, std::size_t cell,
         return;
     Job &job = it->second;
     job.pending.erase(cell);
-    job.leased.erase(cell);
+    if (auto lease = job.leased.find(cell); lease != job.leased.end())
+        dropLease(job, lease);
     if (!job.done.insert(cell).second)
         return;  // duplicate completion: count the sample once
     const std::string &bench = job.cellBench[cell];
@@ -104,7 +130,7 @@ JobScheduler::expireLeases(double now)
             if (it->second.deadline < now) {
                 expired.push_back(WorkUnit{entry.first, it->first});
                 job.pending.insert(it->first);
-                it = job.leased.erase(it);
+                it = dropLease(job, it);
             } else {
                 ++it;
             }
@@ -123,7 +149,7 @@ JobScheduler::releaseWorker(const std::string &worker)
             if (it->second.worker == worker) {
                 released.push_back(WorkUnit{entry.first, it->first});
                 job.pending.insert(it->first);
-                it = job.leased.erase(it);
+                it = dropLease(job, it);
             } else {
                 ++it;
             }
@@ -138,9 +164,11 @@ JobScheduler::cancel(const std::string &jobId)
     auto it = jobs_.find(jobId);
     if (it == jobs_.end())
         return false;
-    it->second.pending.clear();
-    it->second.leased.clear();
-    it->second.cancelled = true;
+    Job &job = it->second;
+    job.pending.clear();
+    for (auto lease = job.leased.begin(); lease != job.leased.end();)
+        lease = dropLease(job, lease);
+    job.cancelled = true;
     return true;
 }
 

@@ -23,6 +23,14 @@
  * treated as heaviest (schedule-early), which both seeds the means
  * quickly and is the conservative bound.  Jobs are served FIFO.
  *
+ * Cells that simulate the same run (one configKey(simulatedConfig()),
+ * e.g. fig15's three tech nodes) are never leased at once, in any
+ * job: while one is leased its siblings are held back, so the first
+ * simulates the run and stores it, and the rest are reduced from the
+ * stored run.  Every distinct run is then simulated once, whatever the
+ * lease order: two workers leased siblings at once would both simulate
+ * it.
+ *
  * Time is injected as a double-seconds value by the caller (the
  * server's poll loop, or a unit test), so lease-expiry behaviour is
  * exactly testable without sleeping.  The scheduler itself is
@@ -70,20 +78,23 @@ class JobScheduler
     double leaseTimeout() const { return leaseTimeout_; }
 
     /**
-     * Register a job: one bench name per cell (LPT weight key), with
-     * @p completed cells (journal replay) already done.  Re-adding a
-     * known job id is a no-op (idempotent resubmission = attach).
-     * Returns false on the no-op.
+     * Register a job: per cell, a bench name (LPT weight key) and the
+     * key of the run it simulates (cells with one run key are never
+     * leased at once), with @p completed cells (journal replay)
+     * already done.  Re-adding a known job id is a no-op (idempotent
+     * resubmission = attach).  Returns false on the no-op.
      */
     bool addJob(const std::string &jobId,
                 const std::vector<std::string> &cellBench,
+                const std::vector<std::string> &cellRun,
                 const std::set<std::size_t> &completed = {});
 
     bool hasJob(const std::string &jobId) const;
 
     /**
-     * Lease the heaviest-predicted pending cell to @p worker; false
-     * when nothing is pending (all done, all leased, or no jobs).
+     * Lease the heaviest-predicted pending cell whose run is not
+     * leased to @p worker; false when there is none (all done, all
+     * leased or held back, or no jobs).
      */
     bool lease(const std::string &worker, double now, WorkUnit *out);
 
@@ -134,6 +145,7 @@ class JobScheduler
     struct Job
     {
         std::vector<std::string> cellBench;
+        std::vector<std::string> cellRun;
         std::set<std::size_t> pending;        // ordered: stable ties
         std::map<std::size_t, Lease> leased;
         std::set<std::size_t> done;
@@ -145,9 +157,16 @@ class JobScheduler
         double predictedWall(std::size_t cell) const;
     };
 
+    /** True while a sibling of @p job's @p cell is leased. */
+    bool heldBack(const Job &job, std::size_t cell) const;
+    /** Erase @p it from @p job's leases and release its run. */
+    std::map<std::size_t, Lease>::iterator
+    dropLease(Job &job, std::map<std::size_t, Lease>::iterator it);
+
     double leaseTimeout_;
     std::vector<std::string> order_;      // FIFO across jobs
     std::map<std::string, Job> jobs_;
+    std::map<std::string, std::size_t> leasedRuns_;  // run -> leases
 };
 
 } // namespace flywheel::serve

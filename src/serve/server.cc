@@ -19,6 +19,7 @@
 #include "common/atomic_file.hh"
 #include "common/log.hh"
 #include "core/report.hh"
+#include "core/sim_driver.hh"
 
 namespace flywheel::serve {
 
@@ -538,11 +539,18 @@ ServeDaemon::handleSubmit(Connection &conn, const Json &frame)
             return;
         }
 
+        // A cell's run key groups the cells that simulate one run
+        // (CellExecutor reduces the rest from it): the scheduler never
+        // leases two of them at once, so each run simulates once.
         std::vector<std::string> benches;
+        std::vector<std::string> runs;
         benches.reserve(job.points.size());
-        for (const SweepPoint &pt : job.points)
+        runs.reserve(job.points.size());
+        for (const SweepPoint &pt : job.points) {
             benches.push_back(pt.bench);
-        scheduler_.addJob(jobId, benches, completed);
+            runs.push_back(configKey(simulatedConfig(pt.config)));
+        }
+        scheduler_.addJob(jobId, benches, runs, completed);
         jobs_.emplace(jobId, std::move(job));
         ++jobsSubmitted_;
         if (resumed)

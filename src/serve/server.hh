@@ -19,10 +19,11 @@
  *    the FNV-1a digest of that resolved spec, making resubmission
  *    idempotent: the same spec resumes its journal instead of
  *    starting over.
- *  - execute: cells are leased to pulling workers (LPT order, see
- *    scheduler.hh), results are published to the shared store and
- *    echoed inline in `done` frames, and every completion is
- *    journaled durably before it is acknowledged.
+ *  - execute: cells are leased to pulling workers (LPT order, one
+ *    cell per simulated run at a time, see scheduler.hh), results
+ *    are published to the shared store and echoed inline in `done`
+ *    frames, and every completion is journaled durably before it is
+ *    acknowledged.
  *  - finalize: when the last cell lands, rows are assembled in
  *    expansion order with the same dedup rule (exportRowKey) as
  *    `flywheel_bench` exports, so the served table is byte-identical

@@ -24,14 +24,12 @@ checkpointKey(const RunConfig &config)
 {
     // Everything that cannot influence warmed-up simulator state is
     // canonicalized away so equivalent cells share one checkpoint:
-    //  - tech node and power gating feed only the energy model;
+    //  - the fields simulatedConfig() resets reach only the reduction;
     //  - the measurement length happens after the warmup;
     //  - the baseline core never reads the FE/BE clock plan or any
     //    Flywheel-only mechanism parameter (it clocks everything at
     //    basePeriodPs; see BaselineCore/CoreBase).
-    RunConfig canon = config;
-    canon.node = TechNode::N130;
-    canon.frontEndPowerGating = false;
+    RunConfig canon = simulatedConfig(config);
     canon.measureInstrs = 0;
     if (canon.kind == CoreKind::Baseline) {
         const CoreParams defaults;

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdio>
 #include <mutex>
+#include <unordered_map>
 
 #include "common/json.hh"
 #include "common/log.hh"
@@ -235,20 +236,27 @@ CellExecutor::run(const RunConfig &config, bool *from_cache)
                              coreKindName(cfg.kind) + "/" +
                              configHash(key);
     RunResult result;
-    // An observed run must actually execute: a cache hit would skip
-    // the simulation its stats/trace documents are meant to describe.
-    // Saving the result is still sound — the stored payload excludes
-    // everything ObsConfig adds.
+    // An observed run must actually execute: a cache hit or a derived
+    // result would skip the simulation its stats/trace documents are
+    // meant to describe.  Saving the result is still sound — the
+    // stored payload excludes everything ObsConfig adds.
     if (!cfg.obs.active() && store_ && store_->lookup(key, &result)) {
         if (from_cache)
             *from_cache = true;
         return result;
     }
-    result = runSim(cfg, checkpointer_);
+    // Tech node and gating reach only the reduction: reduce the
+    // canonical sibling's run, looked up or simulated once and saved.
+    bool sibling_cached = false;
+    const RunConfig sim = simulatedConfig(cfg);
+    if (!cfg.obs.active() && configKey(sim) != key)
+        result = reduceFor(cfg, run(sim, &sibling_cached));
+    else
+        result = runSim(cfg, checkpointer_);
     if (store_)
         store_->save(key, result);
     if (from_cache)
-        *from_cache = false;
+        *from_cache = sibling_cached;
     return result;
 }
 
@@ -292,15 +300,30 @@ SweepRunner::run(const std::vector<SweepPoint> &points)
                           records[i].result, records[i].fromCache);
     };
 
-    pool_.parallelFor(points.size(), [&](std::size_t i) {
-        SweepRecord &rec = records[i];
-        rec.point = points[i];
-        const auto cell_start = Clock::now();
-        rec.result = runOne(rec.point.config, &rec.fromCache);
-        rec.wallSeconds =
-            std::chrono::duration<double>(Clock::now() - cell_start)
-                .count();
-        report(i);
+    // Cells that simulate the same run (see simulatedConfig) form one
+    // task, run in expansion order: the first simulates, the rest
+    // reduce its result, and siblings never simulate concurrently.
+    std::vector<std::vector<std::size_t>> groups;
+    std::unordered_map<std::string, std::size_t> group_of;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const auto [it, fresh] = group_of.emplace(
+            configKey(simulatedConfig(points[i].config)), groups.size());
+        if (fresh)
+            groups.emplace_back();
+        groups[it->second].push_back(i);
+    }
+
+    pool_.parallelFor(groups.size(), [&](std::size_t g) {
+        for (std::size_t i : groups[g]) {
+            SweepRecord &rec = records[i];
+            rec.point = points[i];
+            const auto cell_start = Clock::now();
+            rec.result = runOne(rec.point.config, &rec.fromCache);
+            rec.wallSeconds =
+                std::chrono::duration<double>(Clock::now() - cell_start)
+                    .count();
+            report(i);
+        }
     });
 
     SweepTable table;

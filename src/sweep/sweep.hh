@@ -107,6 +107,8 @@ struct SweepRecord
 {
     SweepPoint point;
     RunResult result;
+    /** Nothing was simulated for this row: its result came from the
+     *  store, or was reduced from a stored sibling's run. */
     bool fromCache = false;
     /**
      * Host wall-clock spent producing this cell (near zero on a cache
@@ -184,8 +186,11 @@ class SweepTable
  * cell runs: observability stamping (a traced cell without a label is
  * named "<bench>/<kind>/<configHash>", so each run gets its own
  * trace thread and equal names mean equal configs), result-store
- * lookup (skipped for observed runs), runSim() over the checkpoint
- * store, and the save that publishes the result.  SweepRunner routes
+ * lookup, runSim() over the checkpoint store, and the save that
+ * publishes the result.  A cell whose simulatedConfig() differs from
+ * it is reduced (reduceFor) from that canonical sibling's result,
+ * which is looked up or simulated and saved in turn.  Observed runs
+ * skip both the lookup and the derivation.  SweepRunner routes
  * every thread-pool task through this, and the distributed serve
  * workers (src/serve/) run the identical path over the shared store —
  * which is what makes a served table byte-identical to a local run.
@@ -200,7 +205,10 @@ class CellExecutor
           obs_(std::move(obs))
     {}
 
-    /** Execute one config through the store/checkpointer policy. */
+    /**
+     * Execute one config through the store/checkpointer policy.
+     * *from_cache is true iff nothing was simulated in this call.
+     */
     RunResult run(const RunConfig &config, bool *from_cache = nullptr);
 
   private:
@@ -244,8 +252,9 @@ struct SweepOptions
     /**
      * Observability attachments stamped onto every cell that does not
      * bring its own (see ObsConfig).  Observed cells bypass the
-     * result-store lookup: a cache hit would skip the simulation the
-     * stats/trace documents are supposed to describe.
+     * result-store lookup and sibling derivation: either would skip
+     * the simulation the stats/trace documents are supposed to
+     * describe.
      */
     ObsConfig obs;
 };
@@ -263,7 +272,11 @@ class SweepRunner
     /** Logs the checkpoint-store summary line (suppressed by Quiet). */
     ~SweepRunner();
 
-    /** Run every point; results in submission order. */
+    /**
+     * Run every point; results in submission order.  Points sharing
+     * one configKey(simulatedConfig()) run on one worker in order, so
+     * the group simulates once.
+     */
     SweepTable run(const std::vector<SweepPoint> &points);
 
     /** Axes convenience overload. */

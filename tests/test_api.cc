@@ -210,6 +210,46 @@ TEST(ExperimentSpec, RejectsMalformedDocuments)
     expectRejected(head +
                    ", \"grids\": [{\"tweaks\": {\"srtEnabled\": 1}}]}",
                    "expected a bool");
+
+    // Tweaks the cores cannot be built or run with, named by field.
+    const auto tweaks = [&head](const std::string &members) {
+        return head + ", \"grids\": [{\"tweaks\": {" + members + "}}]}";
+    };
+    expectRejected(tweaks("\"ecBlockSlots\": 0"), "tweaks.ecBlockSlots");
+    expectRejected(tweaks("\"ecTotalBlocks\": 0"), "tweaks.ecTotalBlocks");
+    expectRejected(tweaks("\"ecTotalBlocks\": 1"), "tweaks.ecTotalBlocks");
+    expectRejected(tweaks("\"minPoolSize\": 1000"), "tweaks.minPoolSize");
+    expectRejected(tweaks("\"poolPhysRegs\": 0"), "tweaks.poolPhysRegs");
+    expectRejected(tweaks("\"poolPhysRegs\": 127, \"minPoolSize\": 2"),
+                   "tweaks.poolPhysRegs");
+    expectRejected(tweaks("\"poolPhysRegs\": 65536"),
+                   "tweaks.poolPhysRegs");
+    expectRejected(tweaks("\"extraFrontEndStages\": 4000000000"),
+                   "tweaks.extraFrontEndStages");
+    expectRejected(tweaks("\"extraFrontEndStages\": 1001"),
+                   "tweaks.extraFrontEndStages");
+    expectRejected(tweaks("\"wakeupExtraDelay\": 4000000000"),
+                   "tweaks.wakeupExtraDelay");
+}
+
+TEST(ExperimentSpec, AcceptsTweaksAtTheCoresLimits)
+{
+    for (const char *members :
+         {"\"ecTotalBlocks\": 2", "\"ecBlockSlots\": 1",
+          "\"poolPhysRegs\": 128, \"minPoolSize\": 2",
+          "\"poolPhysRegs\": 65535", "\"extraFrontEndStages\": 1000",
+          "\"wakeupExtraDelay\": 1000"}) {
+        Json doc;
+        std::string error;
+        ASSERT_TRUE(Json::parse(
+            std::string("{\"schema\": \"flywheel-experiment-v1\", "
+                        "\"name\": \"x\", \"grids\": [{\"tweaks\": {") +
+                members + "}}]}",
+            doc, &error));
+        ExperimentSpec spec;
+        EXPECT_TRUE(ExperimentSpec::fromJson(doc, &spec, &error))
+            << members << ": " << error;
+    }
 }
 
 TEST(ExperimentSpec, LoadsDocumentsWithTheAllZeroSamplingBlock)
@@ -331,6 +371,39 @@ TEST(Session, RepeatFlagReRunsDeterministically)
     spec.repeat = 2; // diverging repeats would be a fatal error
     Session session;
     EXPECT_EQ(session.run(spec).size(), spec.expand().size());
+}
+
+TEST(Session, ObservedCellsSimulateEverySibling)
+{
+    // Cells differing only in node or gating share a simulation, but a
+    // stats document must describe a simulation of its own cell.
+    ExperimentSpec spec = smallSpec();
+    spec.grids[0].nodes = {TechNode::N130, TechNode::N60};
+    spec.grids[0].gating = {false, true};
+    SessionOptions opts;
+    opts.obs.collectStats = true;
+    Session session(opts);
+    const SweepTable table = session.run(spec);
+    ASSERT_EQ(table.size(), 16u);
+    for (const SweepRecord &row : table.rows()) {
+        EXPECT_FALSE(row.fromCache);
+        EXPECT_NE(row.result.statsDoc, nullptr);
+    }
+}
+
+TEST(Session, Fig15RepeatReproducesItsDerivedCells)
+{
+    // The repeat pass simulates every cell afresh and is fatal on any
+    // byte difference from the first pass, which simulated a third.
+    ExperimentSpec spec = figureByName("fig15")->spec;
+    spec.warmupInstrs = 1000;
+    spec.measureInstrs = 2000;
+    spec.repeat = 2;
+    Session session;
+    const SweepTable table = session.run(spec);
+    ASSERT_EQ(table.size(), 60u);
+    const SweepTelemetry &t = table.telemetry();
+    EXPECT_EQ(t.cells - t.cacheHits, 20u);
 }
 
 TEST(Session, VerifyCrossChecksNonBaselinePoints)

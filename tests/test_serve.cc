@@ -4,12 +4,12 @@
  * (round-trip, malformed-frame rejection, buffer overflow poisoning),
  * server-address parsing, the durable job journal (replay, torn-tail
  * tolerance, resume validation), the lease-based scheduler (LPT
- * order, expiry reassignment, worker release), and in-process
- * end-to-end runs — one ServeDaemon on a Unix socket plus worker
- * threads must produce a table byte-identical to a single-process
- * Session::run of the same spec, and its results/ directory must
- * serve a local Session as a result store.  The store itself is
- * tested in test_sweep.cc.
+ * order, expiry reassignment, worker release, sibling hold-back),
+ * and in-process end-to-end runs — one ServeDaemon on a Unix socket
+ * plus worker threads must produce a table byte-identical to a
+ * single-process Session::run of the same spec, simulate each run
+ * once, and its results/ directory must serve a local Session as a
+ * result store.  The store itself is tested in test_sweep.cc.
  */
 
 #include <gtest/gtest.h>
@@ -318,8 +318,10 @@ TEST(ServeJournal, NameParsingIsStrict)
 TEST(ServeScheduler, LeasesDrainAJobExactlyOnce)
 {
     JobScheduler sched(60.0);
-    ASSERT_TRUE(sched.addJob("job1", {"gzip", "gcc", "gzip"}));
-    EXPECT_FALSE(sched.addJob("job1", {"gzip", "gcc", "gzip"}));
+    ASSERT_TRUE(
+        sched.addJob("job1", {"gzip", "gcc", "gzip"}, {"0", "1", "2"}));
+    EXPECT_FALSE(
+        sched.addJob("job1", {"gzip", "gcc", "gzip"}, {"0", "1", "2"}));
 
     std::set<std::size_t> leased;
     WorkUnit unit;
@@ -346,8 +348,9 @@ TEST(ServeScheduler, LeasesDrainAJobExactlyOnce)
 TEST(ServeScheduler, HeaviestPredictedBenchLeasesFirst)
 {
     JobScheduler sched(60.0);
-    ASSERT_TRUE(sched.addJob(
-        "job1", {"slow", "slow", "fast", "fast", "slow"}));
+    ASSERT_TRUE(sched.addJob("job1",
+                             {"slow", "slow", "fast", "fast", "slow"},
+                             {"0", "1", "2", "3", "4"}));
 
     WorkUnit unit;
     // Nothing is measured yet: unknown-everywhere ties break to the
@@ -375,7 +378,7 @@ TEST(ServeScheduler, HeaviestPredictedBenchLeasesFirst)
 TEST(ServeScheduler, ExpiredLeasesReassignToAnotherWorker)
 {
     JobScheduler sched(/*leaseTimeout=*/10.0);
-    ASSERT_TRUE(sched.addJob("job1", {"gzip"}));
+    ASSERT_TRUE(sched.addJob("job1", {"gzip"}, {"0"}));
 
     WorkUnit unit;
     ASSERT_TRUE(sched.lease("w1", /*now=*/0.0, &unit));
@@ -404,7 +407,7 @@ TEST(ServeScheduler, ExpiredLeasesReassignToAnotherWorker)
 TEST(ServeScheduler, ReleaseWorkerRePendsItsLeasesImmediately)
 {
     JobScheduler sched(60.0);
-    ASSERT_TRUE(sched.addJob("job1", {"gzip", "gcc"}));
+    ASSERT_TRUE(sched.addJob("job1", {"gzip", "gcc"}, {"0", "1"}));
     WorkUnit unit;
     ASSERT_TRUE(sched.lease("w1", 0.0, &unit));
     ASSERT_TRUE(sched.lease("w2", 0.0, &unit));
@@ -419,7 +422,8 @@ TEST(ServeScheduler, ReleaseWorkerRePendsItsLeasesImmediately)
 TEST(ServeScheduler, CancelDropsPendingAndLeasedCells)
 {
     JobScheduler sched(60.0);
-    ASSERT_TRUE(sched.addJob("job1", {"gzip", "gcc", "vpr"}));
+    ASSERT_TRUE(
+        sched.addJob("job1", {"gzip", "gcc", "vpr"}, {"0", "1", "2"}));
     WorkUnit unit;
     ASSERT_TRUE(sched.lease("w1", 0.0, &unit));
     sched.completed("job1", unit.cell, 0.1);
@@ -439,7 +443,7 @@ TEST(ServeScheduler, JournalReplayedCellsNeverLease)
 {
     JobScheduler sched(60.0);
     ASSERT_TRUE(sched.addJob("job1", {"gzip", "gcc", "vpr"},
-                             /*completed=*/{0, 2}));
+                             {"0", "1", "2"}, /*completed=*/{0, 2}));
     const serve::JobProgress p = sched.progress("job1");
     EXPECT_EQ(p.done, 2u);
     EXPECT_EQ(p.pending, 1u);
@@ -448,6 +452,81 @@ TEST(ServeScheduler, JournalReplayedCellsNeverLease)
     ASSERT_TRUE(sched.lease("w1", 0.0, &unit));
     EXPECT_EQ(unit.cell, 1u);
     EXPECT_FALSE(sched.lease("w1", 0.0, &unit));
+}
+
+TEST(ServeScheduler, SiblingsOfALeasedRunAreHeldBack)
+{
+    JobScheduler sched(60.0);
+    // Cells 0-2 simulate run "a" (say, three tech nodes), cell 3 "b".
+    ASSERT_TRUE(sched.addJob("job1", {"gzip", "gzip", "gzip", "gcc"},
+                             {"a", "a", "a", "b"}));
+
+    WorkUnit unit;
+    ASSERT_TRUE(sched.lease("w1", 0.0, &unit));
+    EXPECT_EQ(unit.cell, 0u);
+    // Cells 1 and 2 wait for cell 0's run; the next free cell is 3.
+    ASSERT_TRUE(sched.lease("w2", 0.0, &unit));
+    EXPECT_EQ(unit.cell, 3u);
+    EXPECT_FALSE(sched.lease("w3", 0.0, &unit));
+    EXPECT_EQ(sched.progress("job1").pending, 2u);
+
+    // A later job's sibling waits as well.
+    ASSERT_TRUE(sched.addJob("job2", {"gcc"}, {"b"}));
+    EXPECT_FALSE(sched.lease("w3", 0.0, &unit));
+
+    // A finished run releases its siblings one at a time: the first
+    // reduces from the stored run, and so does the next.
+    sched.completed("job1", 0, 1.0);
+    ASSERT_TRUE(sched.lease("w3", 0.0, &unit));
+    EXPECT_EQ(unit.jobId, "job1");
+    EXPECT_EQ(unit.cell, 1u);
+    EXPECT_FALSE(sched.lease("w1", 0.0, &unit));
+    sched.completed("job1", 1, 0.0);
+    sched.completed("job1", 3, 1.0);
+    ASSERT_TRUE(sched.lease("w1", 0.0, &unit));
+    EXPECT_EQ(unit.cell, 2u);
+    ASSERT_TRUE(sched.lease("w2", 0.0, &unit));
+    EXPECT_EQ(unit.jobId, "job2");
+    sched.completed("job1", 2, 0.0);
+    sched.completed("job2", 0, 0.0);
+    EXPECT_TRUE(sched.progress("job1").complete());
+    EXPECT_TRUE(sched.progress("job2").complete());
+}
+
+TEST(ServeScheduler, ExpiredReleasedAndCancelledLeasesFreeTheirRun)
+{
+    JobScheduler sched(/*leaseTimeout=*/10.0);
+    ASSERT_TRUE(sched.addJob("job1", {"gzip", "gzip"}, {"a", "a"}));
+    ASSERT_TRUE(sched.addJob("job2", {"gcc", "gcc"}, {"b", "b"}));
+    ASSERT_TRUE(sched.addJob("job3", {"vpr", "vpr"}, {"c", "c"}));
+
+    WorkUnit unit;
+    ASSERT_TRUE(sched.lease("w1", 0.0, &unit));
+    EXPECT_EQ(unit.jobId, "job1");
+    ASSERT_TRUE(sched.lease("w2", 5.0, &unit));
+    EXPECT_EQ(unit.jobId, "job2");
+    ASSERT_TRUE(sched.lease("w3", 5.0, &unit));
+    EXPECT_EQ(unit.jobId, "job3");
+    EXPECT_FALSE(sched.lease("w4", 5.0, &unit));
+
+    // w1 goes silent: its cell re-pends and its run is free again.
+    ASSERT_EQ(sched.expireLeases(12.0).size(), 1u);
+    ASSERT_TRUE(sched.lease("w4", 12.0, &unit));
+    EXPECT_EQ(unit.jobId, "job1");
+    EXPECT_EQ(unit.cell, 0u);
+    EXPECT_FALSE(sched.lease("w4", 12.0, &unit));
+
+    // w2 detaches: the same.
+    ASSERT_EQ(sched.releaseWorker("w2").size(), 1u);
+    ASSERT_TRUE(sched.lease("w5", 12.0, &unit));
+    EXPECT_EQ(unit.jobId, "job2");
+    EXPECT_FALSE(sched.lease("w5", 12.0, &unit));
+
+    // Cancelling job3 drops its lease; a resubmission may run "c".
+    ASSERT_TRUE(sched.cancel("job3"));
+    ASSERT_TRUE(sched.addJob("job4", {"vpr"}, {"c"}));
+    ASSERT_TRUE(sched.lease("w6", 12.0, &unit));
+    EXPECT_EQ(unit.jobId, "job4");
 }
 
 // -------------------------------------------------------- end-to-end
@@ -538,6 +617,86 @@ TEST(ServeEndToEnd, DistributedRunMatchesLocalByteForByte)
         << error;
     EXPECT_TRUE(state.complete);
     EXPECT_EQ(state.uniqueCompleted(), 4u);
+}
+
+TEST(ServeEndToEnd, SiblingCellsSimulateOnceForAnyLeaseOrder)
+{
+    TempDir td;
+    ServeOptions options;
+    options.storeDir = td / "store";
+    std::string error;
+    ASSERT_TRUE(serve::parseServeAddress(td / "serve.sock",
+                                         &options.listen, &error))
+        << error;
+    ServeDaemon daemon(options);
+    ASSERT_TRUE(daemon.start(&error)) << error;
+    std::thread serverThread([&daemon] { daemon.run(); });
+
+    // Six cells that differ only in tech node and gating simulate one
+    // run.  Every cell ties for the first lease, so without holding
+    // siblings back all three workers would start the run at once.
+    ExperimentSpec spec;
+    spec.name = "serve_siblings";
+    spec.title = "serve sibling test";
+    GridSpec grid;
+    grid.benchmarks = {"gzip"};
+    grid.kinds = {CoreKind::Flywheel};
+    grid.nodes = {TechNode::N130, TechNode::N90, TechNode::N60};
+    grid.gating = {false, true};
+    spec.grids.push_back(grid);
+    spec.warmupInstrs = 2000;
+    spec.measureInstrs = 20000;
+
+    std::vector<std::thread> workers;
+    for (const char *name : {"wA", "wB", "wC"}) {
+        serve::WorkerOptions wo;
+        wo.connect = daemon.boundAddress();
+        wo.name = name;
+        workers.emplace_back([wo] { serve::runWorker(wo); });
+    }
+
+    ServeClient client;
+    ASSERT_TRUE(client.connect(daemon.boundAddress(), &error))
+        << error;
+    ServeClient::Submitted submitted;
+    ASSERT_TRUE(client.submit(spec, &submitted, &error)) << error;
+    ASSERT_EQ(submitted.cells, 6u);
+    ASSERT_TRUE(client.waitForCompletion(submitted.jobId, 0.02,
+                                         nullptr, &error))
+        << error;
+    std::string servedJson;
+    std::string servedCsv;
+    ASSERT_TRUE(client.results(submitted.jobId, &servedJson,
+                               &servedCsv, &error))
+        << error;
+
+    std::uint64_t completed = 0;
+    std::uint64_t hits = 0;
+    Json statsDoc;
+    ASSERT_TRUE(client.stats(&statsDoc, &error)) << error;
+    for (const Json &g : statsDoc["groups"].items()) {
+        if (g["name"].asString().rfind("serve.shard.", 0) != 0)
+            continue;
+        for (const Json &stat : g["stats"].items()) {
+            if (stat["name"].asString() == "cellsCompleted")
+                completed += stat["value"].asU64();
+            if (stat["name"].asString() == "storeHits")
+                hits += stat["value"].asU64();
+        }
+    }
+    EXPECT_EQ(completed, 6u);
+    EXPECT_EQ(completed - hits, 1u);  // one simulation
+
+    ASSERT_TRUE(client.shutdown(&error)) << error;
+    serverThread.join();
+    for (std::thread &w : workers)
+        w.join();
+
+    // Still byte-identical to a local run.
+    Session session;
+    std::ostringstream localJson;
+    session.run(spec).writeJson(localJson);
+    EXPECT_EQ(servedJson, localJson.str());
 }
 
 TEST(ServeEndToEnd, RestartedServerResumesFromTheJournal)

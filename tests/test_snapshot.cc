@@ -550,18 +550,19 @@ TEST(CoreStatsDelta, OperatorsCoverEveryField)
 
 TEST(SweepCheckpointSharing, CellsShareOneWarmupAndStayBitIdentical)
 {
-    // Two cells differing only in tech node share a checkpoint key;
-    // with an in-memory store the second cell restores the first's
-    // warmup, and results must equal the uncheckpointed runner's.
+    // Two cells differing only in measurement length share a
+    // checkpoint key but not a simulation; with an in-memory store the
+    // second cell restores the first's warmup, and results must equal
+    // the uncheckpointed runner's.  (Cells differing only in tech node
+    // would share the simulation itself: the second would be derived,
+    // never reaching the checkpoint store.)
     auto points = [] {
         std::vector<SweepPoint> pts;
-        pts.push_back(makePoint("gzip", CoreKind::Flywheel, {0.0, 0.0},
-                                TechNode::N130));
-        pts.push_back(makePoint("gzip", CoreKind::Flywheel, {0.0, 0.0},
-                                TechNode::N90));
-        for (SweepPoint &pt : pts) {
-            pt.config.warmupInstrs = 8000;
-            pt.config.measureInstrs = 10000;
+        for (std::uint64_t measure : {10000u, 12000u}) {
+            pts.push_back(
+                makePoint("gzip", CoreKind::Flywheel, {0.0, 0.0}));
+            pts.back().config.warmupInstrs = 8000;
+            pts.back().config.measureInstrs = measure;
         }
         return pts;
     }();

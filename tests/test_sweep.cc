@@ -351,6 +351,121 @@ TEST(SweepRunner, ProgressCallbackFiresOncePerPoint)
     EXPECT_EQ(calls, points.size());
 }
 
+/**
+ * gzip x {baseline FE0/BE0, flywheel FE100/BE50} x @p nodes x gating:
+ * cells that differ only in node or gating, so each kind's cells
+ * share one simulation.
+ */
+std::vector<SweepPoint>
+siblingGrid(const std::vector<TechNode> &nodes)
+{
+    std::vector<SweepPoint> points;
+    for (const auto &[kind, clock] :
+         {std::pair<CoreKind, ClockPoint>{CoreKind::Baseline, {0.0, 0.0}},
+          {CoreKind::Flywheel, {1.0, 0.5}}}) {
+        for (TechNode node : nodes) {
+            for (bool gating : {false, true}) {
+                points.push_back(
+                    makePoint("gzip", kind, clock, node, gating));
+                points.back().config.warmupInstrs = 8000;
+                points.back().config.measureInstrs = 10000;
+            }
+        }
+    }
+    return points;
+}
+
+TEST(SimulatedConfig, ReductionOfTheSimulatedRunEqualsTheRun)
+{
+    // Fails as soon as the core starts reading a field simulatedConfig
+    // resets: the reduced result would then differ from the real run.
+    for (CoreKind kind : {CoreKind::Baseline, CoreKind::RegisterAllocation,
+                          CoreKind::Flywheel}) {
+        SweepPoint pt = makePoint("gzip", kind, {1.0, 0.5});
+        pt.config.warmupInstrs = 2000;
+        pt.config.measureInstrs = 5000;
+        const RunResult simulated = runSim(simulatedConfig(pt.config));
+        for (TechNode node :
+             {TechNode::N130, TechNode::N90, TechNode::N60}) {
+            for (bool gating : {false, true}) {
+                RunConfig config = pt.config;
+                config.node = node;
+                config.frontEndPowerGating = gating;
+                EXPECT_EQ(toJson(reduceFor(config, simulated)).dump(),
+                          toJson(runSim(config)).dump())
+                    << coreKindName(kind) << ' ' << techName(node)
+                    << " gating " << gating;
+            }
+        }
+    }
+}
+
+TEST(SweepRunner, SiblingsShareOneSimulationForAnyJobCount)
+{
+    const std::vector<SweepPoint> points = siblingGrid(
+        {TechNode::N130, TechNode::N90, TechNode::N60});
+    std::vector<std::string> want;
+    for (const SweepPoint &pt : points)
+        want.push_back(toJson(runSim(pt.config)).dump());
+
+    for (unsigned jobs : {1u, 3u}) {
+        SweepOptions opts;
+        opts.jobs = jobs;
+        SweepRunner runner(opts);
+        const SweepTable table = runner.run(points);
+        ASSERT_EQ(table.size(), points.size());
+        for (std::size_t i = 0; i < points.size(); ++i)
+            EXPECT_EQ(toJson(table.at(i).result).dump(), want[i])
+                << "jobs " << jobs << " point " << i;
+        const SweepTelemetry &t = table.telemetry();
+        EXPECT_EQ(t.cells - t.cacheHits, 2u) << "jobs " << jobs;
+    }
+}
+
+TEST(SweepRunner, GridWithoutTheCanonicalNodeStillSimulatesOncePerKind)
+{
+    const std::vector<SweepPoint> points =
+        siblingGrid({TechNode::N90, TechNode::N60});
+    SweepOptions opts;
+    opts.jobs = 3;
+    SweepRunner runner(opts);
+    const SweepTable table = runner.run(points);
+    const SweepTelemetry &t = table.telemetry();
+    EXPECT_EQ(t.cells - t.cacheHits, 2u);
+
+    // The simulated 0.13um ungated sibling was saved on the way.
+    for (const SweepPoint &pt : points) {
+        RunResult canonical;
+        EXPECT_TRUE(runner.cache().lookup(
+            configKey(simulatedConfig(pt.config)), &canonical));
+        EXPECT_EQ(toJson(canonical).dump(),
+                  toJson(runSim(simulatedConfig(pt.config))).dump());
+    }
+}
+
+TEST(CellExecutor, DerivesASiblingFromTheStoredCanonicalRun)
+{
+    const ScratchPath scratch("fw_sibling_store");
+    SweepPoint pt = makePoint("gzip", CoreKind::Flywheel, {1.0, 0.5});
+    pt.config.warmupInstrs = 8000;
+    pt.config.measureInstrs = 10000;
+    {
+        ResultStore store(scratch.path);
+        ASSERT_TRUE(store.save(configKey(pt.config), runSim(pt.config)));
+    }
+
+    RunConfig sibling = pt.config;
+    sibling.node = TechNode::N60;
+    sibling.frontEndPowerGating = true;
+    ResultStore store(scratch.path); // holds only the canonical file
+    bool from_cache = false;
+    const RunResult result =
+        CellExecutor(&store, nullptr).run(sibling, &from_cache);
+    EXPECT_TRUE(from_cache);
+    EXPECT_EQ(toJson(result).dump(), toJson(runSim(sibling)).dump());
+    EXPECT_TRUE(std::filesystem::exists(store.pathFor(configKey(sibling))));
+}
+
 TEST(SweepAxes, ExpandIsCartesianAndOrdered)
 {
     SweepAxes axes;
