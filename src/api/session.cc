@@ -1,7 +1,10 @@
 #include "api/session.hh"
 
+#include <chrono>
 #include <cstdlib>
+#include <mutex>
 #include <set>
+#include <unordered_map>
 
 #include "common/log.hh"
 #include "core/report.hh"
@@ -73,28 +76,121 @@ VerifyReport::summary() const
 }
 
 Session::Session(SessionOptions options)
-    : runner_([&options] {
-          SweepOptions sweep;
-          sweep.jobs = options.jobs;
-          sweep.cacheDir = options.cacheDir;
-          sweep.checkpointDir = options.checkpointDir;
-          sweep.checkpointCapBytes = options.checkpointCapBytes;
-          sweep.progress = options.progress;
-          sweep.obs = options.obs;
-          return sweep;
-      }())
-{}
+    : options_(std::move(options)), cache_(options_.cacheDir),
+      pool_(options_.jobs)
+{
+    if (!options_.checkpointDir.empty()) {
+        Checkpointer::Options store;
+        store.capBytes = options_.checkpointCapBytes;
+        checkpointer_ = std::make_unique<Checkpointer>(
+            options_.checkpointDir, store);
+    }
+}
+
+Session::~Session()
+{
+    if (checkpointer_)
+        FW_INFORM("%s", checkpointer_->summaryLine().c_str());
+}
+
+SweepTable
+Session::run(const std::vector<SweepPoint> &points)
+{
+    // lint: wallclock(telemetry only; simulated results never read it)
+    using Clock = std::chrono::steady_clock;
+    const auto sweep_start = Clock::now();
+
+    SweepTelemetry telem;
+    telem.cells = points.size();
+    telem.jobs = pool_.threadCount();
+    const std::uint64_t tasks_before = pool_.tasksExecuted();
+    const double busy_before = pool_.busySeconds();
+    if (checkpointer_) {
+        telem.checkpointMemoryHits = checkpointer_->memoryHits();
+        telem.checkpointDiskHits = checkpointer_->diskHits();
+        telem.checkpointComputes = checkpointer_->computes();
+        telem.checkpointBytesWritten = checkpointer_->diskBytesWritten();
+        telem.checkpointBytesRead = checkpointer_->diskBytesRead();
+    }
+
+    std::vector<SweepRecord> records(points.size());
+
+    std::mutex progress_mutex; // serializes the progress callback
+    std::size_t done = 0;
+    const auto report = [&](std::size_t i) {
+        if (!options_.progress)
+            return;
+        std::lock_guard<std::mutex> lock(progress_mutex);
+        ++done;
+        options_.progress(done, points.size(), records[i].point,
+                          records[i].result, records[i].fromCache);
+    };
+
+    // Cells that simulate the same run (see simulatedConfig) form one
+    // task, run in expansion order: the first simulates, the rest
+    // reduce its result, and siblings never simulate concurrently.
+    std::vector<std::vector<std::size_t>> groups;
+    std::unordered_map<std::string, std::size_t> group_of;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const auto [it, fresh] = group_of.emplace(
+            configKey(simulatedConfig(points[i].config)), groups.size());
+        if (fresh)
+            groups.emplace_back();
+        groups[it->second].push_back(i);
+    }
+
+    pool_.parallelFor(groups.size(), [&](std::size_t g) {
+        for (std::size_t i : groups[g]) {
+            SweepRecord &rec = records[i];
+            rec.point = points[i];
+            const auto cell_start = Clock::now();
+            rec.result =
+                CellExecutor(&cache_, checkpointer_.get(), options_.obs)
+                    .run(rec.point.config, &rec.fromCache);
+            rec.wallSeconds =
+                std::chrono::duration<double>(Clock::now() - cell_start)
+                    .count();
+            report(i);
+        }
+    });
+
+    SweepTable table;
+    for (auto &rec : records) {
+        if (rec.fromCache)
+            ++telem.cacheHits;
+        table.add(std::move(rec));
+    }
+    telem.wallSeconds =
+        std::chrono::duration<double>(Clock::now() - sweep_start).count();
+    telem.poolTasks = pool_.tasksExecuted() - tasks_before;
+    telem.poolBusySeconds = pool_.busySeconds() - busy_before;
+    if (checkpointer_) {
+        telem.checkpointMemoryHits =
+            checkpointer_->memoryHits() - telem.checkpointMemoryHits;
+        telem.checkpointDiskHits =
+            checkpointer_->diskHits() - telem.checkpointDiskHits;
+        telem.checkpointComputes =
+            checkpointer_->computes() - telem.checkpointComputes;
+        telem.checkpointBytesWritten =
+            checkpointer_->diskBytesWritten() -
+            telem.checkpointBytesWritten;
+        telem.checkpointBytesRead =
+            checkpointer_->diskBytesRead() - telem.checkpointBytesRead;
+    }
+    table.setTelemetry(std::move(telem));
+    return table;
+}
 
 SweepTable
 Session::run(const ExperimentSpec &spec)
 {
     std::vector<SweepPoint> points = spec.expand();
-    SweepTable table = runner_.run(points);
+    SweepTable table = run(points);
 
     for (unsigned rep = 1; rep < spec.repeat; ++rep) {
         // Repeats bypass the cache on purpose: their whole point is
         // to prove a fresh simulation reproduces the recorded result.
-        runner_.pool().parallelFor(points.size(), [&](std::size_t i) {
+        pool_.parallelFor(points.size(), [&](std::size_t i) {
             RunResult again = runSim(points[i].config);
             if (toJson(again).dump() !=
                 toJson(table.at(i).result).dump())
@@ -105,12 +201,6 @@ Session::run(const ExperimentSpec &spec)
         });
     }
     return table;
-}
-
-RunResult
-Session::runOne(const RunConfig &config, bool *from_cache)
-{
-    return runner_.runOne(config, from_cache);
 }
 
 bool
@@ -160,7 +250,7 @@ Session::verify(const ExperimentSpec &spec)
 
     VerifyReport report;
     report.entries.resize(candidates.size());
-    runner_.pool().parallelFor(candidates.size(), [&](std::size_t i) {
+    pool_.parallelFor(candidates.size(), [&](std::size_t i) {
         const SweepPoint &pt = candidates[i];
         DiffOptions opts;
         opts.params = pt.config.params;
@@ -173,18 +263,6 @@ Session::verify(const ExperimentSpec &spec)
             runDifferential(pt.config.profile, opts);
     });
     return report;
-}
-
-std::vector<GoldenDiff>
-Session::checkGolden(const std::string &dir, const GoldenOptions &opts)
-{
-    return checkGoldenFiles(dir, opts);
-}
-
-bool
-Session::refreshGolden(const std::string &dir, const GoldenOptions &opts)
-{
-    return writeGoldenFiles(dir, opts);
 }
 
 } // namespace flywheel

@@ -1,25 +1,34 @@
 /**
  * @file
- * Session — the one front door to the simulator.  A Session owns a
- * SweepRunner (worker pool + content-keyed result store) and executes
- * declarative ExperimentSpecs: run() simulates a spec's grid (with
- * optional bit-exact repeat checking), verify() routes its
- * non-baseline points through the differential checker, and the
- * golden helpers wrap the figure-regression snapshots.  Benches,
+ * Session — the one front door to the simulator and its one grid
+ * runner.  A Session owns a worker pool, a content-keyed result store
+ * and, when configured, a warm checkpoint store; it runs grids of
+ * SweepPoints (run() over points) and declarative ExperimentSpecs
+ * (run() over a spec, with optional bit-exact repeat checking),
+ * verify() routes a spec's non-baseline points through the
+ * differential checker, and submit() hands a spec to a
+ * `flywheel_serve` daemon instead.  The pool and stores persist
+ * across run() calls, so later grids reuse earlier points.  Benches,
  * tools and examples talk to this facade instead of wiring
- * runSim()/SweepRunner/golden.* individually.
+ * runSim()/CellExecutor individually.
  */
 
 #ifndef FLYWHEEL_API_SESSION_HH
 #define FLYWHEEL_API_SESSION_HH
 
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "api/experiment.hh"
+#include "snapshot/checkpointer.hh"
+#include "sweep/result_store.hh"
 #include "sweep/sweep.hh"
+#include "sweep/thread_pool.hh"
 #include "verify/differential.hh"
-#include "verify/golden.hh"
 
 namespace flywheel {
 
@@ -29,25 +38,39 @@ struct SessionOptions
     /** Worker threads; 0 = FLYWHEEL_JOBS env or hardware concurrency. */
     unsigned jobs = 0;
     /**
-     * Result-file directory (see SweepOptions::cacheDir); a serve
-     * store's `results/` works too.  Empty keeps results in memory.
+     * Result-file directory shared across runs and processes (see
+     * ResultStore); a serve store's `results/` works too.  Empty
+     * keeps results in memory only.
      */
     std::string cacheDir;
     /**
-     * Warm checkpoint store shared by every run of the session (see
-     * SweepOptions::checkpointDir): "" disables checkpointing, a
-     * directory persists warmup checkpoints across invocations,
-     * ":memory:" shares them within this process only.
+     * Warm checkpoint store shared by every run of the session: ""
+     * disables checkpointing entirely (historical behaviour), a
+     * directory persists warmup checkpoints on disk across
+     * invocations, and Checkpointer::kMemoryOnly (":memory:") shares
+     * them across cells of this process only.  Cells whose checkpoint
+     * keys match pay the detailed warmup once.
      */
     std::string checkpointDir;
-    /** Store size cap (see SweepOptions::checkpointCapBytes). */
+    /**
+     * On-disk checkpoint store size cap in bytes; 0 = unlimited.
+     * Enforced after every persist by mtime-LRU pruning.
+     */
     std::uint64_t checkpointCapBytes = 0;
-    /** Per-point progress callback (see SweepOptions::progress). */
-    decltype(SweepOptions::progress) progress;
+    /**
+     * Progress callback, invoked after each point completes (in
+     * completion order, serialized — never concurrently).
+     */
+    std::function<void(std::size_t done, std::size_t total,
+                       const SweepPoint &point, const RunResult &result,
+                       bool from_cache)>
+        progress;
     /**
      * Observability attachments stamped onto every run of the session
-     * (see SweepOptions::obs): stats collection and/or pipeline
-     * tracing.  Observed runs bypass the result-store lookup.
+     * that does not bring its own (see ObsConfig): stats collection
+     * and/or pipeline tracing.  Observed cells bypass the result-store
+     * lookup and sibling derivation: either would skip the simulation
+     * the stats/trace documents are supposed to describe.
      */
     ObsConfig obs;
 
@@ -95,6 +118,20 @@ class Session
   public:
     explicit Session(SessionOptions options = {});
 
+    /** Logs the checkpoint-store summary line (suppressed by Quiet). */
+    ~Session();
+
+    Session(const Session &) = delete;
+    Session &operator=(const Session &) = delete;
+
+    /**
+     * Run every point on the worker pool; rows come back in
+     * submission order.  Points sharing one
+     * configKey(simulatedConfig()) run on one worker in order, so the
+     * group simulates once.
+     */
+    SweepTable run(const std::vector<SweepPoint> &points);
+
     /**
      * Execute every point of @p spec on the worker pool; rows come
      * back in expansion order.  When spec.repeat > 1, each point is
@@ -104,16 +141,14 @@ class Session
      */
     SweepTable run(const ExperimentSpec &spec);
 
-    /** Run one ad-hoc config through the session's result store. */
-    RunResult runOne(const RunConfig &config, bool *from_cache = nullptr);
-
     /**
      * Client mode: submit @p spec to a `flywheel_serve` daemon at
      * @p serverAddress ("HOST:PORT" or a Unix socket path), block
      * until the sweep finishes, and return its exported table.
      * Submission is idempotent — resubmitting a spec the server has
      * journaled resumes it.  False + *error on connection, protocol
-     * or job failure; the local runner is untouched either way.
+     * or job failure; the local pool and stores are untouched either
+     * way.
      */
     bool submit(const std::string &serverAddress,
                 const ExperimentSpec &spec, SubmitOutcome *out,
@@ -129,19 +164,17 @@ class Session
      */
     VerifyReport verify(const ExperimentSpec &spec);
 
-    /** Golden-figure regression against "<dir>/<figure>.json". */
-    std::vector<GoldenDiff> checkGolden(const std::string &dir,
-                                        const GoldenOptions &opts = {});
-    /** Rebuild and overwrite the golden snapshots in @p dir. */
-    bool refreshGolden(const std::string &dir,
-                       const GoldenOptions &opts = {});
-
-    SweepRunner &runner() { return runner_; }
-    ResultStore &cache() { return runner_.cache(); }
-    unsigned jobs() const { return runner_.jobs(); }
+    ResultStore &cache() { return cache_; }
+    /** Shared warm checkpoint store (null when disabled). */
+    Checkpointer *checkpointer() { return checkpointer_.get(); }
+    unsigned jobs() const { return pool_.threadCount(); }
 
   private:
-    SweepRunner runner_;
+    SessionOptions options_;
+    ResultStore cache_;
+    std::unique_ptr<Checkpointer> checkpointer_;
+    /** Declared last: its workers join before the stores go away. */
+    ThreadPool pool_;
 };
 
 } // namespace flywheel

@@ -62,13 +62,6 @@ Btb::update(Addr pc, Addr target)
 }
 
 void
-Btb::regStats(StatGroup &group) const
-{
-    group.add("btb.lookups", lookups_);
-    group.add("btb.hits", hits_);
-}
-
-void
 Btb::registerStats(obs::StatsGroup &group) const
 {
     group.counter("lookups", lookups_);

@@ -40,8 +40,6 @@ class Btb
     /** Install/refresh the target for the branch at @p pc. */
     void update(Addr pc, Addr target);
 
-    void regStats(StatGroup &group) const;
-
     /** Register lookup/hit counters with the obs registry. */
     void registerStats(obs::StatsGroup &group) const;
 

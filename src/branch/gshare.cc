@@ -53,13 +53,6 @@ Gshare::update(Addr pc, std::uint16_t history_at_predict, bool taken)
 }
 
 void
-Gshare::regStats(StatGroup &group) const
-{
-    group.add("gshare.lookups", lookups_);
-    group.add("gshare.updates", updates_);
-}
-
-void
 Gshare::registerStats(obs::StatsGroup &group) const
 {
     group.counter("lookups", lookups_);

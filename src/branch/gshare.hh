@@ -56,8 +56,6 @@ class Gshare
 
     std::uint64_t lookups() const { return lookups_.value(); }
 
-    void regStats(StatGroup &group) const;
-
     /** Register lookup/update counters with the obs registry. */
     void registerStats(obs::StatsGroup &group) const;
 

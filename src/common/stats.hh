@@ -1,17 +1,14 @@
 /**
  * @file
- * Lightweight statistics package.  Components own Counter /
- * Average / Distribution objects and register them with a StatGroup;
- * benches and examples dump groups as name = value tables.
+ * Statistic value types.  Components own Counter / Distribution
+ * objects and register them with their core's obs::StatsRegistry
+ * (obs/stats_registry.hh), which names and dumps them.
  */
 
 #ifndef FLYWHEEL_COMMON_STATS_HH
 #define FLYWHEEL_COMMON_STATS_HH
 
 #include <cstdint>
-#include <map>
-#include <ostream>
-#include <string>
 #include <vector>
 
 namespace flywheel {
@@ -33,33 +30,6 @@ class Counter
 
   private:
     std::uint64_t value_ = 0;
-};
-
-/** Running mean of a sampled quantity. */
-class Average
-{
-  public:
-    void
-    sample(double v)
-    {
-        sum_ += v;
-        ++count_;
-    }
-
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-
-    void
-    reset()
-    {
-        sum_ = 0.0;
-        count_ = 0;
-    }
-
-  private:
-    double sum_ = 0.0;
-    std::uint64_t count_ = 0;
 };
 
 /**
@@ -105,36 +75,6 @@ class Distribution
     std::uint64_t sum_ = 0;
     std::uint64_t count_ = 0;
     std::uint64_t max_ = 0;
-};
-
-/**
- * Named collection of statistics.  Components register references to
- * their counters; StatGroup never owns the underlying storage, so
- * component lifetime must cover any dump() call.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    void add(const std::string &stat_name, const Counter &c);
-    void add(const std::string &stat_name, const Average &a);
-    void add(const std::string &stat_name, const double &d);
-
-    /** Print "group.stat = value" lines. */
-    void dump(std::ostream &os) const;
-
-    const std::string &name() const { return name_; }
-
-  private:
-    struct Entry
-    {
-        enum class Kind { Count, Avg, Double } kind;
-        const void *ptr;
-    };
-
-    std::string name_;
-    std::map<std::string, Entry> entries_;
 };
 
 } // namespace flywheel

@@ -1,8 +1,5 @@
 #include "core/lsq.hh"
 
-#include <cstdio>
-#include <string>
-
 #include "common/log.hh"
 #include "obs/stats_registry.hh"
 #include "snapshot/bincodec.hh"
@@ -181,21 +178,6 @@ Lsq::restore(BinReader &r)
     unknownStores_ = r.u32();
     knownStores_ = r.u32();
     minUnknownSeq_ = r.u64();
-}
-
-std::string
-Lsq::debugDump() const
-{
-    std::string out;
-    for (std::size_t i = 0; i < count_; ++i) {
-        const Entry &e = buf_[at(i)];
-        char buf[48];
-        std::snprintf(buf, sizeof(buf), "%llu:%c:%d ",
-                      static_cast<unsigned long long>(e.seq),
-                      e.isStore ? 'S' : 'L', int(e.addrKnown));
-        out += buf;
-    }
-    return out;
 }
 
 void

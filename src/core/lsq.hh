@@ -16,7 +16,6 @@
 #ifndef FLYWHEEL_CORE_LSQ_HH
 #define FLYWHEEL_CORE_LSQ_HH
 
-#include <string>
 #include <vector>
 
 #include "common/arena.hh"
@@ -73,9 +72,6 @@ class Lsq
 
     /** Drop all entries with sequence number >= @p seq (squash). */
     void squashFrom(InstSeqNum seq);
-
-    /** Debug string: "seq:S/L:known ..." for every entry. */
-    std::string debugDump() const;
 
     /** Register occupancy/capacity gauges with the obs registry. */
     void registerStats(obs::StatsGroup &group) const;

@@ -90,13 +90,6 @@ Cache::invalidateAll()
 }
 
 void
-Cache::regStats(StatGroup &group) const
-{
-    group.add(params_.name + ".accesses", accesses_);
-    group.add(params_.name + ".misses", misses_);
-}
-
-void
 Cache::registerStats(obs::StatsGroup &group) const
 {
     group.counter("accesses", accesses_);

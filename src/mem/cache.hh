@@ -64,9 +64,6 @@ class Cache
         return accesses() ? double(misses()) / double(accesses()) : 0.0;
     }
 
-    /** Register accesses/misses with @p group. */
-    void regStats(StatGroup &group) const;
-
     /** Register live counters and miss rate with the obs registry. */
     void registerStats(obs::StatsGroup &group) const;
 

@@ -54,15 +54,6 @@ MemoryHierarchy::restore(BinReader &r)
 }
 
 void
-MemoryHierarchy::regStats(StatGroup &group) const
-{
-    icache_.regStats(group);
-    dcache_.regStats(group);
-    l2_.regStats(group);
-    group.add("mem.accesses", memAccesses_);
-}
-
-void
 MemoryHierarchy::registerStats(obs::StatsRegistry &registry,
                                const std::string &prefix) const
 {

@@ -56,8 +56,6 @@ class MemoryHierarchy
 
     std::uint64_t memAccesses() const { return memAccesses_.value(); }
 
-    void regStats(StatGroup &group) const;
-
     /**
      * Register all three cache levels plus the memory access counter
      * as "<prefix>.icache" / ".dcache" / ".l2" / ".mem" groups.

@@ -229,13 +229,6 @@ FrameSocket::connectTo(const ServeAddress &address, std::string *error)
 }
 
 void
-FrameSocket::adopt(int fd)
-{
-    close();
-    fd_ = fd;
-}
-
-void
 FrameSocket::close()
 {
     if (fd_ >= 0) {

@@ -137,9 +137,6 @@ class FrameSocket
     /** Connect to @p address; false + *error on failure. */
     bool connectTo(const ServeAddress &address, std::string *error);
 
-    /** Adopt an already-connected fd (server-side tests). */
-    void adopt(int fd);
-
     bool connected() const { return fd_ >= 0; }
     void close();
 

@@ -188,12 +188,6 @@ JobScheduler::progress(const std::string &jobId) const
     return p;
 }
 
-std::vector<std::string>
-JobScheduler::jobIds() const
-{
-    return order_;
-}
-
 std::size_t
 JobScheduler::pendingCells() const
 {

@@ -127,9 +127,6 @@ class JobScheduler
     /** Progress for one job; zeroes for unknown ids. */
     JobProgress progress(const std::string &jobId) const;
 
-    /** Job ids in submission order. */
-    std::vector<std::string> jobIds() const;
-
     /** Total pending cells across jobs. */
     std::size_t pendingCells() const;
     /** Total leased cells across jobs. */

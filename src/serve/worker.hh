@@ -10,8 +10,8 @@
  * directory itself.  Between cells it keeps only what it can rebuild:
  * expanded job specs and the in-memory fronts of its result and
  * checkpoint stores.  Cells run through
- * the same CellExecutor and ResultStore as a local SweepRunner, which
- * is what keeps distributed results byte-identical to single-process
+ * the same CellExecutor and ResultStore as a local Session, which is
+ * what keeps distributed results byte-identical to single-process
  * ones.
  *
  * Per cell: the executor checks the shared `results/` store first

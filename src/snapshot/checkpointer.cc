@@ -14,7 +14,6 @@
 #include "common/atomic_file.hh"
 #include "common/log.hh"
 #include "core/sim_driver.hh"
-#include "obs/stats_registry.hh"
 #include "sweep/result_store.hh"
 
 namespace flywheel {
@@ -323,23 +322,6 @@ Checkpointer::persistFailures() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return persistFailures_;
-}
-
-void
-Checkpointer::registerStats(obs::StatsGroup &group) const
-{
-    // Formulas, not counter pointers: the accessors take the store
-    // mutex, so a dump concurrent with sweep workers stays safe.
-    group.formula("memoryHits", [this] { return double(memoryHits()); });
-    group.formula("diskHits", [this] { return double(diskHits()); });
-    group.formula("computes", [this] { return double(computes()); });
-    group.formula("evictions", [this] { return double(evictions()); });
-    group.formula("diskBytesWritten",
-                  [this] { return double(diskBytesWritten()); });
-    group.formula("diskBytesRead",
-                  [this] { return double(diskBytesRead()); });
-    group.formula("persistFailures",
-                  [this] { return double(persistFailures()); });
 }
 
 std::string

@@ -37,8 +37,6 @@
 
 namespace flywheel {
 
-namespace obs { class StatsGroup; }
-
 struct RunConfig;
 
 /**
@@ -129,9 +127,6 @@ class Checkpointer
     std::uint64_t diskBytesRead() const;
     /** Persist attempts that failed (disk full, permissions, ...). */
     std::uint64_t persistFailures() const;
-
-    /** Register the store's counters with @p group (live values). */
-    void registerStats(obs::StatsGroup &group) const;
 
     /** One-line store summary for end-of-session reporting. */
     std::string summaryLine() const;

@@ -137,15 +137,6 @@ Snapshot::section(const std::string &name) const
     FW_PANIC("snapshot has no section '%s'", name.c_str());
 }
 
-std::size_t
-Snapshot::payloadBytes() const
-{
-    std::size_t total = 0;
-    for (const Section &s : sections_)
-        total += s.data.size();
-    return total;
-}
-
 std::uint64_t
 Snapshot::contentHash() const
 {

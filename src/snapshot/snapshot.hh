@@ -84,9 +84,6 @@ class Snapshot
         return sections_[i].data;
     }
 
-    /** Total raw payload bytes across all sections. */
-    std::size_t payloadBytes() const;
-
     /**
      * FNV-1a-style 64-bit hash over section names, lengths and raw
      * bytes (before compression).  Its offset basis differs from

@@ -17,7 +17,7 @@
  * malformed file, or one written with an older field set reads as a
  * miss, never as a wrong result.
  *
- * The same store backs a local SweepRunner (`--cache DIR`) and the
+ * The same store backs a local Session (`--cache DIR`) and the
  * distributed sweep service (`<store>/results`), so a served grid is
  * a local cache and vice versa.
  */

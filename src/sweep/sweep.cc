@@ -1,12 +1,8 @@
 #include "sweep/sweep.hh"
 
-#include <chrono>
 #include <cstdio>
-#include <mutex>
-#include <unordered_map>
 
 #include "common/json.hh"
-#include "common/log.hh"
 #include "core/report.hh"
 #include "workload/profiles.hh"
 
@@ -46,34 +42,6 @@ techNodeByName(const std::string &name, TechNode *out)
         }
     }
     return false;
-}
-
-SweepAxes::SweepAxes()
-    : warmupInstrs(defaultWarmupInstrs()),
-      measureInstrs(defaultMeasureInstrs())
-{}
-
-std::vector<SweepPoint>
-SweepAxes::expand() const
-{
-    const std::vector<std::string> &benches =
-        benchmarks.empty() ? benchmarkNames() : benchmarks;
-
-    std::vector<SweepPoint> points;
-    points.reserve(benches.size() * kinds.size() * clocks.size() *
-                   nodes.size() * gating.size());
-    for (const auto &bench : benches)
-        for (CoreKind kind : kinds)
-            for (const ClockPoint &clock : clocks)
-                for (TechNode node : nodes)
-                    for (bool gate : gating) {
-                        SweepPoint pt =
-                            makePoint(bench, kind, clock, node, gate);
-                        pt.config.warmupInstrs = warmupInstrs;
-                        pt.config.measureInstrs = measureInstrs;
-                        points.push_back(std::move(pt));
-                    }
-    return points;
 }
 
 SweepPoint
@@ -207,23 +175,6 @@ SweepTable::writeCsv(std::ostream &os) const
     }
 }
 
-SweepRunner::SweepRunner(SweepOptions options)
-    : options_(options), cache_(options.cacheDir), pool_(options.jobs)
-{
-    if (!options_.checkpointDir.empty()) {
-        Checkpointer::Options store;
-        store.capBytes = options_.checkpointCapBytes;
-        checkpointer_ = std::make_unique<Checkpointer>(
-            options_.checkpointDir, store);
-    }
-}
-
-SweepRunner::~SweepRunner()
-{
-    if (checkpointer_)
-        FW_INFORM("%s", checkpointer_->summaryLine().c_str());
-}
-
 RunResult
 CellExecutor::run(const RunConfig &config, bool *from_cache)
 {
@@ -258,99 +209,6 @@ CellExecutor::run(const RunConfig &config, bool *from_cache)
     if (from_cache)
         *from_cache = sibling_cached;
     return result;
-}
-
-RunResult
-SweepRunner::runOne(const RunConfig &config, bool *from_cache)
-{
-    return CellExecutor(&cache_, checkpointer_.get(), options_.obs)
-        .run(config, from_cache);
-}
-
-SweepTable
-SweepRunner::run(const std::vector<SweepPoint> &points)
-{
-    // lint: wallclock(telemetry only; simulated results never read it)
-    using Clock = std::chrono::steady_clock;
-    const auto sweep_start = Clock::now();
-
-    SweepTelemetry telem;
-    telem.cells = points.size();
-    telem.jobs = pool_.threadCount();
-    const std::uint64_t tasks_before = pool_.tasksExecuted();
-    const double busy_before = pool_.busySeconds();
-    if (checkpointer_) {
-        telem.checkpointMemoryHits = checkpointer_->memoryHits();
-        telem.checkpointDiskHits = checkpointer_->diskHits();
-        telem.checkpointComputes = checkpointer_->computes();
-        telem.checkpointBytesWritten = checkpointer_->diskBytesWritten();
-        telem.checkpointBytesRead = checkpointer_->diskBytesRead();
-    }
-
-    std::vector<SweepRecord> records(points.size());
-
-    std::mutex progress_mutex; // serializes the progress callback
-    std::size_t done = 0;
-    const auto report = [&](std::size_t i) {
-        if (!options_.progress)
-            return;
-        std::lock_guard<std::mutex> lock(progress_mutex);
-        ++done;
-        options_.progress(done, points.size(), records[i].point,
-                          records[i].result, records[i].fromCache);
-    };
-
-    // Cells that simulate the same run (see simulatedConfig) form one
-    // task, run in expansion order: the first simulates, the rest
-    // reduce its result, and siblings never simulate concurrently.
-    std::vector<std::vector<std::size_t>> groups;
-    std::unordered_map<std::string, std::size_t> group_of;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const auto [it, fresh] = group_of.emplace(
-            configKey(simulatedConfig(points[i].config)), groups.size());
-        if (fresh)
-            groups.emplace_back();
-        groups[it->second].push_back(i);
-    }
-
-    pool_.parallelFor(groups.size(), [&](std::size_t g) {
-        for (std::size_t i : groups[g]) {
-            SweepRecord &rec = records[i];
-            rec.point = points[i];
-            const auto cell_start = Clock::now();
-            rec.result = runOne(rec.point.config, &rec.fromCache);
-            rec.wallSeconds =
-                std::chrono::duration<double>(Clock::now() - cell_start)
-                    .count();
-            report(i);
-        }
-    });
-
-    SweepTable table;
-    for (auto &rec : records) {
-        if (rec.fromCache)
-            ++telem.cacheHits;
-        table.add(std::move(rec));
-    }
-    telem.wallSeconds =
-        std::chrono::duration<double>(Clock::now() - sweep_start).count();
-    telem.poolTasks = pool_.tasksExecuted() - tasks_before;
-    telem.poolBusySeconds = pool_.busySeconds() - busy_before;
-    if (checkpointer_) {
-        telem.checkpointMemoryHits =
-            checkpointer_->memoryHits() - telem.checkpointMemoryHits;
-        telem.checkpointDiskHits =
-            checkpointer_->diskHits() - telem.checkpointDiskHits;
-        telem.checkpointComputes =
-            checkpointer_->computes() - telem.checkpointComputes;
-        telem.checkpointBytesWritten =
-            checkpointer_->diskBytesWritten() -
-            telem.checkpointBytesWritten;
-        telem.checkpointBytesRead =
-            checkpointer_->diskBytesRead() - telem.checkpointBytesRead;
-    }
-    table.setTelemetry(std::move(telem));
-    return table;
 }
 
 } // namespace flywheel

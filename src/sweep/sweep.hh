@@ -1,9 +1,13 @@
 /**
  * @file
- * Parallel experiment sweep engine.  Every figure and table in the
- * paper is a parameter sweep — benchmark x core kind x clock boost x
- * technology node — and this subsystem runs such grids on a worker
- * thread pool instead of one point at a time.
+ * The per-cell parts of the parallel experiment sweep.  Every figure
+ * and table in the paper is a parameter sweep — benchmark x core kind
+ * x clock boost x technology node — and Session (api/session.hh) runs
+ * such grids on a worker thread pool instead of one point at a time.
+ * This layer holds what that runner and the distributed serve workers
+ * share: the labelled grid point (SweepPoint), the one-cell execution
+ * policy (CellExecutor), and the finished table with its export
+ * (SweepTable); the result store and thread pool live beside it.
  *
  * Guarantees:
  *  - deterministic results: points are returned in submission order
@@ -24,8 +28,6 @@
 #define FLYWHEEL_SWEEP_SWEEP_HH
 
 #include <cstddef>
-#include <functional>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -33,7 +35,6 @@
 #include "core/sim_driver.hh"
 #include "snapshot/checkpointer.hh"
 #include "sweep/result_store.hh"
-#include "sweep/thread_pool.hh"
 
 namespace flywheel {
 
@@ -82,26 +83,6 @@ bool techNodeByName(const std::string &name, TechNode *out);
  */
 std::string csvField(const std::string &value);
 
-/**
- * Composable sweep axes.  expand() produces the cartesian product in
- * a fixed nesting order (benchmark, kind, clock, node, gating) so a
- * grid always enumerates the same way.
- */
-struct SweepAxes
-{
-    std::vector<std::string> benchmarks;            ///< empty = all ten
-    std::vector<CoreKind> kinds{CoreKind::Flywheel};
-    std::vector<ClockPoint> clocks{{0.0, 0.0}};
-    std::vector<TechNode> nodes{TechNode::N130};
-    std::vector<bool> gating{false};
-    std::uint64_t warmupInstrs;    ///< defaults honour FLYWHEEL_* env vars
-    std::uint64_t measureInstrs;
-
-    SweepAxes();
-
-    std::vector<SweepPoint> expand() const;
-};
-
 /** One completed grid point. */
 struct SweepRecord
 {
@@ -134,7 +115,7 @@ struct SweepTelemetry
     std::uint64_t poolTasks = 0;
     double poolBusySeconds = 0.0;   ///< summed across workers
     // Checkpoint-store deltas over this sweep (all zero when the
-    // runner has no store).
+    // session has no store).
     std::uint64_t checkpointMemoryHits = 0;
     std::uint64_t checkpointDiskHits = 0;
     std::uint64_t checkpointComputes = 0;
@@ -190,8 +171,8 @@ class SweepTable
  * publishes the result.  A cell whose simulatedConfig() differs from
  * it is reduced (reduceFor) from that canonical sibling's result,
  * which is looked up or simulated and saved in turn.  Observed runs
- * skip both the lookup and the derivation.  SweepRunner routes
- * every thread-pool task through this, and the distributed serve
+ * skip both the lookup and the derivation.  Session routes every
+ * thread-pool task through this, and the distributed serve
  * workers (src/serve/) run the identical path over the shared store —
  * which is what makes a served table byte-identical to a local run.
  */
@@ -215,87 +196,6 @@ class CellExecutor
     ResultStore *store_;
     Checkpointer *checkpointer_;
     ObsConfig obs_;
-};
-
-/** Knobs for a SweepRunner. */
-struct SweepOptions
-{
-    /** Worker threads; 0 = FLYWHEEL_JOBS env or hardware concurrency. */
-    unsigned jobs = 0;
-    /**
-     * Result-file directory shared across runs and processes (see
-     * ResultStore); empty keeps results in memory only.
-     */
-    std::string cacheDir;
-    /**
-     * Warm checkpoint store shared by every grid cell: "" disables
-     * checkpointing entirely (historical behaviour), a directory
-     * persists checkpoints on disk across invocations, and
-     * Checkpointer::kMemoryOnly (":memory:") shares warmups across
-     * cells of this process only.  Cells whose checkpoint keys match
-     * pay the detailed warmup once.
-     */
-    std::string checkpointDir;
-    /**
-     * On-disk checkpoint store size cap in bytes; 0 = unlimited.
-     * Enforced after every persist by mtime-LRU pruning.
-     */
-    std::uint64_t checkpointCapBytes = 0;
-    /**
-     * Progress callback, invoked after each point completes (in
-     * completion order, serialized — never concurrently).
-     */
-    std::function<void(std::size_t done, std::size_t total,
-                       const SweepPoint &point, const RunResult &result,
-                       bool from_cache)>
-        progress;
-    /**
-     * Observability attachments stamped onto every cell that does not
-     * bring its own (see ObsConfig).  Observed cells bypass the
-     * result-store lookup and sibling derivation: either would skip
-     * the simulation the stats/trace documents are supposed to
-     * describe.
-     */
-    ObsConfig obs;
-};
-
-/**
- * Thread-pooled experiment runner.  The pool and result store persist
- * across run() calls, so one runner can serve several grids in a
- * session and later grids reuse earlier points.
- */
-class SweepRunner
-{
-  public:
-    explicit SweepRunner(SweepOptions options = {});
-
-    /** Logs the checkpoint-store summary line (suppressed by Quiet). */
-    ~SweepRunner();
-
-    /**
-     * Run every point; results in submission order.  Points sharing
-     * one configKey(simulatedConfig()) run on one worker in order, so
-     * the group simulates once.
-     */
-    SweepTable run(const std::vector<SweepPoint> &points);
-
-    /** Axes convenience overload. */
-    SweepTable run(const SweepAxes &axes) { return run(axes.expand()); }
-
-    /** Run one config through the result store. */
-    RunResult runOne(const RunConfig &config, bool *from_cache = nullptr);
-
-    ResultStore &cache() { return cache_; }
-    /** Shared warm checkpoint store (null when disabled). */
-    Checkpointer *checkpointer() { return checkpointer_.get(); }
-    ThreadPool &pool() { return pool_; }
-    unsigned jobs() const { return pool_.threadCount(); }
-
-  private:
-    SweepOptions options_;
-    ResultStore cache_;
-    std::unique_ptr<Checkpointer> checkpointer_;
-    ThreadPool pool_;
 };
 
 /**

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "api/paper_grids.hh"
+#include "api/session.hh"
 #include "api/table_index.hh"
 #include "common/log.hh"
 #include "sweep/sweep.hh"
@@ -129,10 +130,10 @@ goldenFigureNames()
 std::vector<std::pair<std::string, Json>>
 buildGoldenDocs(const GoldenOptions &opts)
 {
-    SweepOptions sweep_opts;
-    sweep_opts.jobs = opts.jobs;
-    SweepRunner runner(sweep_opts);
-    SweepTable table = runner.run(figureSpec(opts).expand());
+    SessionOptions session_opts;
+    session_opts.jobs = opts.jobs;
+    Session session(session_opts);
+    SweepTable table = session.run(figureSpec(opts));
     TableIndex ix(table);
 
     std::vector<std::pair<std::string, Json>> docs;

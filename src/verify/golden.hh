@@ -15,7 +15,7 @@
  * count, courtesy of the sweep engine.
  *
  * Golden files live in tests/golden/ and are refreshed with
- * `flywheel_fuzz --refresh-golden <dir>` after a deliberate
+ * `flywheel_bench --refresh-golden tests/golden` after a deliberate
  * behaviour change (see README "Testing & verification").
  */
 

@@ -35,15 +35,6 @@ StaticProgram::StaticProgram(const BenchProfile &profile)
     assignAddresses();
 }
 
-std::uint64_t
-StaticProgram::staticInstCount() const
-{
-    std::uint64_t n = 0;
-    for (const auto &b : blocks_)
-        n += b.size();
-    return n;
-}
-
 void
 StaticProgram::build()
 {

@@ -133,9 +133,6 @@ class StaticProgram
     const std::vector<DataObject> &objects() const { return objects_; }
     std::uint32_t entryBlock() const { return entry_; }
 
-    /** Total static instructions (ops + branches) in the program. */
-    std::uint64_t staticInstCount() const;
-
     /** Base address of the code segment. */
     static constexpr Addr codeBase() { return 0x1000; }
     /** Base address of the data segment. */

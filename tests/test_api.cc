@@ -321,6 +321,32 @@ TEST(GridSpec, TweaksAndLabelReachTheConfig)
     EXPECT_NE(configKey(points[0].config), configKey(base[0].config));
 }
 
+TEST(GridSpec, ExpandIsCartesianAndOrdered)
+{
+    GridSpec grid;
+    grid.benchmarks = {"gzip", "gcc"};
+    grid.kinds = {CoreKind::Baseline, CoreKind::Flywheel};
+    grid.clocks = {{0.0, 0.0}, {0.5, 0.5}};
+    grid.nodes = {TechNode::N130, TechNode::N60};
+
+    std::vector<SweepPoint> points = grid.expand(0, 3000);
+    ASSERT_EQ(points.size(), 16u);
+    // Benchmark-major nesting order.
+    EXPECT_EQ(points[0].bench, "gzip");
+    EXPECT_EQ(points[8].bench, "gcc");
+    EXPECT_EQ(points[0].kind, CoreKind::Baseline);
+    EXPECT_EQ(points[4].kind, CoreKind::Flywheel);
+    EXPECT_EQ(points[0].config.node, TechNode::N130);
+    EXPECT_EQ(points[1].config.node, TechNode::N60);
+    EXPECT_EQ(points[2].clock.feBoost, 0.5);
+    // Run lengths are taken as given: a zero warmup stays zero, which
+    // is what makes `flywheel_sweep --warmup 0` run without one.
+    for (const SweepPoint &pt : points) {
+        EXPECT_EQ(pt.config.warmupInstrs, 0u);
+        EXPECT_EQ(pt.config.measureInstrs, 3000u);
+    }
+}
+
 /** Small two-bench spec with pinned run lengths. */
 ExperimentSpec
 smallSpec()
@@ -337,7 +363,7 @@ smallSpec()
     return spec;
 }
 
-TEST(Session, RunMatchesDirectSweepRunner)
+TEST(Session, RunMatchesDirectRunSim)
 {
     ExperimentSpec spec = smallSpec();
 
@@ -346,13 +372,11 @@ TEST(Session, RunMatchesDirectSweepRunner)
     Session session(opts);
     SweepTable via_session = session.run(spec);
 
-    SweepRunner runner;
-    SweepTable direct = runner.run(spec.expand());
-
-    ASSERT_EQ(via_session.size(), direct.size());
-    for (std::size_t i = 0; i < direct.size(); ++i)
+    const std::vector<SweepPoint> points = spec.expand();
+    ASSERT_EQ(via_session.size(), points.size());
+    for (std::size_t i = 0; i < points.size(); ++i)
         EXPECT_EQ(toJson(via_session.at(i).result).dump(),
-                  toJson(direct.at(i).result).dump());
+                  toJson(runSim(points[i].config)).dump());
 }
 
 TEST(Session, RepeatedPointsComeFromTheCache)

@@ -161,11 +161,11 @@ TEST(FormatEta, ClampsHugeEstimatesAndGuardsBadInput)
               "");
 }
 
-TEST(StderrProgress, MatchesSweepProgressSignature)
+TEST(StderrProgress, MatchesSessionProgressSignature)
 {
-    // The shared printer must stay assignable to the sweep/session
-    // progress slot (the compile is the real assertion).
-    SweepOptions opts;
+    // The shared printer must stay assignable to the session progress
+    // slot (the compile is the real assertion).
+    SessionOptions opts;
     opts.progress = cli::stderrProgress;
     EXPECT_TRUE(static_cast<bool>(opts.progress));
 }
@@ -194,7 +194,7 @@ TEST(SnapshotFlags, ParsesTheSharedFlagSet)
     char **argv = const_cast<char **>(argv_c);
 
     cli::SnapshotFlags flags;
-    SweepOptions opts;
+    SessionOptions opts;
     int i = 1;
     EXPECT_TRUE(flags.tryParse(argv[i], 4, argv, &i));
     flags.apply(&opts);
@@ -222,9 +222,9 @@ TEST(SnapshotFlags, ParsesCapFlag)
     int i = 1;
     EXPECT_TRUE(flags.tryParse(argv[i], 3, argv, &i));
 
-    // apply() stamps the cap onto any options struct with the shared
-    // field names and leaves the directory no flag named alone.
-    SweepOptions opts;
+    // apply() stamps the cap onto the options and leaves the
+    // directory no flag named alone.
+    SessionOptions opts;
     opts.checkpointDir = "/tmp/store";
     flags.apply(&opts);
     EXPECT_EQ(opts.checkpointDir, "/tmp/store");
@@ -245,7 +245,7 @@ TEST(SnapshotFlags, LeavesTheEnvironmentToTheSessionReader)
     cli::SnapshotFlags none;
     none.apply(&opts);
     EXPECT_EQ(opts.checkpointDir, "/tmp/env_store");
-    SweepOptions plain;
+    SessionOptions plain;
     none.apply(&plain);
     EXPECT_EQ(plain.checkpointDir, "");
 

@@ -1,14 +1,13 @@
 /**
  * @file
  * Unit tests for common infrastructure: the PCG32 generator, the
- * statistics package, and the JSON parser/writer edge cases (escape
+ * statistic value types, and the JSON parser/writer edge cases (escape
  * sequences, nesting limits, NaN/Inf rejection, uint64 round-trips).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <sstream>
 #include <string>
 
 #include "common/json.hh"
@@ -113,16 +112,6 @@ TEST(Stats, CounterBasics)
     EXPECT_EQ(c.value(), 6u);
     c.reset();
     EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Stats, AverageBasics)
-{
-    Average a;
-    EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-    a.sample(2.0);
-    a.sample(4.0);
-    EXPECT_DOUBLE_EQ(a.mean(), 3.0);
-    EXPECT_EQ(a.count(), 2u);
 }
 
 TEST(Stats, DistributionBucketsAndOverflow)
@@ -255,22 +244,6 @@ TEST(JsonEdge, AsU64SaturatesInsteadOfOverflowing)
     EXPECT_EQ(Json(1e300).asU64(), std::uint64_t(0) - 1);
     EXPECT_EQ(Json(42.9).asU64(), 42u);
     EXPECT_EQ(Json().asU64(), 0u);  // null
-}
-
-TEST(Stats, StatGroupDumpsRegisteredValues)
-{
-    StatGroup g("core");
-    Counter c;
-    c += 7;
-    Average a;
-    a.sample(1.5);
-    g.add("retired", c);
-    g.add("ipc", a);
-    std::ostringstream os;
-    g.dump(os);
-    std::string out = os.str();
-    EXPECT_NE(out.find("core.retired = 7"), std::string::npos);
-    EXPECT_NE(out.find("core.ipc = 1.5"), std::string::npos);
 }
 
 } // namespace

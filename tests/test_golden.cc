@@ -5,7 +5,7 @@
  * field-by-field against the snapshots in tests/golden/.
  *
  * On an intentional behaviour change, refresh the snapshots with
- *   ./build/flywheel_fuzz --refresh-golden tests/golden
+ *   ./build/flywheel_bench --refresh-golden tests/golden
  * and commit the diff alongside the change that caused it.
  */
 
@@ -33,19 +33,16 @@ goldenDir()
 
 TEST(Golden, FigureDocumentsMatchSnapshots)
 {
-    if (std::getenv("FLYWHEEL_GOLDEN_REFRESH")) {
-        ASSERT_TRUE(writeGoldenFiles(goldenDir()));
-        GTEST_SKIP() << "golden files refreshed in " << goldenDir();
-    }
     for (const GoldenDiff &d : checkGoldenFiles(goldenDir())) {
         EXPECT_FALSE(d.missing)
             << d.figure << ": golden file missing or unreadable at "
             << d.path
-            << " (generate with flywheel_fuzz --refresh-golden)";
+            << " (generate with flywheel_bench --refresh-golden "
+            << goldenDir() << ")";
         for (const std::string &diff : d.differences)
             ADD_FAILURE() << d.figure << " diverges from " << d.path
                           << ": " << diff
-                          << "\n(if intentional: flywheel_fuzz "
+                          << "\n(if intentional: flywheel_bench "
                              "--refresh-golden " << goldenDir() << ")";
     }
 }

@@ -20,6 +20,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "api/session.hh"
 #include "core/report.hh"
 #include "core/sim_driver.hh"
 #include "snapshot/checkpointer.hh"
@@ -553,7 +554,7 @@ TEST(SweepCheckpointSharing, CellsShareOneWarmupAndStayBitIdentical)
     // Two cells differing only in measurement length share a
     // checkpoint key but not a simulation; with an in-memory store the
     // second cell restores the first's warmup, and results must equal
-    // the uncheckpointed runner's.  (Cells differing only in tech node
+    // the uncheckpointed session's.  (Cells differing only in tech node
     // would share the simulation itself: the second would be derived,
     // never reaching the checkpoint store.)
     auto points = [] {
@@ -567,15 +568,15 @@ TEST(SweepCheckpointSharing, CellsShareOneWarmupAndStayBitIdentical)
         return pts;
     }();
 
-    SweepOptions plain_opts;
+    SessionOptions plain_opts;
     plain_opts.jobs = 1;
-    SweepRunner plain(plain_opts);
+    Session plain(plain_opts);
     const SweepTable reference = plain.run(points);
 
-    SweepOptions ckpt_opts;
+    SessionOptions ckpt_opts;
     ckpt_opts.jobs = 1;
     ckpt_opts.checkpointDir = Checkpointer::kMemoryOnly;
-    SweepRunner checkpointed(ckpt_opts);
+    Session checkpointed(ckpt_opts);
     const SweepTable shared = checkpointed.run(points);
 
     ASSERT_NE(checkpointed.checkpointer(), nullptr);

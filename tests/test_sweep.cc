@@ -1,9 +1,10 @@
 /**
  * @file
- * Tests for the parallel sweep engine: thread-pool behaviour,
- * determinism across worker counts, result-store hits (in-memory and
- * on-disk, including hostile result files), JSON round-trip of
- * RunResult, and export stability.
+ * Tests for the parallel sweep engine (the sweep layer and the
+ * grid runner in Session): thread-pool behaviour, determinism across
+ * worker counts, result-store hits (in-memory and on-disk, including
+ * hostile result files), JSON round-trip of RunResult, and export
+ * stability.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "api/session.hh"
 #include "common/json.hh"
 #include "core/report.hh"
 #include "sweep/result_store.hh"
@@ -213,16 +215,16 @@ TEST(ConfigKey, DigestIsPinned)
     EXPECT_EQ(fnv1a64("key-a"), 0x71132af295f22d16ULL);
 }
 
-TEST(SweepRunner, DeterministicAcrossJobCounts)
+TEST(Session, DeterministicAcrossJobCounts)
 {
     std::vector<SweepPoint> points = smallGrid();
 
     std::vector<SweepTable> tables;
     for (unsigned jobs : {1u, 4u, 8u}) {
-        SweepOptions opts;
+        SessionOptions opts;
         opts.jobs = jobs;
-        SweepRunner runner(opts);
-        tables.push_back(runner.run(points));
+        Session session(opts);
+        tables.push_back(session.run(points));
     }
 
     for (std::size_t t = 1; t < tables.size(); ++t) {
@@ -246,7 +248,7 @@ TEST(SweepRunner, DeterministicAcrossJobCounts)
     }
 }
 
-TEST(SweepRunner, TracesEveryCellAsItsOwnThreadForAnyJobCount)
+TEST(Session, TracesEveryCellAsItsOwnThreadForAnyJobCount)
 {
     // Four cells of one benchmark: each must be its own trace thread
     // (not stacked under the benchmark name in completion order), and
@@ -263,40 +265,40 @@ TEST(SweepRunner, TracesEveryCellAsItsOwnThreadForAnyJobCount)
     std::vector<std::string> docs;
     for (unsigned jobs : {1u, 4u}) {
         obs::TraceSink sink;
-        SweepOptions opts;
+        SessionOptions opts;
         opts.jobs = jobs;
         opts.obs.traceSink = &sink;
-        SweepRunner runner(opts);
-        runner.run(points);
+        Session session(opts);
+        session.run(points);
         EXPECT_EQ(sink.runCount(), points.size()) << "jobs " << jobs;
         docs.push_back(sink.toChromeJson().dump());
     }
     EXPECT_TRUE(docs[0] == docs[1]) << "jobs 1 and 4 traces differ";
 }
 
-TEST(SweepRunner, CacheHitsOnRerun)
+TEST(Session, CacheHitsOnRerun)
 {
     std::vector<SweepPoint> points = smallGrid();
 
-    SweepOptions opts;
+    SessionOptions opts;
     opts.jobs = 4;
-    SweepRunner runner(opts);
+    Session session(opts);
 
-    SweepTable first = runner.run(points);
+    SweepTable first = session.run(points);
     for (const auto &row : first.rows())
         EXPECT_FALSE(row.fromCache);
-    EXPECT_EQ(runner.cache().misses(), points.size());
+    EXPECT_EQ(session.cache().misses(), points.size());
 
-    SweepTable second = runner.run(points);
+    SweepTable second = session.run(points);
     for (const auto &row : second.rows())
         EXPECT_TRUE(row.fromCache);
-    EXPECT_EQ(runner.cache().hits(), points.size());
+    EXPECT_EQ(session.cache().hits(), points.size());
     for (std::size_t i = 0; i < first.size(); ++i)
         EXPECT_EQ(toJson(first.at(i).result).dump(),
                   toJson(second.at(i).result).dump());
 }
 
-TEST(SweepRunner, DiskCachePersistsAcrossRunners)
+TEST(Session, DiskCachePersistsAcrossSessions)
 {
     std::vector<SweepPoint> points = smallGrid();
     // A nested, not-yet-existing directory: saves create it.
@@ -305,24 +307,24 @@ TEST(SweepRunner, DiskCachePersistsAcrossRunners)
 
     std::string first_json;
     {
-        SweepOptions opts;
+        SessionOptions opts;
         opts.jobs = 2;
         opts.cacheDir = dir;
-        SweepRunner runner(opts);
+        Session session(opts);
         std::ostringstream os;
-        runner.run(points).writeJson(os);
+        session.run(points).writeJson(os);
         first_json = os.str();
         // Every cell is published when it finishes, one file per key.
         for (const SweepPoint &pt : points)
             EXPECT_TRUE(std::filesystem::exists(
-                runner.cache().pathFor(configKey(pt.config))));
+                session.cache().pathFor(configKey(pt.config))));
     }
     {
-        SweepOptions opts;
+        SessionOptions opts;
         opts.jobs = 2;
         opts.cacheDir = dir;
-        SweepRunner runner(opts); // fresh process stand-in
-        SweepTable table = runner.run(points);
+        Session session(opts); // fresh process stand-in
+        SweepTable table = session.run(points);
         for (const auto &row : table.rows())
             EXPECT_TRUE(row.fromCache);
         std::ostringstream os;
@@ -331,13 +333,13 @@ TEST(SweepRunner, DiskCachePersistsAcrossRunners)
     }
 }
 
-TEST(SweepRunner, ProgressCallbackFiresOncePerPoint)
+TEST(Session, ProgressCallbackFiresOncePerPoint)
 {
     std::vector<SweepPoint> points = smallGrid();
     std::size_t calls = 0;
     std::size_t last_done = 0;
 
-    SweepOptions opts;
+    SessionOptions opts;
     opts.jobs = 4;
     opts.progress = [&](std::size_t done, std::size_t total,
                         const SweepPoint &, const RunResult &, bool) {
@@ -346,8 +348,8 @@ TEST(SweepRunner, ProgressCallbackFiresOncePerPoint)
         EXPECT_EQ(done, last_done + 1); // serialized, monotonic
         last_done = done;
     };
-    SweepRunner runner(opts);
-    runner.run(points);
+    Session session(opts);
+    session.run(points);
     EXPECT_EQ(calls, points.size());
 }
 
@@ -400,7 +402,7 @@ TEST(SimulatedConfig, ReductionOfTheSimulatedRunEqualsTheRun)
     }
 }
 
-TEST(SweepRunner, SiblingsShareOneSimulationForAnyJobCount)
+TEST(Session, SiblingsShareOneSimulationForAnyJobCount)
 {
     const std::vector<SweepPoint> points = siblingGrid(
         {TechNode::N130, TechNode::N90, TechNode::N60});
@@ -409,10 +411,10 @@ TEST(SweepRunner, SiblingsShareOneSimulationForAnyJobCount)
         want.push_back(toJson(runSim(pt.config)).dump());
 
     for (unsigned jobs : {1u, 3u}) {
-        SweepOptions opts;
+        SessionOptions opts;
         opts.jobs = jobs;
-        SweepRunner runner(opts);
-        const SweepTable table = runner.run(points);
+        Session session(opts);
+        const SweepTable table = session.run(points);
         ASSERT_EQ(table.size(), points.size());
         for (std::size_t i = 0; i < points.size(); ++i)
             EXPECT_EQ(toJson(table.at(i).result).dump(), want[i])
@@ -422,21 +424,21 @@ TEST(SweepRunner, SiblingsShareOneSimulationForAnyJobCount)
     }
 }
 
-TEST(SweepRunner, GridWithoutTheCanonicalNodeStillSimulatesOncePerKind)
+TEST(Session, GridWithoutTheCanonicalNodeStillSimulatesOncePerKind)
 {
     const std::vector<SweepPoint> points =
         siblingGrid({TechNode::N90, TechNode::N60});
-    SweepOptions opts;
+    SessionOptions opts;
     opts.jobs = 3;
-    SweepRunner runner(opts);
-    const SweepTable table = runner.run(points);
+    Session session(opts);
+    const SweepTable table = session.run(points);
     const SweepTelemetry &t = table.telemetry();
     EXPECT_EQ(t.cells - t.cacheHits, 2u);
 
     // The simulated 0.13um ungated sibling was saved on the way.
     for (const SweepPoint &pt : points) {
         RunResult canonical;
-        EXPECT_TRUE(runner.cache().lookup(
+        EXPECT_TRUE(session.cache().lookup(
             configKey(simulatedConfig(pt.config)), &canonical));
         EXPECT_EQ(toJson(canonical).dump(),
                   toJson(runSim(simulatedConfig(pt.config))).dump());
@@ -464,26 +466,6 @@ TEST(CellExecutor, DerivesASiblingFromTheStoredCanonicalRun)
     EXPECT_TRUE(from_cache);
     EXPECT_EQ(toJson(result).dump(), toJson(runSim(sibling)).dump());
     EXPECT_TRUE(std::filesystem::exists(store.pathFor(configKey(sibling))));
-}
-
-TEST(SweepAxes, ExpandIsCartesianAndOrdered)
-{
-    SweepAxes axes;
-    axes.benchmarks = {"gzip", "gcc"};
-    axes.kinds = {CoreKind::Baseline, CoreKind::Flywheel};
-    axes.clocks = {{0.0, 0.0}, {0.5, 0.5}};
-    axes.nodes = {TechNode::N130, TechNode::N60};
-
-    std::vector<SweepPoint> points = axes.expand();
-    ASSERT_EQ(points.size(), 16u);
-    // Benchmark-major nesting order.
-    EXPECT_EQ(points[0].bench, "gzip");
-    EXPECT_EQ(points[8].bench, "gcc");
-    EXPECT_EQ(points[0].kind, CoreKind::Baseline);
-    EXPECT_EQ(points[4].kind, CoreKind::Flywheel);
-    EXPECT_EQ(points[0].config.node, TechNode::N130);
-    EXPECT_EQ(points[1].config.node, TechNode::N60);
-    EXPECT_EQ(points[2].clock.feBoost, 0.5);
 }
 
 TEST(Serialization, RunResultJsonRoundTrip)
@@ -519,10 +501,10 @@ TEST(Serialization, RunResultJsonRoundTrip)
 
 TEST(Serialization, CsvHasOneLinePerPointPlusHeader)
 {
-    SweepOptions opts;
+    SessionOptions opts;
     opts.jobs = 2;
-    SweepRunner runner(opts);
-    SweepTable table = runner.run(smallGrid());
+    Session session(opts);
+    SweepTable table = session.run(smallGrid());
 
     std::ostringstream os;
     table.writeCsv(os);

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "api/session.hh"
 #include "common/log.hh"
 #include "obs/stats_registry.hh"
 #include "obs/trace.hh"
@@ -61,7 +62,7 @@ formatEta(double left_seconds)
 
 /**
  * The per-point progress printer every grid-running CLI uses
- * (assignable to SweepOptions::progress / SessionOptions::progress).
+ * (assignable to SessionOptions::progress).
  * Honours LogLevel::Quiet and appends an ETA once a completion rate
  * is observable.  The ETA comes from a moving window over the most
  * recent completions, so a burst of cache hits or one slow cell
@@ -75,8 +76,8 @@ stderrProgress(std::size_t done, std::size_t total,
     if (logLevel() == LogLevel::Quiet)
         return;
 
-    // The sweep engine serializes progress callbacks under a mutex,
-    // so this function-local window needs no locking of its own.
+    // Session serializes progress callbacks under a mutex, so this
+    // function-local window needs no locking of its own.
     using Clock = std::chrono::steady_clock;
     constexpr std::size_t kWindow = 16;
     static Clock::time_point when[kWindow];
@@ -308,13 +309,11 @@ struct SnapshotFlags
     }
 
     /**
-     * Override the store knobs these flags set on any options struct
-     * with the shared field names; --no-checkpoints wins over any
-     * directory.
+     * Override the store knobs these flags set; --no-checkpoints wins
+     * over any directory.
      */
-    template <typename Options>
     void
-    apply(Options *opts) const
+    apply(SessionOptions *opts) const
     {
         if (dir)
             opts->checkpointDir = *dir;

@@ -33,6 +33,7 @@
 #include "api/session.hh"
 #include "common/log.hh"
 #include "tools/cli_util.hh"
+#include "verify/golden.hh"
 
 using namespace flywheel;
 
@@ -336,18 +337,16 @@ main(int argc, char **argv)
     GoldenOptions golden_opts;
     golden_opts.jobs = opts.jobs;
     if (!refresh_golden_dir.empty()) {
-        Session session(opts);
-        if (!session.refreshGolden(refresh_golden_dir, golden_opts))
+        if (!writeGoldenFiles(refresh_golden_dir, golden_opts))
             return 1;
         std::printf("golden files refreshed in %s\n",
                     refresh_golden_dir.c_str());
         return 0;
     }
     if (!check_golden_dir.empty()) {
-        Session session(opts);
         bool ok = true;
         for (const GoldenDiff &d :
-             session.checkGolden(check_golden_dir, golden_opts)) {
+             checkGoldenFiles(check_golden_dir, golden_opts)) {
             if (d.ok()) {
                 std::printf("%-7s OK (%s)\n", d.figure.c_str(),
                             d.path.c_str());

@@ -3,16 +3,13 @@
  * Differential fuzzing front end: expand seeds into randomized
  * workload/configuration scenarios, run baseline-vs-Flywheel
  * cross-checking on the worker pool, and report every divergence
- * with its one-line repro.  Also drives the golden-figure regression
- * (check and refresh).
+ * with its one-line repro.
  *
  *   flywheel_fuzz --seeds 200 --jobs 8      # fuzz seeds 0..199
  *   flywheel_fuzz --seed 137                # reproduce one case
- *   flywheel_fuzz --check-golden tests/golden
- *   flywheel_fuzz --refresh-golden tests/golden
  *
- * Exit status: 0 on success, 1 on any differential mismatch or
- * golden diff, 2 on usage errors.
+ * Exit status: 0 on success, 1 on any differential mismatch, 2 on
+ * usage errors.
  */
 
 #include <cstdio>
@@ -26,7 +23,6 @@
 #include "sweep/thread_pool.hh"
 #include "tools/cli_util.hh"
 #include "verify/fuzz.hh"
-#include "verify/golden.hh"
 
 using namespace flywheel;
 
@@ -62,13 +58,7 @@ usage(const char *argv0)
         "                     pipeline ('-' = stdout); requires exactly\n"
         "                     one --seed and no --snapshots\n"
         "  --trace-cats a,b   categories to record (default: all of\n"
-        "                     %s)\n"
-        "\n"
-        "golden-figure regression:\n"
-        "  --check-golden DIR    rebuild fig12/13/14/table1 docs and "
-        "diff against DIR\n"
-        "  --refresh-golden DIR  rebuild and overwrite the golden "
-        "files in DIR\n",
+        "                     %s)\n",
         argv0, obs::traceCatUsageList().c_str());
 }
 
@@ -85,8 +75,6 @@ main(int argc, char **argv)
     bool snapshots = false;
     bool list_only = false;
     bool quiet = false;
-    std::string check_golden_dir;
-    std::string refresh_golden_dir;
     std::string trace_path;
     std::uint32_t trace_mask = obs::kTraceCatAll;
 
@@ -120,10 +108,6 @@ main(int argc, char **argv)
                          "comma-separated subset of %s)",
                          arg.c_str(),
                          obs::traceCatUsageList().c_str());
-        } else if (flag == "--check-golden") {
-            check_golden_dir = value();
-        } else if (flag == "--refresh-golden") {
-            refresh_golden_dir = value();
         } else if (flag == "--help" || flag == "-h") {
             usage(argv[0]);
             return 0;
@@ -134,48 +118,10 @@ main(int argc, char **argv)
 
     // Tracing is a focused-repro tool: one seed, one core, one file.
     if (!trace_path.empty() &&
-        (explicit_seeds.size() != 1 || snapshots || list_only ||
-         !check_golden_dir.empty() || !refresh_golden_dir.empty())) {
+        (explicit_seeds.size() != 1 || snapshots || list_only)) {
         std::fprintf(stderr, "%s: --trace requires exactly one --seed "
-                             "(and no --snapshots/--list/golden "
-                             "modes)\n", argv[0]);
+                             "(and no --snapshots/--list)\n", argv[0]);
         return 2;
-    }
-
-    // ---- golden-figure modes --------------------------------------
-    if (!refresh_golden_dir.empty()) {
-        GoldenOptions gopts;
-        gopts.jobs = jobs;
-        if (!writeGoldenFiles(refresh_golden_dir, gopts))
-            return 1;
-        std::printf("golden files refreshed in %s\n",
-                    refresh_golden_dir.c_str());
-        return 0;
-    }
-    if (!check_golden_dir.empty()) {
-        GoldenOptions gopts;
-        gopts.jobs = jobs;
-        bool ok = true;
-        for (const GoldenDiff &d :
-             checkGoldenFiles(check_golden_dir, gopts)) {
-            if (d.ok()) {
-                if (!quiet)
-                    std::printf("%-7s OK (%s)\n", d.figure.c_str(),
-                                d.path.c_str());
-                continue;
-            }
-            ok = false;
-            std::printf("%-7s FAIL (%s)%s\n", d.figure.c_str(),
-                        d.path.c_str(),
-                        d.missing ? " [missing/unreadable]" : "");
-            for (const std::string &diff : d.differences)
-                std::printf("    %s\n", diff.c_str());
-        }
-        if (!ok)
-            std::printf("golden mismatch; after a deliberate change, "
-                        "refresh with: %s --refresh-golden %s\n",
-                        argv[0], check_golden_dir.c_str());
-        return ok ? 0 : 1;
     }
 
     // ---- differential fuzzing -------------------------------------

@@ -1,7 +1,8 @@
 /**
  * @file
- * Command-line front end to the sweep engine: describe a grid with
- * axis flags, run it on a worker pool, export structured results.
+ * Command-line front end to the grid runner: describe a grid with
+ * axis flags, run it on a Session's worker pool, export structured
+ * results.
  *
  *   flywheel_sweep --bench gcc,vortex --kind baseline,flywheel \
  *       --fe 0,0.25,0.5,0.75,1.0 --be 0.5 --node 0.13um \
@@ -73,13 +74,15 @@ usage(const char *argv0)
 int
 main(int argc, char **argv)
 {
-    SweepAxes axes;
-    SweepOptions opts;
+    GridSpec grid;
+    // Explicit run lengths, so --warmup 0 means no warmup (an
+    // ExperimentSpec would read a 0 as "use the default").
+    std::uint64_t warmup = defaultWarmupInstrs();
+    std::uint64_t measure = defaultMeasureInstrs();
     // Checkpoint defaults from the one environment reader; this tool
     // takes no result cache from FLYWHEEL_CACHE.
-    const SessionOptions env = SessionOptions::fromEnv();
-    opts.checkpointDir = env.checkpointDir;
-    opts.checkpointCapBytes = env.checkpointCapBytes;
+    SessionOptions opts = SessionOptions::fromEnv();
+    opts.cacheDir.clear();
     cli::SnapshotFlags snapshot;
     cli::ObsFlags obs_flags;
     std::string out_path;
@@ -96,17 +99,17 @@ main(int argc, char **argv)
             obs_flags.tryParse(flag, argc, argv, &i)) {
             // handled
         } else if (flag == "--bench") {
-            axes.benchmarks = cli::splitList(value());
-            for (const auto &b : axes.benchmarks)
+            grid.benchmarks = cli::splitList(value());
+            for (const auto &b : grid.benchmarks)
                 benchmarkByName(b); // validate early (fatal if unknown)
         } else if (flag == "--kind") {
-            axes.kinds.clear();
+            grid.kinds.clear();
             for (const auto &tok : cli::splitList(value())) {
                 CoreKind k;
                 if (!coreKindByName(tok, &k))
                     FW_FATAL("--kind: unknown core kind '%s'",
                              tok.c_str());
-                axes.kinds.push_back(k);
+                grid.kinds.push_back(k);
             }
         } else if (flag == "--fe" || flag == "--be") {
             bool is_fe = flag == "--fe";
@@ -119,39 +122,39 @@ main(int argc, char **argv)
             // Rebuild the clock grid as the fe x be product of
             // whatever has been specified so far.
             std::vector<double> other;
-            for (const auto &c : axes.clocks) {
+            for (const auto &c : grid.clocks) {
                 double v = is_fe ? c.beBoost : c.feBoost;
                 if (std::find(other.begin(), other.end(), v) ==
                     other.end())
                     other.push_back(v);
             }
-            axes.clocks.clear();
+            grid.clocks.clear();
             for (double fe : is_fe ? boosts : other)
                 for (double be : is_fe ? other : boosts)
-                    axes.clocks.push_back({fe, be});
+                    grid.clocks.push_back({fe, be});
         } else if (flag == "--node") {
-            axes.nodes.clear();
+            grid.nodes.clear();
             for (const auto &tok : cli::splitList(value())) {
                 TechNode n;
                 if (!techNodeByName(tok, &n))
                     FW_FATAL("--node: unknown tech node '%s' "
                              "(use e.g. 0.13um)", tok.c_str());
-                axes.nodes.push_back(n);
+                grid.nodes.push_back(n);
             }
         } else if (flag == "--gating") {
-            axes.gating.clear();
+            grid.gating.clear();
             for (const auto &tok : cli::splitList(value())) {
                 if (tok != "0" && tok != "1")
                     FW_FATAL("--gating: expected 0 or 1, got '%s'",
                              tok.c_str());
-                axes.gating.push_back(tok == "1");
+                grid.gating.push_back(tok == "1");
             }
         } else if (flag == "--jobs") {
             opts.jobs = cli::parseJobs(value(), "--jobs");
         } else if (flag == "--warmup") {
-            axes.warmupInstrs = cli::parseU64(value(), "--warmup");
+            warmup = cli::parseU64(value(), "--warmup");
         } else if (flag == "--instrs") {
-            axes.measureInstrs = cli::parseU64(value(), "--instrs");
+            measure = cli::parseU64(value(), "--instrs");
         } else if (flag == "--cache") {
             opts.cacheDir = value();
         } else if (flag == "--out") {
@@ -175,23 +178,23 @@ main(int argc, char **argv)
 
     snapshot.apply(&opts);
 
-    std::vector<SweepPoint> points = axes.expand();
+    std::vector<SweepPoint> points = grid.expand(warmup, measure);
     if (!quiet)
         opts.progress = cli::stderrProgress;
 
     obs::TraceSink trace_sink;
     opts.obs = obs_flags.makeConfig(&trace_sink);
 
-    SweepRunner runner(opts);
+    Session session(opts);
     if (!quiet)
         std::fprintf(stderr, "%zu points on %u workers\n", points.size(),
-                     runner.jobs());
-    SweepTable table = runner.run(points);
+                     session.jobs());
+    SweepTable table = session.run(points);
 
     if (!quiet && !opts.cacheDir.empty())
         std::fprintf(stderr, "cache: %llu hits, %llu misses (%s)\n",
-                     (unsigned long long)runner.cache().hits(),
-                     (unsigned long long)runner.cache().misses(),
+                     (unsigned long long)session.cache().hits(),
+                     (unsigned long long)session.cache().misses(),
                      opts.cacheDir.c_str());
     if (telemetry) {
         const SweepTelemetry &t = table.telemetry();
