@@ -1,7 +1,6 @@
 #include "serve/client.hh"
 
-#include <chrono>
-#include <thread>
+#include <cmath>
 
 namespace flywheel::serve {
 
@@ -68,11 +67,13 @@ ServeClient::submit(const ExperimentSpec &spec, Submitted *out,
 
 bool
 ServeClient::status(const std::string &jobId, Json *out,
-                    std::string *error)
+                    std::string *error, double waitSeconds)
 {
     Json frame = Json::object();
     frame.add("type", "status");
     frame.add("job", jobId);
+    if (waitSeconds > 0.0)
+        frame.add("wait", waitSeconds);
     return request(frame, "status", out, error);
 }
 
@@ -129,11 +130,14 @@ ServeClient::waitForCompletion(
     const std::function<void(const Json &status)> &onStatus,
     std::string *error)
 {
-    const auto interval = std::chrono::duration<double>(
-        pollSeconds > 0.0 ? pollSeconds : 0.2);
+    // The server holds each status until the job ends or the wait
+    // runs out, so a `running` reply is a progress report: ask again.
+    const double wait =
+        pollSeconds > 0.0 && std::isfinite(pollSeconds) ? pollSeconds
+                                                        : 0.2;
     while (true) {
         Json st;
-        if (!status(jobId, &st, error))
+        if (!status(jobId, &st, error, wait))
             return false;
         if (onStatus)
             onStatus(st);
@@ -145,7 +149,6 @@ ServeClient::waitForCompletion(
                 *error = "job " + jobId + " is " + state;
             return false;
         }
-        std::this_thread::sleep_for(interval);
     }
 }
 

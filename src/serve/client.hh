@@ -4,10 +4,12 @@
  * FrameSocket that the `flywheel_serve` CLI and Session::submit()
  * share.  One method per protocol verb; every call sends one frame
  * and blocks for its reply, surfacing server `error` frames as false
- * + *error.  waitForCompletion() polls `status` until the job leaves
- * the running state — the protocol has no server push, so a killed
- * and restarted server just answers the next poll (after the client
- * reconnects and resubmits, which resumes rather than restarts).
+ * + *error.  waitForCompletion() sends `status {wait}`, which the
+ * server answers when the job leaves the running state or the wait
+ * runs out, so completion is reported as it happens.  A killed and
+ * restarted server loses parked requests with the connection; the
+ * client reconnects and resubmits, which resumes rather than
+ * restarts.
  */
 
 #ifndef FLYWHEEL_SERVE_CLIENT_HH
@@ -41,9 +43,13 @@ class ServeClient
     bool submit(const ExperimentSpec &spec, Submitted *out,
                 std::string *error);
 
-    /** Full status frame for @p jobId (state/done/shards/...). */
+    /**
+     * Full status frame for @p jobId (state/done/shards/...).  With
+     * @p waitSeconds > 0 the server holds a running job's reply until
+     * the job ends or the wait runs out.
+     */
     bool status(const std::string &jobId, Json *out,
-                std::string *error);
+                std::string *error, double waitSeconds = 0.0);
 
     /**
      * Fetch a finalized job's table; false while it is still
@@ -61,9 +67,11 @@ class ServeClient
     bool shutdown(std::string *error);
 
     /**
-     * Poll status every @p pollSeconds until the job completes (true)
-     * or is cancelled / the connection fails (false).  @p onStatus,
-     * when set, sees every status frame (progress display).
+     * Block until the job completes (true) or is cancelled / the
+     * connection fails (false); completion returns at once.
+     * @p onStatus, when set, sees every status frame: one per
+     * @p pollSeconds while the job runs, then the final one
+     * (progress display).
      */
     bool waitForCompletion(
         const std::string &jobId, double pollSeconds,

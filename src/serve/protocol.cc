@@ -72,7 +72,7 @@ FrameBuffer::append(const char *data, std::size_t n)
 }
 
 bool
-FrameBuffer::nextLine(std::string *line)
+FrameBuffer::peekLine(std::string *line)
 {
     if (overflowed_)
         return false;
@@ -84,7 +84,15 @@ FrameBuffer::nextLine(std::string *line)
         return false;
     }
     line->assign(buffer_, 0, nl);
-    buffer_.erase(0, nl + 1);
+    return true;
+}
+
+bool
+FrameBuffer::nextLine(std::string *line)
+{
+    if (!peekLine(line))
+        return false;
+    buffer_.erase(0, line->size() + 1);
     return true;
 }
 

@@ -2,17 +2,17 @@
  * @file
  * Wire protocol for the distributed sweep service (`flywheel_serve`):
  * newline-delimited JSON frames over a TCP or Unix-domain stream
- * socket, schema `flywheel.serve.v1`.
+ * socket, schema `flywheel.serve.v2`.
  *
  * Every frame is one compact JSON object terminated by '\n' with a
  * mandatory string member "type".  The opening frame of a connection
  * ("submit" from a client, "hello" from a worker) must also carry
- * `"v": "flywheel.serve.v1"`; a version mismatch is rejected before
+ * `"v": "flywheel.serve.v2"`; a version mismatch is rejected before
  * any state changes.  Frames and replies:
  *
  *   client -> server                 server -> client
  *     submit {v, spec}                 submitted {job, cells, resumed}
- *     status {job}                     status {job, state, cells, done,
+ *     status {job, wait?}              status {job, state, cells, done,
  *                                              leased, shards: [...]}
  *     results {job}                    table {job, json, csv}
  *     cancel {job}                     ok {}
@@ -21,8 +21,7 @@
  *
  *   worker -> server                 server -> worker
  *     hello {v, worker}                welcome {store, heartbeatSeconds}
- *     lease {worker, jobs: [ids]}      work {job, cell, spec?} |
- *                                      idle {waitMs} | bye {}
+ *     lease {worker}                   work {job, cell, spec?} | bye {}
  *     done {worker, job, cell, key,    ack {}
  *           wall, storeHit, result}
  *     ping {worker}                    (no reply — pings may be sent
@@ -30,6 +29,15 @@
  *                                      lease/done exchange is pending)
  *
  *   any error path                   error {error}
+ *
+ * The server pushes instead of making its peers poll.  A `lease` that
+ * finds no leasable cell gets no reply until one becomes leasable
+ * (`work`) or the server shuts down (`bye`).  A `status` with
+ * `wait: S` seconds on a running job is answered when the job
+ * completes or is cancelled, or after S seconds, whichever is first;
+ * without `wait` it is answered at once.  Replies keep request order:
+ * while a request waits, the connection's later frames (pings
+ * excepted) wait behind it.
  *
  * The codec layer here is transport-free and fully deterministic, so
  * it is unit-testable without sockets; FrameSocket adds the blocking
@@ -49,7 +57,7 @@
 namespace flywheel::serve {
 
 /** Protocol schema tag carried by every connection-opening frame. */
-inline constexpr const char *kServeSchema = "flywheel.serve.v1";
+inline constexpr const char *kServeSchema = "flywheel.serve.v2";
 
 /**
  * Upper bound on one encoded frame, delimiter included.  A results
@@ -87,6 +95,9 @@ class FrameBuffer
 
     /** Extract the next complete line (without '\n'); false if none. */
     bool nextLine(std::string *line);
+
+    /** Copy the next complete line without extracting it. */
+    bool peekLine(std::string *line);
 
     bool overflowed() const { return overflowed_; }
     std::size_t pending() const { return buffer_.size(); }

@@ -88,6 +88,7 @@ JobScheduler::lease(const std::string &worker, double now, WorkUnit *out)
         ++leasedRuns_[job.cellRun[best]];
         out->jobId = jobId;
         out->cell = best;
+        out->worker = worker;
         return true;
     }
     return false;
@@ -128,7 +129,8 @@ JobScheduler::expireLeases(double now)
         Job &job = entry.second;
         for (auto it = job.leased.begin(); it != job.leased.end();) {
             if (it->second.deadline < now) {
-                expired.push_back(WorkUnit{entry.first, it->first});
+                expired.push_back(
+                    WorkUnit{entry.first, it->first, it->second.worker});
                 job.pending.insert(it->first);
                 it = dropLease(job, it);
             } else {
@@ -147,7 +149,7 @@ JobScheduler::releaseWorker(const std::string &worker)
         Job &job = entry.second;
         for (auto it = job.leased.begin(); it != job.leased.end();) {
             if (it->second.worker == worker) {
-                released.push_back(WorkUnit{entry.first, it->first});
+                released.push_back(WorkUnit{entry.first, it->first, worker});
                 job.pending.insert(it->first);
                 it = dropLease(job, it);
             } else {

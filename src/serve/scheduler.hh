@@ -4,8 +4,11 @@
  *
  * The unit of distribution is one grid cell — a (job, cell-index)
  * pair into the job spec's expansion — and scheduling is pull-based:
- * idle workers ask for work, so a slow machine simply asks less often
- * and fast ones steal the remainder.  Nothing is pre-partitioned.
+ * a worker leases its next cell when it finishes the last, so a slow
+ * machine simply takes fewer and fast ones take the remainder.
+ * Nothing is pre-partitioned.  A lease that finds nothing leasable
+ * waits in the server, which asks again whenever a cell may have
+ * become leasable.
  *
  * Each handout is a *lease*, not a transfer: the cell stays owned by
  * the scheduler until a completion lands, and a lease whose worker
@@ -54,6 +57,7 @@ struct WorkUnit
 {
     std::string jobId;
     std::size_t cell = 0;
+    std::string worker;  ///< the worker the unit is (or was) leased to
 };
 
 /** Progress counters for one job (status frames, journal gating). */
@@ -111,7 +115,8 @@ class JobScheduler
 
     /**
      * Re-pend leases whose heartbeat window passed; returns the
-     * expired units so the server can log them.
+     * expired units, with the worker each was leased to, so the
+     * server can log and count them.
      */
     std::vector<WorkUnit> expireLeases(double now);
 

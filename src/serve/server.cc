@@ -1,7 +1,9 @@
 #include "serve/server.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -214,6 +216,17 @@ ServeDaemon::start(std::string *error)
         *error = "serve daemon needs a store directory";
         return false;
     }
+    // A lease must outlive the gap between two pings, or a long cell
+    // is leased again while its first worker still runs it.
+    if (!(options_.heartbeatSeconds < options_.leaseTimeout)) {
+        char msg[160];
+        std::snprintf(msg, sizeof(msg),
+                      "heartbeat interval %g s must be shorter than "
+                      "the lease timeout %g s",
+                      options_.heartbeatSeconds, options_.leaseTimeout);
+        *error = msg;
+        return false;
+    }
     if (!makeDirectories(options_.storeDir) ||
         !makeDirectories(options_.storeDir + "/results") ||
         !makeDirectories(options_.storeDir + "/checkpoints")) {
@@ -338,15 +351,17 @@ ServeDaemon::run()
         for (const auto &conn : connections_)
             fds.push_back({conn->fd, POLLIN, 0});
 
-        const int rc = ::poll(fds.data(), fds.size(), 250);
+        const int rc = ::poll(fds.data(), fds.size(), pollTimeoutMs());
         if (rc < 0 && errno != EINTR)
             break;
 
         const double now = nowSeconds();
         for (const WorkUnit &unit : scheduler_.expireLeases(now)) {
             ++leasesExpired_;
-            FW_WARN("lease expired: job %s cell %zu re-pended",
-                    unit.jobId.c_str(), unit.cell);
+            ++shard(unit.worker).leasesExpired;
+            FW_WARN("lease expired: worker %s job %s cell %zu "
+                    "re-pended",
+                    unit.worker.c_str(), unit.jobId.c_str(), unit.cell);
         }
         reapLocalWorkers();
 
@@ -365,6 +380,7 @@ ServeDaemon::run()
             if (stopping_)
                 break;
         }
+        answerParked();
         // Compact closed connections after the iteration.
         for (std::size_t i = 0; i < connections_.size();) {
             if (connections_[i]->closed)
@@ -388,6 +404,50 @@ ServeDaemon::run()
     }
     connections_.clear();
     killLocalWorkers();
+}
+
+int
+ServeDaemon::pollTimeoutMs() const
+{
+    // Wake in time for the earliest status wait that runs out; the
+    // 250 ms cap paces lease expiry and the reaping of local workers.
+    double wait = 0.25;
+    const double now = nowSeconds();
+    for (const auto &conn : connections_)
+        if (conn->parked == Parked::Status)
+            wait = std::min(wait, conn->statusDeadline - now);
+    return wait > 0.0 ? int(std::ceil(wait * 1e3)) : 0;
+}
+
+void
+ServeDaemon::answerParked()
+{
+    // Leases first, in connection order, while cells are leasable:
+    // whatever freed a cell this iteration (a submit, a done, an
+    // expiry, a drop) reaches the parked workers now.
+    for (auto &conn : connections_) {
+        if (stopping_)
+            return;
+        if (conn->closed || conn->parked != Parked::Lease)
+            continue;
+        if (!grantLease(*conn))
+            break;
+        conn->parked = Parked::None;
+        handleFrames(*conn);
+    }
+    const double now = nowSeconds();
+    for (auto &conn : connections_) {
+        if (stopping_)
+            return;
+        if (conn->closed || conn->parked != Parked::Status)
+            continue;
+        if (jobState(conn->statusJob) == "running" &&
+            conn->statusDeadline > now)
+            continue;
+        conn->parked = Parked::None;
+        sendStatus(*conn, conn->statusJob);
+        handleFrames(*conn);
+    }
 }
 
 void
@@ -422,14 +482,24 @@ ServeDaemon::serviceConnection(Connection &conn)
         return;
     }
     conn.inbuf.append(chunk, static_cast<std::size_t>(got));
-    if (conn.inbuf.overflowed()) {
+    // Frames queued behind a parked request count against the same
+    // cap as one frame: a lockstep peer sends none.
+    if (conn.inbuf.overflowed() ||
+        (conn.parked != Parked::None &&
+         conn.inbuf.pending() > kMaxFrameBytes)) {
         ++framesRejected_;
         sendError(conn, "frame too large");
         dropConnection(conn);
         return;
     }
+    handleFrames(conn);
+}
+
+void
+ServeDaemon::handleFrames(Connection &conn)
+{
     std::string line;
-    while (!conn.closed && conn.inbuf.nextLine(&line)) {
+    while (!conn.closed && !stopping_ && conn.inbuf.peekLine(&line)) {
         Json frame;
         std::string error;
         if (!decodeFrame(line, &frame, &error)) {
@@ -438,9 +508,13 @@ ServeDaemon::serviceConnection(Connection &conn)
             dropConnection(conn);
             return;
         }
-        handleFrame(conn, frame);
-        if (stopping_)
+        // Replies keep request order, so a parked request holds the
+        // frames behind it; pings have no reply and never wait.
+        if (conn.parked != Parked::None &&
+            frame["type"].asString() != "ping")
             return;
+        conn.inbuf.nextLine(&line);
+        handleFrame(conn, frame);
     }
 }
 
@@ -587,6 +661,21 @@ ServeDaemon::handleStatus(Connection &conn, const Json &frame)
         sendError(conn, "unknown job '" + jobId + "'");
         return;
     }
+    // A running job's status waits for the job to end (answerParked).
+    const double wait = frame["wait"].asDouble();
+    if (frame["wait"].isNumber() && wait > 0.0 &&
+        jobState(jobId) == "running") {
+        conn.parked = Parked::Status;
+        conn.statusJob = jobId;
+        conn.statusDeadline = nowSeconds() + wait;
+        return;
+    }
+    sendStatus(conn, jobId);
+}
+
+void
+ServeDaemon::sendStatus(Connection &conn, const std::string &jobId)
+{
     const JobProgress p = scheduler_.progress(jobId);
     Json reply = Json::object();
     reply.add("type", "status");
@@ -726,15 +815,18 @@ ServeDaemon::handleLease(Connection &conn, const Json &frame)
         sendReply(conn, bye);
         return;
     }
+    // Nothing leasable: park until something is (answerParked).
+    if (!grantLease(conn))
+        conn.parked = Parked::Lease;
+}
+
+bool
+ServeDaemon::grantLease(Connection &conn)
+{
     WorkUnit unit;
-    if (!scheduler_.lease(worker, nowSeconds(), &unit)) {
-        Json idle = Json::object();
-        idle.add("type", "idle");
-        idle.add("waitMs", std::uint64_t(200));
-        sendReply(conn, idle);
-        return;
-    }
-    ++shard(worker).leasesGranted;
+    if (!scheduler_.lease(conn.worker, nowSeconds(), &unit))
+        return false;
+    ++shard(conn.worker).leasesGranted;
     Json work = Json::object();
     work.add("type", "work");
     work.add("job", unit.jobId);
@@ -744,6 +836,7 @@ ServeDaemon::handleLease(Connection &conn, const Json &frame)
     if (conn.sentSpecs.insert(unit.jobId).second)
         work.add("spec", jobs_.at(unit.jobId).spec.toJson());
     sendReply(conn, work);
+    return true;
 }
 
 void

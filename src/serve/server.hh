@@ -23,11 +23,16 @@
  *    cell per simulated run at a time, see scheduler.hh), results
  *    are published to the shared store and echoed inline in `done`
  *    frames, and every completion is journaled durably before it is
- *    acknowledged.
+ *    acknowledged.  A lease that finds nothing leasable is parked
+ *    and answered with `work` as soon as a submit, a `done` that
+ *    frees a held-back sibling, a lease expiry or a worker drop makes
+ *    a cell leasable.
  *  - finalize: when the last cell lands, rows are assembled in
  *    expansion order with the same dedup rule (exportRowKey) as
  *    `flywheel_bench` exports, so the served table is byte-identical
- *    to a single-process run of the same spec.
+ *    to a single-process run of the same spec.  A `status {wait}`
+ *    parked on the job is answered then (or at cancel, or when its
+ *    wait ends), so a waiting client learns of completion at once.
  *
  * Crash story: kill -9 the daemon at any point; restarting it and
  * resubmitting the same spec replays the journal, reloads completed
@@ -115,6 +120,9 @@ class ServeDaemon
     const ServeOptions &options() const { return options_; }
 
   private:
+    /** A request held unanswered until its event (answerParked). */
+    enum class Parked { None, Lease, Status };
+
     struct Connection
     {
         int fd = -1;
@@ -123,6 +131,9 @@ class ServeDaemon
         std::string worker;            ///< hello name (workers only)
         std::set<std::string> sentSpecs; ///< jobs whose spec was sent
         bool closed = false;
+        Parked parked = Parked::None;  ///< later frames wait behind it
+        std::string statusJob;         ///< Parked::Status: the job
+        double statusDeadline = 0.0;   ///< Parked::Status: answer by
     };
 
     /** Per-worker shard counters surfaced via the stats frame. */
@@ -156,11 +167,15 @@ class ServeDaemon
 
     void acceptConnections();
     void serviceConnection(Connection &conn);
+    void handleFrames(Connection &conn);
     void handleFrame(Connection &conn, const Json &frame);
+    void answerParked();
+    int pollTimeoutMs() const;
 
     // client-side frames
     void handleSubmit(Connection &conn, const Json &frame);
     void handleStatus(Connection &conn, const Json &frame);
+    void sendStatus(Connection &conn, const std::string &jobId);
     void handleResults(Connection &conn, const Json &frame);
     void handleCancel(Connection &conn, const Json &frame);
     void handleStats(Connection &conn);
@@ -169,6 +184,7 @@ class ServeDaemon
     // worker-side frames
     void handleHello(Connection &conn, const Json &frame);
     void handleLease(Connection &conn, const Json &frame);
+    bool grantLease(Connection &conn);
     void handleDone(Connection &conn, const Json &frame);
     void handlePing(const Json &frame);
 

@@ -73,8 +73,8 @@ class Heartbeat
 /**
  * True if a farewell is sitting in @p socket's receive buffer.  A
  * shutting-down server says `bye` and closes while the worker may be
- * mid idle-sleep; the next send then fails even though the orderly
- * goodbye already arrived — drain it before calling the exit unclean.
+ * mid-cell; the next send then fails even though the orderly goodbye
+ * already arrived — drain it before calling the exit unclean.
  */
 bool
 pendingBye(FrameSocket &socket)
@@ -152,15 +152,10 @@ runWorker(const WorkerOptions &options)
             FW_WARN("worker %s: %s", name.c_str(), error.c_str());
             return 1;
         }
+        // The server holds the lease until a cell is leasable.
         const std::string type = reply["type"].asString();
         if (type == "bye")
             return 0;
-        if (type == "idle") {
-            const std::uint64_t wait = reply["waitMs"].asU64();
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(wait ? wait : 200));
-            continue;
-        }
         if (type != "work") {
             FW_WARN("worker %s: unexpected '%s' frame: %s",
                     name.c_str(), type.c_str(),

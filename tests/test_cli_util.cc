@@ -98,6 +98,30 @@ TEST(ParseJobsDeathTest, RejectsZeroAndGarbage)
                 ::testing::ExitedWithCode(1), "expected an integer");
 }
 
+TEST(ParseSeconds, AcceptsPositiveFractions)
+{
+    EXPECT_DOUBLE_EQ(cli::parseSeconds("0.5", "--poll"), 0.5);
+    EXPECT_DOUBLE_EQ(cli::parseSeconds("60", "--lease-timeout"), 60.0);
+}
+
+TEST(ParseSecondsDeathTest, RejectsNonFiniteAndNonPositive)
+{
+    // An infinite interval reaches a sleep or the JSON encoder (null)
+    // as no wait at all, so a client would spin on status requests.
+    EXPECT_EXIT(cli::parseSeconds("inf", "--poll"),
+                ::testing::ExitedWithCode(1), "got 'inf'");
+    EXPECT_EXIT(cli::parseSeconds("1e400", "--poll"),
+                ::testing::ExitedWithCode(1), "got '1e400'");
+    EXPECT_EXIT(cli::parseSeconds("nan", "--heartbeat"),
+                ::testing::ExitedWithCode(1), "got 'nan'");
+    EXPECT_EXIT(cli::parseSeconds("0", "--poll"),
+                ::testing::ExitedWithCode(1), "finite seconds value, got '0'");
+    EXPECT_EXIT(cli::parseSeconds("-1", "--lease-timeout"),
+                ::testing::ExitedWithCode(1), "got '-1'");
+    EXPECT_EXIT(cli::parseSeconds("5s", "--heartbeat"),
+                ::testing::ExitedWithCode(1), "got '5s'");
+}
+
 TEST(OpenOut, DashMeansStdout)
 {
     std::ofstream file;

@@ -5,7 +5,11 @@
  * server-address parsing, the durable job journal (replay, torn-tail
  * tolerance, resume validation), the lease-based scheduler (LPT
  * order, expiry reassignment, worker release, sibling hold-back),
- * and in-process end-to-end runs — one ServeDaemon on a Unix socket
+ * push delivery over raw FrameSockets (parked leases answered by a
+ * submit, a done, a lease expiry or shutdown; status waits answered
+ * at completion or their deadline; reply order behind a parked
+ * request; v1 peers rejected), and
+ * in-process end-to-end runs — one ServeDaemon on a Unix socket
  * plus worker threads must produce a table byte-identical to a
  * single-process Session::run of the same spec, simulate each run
  * once, and its results/ directory must serve a local Session as a
@@ -14,9 +18,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <random>
 #include <set>
 #include <sstream>
@@ -25,6 +31,7 @@
 #include <vector>
 
 #include "api/session.hh"
+#include "core/report.hh"
 #include "serve/client.hh"
 #include "serve/journal.hh"
 #include "serve/protocol.hh"
@@ -39,6 +46,7 @@ namespace {
 
 namespace fs = std::filesystem;
 using serve::FrameBuffer;
+using serve::FrameSocket;
 using serve::JobScheduler;
 using serve::JournalState;
 using serve::JournalWriter;
@@ -393,6 +401,7 @@ TEST(ServeScheduler, ExpiredLeasesReassignToAnotherWorker)
     ASSERT_EQ(expired.size(), 1u);
     EXPECT_EQ(expired[0].jobId, "job1");
     EXPECT_EQ(expired[0].cell, 0u);
+    EXPECT_EQ(expired[0].worker, "w1");  // the shard that let it lapse
     EXPECT_EQ(sched.progress("job1").pending, 1u);
 
     ASSERT_TRUE(sched.lease("w2", 19.0, &unit));
@@ -527,6 +536,418 @@ TEST(ServeScheduler, ExpiredReleasedAndCancelledLeasesFreeTheirRun)
     ASSERT_TRUE(sched.addJob("job4", {"vpr"}, {"c"}));
     ASSERT_TRUE(sched.lease("w6", 12.0, &unit));
     EXPECT_EQ(unit.jobId, "job4");
+}
+
+// ---------------------------------------------------- push delivery
+
+using namespace std::chrono_literals;
+
+/** A daemon on a Unix socket under @p dir, served from a thread
+ *  until stop() or destruction. */
+class LiveDaemon
+{
+  public:
+    explicit LiveDaemon(const std::string &dir,
+                        ServeOptions options = ServeOptions{})
+    {
+        options.storeDir = dir + "/store";
+        std::string error;
+        EXPECT_TRUE(serve::parseServeAddress(dir + "/serve.sock",
+                                             &options.listen, &error))
+            << error;
+        daemon_ = std::make_unique<ServeDaemon>(std::move(options));
+        EXPECT_TRUE(daemon_->start(&error)) << error;
+        thread_ = std::thread([this] { daemon_->run(); });
+    }
+
+    ~LiveDaemon() { stop(); }
+
+    LiveDaemon(const LiveDaemon &) = delete;
+    LiveDaemon &operator=(const LiveDaemon &) = delete;
+
+    void
+    stop()
+    {
+        if (thread_.joinable()) {
+            daemon_->stop();
+            thread_.join();
+        }
+    }
+
+    const ServeAddress &address() const
+    {
+        return daemon_->boundAddress();
+    }
+
+  private:
+    std::unique_ptr<ServeDaemon> daemon_;
+    std::thread thread_;
+};
+
+Json
+frameOf(const std::string &type)
+{
+    Json frame = Json::object();
+    frame.add("type", type);
+    return frame;
+}
+
+Json
+workerFrame(const std::string &type, const std::string &worker)
+{
+    Json frame = frameOf(type);
+    frame.add("worker", worker);
+    return frame;
+}
+
+/** Connect @p socket to @p address as a worker named @p name. */
+void
+attachWorker(FrameSocket &socket, const ServeAddress &address,
+             const std::string &name)
+{
+    std::string error;
+    ASSERT_TRUE(socket.connectTo(address, &error)) << error;
+    Json hello = workerFrame("hello", name);
+    hello.add("v", serve::kServeSchema);
+    ASSERT_TRUE(socket.sendFrame(hello));
+    Json welcome;
+    ASSERT_TRUE(socket.recvFrame(&welcome, &error)) << error;
+    ASSERT_EQ(welcome["type"].asString(), "welcome");
+}
+
+/**
+ * The next frame on @p socket, received on its own thread so a test
+ * can wait for it with a timeout.  A closed connection yields a
+ * frame of type "closed".  The socket must outlive the future, and
+ * the daemon must stop before the future is destroyed unanswered.
+ */
+std::future<Json>
+nextFrame(FrameSocket &socket)
+{
+    return std::async(std::launch::async, [&socket] {
+        Json frame;
+        std::string error;
+        if (!socket.recvFrame(&frame, &error))
+            frame = frameOf("closed");
+        return frame;
+    });
+}
+
+bool
+arrivesWithin(std::future<Json> &frame,
+              std::chrono::milliseconds timeout)
+{
+    return frame.wait_for(timeout) == std::future_status::ready;
+}
+
+/** A done frame for @p cell of @p spec, simulated here. */
+Json
+doneFrame(const std::string &worker, const std::string &jobId,
+          const ExperimentSpec &spec, std::size_t cell)
+{
+    const SweepPoint point = spec.expand().at(cell);
+    Json done = workerFrame("done", worker);
+    done.add("job", jobId);
+    done.add("cell", std::uint64_t(cell));
+    done.add("key", configKey(point.config));
+    done.add("wall", 0.0);
+    done.add("storeHit", false);
+    done.add("result",
+             toJson(CellExecutor(nullptr, nullptr).run(point.config)));
+    return done;
+}
+
+/** A shard counter (or the daemon-level one, for "serve"). */
+std::uint64_t
+statValue(ServeClient &client, const std::string &group,
+          const std::string &name)
+{
+    Json doc;
+    std::string error;
+    EXPECT_TRUE(client.stats(&doc, &error)) << error;
+    for (const Json &g : doc["groups"].items())
+        if (g["name"].asString() == group)
+            for (const Json &stat : g["stats"].items())
+                if (stat["name"].asString() == name)
+                    return stat["value"].asU64();
+    return 0;
+}
+
+TEST(ServePush, ParkedLeaseIsAnsweredWhenAJobArrives)
+{
+    TempDir td;
+    FrameSocket worker;      // outlives its receive thread...
+    std::future<Json> work;  // ...which ends when the daemon stops
+    LiveDaemon daemon(td.dir.string());
+    attachWorker(worker, daemon.address(), "w1");
+
+    // No job yet: the lease waits without a reply.
+    ASSERT_TRUE(worker.sendFrame(workerFrame("lease", "w1")));
+    work = nextFrame(worker);
+    EXPECT_FALSE(arrivesWithin(work, 100ms));
+
+    ServeClient client;
+    std::string error;
+    ASSERT_TRUE(client.connect(daemon.address(), &error)) << error;
+    ServeClient::Submitted submitted;
+    ASSERT_TRUE(client.submit(tinySpec(), &submitted, &error)) << error;
+
+    ASSERT_TRUE(arrivesWithin(work, 10000ms));
+    const Json reply = work.get();
+    EXPECT_EQ(reply["type"].asString(), "work");
+    EXPECT_EQ(reply["job"].asString(), submitted.jobId);
+    EXPECT_TRUE(reply["spec"].isObject());
+}
+
+TEST(ServePush, HeldBackSiblingGoesToTheParkedWorkerOnDone)
+{
+    // One run at two tech nodes: two cells, one simulation.
+    ExperimentSpec spec;
+    spec.name = "serve_push_siblings";
+    spec.title = "serve push sibling test";
+    GridSpec grid;
+    grid.benchmarks = {"gzip"};
+    grid.kinds = {CoreKind::Baseline};
+    grid.nodes = {TechNode::N130, TechNode::N90};
+    spec.grids.push_back(grid);
+    spec.warmupInstrs = 2000;
+    spec.measureInstrs = 5000;
+
+    TempDir td;
+    FrameSocket w1;
+    FrameSocket w2;
+    std::future<Json> w2Work;
+    LiveDaemon daemon(td.dir.string());
+    attachWorker(w1, daemon.address(), "w1");
+    attachWorker(w2, daemon.address(), "w2");
+
+    ServeClient client;
+    std::string error;
+    ASSERT_TRUE(client.connect(daemon.address(), &error)) << error;
+    ServeClient::Submitted submitted;
+    ASSERT_TRUE(client.submit(spec, &submitted, &error)) << error;
+    ASSERT_EQ(submitted.cells, 2u);
+
+    ASSERT_TRUE(w1.sendFrame(workerFrame("lease", "w1")));
+    Json w1Work;
+    ASSERT_TRUE(w1.recvFrame(&w1Work, &error)) << error;
+    ASSERT_EQ(w1Work["type"].asString(), "work");
+    const std::size_t first = std::size_t(w1Work["cell"].asU64());
+
+    // w1 holds the run, so w2's lease for its sibling waits...
+    ASSERT_TRUE(w2.sendFrame(workerFrame("lease", "w2")));
+    w2Work = nextFrame(w2);
+    EXPECT_FALSE(arrivesWithin(w2Work, 100ms));
+
+    // ...until w1 reports it; w2 does not ask again.
+    ASSERT_TRUE(w1.sendFrame(doneFrame("w1", submitted.jobId, spec,
+                                       first)));
+    Json ack;
+    ASSERT_TRUE(w1.recvFrame(&ack, &error)) << error;
+    EXPECT_EQ(ack["type"].asString(), "ack");
+    ASSERT_TRUE(arrivesWithin(w2Work, 10000ms));
+    const Json reply = w2Work.get();
+    EXPECT_EQ(reply["type"].asString(), "work");
+    EXPECT_EQ(reply["job"].asString(), submitted.jobId);
+    EXPECT_EQ(reply["cell"].asU64(), 1u - first);
+}
+
+TEST(ServePush, StatusWaitAnswersOnCompletionAndAtItsDeadline)
+{
+    TempDir td;
+    FrameSocket waiter;
+    std::future<Json> status;
+    LiveDaemon daemon(td.dir.string());
+
+    ServeClient client;
+    std::string error;
+    ASSERT_TRUE(client.connect(daemon.address(), &error)) << error;
+    ServeClient::Submitted submitted;
+    ASSERT_TRUE(client.submit(tinySpec(), &submitted, &error)) << error;
+
+    // No worker: the job cannot finish, so the wait runs out.
+    ASSERT_TRUE(waiter.connectTo(daemon.address(), &error)) << error;
+    Json ask = frameOf("status");
+    ask.add("job", submitted.jobId);
+    ask.add("wait", 0.05);
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(waiter.sendFrame(ask));
+    Json reply;
+    ASSERT_TRUE(waiter.recvFrame(&reply, &error)) << error;
+    const double waited = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+    EXPECT_EQ(reply["type"].asString(), "status");
+    EXPECT_EQ(reply["state"].asString(), "running");
+    EXPECT_GE(waited, 0.05);
+
+    // A long wait is answered as soon as a worker finishes the job.
+    Json askLong = frameOf("status");
+    askLong.add("job", submitted.jobId);
+    askLong.add("wait", 30.0);
+    ASSERT_TRUE(waiter.sendFrame(askLong));
+    status = nextFrame(waiter);
+    serve::WorkerOptions wo;
+    wo.connect = daemon.address();
+    wo.name = "wS";
+    int rc = -1;
+    std::thread worker([&] { rc = serve::runWorker(wo); });
+    const bool answered = arrivesWithin(status, 10000ms);
+    // Let the job end either way before stopping: a worker that is
+    // still connecting would wait on the stopped daemon forever.
+    EXPECT_TRUE(client.waitForCompletion(submitted.jobId, 0.05, nullptr,
+                                         &error))
+        << error;
+    daemon.stop();
+    worker.join();
+    ASSERT_TRUE(answered);
+    const Json done = status.get();
+    EXPECT_EQ(done["state"].asString(), "complete");
+    EXPECT_EQ(done["done"].asU64(), 4u);
+    EXPECT_EQ(rc, 0);
+}
+
+TEST(ServePush, ExpiredLeaseGoesToTheParkedWorkerAndCountsOnItsShard)
+{
+    TempDir td;
+    FrameSocket w1;
+    FrameSocket w2;
+    std::future<Json> w2Work;
+    ServeOptions options;
+    options.leaseTimeout = 0.3;
+    options.heartbeatSeconds = 0.1;
+    LiveDaemon daemon(td.dir.string(), options);
+    attachWorker(w1, daemon.address(), "w1");
+    attachWorker(w2, daemon.address(), "w2");
+
+    ExperimentSpec spec = tinySpec();
+    spec.grids[0].benchmarks = {"gzip"};
+    spec.grids[0].kinds = {CoreKind::Baseline};
+    ServeClient client;
+    std::string error;
+    ASSERT_TRUE(client.connect(daemon.address(), &error)) << error;
+    ServeClient::Submitted submitted;
+    ASSERT_TRUE(client.submit(spec, &submitted, &error)) << error;
+    ASSERT_EQ(submitted.cells, 1u);
+
+    // w1 takes the only cell and goes silent; w2 waits for work.
+    ASSERT_TRUE(w1.sendFrame(workerFrame("lease", "w1")));
+    Json w1Work;
+    ASSERT_TRUE(w1.recvFrame(&w1Work, &error)) << error;
+    ASSERT_EQ(w1Work["type"].asString(), "work");
+    ASSERT_TRUE(w2.sendFrame(workerFrame("lease", "w2")));
+    w2Work = nextFrame(w2);
+
+    // The expiry hands the cell to w2 and is charged to w1's shard.
+    ASSERT_TRUE(arrivesWithin(w2Work, 10000ms));
+    const Json reply = w2Work.get();
+    ASSERT_EQ(reply["type"].asString(), "work");
+    ASSERT_EQ(reply["cell"].asU64(), 0u);
+    // w2 reports at once, so its own lease cannot lapse as well.
+    ASSERT_TRUE(w2.sendFrame(doneFrame("w2", submitted.jobId, spec, 0)));
+    Json ack;
+    ASSERT_TRUE(w2.recvFrame(&ack, &error)) << error;
+    EXPECT_EQ(ack["type"].asString(), "ack");
+    EXPECT_EQ(statValue(client, "serve.shard.w1", "leasesExpired"), 1u);
+    EXPECT_EQ(statValue(client, "serve.shard.w2", "leasesExpired"), 0u);
+    EXPECT_EQ(statValue(client, "serve", "leasesExpired"), 1u);
+}
+
+TEST(ServePush, ShutdownAnswersAParkedLeaseWithBye)
+{
+    TempDir td;
+    LiveDaemon daemon(td.dir.string());
+    serve::WorkerOptions wo;
+    wo.connect = daemon.address();
+    wo.name = "wBye";
+    int rc = -1;
+    std::thread worker([&] { rc = serve::runWorker(wo); });
+
+    // Let the worker say hello and park its lease (there is no job):
+    // two frames besides the stats requests this loop sends.  No
+    // ASSERT until the worker thread is joined.
+    ServeClient client;
+    std::string error;
+    EXPECT_TRUE(client.connect(daemon.address(), &error)) << error;
+    for (std::uint64_t asked = 1;
+         asked < 1000 &&
+         statValue(client, "serve", "framesHandled") < asked + 2;
+         ++asked)
+        std::this_thread::sleep_for(1ms);
+    EXPECT_TRUE(client.shutdown(&error)) << error;
+    daemon.stop();
+    worker.join();
+    EXPECT_EQ(rc, 0);
+}
+
+TEST(ServePush, ParkedRequestHoldsLaterFramesButNotPings)
+{
+    TempDir td;
+    FrameSocket worker;
+    std::future<Json> first;
+    LiveDaemon daemon(td.dir.string());
+    attachWorker(worker, daemon.address(), "w1");
+
+    // A parked lease, then a ping and a stats request behind it.
+    ASSERT_TRUE(worker.sendFrame(workerFrame("lease", "w1")));
+    ASSERT_TRUE(worker.sendFrame(workerFrame("ping", "w1")));
+    ASSERT_TRUE(worker.sendFrame(frameOf("stats")));
+    first = nextFrame(worker);
+    EXPECT_FALSE(arrivesWithin(first, 100ms));
+
+    // The ping was handled; the stats request still waits.  Counted:
+    // hello, lease, ping and this client's own stats request.
+    ServeClient client;
+    std::string error;
+    ASSERT_TRUE(client.connect(daemon.address(), &error)) << error;
+    EXPECT_EQ(statValue(client, "serve", "framesHandled"), 4u);
+
+    // Work arrives, and only then the stats reply: request order.
+    ServeClient::Submitted submitted;
+    ASSERT_TRUE(client.submit(tinySpec(), &submitted, &error)) << error;
+    ASSERT_TRUE(arrivesWithin(first, 10000ms));
+    EXPECT_EQ(first.get()["type"].asString(), "work");
+    Json second;
+    ASSERT_TRUE(worker.recvFrame(&second, &error)) << error;
+    EXPECT_EQ(second["type"].asString(), "stats");
+}
+
+TEST(ServePush, HeartbeatNotShorterThanTheLeaseTimeoutIsRejected)
+{
+    TempDir td;
+    ServeOptions options;
+    options.storeDir = td / "store";
+    std::string error;
+    ASSERT_TRUE(serve::parseServeAddress(td / "serve.sock",
+                                         &options.listen, &error));
+    options.leaseTimeout = 1.0;
+    options.heartbeatSeconds = 5.0;
+    ServeDaemon daemon(options);
+    EXPECT_FALSE(daemon.start(&error));
+    EXPECT_NE(error.find("heartbeat interval 5 s"), std::string::npos)
+        << error;
+    EXPECT_NE(error.find("lease timeout 1 s"), std::string::npos)
+        << error;
+}
+
+TEST(ServePush, VersionOnePeersAreRejected)
+{
+    TempDir td;
+    LiveDaemon daemon(td.dir.string());
+    std::string error;
+    for (const char *type : {"hello", "submit"}) {
+        FrameSocket peer;
+        ASSERT_TRUE(peer.connectTo(daemon.address(), &error)) << error;
+        Json frame = workerFrame(type, "old");
+        frame.add("v", "flywheel.serve.v1");
+        frame.add("spec", tinySpec().toJson());
+        ASSERT_TRUE(peer.sendFrame(frame));
+        Json reply;
+        ASSERT_TRUE(peer.recvFrame(&reply, &error)) << error;
+        EXPECT_EQ(reply["type"].asString(), "error") << type;
+        EXPECT_NE(reply["error"].asString().find("flywheel.serve.v2"),
+                  std::string::npos);
+    }
 }
 
 // -------------------------------------------------------- end-to-end

@@ -191,16 +191,21 @@ parseJobs(const std::string &s, const char *flag)
 }
 
 /**
- * Parse a positive seconds value (decimal, fractions allowed) for
- * timing flags like --lease-timeout / --heartbeat; fatal on garbage.
+ * Parse a positive, finite seconds value (decimal, fractions allowed)
+ * for timing flags like --lease-timeout / --heartbeat; fatal on
+ * garbage.  strtod accepts "inf" and overflows "1e400" to infinity,
+ * and an infinite interval means no wait at all to a sleep or to the
+ * JSON encoder (null), so both are rejected.
  */
 inline double
 parseSeconds(const std::string &s, const char *flag)
 {
     char *end = nullptr;
     const double v = std::strtod(s.c_str(), &end);
-    if (s.empty() || end != s.c_str() + s.size() || !(v > 0.0))
-        FW_FATAL("%s: expected a positive seconds value, got '%s'",
+    if (s.empty() || end != s.c_str() + s.size() || !(v > 0.0) ||
+        !std::isfinite(v))
+        FW_FATAL("%s: expected a positive, finite seconds value, "
+                 "got '%s'",
                  flag, s.c_str());
     return v;
 }

@@ -20,7 +20,8 @@
  * client (any of these with --connect ADDR):
  *   --submit FILE | --submit-figure NAME   submit a spec (idempotent;
  *       resubmitting resumes).  With --wait, block until the sweep
- *       finishes and honour --json/--csv table exports.
+ *       finishes and honour --json/--csv table exports; --poll SEC
+ *       sets how often progress is reported meanwhile.
  *   --status JOB      print the job's status document
  *   --results JOB     fetch a finished table (--json/--csv, '-' ok)
  *   --cancel JOB      drop the job's remaining cells
@@ -79,8 +80,10 @@ usage(const char *argv0)
         "  --submit-figure NAME submit a registered figure's spec\n"
         "  --wait               block until the submitted job "
         "completes\n"
-        "  --poll SEC           completion poll interval (default "
-        "0.5)\n"
+        "  --poll SEC           progress report interval while "
+        "--wait blocks;\n"
+        "                       completion returns at once "
+        "(default 0.5)\n"
         "  --status JOB         print job status\n"
         "  --results JOB        fetch a finished job's table\n"
         "  --json FILE          write the table as JSON ('-' = "
