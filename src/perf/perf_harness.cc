@@ -1,31 +1,69 @@
 #include "perf/perf_harness.hh"
 
+#include <algorithm>
+#include <cmath>
+
 #include "obs/trace.hh"
 #include "sweep/sweep.hh"
 #include "workload/profiles.hh"
 
 namespace flywheel::perf {
 
-BenchReport
+double
+median(std::vector<double> values)
+{
+    if (values.empty())
+        return 0.0;
+    std::sort(values.begin(), values.end());
+    const std::size_t mid = values.size() / 2;
+    if (values.size() % 2 == 1)
+        return values[mid];
+    return 0.5 * (values[mid - 1] + values[mid]);
+}
+
+double
+geomean(const std::vector<double> &values)
+{
+    if (values.empty())
+        return 0.0;
+    double log_sum = 0.0;
+    for (double v : values) {
+        if (!(v > 0.0))
+            return 0.0;
+        log_sum += std::log(v);
+    }
+    return std::exp(log_sum / double(values.size()));
+}
+
+namespace {
+
+/**
+ * Seconds of runSim's own measure and reduce phases, so the harness
+ * times exactly what runSim executes.
+ */
+double
+timedSeconds(const RunResult &r)
+{
+    return r.telemetry.measureSeconds + r.telemetry.reduceSeconds;
+}
+
+} // namespace
+
+std::vector<PerfEntry>
 runPerfGrid(const PerfOptions &options, const PerfProgress &progress)
 {
-    BenchReport report;
-    report.host = collectHostInfo();
-    report.warmupInstrs = options.warmupInstrs;
-    report.measureInstrs = options.measureInstrs;
-    report.repeats = options.repeats;
-
     std::vector<std::string> benches = options.benchmarks;
     if (benches.empty())
         benches = benchmarkNames();
     for (const std::string &b : benches)
         benchmarkByName(b);  // validate up front (fatal if unknown)
 
-    // Obs-attached timing: a live tracer with every category masked
-    // off, so each emit site takes its branch and drops the event,
-    // plus the stats-registry dump in runSim's reduce phase.
+    // Observed timing: a live tracer with every category masked off,
+    // so each emit site takes its branch and drops the event, plus
+    // the stats-registry dump in runSim's reduce phase.
     obs::TraceSink masked_sink;
 
+    std::vector<PerfEntry> entries;
     const std::size_t total = benches.size() * options.kinds.size();
     for (const std::string &bench : benches) {
         for (const CoreKind kind : options.kinds) {
@@ -36,34 +74,39 @@ runPerfGrid(const PerfOptions &options, const PerfProgress &progress)
             config.kind = kind;
             config.warmupInstrs = options.warmupInstrs;
             config.measureInstrs = options.measureInstrs;
-            if (options.obsAttached) {
-                config.obs.collectStats = true;
-                config.obs.traceSink = &masked_sink;
-                config.obs.traceMask = 0;
-            }
+            RunConfig observed = config;
+            observed.obs.collectStats = true;
+            observed.obs.traceSink = &masked_sink;
+            observed.obs.traceMask = 0;
 
             PerfEntry e;
             e.bench = bench;
             e.kind = coreKindName(kind);
             for (unsigned rep = 0; rep < options.repeats; ++rep) {
-                // Timed: runSim's own measure and reduce phases, so
-                // the harness times exactly what runSim executes.
+                // Odd repeats run the observed timing first, so
+                // neither side of the pair always follows the other.
+                const bool observed_first = rep % 2 == 1;
+                if (options.timeObserved && observed_first)
+                    e.observedRepSeconds.push_back(
+                        timedSeconds(runSim(observed)));
                 const RunResult r = runSim(config);
-                e.repSeconds.push_back(r.telemetry.measureSeconds +
-                                       r.telemetry.reduceSeconds);
+                e.repSeconds.push_back(timedSeconds(r));
                 e.instructions = r.instructions;
+                if (options.timeObserved && !observed_first)
+                    e.observedRepSeconds.push_back(
+                        timedSeconds(runSim(observed)));
             }
             e.medianSeconds = median(e.repSeconds);
             e.minstrPerSec = e.medianSeconds > 0.0
                 ? double(e.instructions) / e.medianSeconds / 1e6
                 : 0.0;
-            report.entries.push_back(std::move(e));
+            e.observedMedianSeconds = median(e.observedRepSeconds);
+            entries.push_back(std::move(e));
             if (progress)
-                progress(report.entries.size(), total,
-                         report.entries.back());
+                progress(entries.size(), total, entries.back());
         }
     }
-    return report;
+    return entries;
 }
 
 } // namespace flywheel::perf

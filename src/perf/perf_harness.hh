@@ -2,9 +2,8 @@
  * @file
  * Simulator throughput harness (the `flywheel_perf` engine): run each
  * requested core kind over each named workload for a fixed instruction
- * budget, measure wall-clock simulated-instructions-per-second with
- * warmup and repeat-median discipline, and return the canonical
- * BenchReport (see perf/bench_report.hh).
+ * budget and measure wall-clock simulated-instructions-per-second with
+ * warmup and repeat-median discipline.
  *
  * Measurement protocol per grid cell:
  *   repeat `repeats` times:
@@ -26,9 +25,17 @@
 #include <vector>
 
 #include "core/sim_driver.hh"
-#include "perf/bench_report.hh"
 
 namespace flywheel::perf {
+
+/**
+ * Median of @p values.  Even-sized inputs average the two central
+ * elements; empty input returns 0.
+ */
+double median(std::vector<double> values);
+
+/** Geometric mean of positive @p values (0 if empty or non-positive). */
+double geomean(const std::vector<double> &values);
 
 /** Grid + measurement discipline for one harness run. */
 struct PerfOptions
@@ -41,15 +48,31 @@ struct PerfOptions
     std::uint64_t measureInstrs = 200000;
     unsigned repeats = 3;
     /**
-     * Time every cell with an observability sink attached: a tracer
-     * whose category mask is fully closed (every emit site takes its
-     * branch and filters the event) plus a stats-registry dump at the
-     * end of the cell.  Against a plain run of the same grid this
-     * bounds the cost observability adds to an *observed* run; the
-     * cost when nothing is attached is gated separately against the
-     * committed baseline.
+     * Also time every repeat with an observability sink attached: a
+     * tracer whose category mask is fully closed (every emit site
+     * takes its branch and filters the event) plus a stats-registry
+     * dump at the end of the run.  Each observed repeat runs next to
+     * a plain one in the same cell, alternating which goes first, so
+     * host-speed drift over the grid hits both timings alike.
      */
-    bool obsAttached = false;
+    bool timeObserved = false;
+};
+
+/** Throughput measurement of one (workload, core kind) grid cell. */
+struct PerfEntry
+{
+    std::string bench;
+    std::string kind;                ///< coreKindName() spelling
+    std::uint64_t instructions = 0;  ///< retired in the timed window
+    std::vector<double> repSeconds;  ///< per-repeat wall seconds
+    double medianSeconds = 0.0;
+    /** Millions of simulated instructions per wall second for the
+     *  cell's timed region. */
+    double minstrPerSec = 0.0;
+    /** Per-repeat and median seconds of the observed runs; empty and
+     *  0 unless PerfOptions::timeObserved. */
+    std::vector<double> observedRepSeconds;
+    double observedMedianSeconds = 0.0;
 };
 
 /** Called after each grid cell completes. */
@@ -57,8 +80,8 @@ using PerfProgress = std::function<void(
     std::size_t done, std::size_t total, const PerfEntry &entry)>;
 
 /** Run the whole grid; entries are in grid order (bench-major). */
-BenchReport runPerfGrid(const PerfOptions &options,
-                        const PerfProgress &progress = nullptr);
+std::vector<PerfEntry> runPerfGrid(const PerfOptions &options,
+                                   const PerfProgress &progress = nullptr);
 
 } // namespace flywheel::perf
 

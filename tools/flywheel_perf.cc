@@ -3,33 +3,32 @@
  * Simulator throughput harness CLI: how many simulated instructions
  * per second does this build sustain?  Runs each core kind over each
  * named workload at a fixed instruction budget (warmup + repeat-
- * median), prints a human table, and emits the canonical
- * BENCH_flywheel.json trajectory file (schema'd, stable key order,
- * host metadata).
+ * median), prints a human table, and writes the per-cell measurements
+ * as JSON.
  *
  *   flywheel_perf                                # full grid, table
- *   flywheel_perf --json BENCH_flywheel.json     # + trajectory file
+ *   flywheel_perf --json BENCH_flywheel.json     # + per-cell JSON
  *   flywheel_perf --bench gcc,vortex --kind flywheel --repeats 5
- *   flywheel_perf --json - --quiet               # JSON on stdout
- *   flywheel_perf --compare bench/baseline_perf.json --threshold 0.30
+ *   flywheel_perf --json -                       # only JSON on stdout
+ *   flywheel_perf --obs-gate 0.05                # observability gate
  *
- * --compare reloads a committed baseline report and fails (exit 1)
- * if any baseline grid cell got more than `threshold` slower or
- * disappeared — the CI perf regression gate.  Refresh flow: run
- * `flywheel_perf --json bench/baseline_perf.json` on the reference
- * machine and commit the result (see README "Performance").
+ * The JSON document is {"entries": [...]}, one object per grid cell
+ * with `bench`, `kind`, `instructions`, `rep_seconds`,
+ * `median_seconds` and `minstr_per_sec`.  tools/perf_ab.py reads it
+ * to compare two builds on one machine; keep those member names, or
+ * the comparison of a change against its parent breaks.
  *
- * Exit status: 0 on success, 1 on a comparison failure, 2 on usage
- * errors.
+ * Exit status: 0 on success, 1 when the observability gate fails or
+ * a value is invalid, 2 on an unknown flag.
  */
 
 #include <cstdio>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/log.hh"
 #include "perf/perf_harness.hh"
 #include "sweep/sweep.hh"
@@ -60,68 +59,55 @@ usage(const char *argv0)
         "(default: 3)\n"
         "\n"
         "output:\n"
-        "  --json FILE       write BENCH_flywheel.json "
-        "('-' = stdout)\n"
+        "  --json FILE       write the per-cell JSON ('-' = stdout,\n"
+        "                    which then carries nothing else)\n"
         "  --quiet           no per-cell progress, no table\n"
         "\n"
-        "regression gate:\n"
-        "  --compare FILE    compare against a baseline report\n"
-        "  --threshold F     tolerated fractional loss "
-        "(default: 0.30)\n"
-        "  --relative        normalize both sides by their geomean\n"
-        "                    first (shape comparison; use when the\n"
-        "                    baseline came from a different machine\n"
-        "                    class, e.g. CI)\n"
-        "\n"
         "observability gate:\n"
-        "  --obs-gate F      re-run the grid with a masked tracer +\n"
-        "                    stats registry attached and fail if the\n"
-        "                    geomean drops more than fraction F\n"
-        "                    (back-to-back on this machine, so the\n"
-        "                    gate is immune to host-speed drift)\n",
+        "  --obs-gate F      time every repeat again with a masked\n"
+        "                    tracer + stats registry attached, next\n"
+        "                    to the plain repeat, and fail if the\n"
+        "                    geomean of the per-cell median ratios\n"
+        "                    loses more than fraction F\n",
         argv0);
 }
 
 void
-printTable(const perf::BenchReport &report)
+printTable(std::FILE *out, const std::vector<perf::PerfEntry> &entries)
 {
-    std::printf("%-8s %-8s %12s %10s %10s\n", "bench", "kind",
-                "instrs", "median_s", "Minstr/s");
-    for (const perf::PerfEntry &e : report.entries) {
-        std::printf("%-8s %-8s %12llu %10.4f %10.3f\n",
-                    e.bench.c_str(), e.kind.c_str(),
-                    (unsigned long long)e.instructions,
-                    e.medianSeconds, e.minstrPerSec);
+    std::fprintf(out, "%-8s %-8s %12s %10s %10s\n", "bench", "kind",
+                 "instrs", "median_s", "Minstr/s");
+    std::vector<double> rates;
+    for (const perf::PerfEntry &e : entries) {
+        std::fprintf(out, "%-8s %-8s %12llu %10.4f %10.3f\n",
+                     e.bench.c_str(), e.kind.c_str(),
+                     (unsigned long long)e.instructions,
+                     e.medianSeconds, e.minstrPerSec);
+        rates.push_back(e.minstrPerSec);
     }
-    std::printf("geomean Minstr/s: %.3f  aggregate: %.3f  "
-                "(%s, %s, %u hw threads)\n",
-                report.geomeanMinstrPerSec(),
-                report.aggregateMinstrPerSec(),
-                report.host.compiler.c_str(),
-                report.host.build.c_str(), report.host.hwThreads);
+    std::fprintf(out, "geomean Minstr/s: %.3f\n", perf::geomean(rates));
 }
 
-bool
-loadReport(const std::string &path, perf::BenchReport *out)
+Json
+entriesJson(const std::vector<perf::PerfEntry> &entries)
 {
-    std::ifstream file(path);
-    if (!file) {
-        std::fprintf(stderr, "cannot read %s\n", path.c_str());
-        return false;
+    Json arr = Json::array();
+    for (const perf::PerfEntry &e : entries) {
+        Json entry = Json::object();
+        entry.add("bench", e.bench);
+        entry.add("kind", e.kind);
+        entry.add("instructions", e.instructions);
+        Json reps = Json::array();
+        for (double s : e.repSeconds)
+            reps.push(Json(s));
+        entry.add("rep_seconds", std::move(reps));
+        entry.add("median_seconds", e.medianSeconds);
+        entry.add("minstr_per_sec", e.minstrPerSec);
+        arr.push(std::move(entry));
     }
-    std::ostringstream text;
-    text << file.rdbuf();
-    Json j;
-    std::string error;
-    if (!Json::parse(text.str(), j, &error)) {
-        std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
-        return false;
-    }
-    if (!perf::BenchReport::fromJson(j, out, &error)) {
-        std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
-        return false;
-    }
-    return true;
+    Json doc = Json::object();
+    doc.add("entries", std::move(arr));
+    return doc;
 }
 
 } // namespace
@@ -131,10 +117,7 @@ main(int argc, char **argv)
 {
     perf::PerfOptions options;
     std::string json_path;
-    std::string compare_path;
-    double threshold = 0.30;
     double obs_gate = -1.0;  // < 0 = gate off
-    bool relative = false;
     bool quiet = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -171,15 +154,6 @@ main(int argc, char **argv)
                 FW_FATAL("--repeats: must be positive");
         } else if (flag == "--json") {
             json_path = value();
-        } else if (flag == "--compare") {
-            compare_path = value();
-        } else if (flag == "--threshold") {
-            std::vector<double> v =
-                cli::parseDoubles(value(), "--threshold");
-            if (v.size() != 1 || v[0] < 0.0 || v[0] >= 1.0)
-                FW_FATAL("--threshold: expected one fraction in "
-                         "[0, 1)");
-            threshold = v[0];
         } else if (flag == "--obs-gate") {
             std::vector<double> v =
                 cli::parseDoubles(value(), "--obs-gate");
@@ -187,8 +161,7 @@ main(int argc, char **argv)
                 FW_FATAL("--obs-gate: expected one fraction in "
                          "[0, 1)");
             obs_gate = v[0];
-        } else if (flag == "--relative") {
-            relative = true;
+            options.timeObserved = true;
         } else if (flag == "--quiet") {
             quiet = true;
         } else if (flag == "--help" || flag == "-h") {
@@ -199,9 +172,9 @@ main(int argc, char **argv)
         }
     }
 
-    perf::BenchReport baseline;
-    if (!compare_path.empty() && !loadReport(compare_path, &baseline))
-        return 2;
+    // With the JSON on stdout, everything meant for a person goes to
+    // stderr so the document parses as it stands.
+    std::FILE *human = json_path == "-" ? stderr : stdout;
 
     perf::PerfProgress progress;
     if (!quiet) {
@@ -214,68 +187,41 @@ main(int argc, char **argv)
         };
     }
 
-    perf::BenchReport report = perf::runPerfGrid(options, progress);
+    const std::vector<perf::PerfEntry> entries =
+        perf::runPerfGrid(options, progress);
 
     if (!quiet)
-        printTable(report);
+        printTable(human, entries);
     if (!json_path.empty()) {
         std::ofstream file;
         std::ostream &os = cli::openOut(json_path, file);
-        report.toJson().write(os, 2);
+        entriesJson(entries).write(os, 2);
         os << "\n";
     }
+    if (obs_gate < 0.0)
+        return 0;
 
     // ---- observability overhead gate -------------------------------
-    // Times the identical grid again with an attached-but-masked
-    // tracer and a stats dump per cell — the cost an observed run
-    // pays over a plain one, measured back to back on this machine.
-    bool obs_ok = true;
-    if (obs_gate >= 0.0) {
-        perf::PerfOptions attached = options;
-        attached.obsAttached = true;
-        perf::BenchReport obs_report =
-            perf::runPerfGrid(attached, progress);
-        const double plain = report.geomeanMinstrPerSec();
-        const double with_obs = obs_report.geomeanMinstrPerSec();
-        const double loss =
-            plain > 0.0 ? 1.0 - with_obs / plain : 0.0;
-        std::printf("obs-attached geomean: %.3f vs %.3f Minstr/s "
-                    "(%+.2f%%)\n",
-                    with_obs, plain, -loss * 100.0);
-        if (loss > obs_gate) {
-            std::printf("observability overhead %.2f%% exceeds the "
-                        "%.2f%% gate\n",
-                        loss * 100.0, obs_gate * 100.0);
-            obs_ok = false;
-        }
+    // Each cell timed its plain and observed repeats side by side, so
+    // the ratio of the cell's two medians sees the cost an observed
+    // run pays over a plain one, not how the host's speed drifted
+    // between two whole-grid passes.
+    std::vector<double> ratios;
+    for (const perf::PerfEntry &e : entries)
+        ratios.push_back(e.observedMedianSeconds > 0.0
+                             ? e.medianSeconds / e.observedMedianSeconds
+                             : 0.0);
+    const double loss = 1.0 - perf::geomean(ratios);
+    std::fprintf(human,
+                 "observed vs plain: %+.2f%% (geomean of %zu per-cell "
+                 "median ratios)\n",
+                 -loss * 100.0, ratios.size());
+    if (loss > obs_gate) {
+        std::fprintf(human,
+                     "observability overhead %.2f%% exceeds the %.2f%% "
+                     "gate\n",
+                     loss * 100.0, obs_gate * 100.0);
+        return 1;
     }
-
-    if (compare_path.empty())
-        return obs_ok ? 0 : 1;
-
-    // ---- regression gate -------------------------------------------
-    bool ok = true;
-    if (relative)
-        std::printf("relative (geomean-normalized) comparison\n");
-    for (const perf::PerfDelta &d :
-         perf::comparePerf(report, baseline, threshold, relative)) {
-        const char *verdict = d.regressed ? "FAIL" : "ok";
-        if (d.currentMinstrPerSec == 0.0) {
-            std::printf("%-4s %-8s %-8s missing from current run\n",
-                        verdict, d.bench.c_str(), d.kind.c_str());
-        } else {
-            std::printf("%-4s %-8s %-8s %8.3f -> %8.3f Minstr/s "
-                        "(%+5.1f%%)\n",
-                        verdict, d.bench.c_str(), d.kind.c_str(),
-                        d.baselineMinstrPerSec, d.currentMinstrPerSec,
-                        (d.ratio - 1.0) * 100.0);
-        }
-        ok = ok && !d.regressed;
-    }
-    if (!ok)
-        std::printf("throughput regressed more than %.0f%% against "
-                    "%s; if intended, refresh the baseline (see "
-                    "README \"Performance\")\n",
-                    threshold * 100.0, compare_path.c_str());
-    return ok && obs_ok ? 0 : 1;
+    return 0;
 }
