@@ -47,9 +47,10 @@ struct SessionOptions
      * Warm checkpoint store shared by every run of the session: ""
      * disables checkpointing entirely (historical behaviour), a
      * directory persists warmup checkpoints on disk across
-     * invocations, and Checkpointer::kMemoryOnly (":memory:") shares
-     * them across cells of this process only.  Cells whose checkpoint
-     * keys match pay the detailed warmup once.
+     * invocations and keeps none in memory (cells that share a key
+     * read its file), and Checkpointer::kMemoryOnly (":memory:")
+     * keeps them in memory, shared across cells of this process only.
+     * Cells whose checkpoint keys match pay the detailed warmup once.
      */
     std::string checkpointDir;
     /**

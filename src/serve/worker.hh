@@ -8,11 +8,12 @@
  * `flywheel_serve --worker --connect HOST:PORT` on another machine
  * joins a sweep with no shared filesystem assumption beyond the store
  * directory itself.  Between cells it keeps only what it can rebuild:
- * expanded job specs and the in-memory fronts of its result and
- * checkpoint stores.  Cells run through
- * the same CellExecutor and ResultStore as a local Session, which is
- * what keeps distributed results byte-identical to single-process
- * ones.
+ * expanded job specs and the in-memory front of its result store.
+ * Its checkpoint store is the shared `checkpoints/` directory, which
+ * keeps no snapshot in memory between cells unless a persist failed.
+ * Cells run through the same CellExecutor and ResultStore as a local
+ * Session, which is what keeps distributed results byte-identical to
+ * single-process ones.
  *
  * Per cell: the executor checks the shared `results/` store first
  * (another worker, or a previous life of this sweep, may have done

@@ -180,23 +180,37 @@ std::shared_ptr<const Snapshot>
 Checkpointer::acquire(const std::string &key, const Factory &make,
                       bool *created)
 {
-    if (created)
-        *created = false;
-
     std::shared_ptr<Entry> entry;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         auto &slot = entries_[key];
         if (!slot)
             slot = std::make_shared<Entry>();
+        ++slot->inFlight;
         entry = slot;
     }
 
     std::lock_guard<std::mutex> key_lock(entry->mutex);
-    if (entry->snap) {
+    std::shared_ptr<const Snapshot> snap = fetch(key, *entry, make, created);
+    // The last acquire of the key under way drops its entry unless
+    // memory holds the key's only copy.
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (--entry->inFlight == 0 && !entry->snap)
+        entries_.erase(key);
+    return snap;
+}
+
+std::shared_ptr<const Snapshot>
+Checkpointer::fetch(const std::string &key, Entry &entry,
+                    const Factory &make, bool *created)
+{
+    if (created)
+        *created = false;
+
+    if (entry.snap) {
         std::lock_guard<std::mutex> lock(mutex_);
         ++memoryHits_;
-        return entry->snap;
+        return entry.snap;
     }
 
     if (!dir_.empty()) {
@@ -205,12 +219,12 @@ Checkpointer::acquire(const std::string &key, const Factory &make,
         std::string error;
         if (Snapshot::readFile(path, &snap, &error)) {
             if (snap.key() == key) {
-                entry->snap =
+                auto loaded =
                     std::make_shared<const Snapshot>(std::move(snap));
                 std::lock_guard<std::mutex> lock(mutex_);
                 ++diskHits_;
                 diskBytesRead_ += fileBytes(path);
-                return entry->snap;
+                return loaded;
             }
             // A hash-collision name clash or a store refreshed by an
             // incompatible build: never restore the wrong state.
@@ -226,7 +240,6 @@ Checkpointer::acquire(const std::string &key, const Factory &make,
     FW_ASSERT(snap != nullptr, "checkpoint factory returned nothing");
     FW_ASSERT(snap->key() == key,
               "checkpoint factory produced a snapshot for another key");
-    entry->snap = snap;
     if (created)
         *created = true;
     {
@@ -234,12 +247,13 @@ Checkpointer::acquire(const std::string &key, const Factory &make,
         ++computes_;
     }
 
-    if (!dir_.empty())
-        persist(snap, key);
+    // Once written, the file is the copy every later acquire reads.
+    if (dir_.empty() || !persist(snap, key))
+        entry.snap = snap;
     return snap;
 }
 
-void
+bool
 Checkpointer::persist(const std::shared_ptr<const Snapshot> &snap,
                       const std::string &key)
 {
@@ -262,7 +276,7 @@ Checkpointer::persist(const std::shared_ptr<const Snapshot> &snap,
                     "silently)",
                     error.c_str());
         }
-        return;
+        return false;
     }
 
     std::uint64_t pruned_bytes = 0;
@@ -273,6 +287,7 @@ Checkpointer::persist(const std::shared_ptr<const Snapshot> &snap,
     std::lock_guard<std::mutex> lock(mutex_);
     diskBytesWritten_ += fileBytes(path);
     evictions_ += pruned;
+    return true;
 }
 
 std::uint64_t

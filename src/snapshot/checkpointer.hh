@@ -7,14 +7,21 @@
  * saved Snapshot, so the detailed warmup is paid once per distinct
  * key instead of once per run.
  *
- * Two storage tiers compose:
- *  - an in-process, thread-safe memory cache with per-key
- *    compute-once semantics: when a sweep launches many grid cells
- *    with the same key concurrently, exactly one worker simulates the
- *    warmup and every other worker blocks briefly and then restores;
- *  - an optional on-disk store (one content-hashed snapshot file per
- *    key under a directory, like the sweep ResultStore's result
- *    files), so later processes reuse checkpoints across invocations.
+ * Every acquire of a key runs under a per-key compute-once lock: when
+ * a sweep launches many grid cells with the same key concurrently,
+ * exactly one worker simulates the warmup and every other worker
+ * blocks briefly and then restores.  Where the snapshot lives depends
+ * on the store:
+ *  - with a directory, the directory is the store (one content-hashed
+ *    snapshot file per key, like the sweep ResultStore's result
+ *    files).  A snapshot made or loaded by an acquire goes to its
+ *    caller and is not kept; waiting and later callers, in this or
+ *    any later process, read the file.  So memory holds at most one
+ *    snapshot per acquire in flight, however many warm states the
+ *    process has seen.  Memory keeps a snapshot only when its persist
+ *    failed, since memory is then its only copy;
+ *  - without one (":memory:"), process memory is the only tier and
+ *    keeps every snapshot, so cells of one process share warm state.
  *
  * Keys canonicalize away everything that provably cannot influence
  * warm state: the energy-model tech node and gating flag, the
@@ -46,7 +53,7 @@ struct RunConfig;
  */
 std::string checkpointKey(const RunConfig &config);
 
-/** Thread-safe two-tier (memory + optional disk) checkpoint store. */
+/** Thread-safe checkpoint store on disk or in process memory. */
 class Checkpointer
 {
   public:
@@ -98,11 +105,14 @@ class Checkpointer
 
     /**
      * Return the snapshot for @p key, sourcing in order from process
-     * memory, the disk store, or @p make — which runs at most once
-     * per key per process (concurrent callers for the same key block
-     * until the first one finishes).  A freshly made snapshot is
-     * published to memory and, when a directory is configured,
-     * written to disk.
+     * memory, the disk store, or @p make.  Concurrent callers for one
+     * key block until the first finishes and then find what it
+     * published, so @p make runs once per key per process unless the
+     * size cap prunes its file.  A made snapshot is written to the
+     * directory when there is one; memory keeps it only when there is
+     * no directory or the write failed, and never keeps a loaded one.
+     * So on a disk-backed store every acquire after the first is a
+     * disk hit, and one whose file the cap pruned computes again.
      *
      * @param created  set true iff @p make ran in this call — the
      *                 caller's own simulator already holds the warm
@@ -134,16 +144,30 @@ class Checkpointer
   private:
     struct Entry
     {
-        std::mutex mutex;                      ///< per-key compute-once
-        std::shared_ptr<const Snapshot> snap;  ///< null until computed
+        std::mutex mutex;  ///< per-key compute-once
+        /** The snapshot while memory is its only copy, else null. */
+        std::shared_ptr<const Snapshot> snap;
+        /** Acquires of this key under way; guarded by mutex_. */
+        std::size_t inFlight = 0;
     };
 
-    void persist(const std::shared_ptr<const Snapshot> &snap,
+    /**
+     * acquire()'s lookup, under @p entry's key lock: memory, then the
+     * disk store, then @p make.
+     */
+    std::shared_ptr<const Snapshot> fetch(const std::string &key,
+                                          Entry &entry,
+                                          const Factory &make,
+                                          bool *created);
+
+    /** Write @p snap to the store; false if it could not. */
+    bool persist(const std::shared_ptr<const Snapshot> &snap,
                  const std::string &key);
 
     std::string dir_;  ///< "" = memory only
     Options options_;
     mutable std::mutex mutex_;
+    /** Keys with an acquire under way or a snapshot in memory. */
     std::map<std::string, std::shared_ptr<Entry>> entries_;
     std::uint64_t memoryHits_ = 0;
     std::uint64_t diskHits_ = 0;

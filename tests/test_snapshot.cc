@@ -15,10 +15,17 @@
 #include <sys/stat.h>
 #include <utime.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <mutex>
 #include <sstream>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "api/session.hh"
 #include "core/report.hh"
@@ -58,6 +65,35 @@ throughBytes(const Snapshot &snap)
     EXPECT_TRUE(Snapshot::deserialize(snap.serialize(), &back, &error))
         << error;
     return back;
+}
+
+/** Every section's name and raw bytes, in order. */
+std::vector<std::pair<std::string, std::string>>
+sectionsOf(const Snapshot &snap)
+{
+    std::vector<std::pair<std::string, std::string>> sections;
+    for (std::size_t i = 0; i < snap.sectionCount(); ++i)
+        sections.emplace_back(snap.sectionName(i), snap.sectionData(i));
+    return sections;
+}
+
+/** A factory for @p key's one-section snapshot that counts its runs. */
+Checkpointer::Factory
+countingFactory(const std::string &key, std::atomic<unsigned> *runs,
+                std::chrono::milliseconds delay =
+                    std::chrono::milliseconds(0))
+{
+    return [key, runs, delay] {
+        ++*runs;
+        std::this_thread::sleep_for(delay);
+        auto s = std::make_shared<Snapshot>();
+        s->setKey(key);
+        BinWriter w;
+        for (std::uint64_t j = 0; j < 512; ++j)
+            w.u64(j * 0x9e3779b97f4a7c15ULL);
+        s->addSection("payload", w.take());
+        return std::shared_ptr<const Snapshot>(std::move(s));
+    };
 }
 
 TEST(SnapshotRoundTrip, BitIdenticalForEveryCoreKindAndBenchmark)
@@ -323,11 +359,13 @@ TEST(CheckpointerTest, ComputesOncePerKeyAndReloadsFromDisk)
     EXPECT_TRUE(created);
     EXPECT_EQ(factory_runs, 1u);
 
+    // The store kept no copy: the second acquire reads the file.
     auto second = store.acquire(key, factory, &created);
     EXPECT_FALSE(created);
     EXPECT_EQ(factory_runs, 1u);
-    EXPECT_EQ(first.get(), second.get());
-    EXPECT_EQ(store.memoryHits(), 1u);
+    EXPECT_EQ(sectionsOf(*first), sectionsOf(*second));
+    EXPECT_EQ(store.memoryHits(), 0u);
+    EXPECT_EQ(store.diskHits(), 1u);
 
     // A fresh store instance (new process image) loads from disk.
     Checkpointer reopened(dir);
@@ -342,6 +380,99 @@ TEST(CheckpointerTest, ComputesOncePerKeyAndReloadsFromDisk)
     Checkpointer memory(Checkpointer::kMemoryOnly);
     EXPECT_FALSE(memory.onDisk());
     EXPECT_EQ(memory.pathFor(key), "");
+}
+
+TEST(CheckpointerTest, DiskStoreKeepsNoSnapshotAfterAcquire)
+{
+    // A disk-backed store hands a made snapshot to its caller and
+    // keeps no copy, so memory does not grow with the warm states a
+    // process has seen; a memory-only store keeps every snapshot.
+    const std::string dir = ::testing::TempDir() + "fw_ckpt_unkept";
+    const std::string key = "ckptv=2;unkept;unit=1;";
+    std::atomic<unsigned> runs{0};
+    const Checkpointer::Factory factory = countingFactory(key, &runs);
+
+    Checkpointer disk(dir);
+    std::remove(disk.pathFor(key).c_str());
+    Checkpointer memory(Checkpointer::kMemoryOnly);
+
+    bool created = false;
+    auto made = disk.acquire(key, factory, &created);
+    ASSERT_TRUE(created);
+    const auto made_sections = sectionsOf(*made);
+    std::weak_ptr<const Snapshot> disk_weak = made;
+    made.reset();
+    EXPECT_TRUE(disk_weak.expired());
+
+    auto kept = memory.acquire(key, factory, &created);
+    ASSERT_TRUE(created);
+    std::weak_ptr<const Snapshot> memory_weak = kept;
+    kept.reset();
+    EXPECT_FALSE(memory_weak.expired());
+
+    // A loaded snapshot is not kept either.
+    auto loaded = disk.acquire(key, factory, &created);
+    EXPECT_FALSE(created);
+    EXPECT_EQ(disk.diskHits(), 1u);
+    EXPECT_EQ(disk.memoryHits(), 0u);
+    EXPECT_EQ(sectionsOf(*loaded), made_sections);
+    disk_weak = loaded;
+    loaded.reset();
+    EXPECT_TRUE(disk_weak.expired());
+    EXPECT_EQ(runs.load(), 2u);
+}
+
+TEST(CheckpointerTest, ConcurrentAcquiresOfOneKeyComputeOnce)
+{
+    // Eight cells with one checkpoint key start together; the factory
+    // is slow enough that the others arrive while it runs and wait on
+    // the key lock.  The warmup is paid once on either store kind.
+    constexpr unsigned kThreads = 8;
+    const std::string dir = ::testing::TempDir() + "fw_ckpt_stampede";
+    const std::string key = "ckptv=2;stampede;unit=1;";
+
+    for (const std::string &where :
+         {dir, std::string(Checkpointer::kMemoryOnly)}) {
+        SCOPED_TRACE(where);
+        Checkpointer store(where);
+        if (store.onDisk())
+            std::remove(store.pathFor(key).c_str());
+        std::atomic<unsigned> runs{0};
+        const Checkpointer::Factory factory =
+            countingFactory(key, &runs, std::chrono::milliseconds(20));
+
+        std::mutex mutex;
+        std::condition_variable ready;
+        unsigned waiting = 0;
+        std::vector<std::vector<std::pair<std::string, std::string>>>
+            got(kThreads);
+        std::vector<std::thread> threads;
+        for (unsigned t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                {
+                    std::unique_lock<std::mutex> lock(mutex);
+                    if (++waiting == kThreads)
+                        ready.notify_all();
+                    ready.wait(lock, [&] { return waiting == kThreads; });
+                }
+                got[t] = sectionsOf(*store.acquire(key, factory));
+            });
+        }
+        for (std::thread &t : threads)
+            t.join();
+
+        EXPECT_EQ(runs.load(), 1u);
+        for (unsigned t = 1; t < kThreads; ++t)
+            EXPECT_EQ(got[t], got[0]) << "thread " << t;
+        EXPECT_EQ(store.computes(), 1u);
+        if (store.onDisk()) {
+            EXPECT_EQ(store.memoryHits(), 0u);
+            EXPECT_EQ(store.diskHits(), kThreads - 1);
+        } else {
+            EXPECT_EQ(store.memoryHits(), kThreads - 1);
+            EXPECT_EQ(store.diskHits(), 0u);
+        }
+    }
 }
 
 TEST(CheckpointerTest, CreatesNestedStoreDirectories)
@@ -552,11 +683,12 @@ TEST(CoreStatsDelta, OperatorsCoverEveryField)
 TEST(SweepCheckpointSharing, CellsShareOneWarmupAndStayBitIdentical)
 {
     // Two cells differing only in measurement length share a
-    // checkpoint key but not a simulation; with an in-memory store the
-    // second cell restores the first's warmup, and results must equal
-    // the uncheckpointed session's.  (Cells differing only in tech node
-    // would share the simulation itself: the second would be derived,
-    // never reaching the checkpoint store.)
+    // checkpoint key but not a simulation; the second cell restores
+    // the first's warmup — from memory in a memory-only store, from
+    // the file the first wrote in a disk-backed one — and results must
+    // equal the uncheckpointed session's.  (Cells differing only in
+    // tech node would share the simulation itself: the second would be
+    // derived, never reaching the checkpoint store.)
     auto points = [] {
         std::vector<SweepPoint> pts;
         for (std::uint64_t measure : {10000u, 12000u}) {
@@ -573,20 +705,29 @@ TEST(SweepCheckpointSharing, CellsShareOneWarmupAndStayBitIdentical)
     Session plain(plain_opts);
     const SweepTable reference = plain.run(points);
 
-    SessionOptions ckpt_opts;
-    ckpt_opts.jobs = 1;
-    ckpt_opts.checkpointDir = Checkpointer::kMemoryOnly;
-    Session checkpointed(ckpt_opts);
-    const SweepTable shared = checkpointed.run(points);
+    const std::string dir = ::testing::TempDir() + "fw_ckpt_sharing";
+    Checkpointer::pruneStore(dir, 0);  // start from an empty store
+    for (const std::string &where :
+         {std::string(Checkpointer::kMemoryOnly), dir}) {
+        SCOPED_TRACE(where);
+        SessionOptions ckpt_opts;
+        ckpt_opts.jobs = 1;
+        ckpt_opts.checkpointDir = where;
+        Session checkpointed(ckpt_opts);
+        const SweepTable shared = checkpointed.run(points);
 
-    ASSERT_NE(checkpointed.checkpointer(), nullptr);
-    EXPECT_EQ(checkpointed.checkpointer()->computes(), 1u);
-    EXPECT_EQ(checkpointed.checkpointer()->memoryHits(), 1u);
+        const Checkpointer *store = checkpointed.checkpointer();
+        ASSERT_NE(store, nullptr);
+        EXPECT_EQ(store->computes(), 1u);
+        EXPECT_EQ(store->onDisk() ? store->diskHits()
+                                  : store->memoryHits(),
+                  1u);
 
-    ASSERT_EQ(reference.size(), shared.size());
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-        EXPECT_EQ(toJson(reference.at(i).result).dump(),
-                  toJson(shared.at(i).result).dump());
+        ASSERT_EQ(reference.size(), shared.size());
+        for (std::size_t i = 0; i < reference.size(); ++i) {
+            EXPECT_EQ(toJson(reference.at(i).result).dump(),
+                      toJson(shared.at(i).result).dump());
+        }
     }
 }
 
