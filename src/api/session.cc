@@ -21,15 +21,6 @@ SessionOptions::fromEnv()
         opts.cacheDir = cache;
     if (const char *ckpt = std::getenv("FLYWHEEL_CHECKPOINTS"))
         opts.checkpointDir = ckpt;
-    if (const char *cap = std::getenv("FLYWHEEL_CHECKPOINT_CAP_MB")) {
-        std::uint64_t bytes = 0;
-        if (Checkpointer::parseCapMegabytes(cap, &bytes))
-            opts.checkpointCapBytes = bytes;
-        else
-            FW_WARN("ignoring FLYWHEEL_CHECKPOINT_CAP_MB='%s' (want "
-                    "a decimal megabyte count); store stays uncapped",
-                    cap);
-    }
     return opts;
 }
 
@@ -79,12 +70,9 @@ Session::Session(SessionOptions options)
     : options_(std::move(options)), cache_(options_.cacheDir),
       pool_(options_.jobs)
 {
-    if (!options_.checkpointDir.empty()) {
-        Checkpointer::Options store;
-        store.capBytes = options_.checkpointCapBytes;
-        checkpointer_ = std::make_unique<Checkpointer>(
-            options_.checkpointDir, store);
-    }
+    if (!options_.checkpointDir.empty())
+        checkpointer_ =
+            std::make_unique<Checkpointer>(options_.checkpointDir);
 }
 
 Session::~Session()

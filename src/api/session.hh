@@ -17,7 +17,6 @@
 #define FLYWHEEL_API_SESSION_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -54,11 +53,6 @@ struct SessionOptions
      */
     std::string checkpointDir;
     /**
-     * On-disk checkpoint store size cap in bytes; 0 = unlimited.
-     * Enforced after every persist by mtime-LRU pruning.
-     */
-    std::uint64_t checkpointCapBytes = 0;
-    /**
      * Progress callback, invoked after each point completes (in
      * completion order, serialized — never concurrently).
      */
@@ -76,10 +70,9 @@ struct SessionOptions
     ObsConfig obs;
 
     /**
-     * Standard environment wiring: cacheDir from FLYWHEEL_CACHE,
-     * checkpointDir from FLYWHEEL_CHECKPOINTS and checkpointCapBytes
-     * from FLYWHEEL_CHECKPOINT_CAP_MB if set (jobs stay 0, i.e.
-     * FLYWHEEL_JOBS / hardware concurrency).
+     * Standard environment wiring: cacheDir from FLYWHEEL_CACHE and
+     * checkpointDir from FLYWHEEL_CHECKPOINTS if set (jobs stay 0,
+     * i.e. FLYWHEEL_JOBS / hardware concurrency).
      */
     static SessionOptions fromEnv();
 };

@@ -126,8 +126,8 @@ runWorker(const WorkerOptions &options)
                                        : storeDir + "/results");
     std::unique_ptr<Checkpointer> checkpointer;
     if (!storeDir.empty())
-        checkpointer = std::make_unique<Checkpointer>(
-            storeDir + "/checkpoints", Checkpointer::Options{});
+        checkpointer =
+            std::make_unique<Checkpointer>(storeDir + "/checkpoints");
 
     Heartbeat heartbeat(socket, name,
                         welcome["heartbeatSeconds"].asDouble());

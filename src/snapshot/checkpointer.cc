@@ -1,15 +1,8 @@
 #include "snapshot/checkpointer.hh"
 
-#include <dirent.h>
 #include <sys/stat.h>
-#include <sys/types.h>
 
-#include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <vector>
 
 #include "common/atomic_file.hh"
 #include "common/log.hh"
@@ -68,25 +61,9 @@ fileBytes(const std::string &path)
     return static_cast<std::uint64_t>(st.st_size);
 }
 
-/** True iff @p name looks like a checkpoint store file. */
-bool
-isCheckpointFile(const std::string &name)
-{
-    const std::string suffix = ".fws";
-    return name.rfind("ckpt-", 0) == 0 && name.size() >= suffix.size() &&
-           name.compare(name.size() - suffix.size(), suffix.size(),
-                        suffix) == 0;
-}
-
 } // namespace
 
-Checkpointer::Checkpointer(std::string dir)
-    : Checkpointer(std::move(dir), Options())
-{
-}
-
-Checkpointer::Checkpointer(std::string dir, Options options)
-    : dir_(std::move(dir)), options_(options)
+Checkpointer::Checkpointer(std::string dir) : dir_(std::move(dir))
 {
     if (dir_ == kMemoryOnly)
         dir_.clear();
@@ -101,79 +78,6 @@ Checkpointer::pathFor(const std::string &key) const
     std::snprintf(name, sizeof(name), "ckpt-%016llx.fws",
                   static_cast<unsigned long long>(fnv1a64(key)));
     return dir_ + "/" + name;
-}
-
-bool
-Checkpointer::parseCapMegabytes(const char *text,
-                                std::uint64_t *out_bytes)
-{
-    if (!text || !*text)
-        return false;
-    if (!std::isdigit(static_cast<unsigned char>(text[0])))
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long mb = std::strtoull(text, &end, 10);
-    if (errno == ERANGE || *end != '\0')
-        return false;
-    if (mb > (~0ULL >> 20))
-        return false;  // would overflow the byte conversion
-    *out_bytes = static_cast<std::uint64_t>(mb) << 20;
-    return true;
-}
-
-std::size_t
-Checkpointer::pruneStore(const std::string &dir,
-                         std::uint64_t cap_bytes,
-                         std::uint64_t *bytes_removed)
-{
-    if (bytes_removed)
-        *bytes_removed = 0;
-    ::DIR *d = ::opendir(dir.c_str());
-    if (!d)
-        return 0;
-    struct File
-    {
-        std::string path;
-        std::uint64_t bytes;
-        std::int64_t mtime;
-    };
-    std::vector<File> files;
-    std::uint64_t total = 0;
-    while (const struct ::dirent *ent = ::readdir(d)) {
-        if (!isCheckpointFile(ent->d_name))
-            continue;
-        const std::string path = dir + "/" + ent->d_name;
-        struct ::stat st;
-        if (::stat(path.c_str(), &st) != 0 || !S_ISREG(st.st_mode))
-            continue;
-        files.push_back({path,
-                         static_cast<std::uint64_t>(st.st_size),
-                         static_cast<std::int64_t>(st.st_mtime)});
-        total += static_cast<std::uint64_t>(st.st_size);
-    }
-    ::closedir(d);
-
-    // Oldest mtime first: checkpoints re-warm on next use, so the
-    // least-recently-written are the cheapest to lose.
-    std::sort(files.begin(), files.end(),
-              [](const File &a, const File &b) {
-                  return a.mtime != b.mtime ? a.mtime < b.mtime
-                                            : a.path < b.path;
-              });
-
-    std::size_t removed = 0;
-    for (const File &f : files) {
-        if (total <= cap_bytes)
-            break;
-        if (std::remove(f.path.c_str()) != 0)
-            continue;
-        total -= f.bytes;
-        ++removed;
-        if (bytes_removed)
-            *bytes_removed += f.bytes;
-    }
-    return removed;
 }
 
 std::shared_ptr<const Snapshot>
@@ -269,7 +173,7 @@ Checkpointer::persist(const std::shared_ptr<const Snapshot> &snap,
         ++persistFailures_;
         if (!persistFailureWarned_) {
             // One warning per session; the failure count stays
-            // visible in summaryLine() and the stats registry.
+            // visible in summaryLine().
             persistFailureWarned_ = true;
             FW_WARN("cannot persist checkpoint: %s (checkpoints stay "
                     "in memory; further persist failures counted "
@@ -279,14 +183,8 @@ Checkpointer::persist(const std::shared_ptr<const Snapshot> &snap,
         return false;
     }
 
-    std::uint64_t pruned_bytes = 0;
-    std::size_t pruned = 0;
-    if (options_.capBytes > 0)
-        pruned = pruneStore(dir_, options_.capBytes, &pruned_bytes);
-
     std::lock_guard<std::mutex> lock(mutex_);
     diskBytesWritten_ += fileBytes(path);
-    evictions_ += pruned;
     return true;
 }
 
@@ -309,13 +207,6 @@ Checkpointer::computes() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return computes_;
-}
-
-std::uint64_t
-Checkpointer::evictions() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return evictions_;
 }
 
 std::uint64_t
@@ -345,12 +236,11 @@ Checkpointer::summaryLine() const
     char line[224];
     std::snprintf(line, sizeof(line),
                   "checkpoints: %llu memory hits, %llu disk hits, "
-                  "%llu computed, %llu evicted, %llu B written, "
+                  "%llu computed, %llu B written, "
                   "%llu B read, %llu persist failures",
                   (unsigned long long)memoryHits(),
                   (unsigned long long)diskHits(),
                   (unsigned long long)computes(),
-                  (unsigned long long)evictions(),
                   (unsigned long long)diskBytesWritten(),
                   (unsigned long long)diskBytesRead(),
                   (unsigned long long)persistFailures());

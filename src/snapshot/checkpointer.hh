@@ -60,18 +60,6 @@ class Checkpointer
     /** Sentinel dir meaning "in-process memory only, no disk". */
     static constexpr const char *kMemoryOnly = ":memory:";
 
-    /** Store lifecycle knobs beyond the directory itself. */
-    struct Options
-    {
-        /**
-         * Size cap for the on-disk store in bytes (0 = unlimited).
-         * After every persist the store is pruned oldest-first
-         * (mtime LRU) until it fits; pruned files count as evictions
-         * and re-warm on next use.
-         */
-        std::uint64_t capBytes = 0;
-    };
-
     /**
      * @param dir  on-disk store directory ("" or ":memory:" keeps
      *             checkpoints in process memory only).  Created on
@@ -79,26 +67,6 @@ class Checkpointer
      *             nested --checkpoint-dir a/b/c works.
      */
     explicit Checkpointer(std::string dir = "");
-    Checkpointer(std::string dir, Options options);
-
-    /**
-     * Delete checkpoint files under @p dir, oldest mtime first, until
-     * the store holds at most @p cap_bytes (0 = remove every
-     * checkpoint file).  Non-checkpoint files are never touched.
-     * @return the number of files removed.
-     */
-    static std::size_t pruneStore(const std::string &dir,
-                                  std::uint64_t cap_bytes,
-                                  std::uint64_t *bytes_removed = nullptr);
-
-    /**
-     * Strict parse of a decimal megabyte count ("512") into bytes —
-     * the FLYWHEEL_CHECKPOINT_CAP_MB / --checkpoint-cap-mb value.
-     * Same discipline as FLYWHEEL_JOBS: digits only, no sign, no
-     * trailing text, no overflow.  0 is accepted (= uncapped).
-     */
-    static bool parseCapMegabytes(const char *text,
-                                  std::uint64_t *out_bytes);
 
     /** Builds the snapshot for a key nobody has computed yet. */
     using Factory = std::function<std::shared_ptr<const Snapshot>()>;
@@ -107,12 +75,11 @@ class Checkpointer
      * Return the snapshot for @p key, sourcing in order from process
      * memory, the disk store, or @p make.  Concurrent callers for one
      * key block until the first finishes and then find what it
-     * published, so @p make runs once per key per process unless the
-     * size cap prunes its file.  A made snapshot is written to the
-     * directory when there is one; memory keeps it only when there is
-     * no directory or the write failed, and never keeps a loaded one.
-     * So on a disk-backed store every acquire after the first is a
-     * disk hit, and one whose file the cap pruned computes again.
+     * published, so @p make runs once per key per store.  A made
+     * snapshot is written to the directory when there is one; memory
+     * keeps it only when there is no directory or the write failed,
+     * and never keeps a loaded one.  So on a disk-backed store every
+     * acquire after the first is a disk hit.
      *
      * @param created  set true iff @p make ran in this call — the
      *                 caller's own simulator already holds the warm
@@ -131,8 +98,6 @@ class Checkpointer
     std::uint64_t memoryHits() const;
     std::uint64_t diskHits() const;
     std::uint64_t computes() const;
-    /** On-disk checkpoint files pruned by the size cap. */
-    std::uint64_t evictions() const;
     std::uint64_t diskBytesWritten() const;
     std::uint64_t diskBytesRead() const;
     /** Persist attempts that failed (disk full, permissions, ...). */
@@ -165,14 +130,12 @@ class Checkpointer
                  const std::string &key);
 
     std::string dir_;  ///< "" = memory only
-    Options options_;
     mutable std::mutex mutex_;
     /** Keys with an acquire under way or a snapshot in memory. */
     std::map<std::string, std::shared_ptr<Entry>> entries_;
     std::uint64_t memoryHits_ = 0;
     std::uint64_t diskHits_ = 0;
     std::uint64_t computes_ = 0;
-    std::uint64_t evictions_ = 0;
     std::uint64_t diskBytesWritten_ = 0;
     std::uint64_t diskBytesRead_ = 0;
     std::uint64_t persistFailures_ = 0;

@@ -339,8 +339,8 @@ TEST(GridSpec, ExpandIsCartesianAndOrdered)
     EXPECT_EQ(points[0].config.node, TechNode::N130);
     EXPECT_EQ(points[1].config.node, TechNode::N60);
     EXPECT_EQ(points[2].clock.feBoost, 0.5);
-    // Run lengths are taken as given: a zero warmup stays zero, which
-    // is what makes `flywheel_sweep --warmup 0` run without one.
+    // Run lengths are taken as given: a zero warmup stays zero (only
+    // ExperimentSpec::expand reads 0 as "use the default").
     for (const SweepPoint &pt : points) {
         EXPECT_EQ(pt.config.warmupInstrs, 0u);
         EXPECT_EQ(pt.config.measureInstrs, 3000u);

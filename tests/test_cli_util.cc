@@ -229,30 +229,14 @@ TEST(SnapshotFlags, ParsesTheSharedFlagSet)
     flags.apply(&opts);
     EXPECT_EQ(opts.checkpointDir, "");
 
-    // Interval sampling was removed: --sample is an unknown option.
+    // Interval sampling and the store size cap were removed: --sample
+    // and --checkpoint-cap-mb are unknown options.
     int j = 0;
     cli::SnapshotFlags other;
     EXPECT_FALSE(other.tryParse("--jobs", 4, argv, &j));
     EXPECT_FALSE(other.tryParse("--sample", 4, argv, &j));
+    EXPECT_FALSE(other.tryParse("--checkpoint-cap-mb", 4, argv, &j));
     EXPECT_EQ(j, 0);
-}
-
-TEST(SnapshotFlags, ParsesCapFlag)
-{
-    const char *argv_c[] = {"prog", "--checkpoint-cap-mb", "256"};
-    char **argv = const_cast<char **>(argv_c);
-
-    cli::SnapshotFlags flags;
-    int i = 1;
-    EXPECT_TRUE(flags.tryParse(argv[i], 3, argv, &i));
-
-    // apply() stamps the cap onto the options and leaves the
-    // directory no flag named alone.
-    SessionOptions opts;
-    opts.checkpointDir = "/tmp/store";
-    flags.apply(&opts);
-    EXPECT_EQ(opts.checkpointDir, "/tmp/store");
-    EXPECT_EQ(opts.checkpointCapBytes, 256ull << 20);
 }
 
 TEST(SnapshotFlags, LeavesTheEnvironmentToTheSessionReader)

@@ -12,14 +12,12 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
-#include <utime.h>
-
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <sstream>
@@ -507,69 +505,6 @@ TEST(CheckpointerTest, CreatesNestedStoreDirectories)
     EXPECT_EQ(reopened.diskHits(), 1u);
 }
 
-TEST(CheckpointerTest, SizeCapPrunesOldestCheckpointsFirst)
-{
-    const std::string dir = ::testing::TempDir() + "fw_ckpt_cap";
-    Checkpointer::pruneStore(dir, 0);  // start from an empty store
-
-    // Three checkpoints with distinct, explicit mtimes (the LRU
-    // ordering key), oldest first.
-    Checkpointer seed(dir);
-    std::vector<std::string> paths;
-    std::vector<std::uint64_t> sizes;
-    for (int i = 0; i < 3; ++i) {
-        const std::string key = "ckptv=2;cap;unit=" +
-                                std::to_string(i) + ";";
-        auto factory = [&] {
-            auto s = std::make_shared<Snapshot>();
-            s->setKey(key);
-            BinWriter w;
-            for (int j = 0; j < 64; ++j)
-                w.u64(std::uint64_t(i) * 64 + j);
-            s->addSection("payload", w.take());
-            return std::shared_ptr<const Snapshot>(std::move(s));
-        };
-        seed.acquire(key, factory);
-        paths.push_back(seed.pathFor(key));
-        struct ::stat st;
-        ASSERT_EQ(::stat(paths.back().c_str(), &st), 0);
-        sizes.push_back(std::uint64_t(st.st_size));
-        struct ::utimbuf times;
-        times.actime = times.modtime = 1000000 + i;
-        ASSERT_EQ(::utime(paths.back().c_str(), &times), 0);
-    }
-
-    // Cap at the two newest files' worth: exactly the oldest goes.
-    const std::uint64_t cap = sizes[1] + sizes[2];
-    std::uint64_t bytes_removed = 0;
-    const std::size_t removed =
-        Checkpointer::pruneStore(dir, cap, &bytes_removed);
-    EXPECT_EQ(removed, 1u);
-    EXPECT_EQ(bytes_removed, sizes[0]);
-    struct ::stat st;
-    EXPECT_NE(::stat(paths[0].c_str(), &st), 0);  // oldest pruned
-    EXPECT_EQ(::stat(paths[1].c_str(), &st), 0);
-    EXPECT_EQ(::stat(paths[2].c_str(), &st), 0);
-
-    // A capped store prunes as part of persist and counts evictions.
-    Checkpointer::Options opts;
-    opts.capBytes = cap;
-    Checkpointer capped(dir, opts);
-    const std::string key = "ckptv=2;cap;unit=9;";
-    auto factory = [&] {
-        auto s = std::make_shared<Snapshot>();
-        s->setKey(key);
-        BinWriter w;
-        for (int j = 0; j < 64; ++j)
-            w.u64(std::uint64_t(j));
-        s->addSection("payload", w.take());
-        return std::shared_ptr<const Snapshot>(std::move(s));
-    };
-    capped.acquire(key, factory);
-    EXPECT_GE(capped.evictions(), 1u);
-    EXPECT_EQ(capped.persistFailures(), 0u);
-}
-
 TEST(CheckpointerTest, PersistFailuresAreCountedNotFatal)
 {
     // Point the store at a path that is an existing *file*: every
@@ -604,22 +539,6 @@ TEST(CheckpointerTest, PersistFailuresAreCountedNotFatal)
     EXPECT_NE(store.summaryLine().find("persist failure"),
               std::string::npos);
     std::remove(dir.c_str());
-}
-
-TEST(CheckpointerTest, ParseCapMegabytesIsStrict)
-{
-    std::uint64_t bytes = 123;
-    EXPECT_TRUE(Checkpointer::parseCapMegabytes("0", &bytes));
-    EXPECT_EQ(bytes, 0u);
-    EXPECT_TRUE(Checkpointer::parseCapMegabytes("512", &bytes));
-    EXPECT_EQ(bytes, 512ull << 20);
-
-    // Garbage, signs, trailing text, and overflow are rejected.
-    for (const char *bad :
-         {"", "-1", "+4", "12q", "4 ", "abc", "0x10",
-          "18446744073709551615", "99999999999999999999"})
-        EXPECT_FALSE(Checkpointer::parseCapMegabytes(bad, &bytes))
-            << bad;
 }
 
 TEST(CheckpointKeyTest, CanonicalizesResultNeutralAxes)
@@ -706,7 +625,7 @@ TEST(SweepCheckpointSharing, CellsShareOneWarmupAndStayBitIdentical)
     const SweepTable reference = plain.run(points);
 
     const std::string dir = ::testing::TempDir() + "fw_ckpt_sharing";
-    Checkpointer::pruneStore(dir, 0);  // start from an empty store
+    std::filesystem::remove_all(dir);  // start from an empty store
     for (const std::string &where :
          {std::string(Checkpointer::kMemoryOnly), dir}) {
         SCOPED_TRACE(where);

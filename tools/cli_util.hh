@@ -1,7 +1,7 @@
 /**
  * @file
  * Argument/environment helpers shared by the CLIs (flywheel_bench,
- * flywheel_sweep, flywheel_fuzz, flywheel_perf): list splitting,
+ * flywheel_serve, flywheel_fuzz, flywheel_perf): list splitting,
  * strictly validated number parsing, output-file plumbing, the common
  * flag-value idiom and the shared per-point progress printer.  One
  * implementation so every tool rejects the same garbage — and reports
@@ -29,7 +29,7 @@
 #include "obs/stats_registry.hh"
 #include "obs/trace.hh"
 #include "serve/protocol.hh"
-#include "snapshot/checkpointer.hh"
+#include "snapshot/snapshot.hh"
 #include "sweep/sweep.hh"
 #include "sweep/thread_pool.hh"
 
@@ -61,8 +61,8 @@ formatEta(double left_seconds)
 }
 
 /**
- * The per-point progress printer every grid-running CLI uses
- * (assignable to SessionOptions::progress).
+ * flywheel_bench's per-point progress printer (assignable to
+ * SessionOptions::progress).
  * Honours LogLevel::Quiet and appends an ETA once a completion rate
  * is observable.  The ETA comes from a moving window over the most
  * recent completions, so a burst of cache hits or one slow cell
@@ -273,21 +273,17 @@ rejectUnknownFlag(const char *argv0, const std::string &flag,
 }
 
 /**
- * The checkpoint flag set shared by the grid-running CLIs
- * (flywheel_bench, flywheel_sweep).  It holds only what its flags set:
- * the environment defaults (FLYWHEEL_CHECKPOINTS,
- * FLYWHEEL_CHECKPOINT_CAP_MB) come from SessionOptions::fromEnv(),
- * and apply() overrides them.
+ * The checkpoint flags of flywheel_bench.  They hold only what was
+ * given: the environment default (FLYWHEEL_CHECKPOINTS) comes from
+ * SessionOptions::fromEnv(), and apply() overrides it.
  *
  *   --checkpoint-dir DIR    warm checkpoint store
  *   --no-checkpoints        disable checkpoint reuse entirely
- *   --checkpoint-cap-mb N   cap the on-disk store, LRU-pruned
  */
 struct SnapshotFlags
 {
     std::optional<std::string> dir;
     bool disabled = false;
-    std::optional<std::uint64_t> capBytes;
 
     /** Consume one argv flag; true if it was one of ours. */
     bool
@@ -301,34 +297,23 @@ struct SnapshotFlags
             disabled = true;
             return true;
         }
-        if (flag == "--checkpoint-cap-mb") {
-            const std::string arg = requireValue(argc, argv, i, flag);
-            std::uint64_t bytes = 0;
-            if (!Checkpointer::parseCapMegabytes(arg.c_str(), &bytes))
-                FW_FATAL("--checkpoint-cap-mb: expected a decimal "
-                         "megabyte count, got '%s'", arg.c_str());
-            capBytes = bytes;
-            return true;
-        }
         return false;
     }
 
     /**
-     * Override the store knobs these flags set; --no-checkpoints wins
-     * over any directory.
+     * Override the store directory these flags set; --no-checkpoints
+     * wins over any directory.
      */
     void
     apply(SessionOptions *opts) const
     {
         if (dir)
             opts->checkpointDir = *dir;
-        if (capBytes)
-            opts->checkpointCapBytes = *capBytes;
         if (disabled)
             opts->checkpointDir.clear();
     }
 
-    /** Shared --help block for these flags. */
+    /** The --help block for these flags. */
     static const char *
     usageText()
     {
@@ -337,13 +322,7 @@ struct SnapshotFlags
             "  --checkpoint-dir DIR  reuse warmup checkpoints from "
             "DIR\n"
             "                        (default: FLYWHEEL_CHECKPOINTS)\n"
-            "  --no-checkpoints      always simulate the warmup\n"
-            "  --checkpoint-cap-mb N cap the on-disk store at N MB, "
-            "pruning\n"
-            "                        oldest checkpoints first "
-            "(default:\n"
-            "                        FLYWHEEL_CHECKPOINT_CAP_MB; 0 = "
-            "uncapped)\n";
+            "  --no-checkpoints      always simulate the warmup\n";
     }
 };
 
@@ -391,7 +370,7 @@ dumpCheckpoint(const std::string &path, std::ostream &out,
 }
 
 /**
- * The observability flag set shared by the grid-running CLIs:
+ * The observability flags of flywheel_bench:
  *
  *   --stats FILE       write a flywheel.stats.v1 document
  *   --trace FILE       write a Chrome trace-event JSON document
@@ -446,7 +425,7 @@ struct ObsFlags
         return obs;
     }
 
-    /** Shared --help block for these flags. */
+    /** The --help block for these flags. */
     static const char *
     usageText()
     {

@@ -81,11 +81,7 @@ usage(const char *argv0)
         "  --refresh-golden DIR  rebuild and overwrite the snapshots "
         "in DIR\n"
         "\n"
-        "store maintenance:\n"
-        "  --prune-checkpoints   prune the checkpoint store at "
-        "--checkpoint-dir\n"
-        "                        down to --checkpoint-cap-mb "
-        "(0 = empty it)\n"
+        "checkpoint debugging:\n"
         "  --dump-checkpoint FILE  print a .fws checkpoint's header "
         "and section\n"
         "                        table (name, bytes, FNV-1a) as "
@@ -193,7 +189,6 @@ main(int argc, char **argv)
     bool list_only = false;
     bool run_all = false;
     bool progress = false;
-    bool prune_checkpoints = false;
     cli::SnapshotFlags snapshot;
     cli::ObsFlags obs_flags;
 
@@ -235,8 +230,6 @@ main(int argc, char **argv)
             check_golden_dir = value();
         } else if (flag == "--refresh-golden") {
             refresh_golden_dir = value();
-        } else if (flag == "--prune-checkpoints") {
-            prune_checkpoints = true;
         } else if (flag == "--help" || flag == "-h") {
             usage(argv[0]);
             return 0;
@@ -255,7 +248,6 @@ main(int argc, char **argv)
                       (!validate_paths.empty() ? 1 : 0) +
                       (!check_golden_dir.empty() ? 1 : 0) +
                       (!refresh_golden_dir.empty() ? 1 : 0) +
-                      (prune_checkpoints ? 1 : 0) +
                       (run_all || !figure_names.empty() ||
                                !spec_paths.empty()
                            ? 1
@@ -265,8 +257,8 @@ main(int argc, char **argv)
                      "choose one mode: --list, --dump-spec, "
                      "--dump-checkpoint, --validate-spec, "
                      "--check-golden, "
-                     "--refresh-golden, --prune-checkpoints, or a "
-                     "--figure/--all/--spec run\n");
+                     "--refresh-golden, or a --figure/--all/--spec "
+                     "run\n");
         return 2;
     }
     // Run-only flags must not be silently ignored by other modes.
@@ -283,25 +275,6 @@ main(int argc, char **argv)
     // ---- modes that need no simulation ----------------------------
     if (list_only) {
         listFigures();
-        return 0;
-    }
-    if (prune_checkpoints) {
-        const std::string &dir = opts.checkpointDir;
-        if (dir.empty() ||
-            dir == std::string(Checkpointer::kMemoryOnly)) {
-            std::fprintf(stderr,
-                         "--prune-checkpoints needs an on-disk store: "
-                         "--checkpoint-dir DIR (or "
-                         "FLYWHEEL_CHECKPOINTS)\n");
-            return 2;
-        }
-        std::uint64_t bytes = 0;
-        const std::size_t removed =
-            Checkpointer::pruneStore(dir, opts.checkpointCapBytes, &bytes);
-        std::printf("pruned %zu checkpoint file(s) (%llu bytes) from "
-                    "%s; cap %llu MB\n",
-                    removed, (unsigned long long)bytes, dir.c_str(),
-                    (unsigned long long)(opts.checkpointCapBytes >> 20));
         return 0;
     }
     if (!dump_spec_name.empty()) {
