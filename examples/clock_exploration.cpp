@@ -48,7 +48,7 @@ main(int argc, char **argv)
             flywheel.clocks.push_back({fe, be});
     spec.grids.push_back(flywheel);
 
-    Session session(SessionOptions::fromEnv());
+    Session session;
     SweepTable table = session.run(spec);
     TableIndex ix(table);
     const RunResult &base = ix.get(bench, CoreKind::Baseline, {0.0, 0.0});

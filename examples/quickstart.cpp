@@ -44,7 +44,7 @@ main(int argc, char **argv)
     flywheel.clocks = {{0.5, 0.5}};
     spec.grids.push_back(flywheel);
 
-    Session session(SessionOptions::fromEnv());
+    Session session;
     SweepTable table = session.run(spec);
     TableIndex ix(table);
 

@@ -371,8 +371,6 @@ ExperimentSpec::toJson() const
     j.set("render", render);
     j.set("warmupInstrs", warmupInstrs);
     j.set("measureInstrs", measureInstrs);
-    j.set("repeat", repeat);
-    j.set("verify", verify);
     Json gs = Json::array();
     for (const GridSpec &g : grids)
         gs.push(g.toJson());
@@ -405,22 +403,18 @@ ExperimentSpec::fromJson(const Json &j, ExperimentSpec *out,
         !parseCount(j, "measureInstrs", "spec", &out->measureInstrs,
                     error))
         return false;
-    if (j.has("repeat")) {
-        std::uint64_t repeat = 0;
-        if (!parseCount(j, "repeat", "spec", &repeat, error))
-            return false;
-        if (repeat < 1 || repeat > 1000)
-            return fail(error, "spec.repeat: expected 1..1000");
-        out->repeat = unsigned(repeat);
-    }
-    if (j.has("verify")) {
-        if (j["verify"].kind() != Json::Kind::Bool)
-            return fail(error, "spec.verify: expected a bool");
-        out->verify = j["verify"].asBool();
-    }
+    // Documents from earlier builds carry "repeat": 1, "verify":
+    // false and {"windows": 0, "fastForward": 0, "warmup": 0} as
+    // "sampling"; any other value asked for a removed feature.
+    if (j.has("repeat") &&
+        !(j["repeat"].isNumber() && j["repeat"].asDouble() == 1.0))
+        return fail(error, "spec.repeat: repeated runs were removed "
+                           "(only 1 is accepted)");
+    if (j.has("verify") && !(j["verify"].kind() == Json::Kind::Bool &&
+                             !j["verify"].asBool()))
+        return fail(error, "spec.verify: spec-driven verification was "
+                           "removed (only false is accepted)");
     if (j.has("sampling")) {
-        // Older documents carry {"windows": 0, "fastForward": 0,
-        // "warmup": 0}; anything else asked for a sampled run.
         const Json &s = j["sampling"];
         bool off = s.isObject();
         for (const auto &[key, value] : s.members())

@@ -4,7 +4,7 @@
  * paper figure, ablation and ad-hoc study as a plain value.
  *
  * An ExperimentSpec is a list of cartesian grid blocks (GridSpec)
- * plus run lengths and repeat/verify flags.  Specs round-trip
+ * plus run lengths.  Specs round-trip
  * losslessly through JSON (the shipped figure specs live under
  * specs/), so new scenarios are data: a .json file fed to
  * `flywheel_bench --spec`, not a new binary.
@@ -107,18 +107,6 @@ struct ExperimentSpec
      */
     std::uint64_t warmupInstrs = 0;
     std::uint64_t measureInstrs = 0;
-    /**
-     * Times each point is executed by Session::run(); repeats bypass
-     * the result store and must reproduce the first run bit-exactly
-     * (a determinism tripwire for long campaigns).
-     */
-    unsigned repeat = 1;
-    /**
-     * Ask Session users to route the spec's non-baseline points
-     * through the differential checker (Session::verify()) after
-     * running it.
-     */
-    bool verify = false;
 
     /** All grid blocks, in order, with run lengths resolved. */
     std::vector<SweepPoint> expand() const;
@@ -127,9 +115,10 @@ struct ExperimentSpec
     Json toJson() const;
 
     /**
-     * Strict parse of a spec document.  A `sampling` block is
-     * accepted only in the all-zero form that documents written
-     * before interval sampling was removed carry.
+     * Strict parse of a spec document.  Members that documents from
+     * earlier builds carry are accepted only at the values that meant
+     * "off": `"repeat": 1`, `"verify": false` and an all-zero
+     * `sampling` block.
      */
     static bool fromJson(const Json &j, ExperimentSpec *out,
                          std::string *error);

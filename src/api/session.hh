@@ -4,9 +4,7 @@
  * runner.  A Session owns a worker pool, a content-keyed result store
  * and, when configured, a warm checkpoint store; it runs grids of
  * SweepPoints (run() over points) and declarative ExperimentSpecs
- * (run() over a spec, with optional bit-exact repeat checking),
- * verify() routes a spec's non-baseline points through the
- * differential checker, and submit() hands a spec to a
+ * (run() over a spec's expansion), and submit() hands a spec to a
  * `flywheel_serve` daemon instead.  The pool and stores persist
  * across run() calls, so later grids reuse earlier points.  Benches,
  * tools and examples talk to this facade instead of wiring
@@ -27,7 +25,6 @@
 #include "sweep/result_store.hh"
 #include "sweep/sweep.hh"
 #include "sweep/thread_pool.hh"
-#include "verify/differential.hh"
 
 namespace flywheel {
 
@@ -68,13 +65,6 @@ struct SessionOptions
      * the stats/trace documents are supposed to describe.
      */
     ObsConfig obs;
-
-    /**
-     * Standard environment wiring: cacheDir from FLYWHEEL_CACHE and
-     * checkpointDir from FLYWHEEL_CHECKPOINTS if set (jobs stay 0,
-     * i.e. FLYWHEEL_JOBS / hardware concurrency).
-     */
-    static SessionOptions fromEnv();
 };
 
 /** Outcome of Session::submit() — one remotely executed spec. */
@@ -87,24 +77,6 @@ struct SubmitOutcome
      *  to a local run of the same resolved spec). */
     std::string tableJson;
     std::string tableCsv;
-};
-
-/** Outcome of Session::verify() over one spec. */
-struct VerifyReport
-{
-    struct Entry
-    {
-        SweepPoint point;
-        DiffReport report;
-    };
-
-    std::vector<Entry> entries;
-
-    bool ok() const;
-    std::size_t failureCount() const;
-
-    /** One line per checked point plus a verdict line. */
-    std::string summary() const;
 };
 
 class Session
@@ -126,14 +98,11 @@ class Session
      */
     SweepTable run(const std::vector<SweepPoint> &points);
 
-    /**
-     * Execute every point of @p spec on the worker pool; rows come
-     * back in expansion order.  When spec.repeat > 1, each point is
-     * re-simulated repeat-1 more times bypassing the cache, and any
-     * deviation from the first result is a fatal error (simulation
-     * nondeterminism must never pass silently).
-     */
-    SweepTable run(const ExperimentSpec &spec);
+    /** run(spec.expand()): rows come back in expansion order. */
+    SweepTable run(const ExperimentSpec &spec)
+    {
+        return run(spec.expand());
+    }
 
     /**
      * Client mode: submit @p spec to a `flywheel_serve` daemon at
@@ -148,20 +117,9 @@ class Session
                 const ExperimentSpec &spec, SubmitOutcome *out,
                 std::string *error, double pollSeconds = 0.2);
 
-    /**
-     * Differential verification of @p spec: every distinct
-     * non-baseline (benchmark, kind, params) combination in the
-     * spec's grid is cross-checked against the baseline core and the
-     * workload oracle.  Tech node and power gating do not affect
-     * architectural behaviour, so points differing only in those are
-     * checked once.
-     */
-    VerifyReport verify(const ExperimentSpec &spec);
-
     ResultStore &cache() { return cache_; }
     /** Shared warm checkpoint store (null when disabled). */
     Checkpointer *checkpointer() { return checkpointer_.get(); }
-    unsigned jobs() const { return pool_.threadCount(); }
 
   private:
     SessionOptions options_;

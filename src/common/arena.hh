@@ -80,7 +80,6 @@ class Arena
             need = bytes + (aligned - base);
         }
         head_->used += need;
-        allocated_ += bytes;
         return reinterpret_cast<void *>(aligned);
     }
 
@@ -93,9 +92,6 @@ class Arena
                       "arena containers hold trivially copyable types");
         return static_cast<T *>(allocate(n * sizeof(T), alignof(T)));
     }
-
-    /** Total bytes handed out (excludes chunk slack). */
-    std::size_t bytesAllocated() const { return allocated_; }
 
   private:
     struct Chunk
@@ -121,7 +117,6 @@ class Arena
 
     Chunk *head_ = nullptr;
     std::size_t chunkBytes_;
-    std::size_t allocated_ = 0;
 };
 
 /**

@@ -343,21 +343,6 @@ Json::has(const std::string &key) const
     return false;
 }
 
-bool
-Json::take(const std::string &key, Json *out)
-{
-    for (auto it = obj_.begin(); it != obj_.end(); ++it) {
-        if (it->first == key) {
-            *out = std::move(it->second);
-            // Remove the member entirely: a null-valued ghost would
-            // keep has(key) true and serialize as "key": null.
-            obj_.erase(it);
-            return true;
-        }
-    }
-    return false;
-}
-
 void
 Json::push(Json v)
 {

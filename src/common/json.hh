@@ -77,13 +77,6 @@ class Json
     /** Object member access (empty Json if absent). */
     const Json &operator[](const std::string &key) const;
     bool has(const std::string &key) const;
-    /**
-     * Move a member's value out of an object (true if present).  For
-     * large documents — simulator snapshots — where copying the
-     * subtree out of the parse result would double peak memory and
-     * cost a full deep copy.
-     */
-    bool take(const std::string &key, Json *out);
     const std::vector<std::pair<std::string, Json>> &members() const
     {
         return obj_;

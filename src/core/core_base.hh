@@ -236,8 +236,6 @@ class CoreBase
     /** ROB entry at @p index (nullptr for kNoRobIndex). */
     InFlightInst *robAt(std::uint64_t index);
 
-    Tick memTicks() const { return memTicks_; }
-
     CoreParams params_;  // lint: nosnapshot(geometry checked by restore, not mutated)
     WorkloadStream &stream_;
 

@@ -338,23 +338,6 @@ FlywheelCore::onIssueGroup(const std::vector<InFlightInst *> &group,
         return;
     appendToBuilder(finalizing_, group, now);
     appendToBuilder(builder_, group, now);
-#ifdef FW_TRACE_DEBUG
-    for (const InFlightInst *p : group) {
-        if (p->fromEc)
-            continue;
-        auto in = [&](const Builder &b) {
-            return b.active && p->arch.seq >= b.startSeq &&
-                   (!b.bounded || p->arch.seq <= b.endSeq);
-        };
-        if (!in(finalizing_) && !in(builder_)) {
-            std::fprintf(stderr,
-                         "ORPHAN seq=%llu pc=0x%llx %s\n",
-                         (unsigned long long)p->arch.seq,
-                         (unsigned long long)p->arch.pc,
-                         progressDebug().c_str());
-        }
-    }
-#endif
 }
 
 void

@@ -111,7 +111,6 @@ class JournalWriter
     /** Durably append the completion marker. */
     bool markComplete();
 
-    bool isOpen() const { return fd_ >= 0; }
     const std::string &path() const { return path_; }
 
   private:

@@ -28,6 +28,9 @@
  *                                      from a heartbeat thread while a
  *                                      lease/done exchange is pending)
  *
+ *   lease, done and ping count only on the connection that said hello
+ *   and only for the worker it named; any other is rejected.
+ *
  *   any error path                   error {error}
  *
  * The server pushes instead of making its peers poll.  A `lease` that

@@ -79,8 +79,6 @@ class JobScheduler
     explicit JobScheduler(double leaseTimeout = 60.0)
         : leaseTimeout_(leaseTimeout) {}
 
-    double leaseTimeout() const { return leaseTimeout_; }
-
     /**
      * Register a job: per cell, a bench name (LPT weight key) and the
      * key of the run it simulates (cells with one run key are never

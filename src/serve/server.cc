@@ -65,11 +65,7 @@ resolveSpec(const ExperimentSpec &spec)
 std::string
 jobIdFor(const ExperimentSpec &resolved)
 {
-    char id[20];
-    std::snprintf(id, sizeof(id), "%016llx",
-                  static_cast<unsigned long long>(
-                      fnv1a64(resolved.toJson().dump(0))));
-    return id;
+    return hexDigest(fnv1a64(resolved.toJson().dump(0)));
 }
 
 ServeDaemon::ServeDaemon(ServeOptions options)
@@ -542,7 +538,7 @@ ServeDaemon::handleFrame(Connection &conn, const Json &frame)
     else if (type == "done")
         handleDone(conn, frame);
     else if (type == "ping")
-        handlePing(frame);
+        handlePing(conn, frame);
     else {
         ++framesRejected_;
         sendError(conn, "unknown frame type '" + type + "'");
@@ -898,9 +894,16 @@ ServeDaemon::handleDone(Connection &conn, const Json &frame)
 }
 
 void
-ServeDaemon::handlePing(const Json &frame)
+ServeDaemon::handlePing(Connection &conn, const Json &frame)
 {
-    scheduler_.heartbeat(frame["worker"].asString(), nowSeconds());
+    // Like lease and done, a ping speaks only for the worker that said
+    // hello on this connection.  Pings have no reply, so a stray one
+    // is only counted.
+    if (!conn.isWorker || frame["worker"].asString() != conn.worker) {
+        ++framesRejected_;
+        return;
+    }
+    scheduler_.heartbeat(conn.worker, nowSeconds());
 }
 
 void

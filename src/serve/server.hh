@@ -186,7 +186,7 @@ class ServeDaemon
     void handleLease(Connection &conn, const Json &frame);
     bool grantLease(Connection &conn);
     void handleDone(Connection &conn, const Json &frame);
-    void handlePing(const Json &frame);
+    void handlePing(Connection &conn, const Json &frame);
 
     void sendReply(Connection &conn, const Json &frame);
     void sendError(Connection &conn, const std::string &message);

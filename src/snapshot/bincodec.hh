@@ -167,7 +167,6 @@ class BinReader
     }
 
     std::size_t remaining() const { return end_ - p_; }
-    bool atEnd() const { return p_ == end_; }
 
   private:
     template <typename T>

@@ -74,10 +74,7 @@ Checkpointer::pathFor(const std::string &key) const
 {
     if (dir_.empty())
         return "";
-    char name[40];
-    std::snprintf(name, sizeof(name), "ckpt-%016llx.fws",
-                  static_cast<unsigned long long>(fnv1a64(key)));
-    return dir_ + "/" + name;
+    return dir_ + "/ckpt-" + hexDigest(fnv1a64(key)) + ".fws";
 }
 
 std::shared_ptr<const Snapshot>

@@ -1,12 +1,12 @@
 #include "snapshot/snapshot.hh"
 
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "common/atomic_file.hh"
 #include "common/log.hh"
+#include "sweep/result_store.hh"
 
 namespace flywheel {
 
@@ -18,15 +18,6 @@ fail(std::string *error, const std::string &message)
     if (error)
         *error = message;
     return false;
-}
-
-std::string
-hashHex(std::uint64_t h)
-{
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
 }
 
 // Incremental FNV-1a-style fold so the content hash covers section
@@ -118,15 +109,6 @@ struct SafeCursor
 };
 
 } // namespace
-
-bool
-Snapshot::hasSection(const std::string &name) const
-{
-    for (const Section &s : sections_)
-        if (s.name == name)
-            return true;
-    return false;
-}
 
 BinReader
 Snapshot::section(const std::string &name) const
@@ -254,8 +236,8 @@ Snapshot::deserialize(const std::string &bytes, Snapshot *out,
     const std::uint64_t got_hash = snap.contentHash();
     if (got_hash != want_hash)
         return fail(error, "snapshot content hash mismatch (file " +
-                               hashHex(want_hash) + ", payload " +
-                               hashHex(got_hash) +
+                               hexDigest(want_hash) + ", payload " +
+                               hexDigest(got_hash) +
                                "): corrupt snapshot");
     *out = std::move(snap);
     return true;

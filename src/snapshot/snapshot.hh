@@ -68,8 +68,6 @@ class Snapshot
         sections_.push_back({std::move(name), std::move(bytes)});
     }
 
-    bool hasSection(const std::string &name) const;
-
     /** Reader over @p name's bytes; panics if the section is absent. */
     BinReader section(const std::string &name) const;
 

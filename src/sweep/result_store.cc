@@ -186,15 +186,21 @@ fnv1a64(const std::string &s)
     return h;
 }
 
+std::string
+hexDigest(std::uint64_t h)
+{
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(h));
+    return hex;
+}
+
 ResultStore::ResultStore(std::string dir) : dir_(std::move(dir)) {}
 
 std::string
 ResultStore::pathFor(const std::string &key) const
 {
-    char digest[20];
-    std::snprintf(digest, sizeof(digest), "%016llx",
-                  static_cast<unsigned long long>(fnv1a64(key)));
-    return dir_ + "/result-" + digest + ".json";
+    return dir_ + "/result-" + hexDigest(fnv1a64(key)) + ".json";
 }
 
 bool

@@ -45,6 +45,13 @@ std::string configKey(const RunConfig &config);
 std::uint64_t fnv1a64(const std::string &s);
 
 /**
+ * @p h as 16 lower-case hex digits: the one spelling of a 64-bit
+ * digest in file names, exports, job ids and dumps (a 64-bit hash
+ * does not fit a JSON double exactly).
+ */
+std::string hexDigest(std::uint64_t h);
+
+/**
  * Result-file format tag: bump it when RunResult serialization
  * changes, so files from the old field set read as misses.
  */

@@ -1,7 +1,5 @@
 #include "sweep/sweep.hh"
 
-#include <cstdio>
-
 #include "common/json.hh"
 #include "core/report.hh"
 #include "workload/profiles.hh"
@@ -70,15 +68,11 @@ exportRowKey(const SweepPoint &point)
 
 namespace {
 
-/** configHash: fnv1a64 of @p config_key as 16 hex digits (64-bit
- *  hashes do not fit a JSON double exactly). */
+/** configHash: the digest of @p config_key. */
 std::string
 configHash(const std::string &config_key)
 {
-    char hash[20];
-    std::snprintf(hash, sizeof(hash), "%016llx",
-                  (unsigned long long)fnv1a64(config_key));
-    return hash;
+    return hexDigest(fnv1a64(config_key));
 }
 
 Json

@@ -2,7 +2,7 @@
  * @file
  * Tests for the Experiment API: declarative spec JSON round-trip
  * across every axis, strict rejection of malformed documents, the
- * Session facade (run/repeat/verify), TableIndex lookup, the figure
+ * Session facade, TableIndex lookup, the figure
  * registry, and identity between registered figure specs and the
  * shipped files under specs/ (which is what makes
  * `flywheel_bench --spec specs/figNN.json` reproduce the figure).
@@ -38,8 +38,6 @@ kitchenSinkSpec()
     spec.render = "fig12";
     spec.warmupInstrs = 1234;
     spec.measureInstrs = 5678;
-    spec.repeat = 3;
-    spec.verify = true;
 
     GridSpec a;
     a.label = "block, \"a\"";
@@ -86,8 +84,6 @@ TEST(ExperimentSpec, JsonRoundTripIsIdentity)
     EXPECT_EQ(back.render, "fig12");
     EXPECT_EQ(back.warmupInstrs, 1234u);
     EXPECT_EQ(back.measureInstrs, 5678u);
-    EXPECT_EQ(back.repeat, 3u);
-    EXPECT_TRUE(back.verify);
     ASSERT_EQ(back.grids.size(), 2u);
     EXPECT_EQ(back.grids[0].label, "block, \"a\"");
     EXPECT_EQ(back.grids[0].kinds.size(), 3u);
@@ -120,8 +116,6 @@ TEST(ExperimentSpec, MinimalDocumentGetsDefaults)
         doc, &error)) << error;
     ExperimentSpec spec;
     ASSERT_TRUE(ExperimentSpec::fromJson(doc, &spec, &error)) << error;
-    EXPECT_EQ(spec.repeat, 1u);
-    EXPECT_FALSE(spec.verify);
     EXPECT_EQ(spec.warmupInstrs, 0u);
     ASSERT_EQ(spec.grids.size(), 1u);
     EXPECT_TRUE(spec.grids[0].benchmarks.empty());
@@ -184,12 +178,15 @@ TEST(ExperimentSpec, RejectsMalformedDocuments)
                    "expected bools");
     expectRejected(head + ", \"grids\": [{\"clocks\": [0.5]}]}",
                    "expected {fe, be}");
-    expectRejected(head + ", \"repeat\": 0}", "repeat");
     expectRejected(head + ", \"warmupInstrs\": -5}",
                    "non-negative integer");
 
-    // Interval sampling was removed: a sampling block that asks for
-    // anything is refused by name.
+    // Repeats, spec-driven verification and interval sampling were
+    // removed: a member that asks for one is refused by name.
+    expectRejected(head + ", \"repeat\": 0}", "spec.repeat");
+    expectRejected(head + ", \"repeat\": 2}", "spec.repeat");
+    expectRejected(head + ", \"verify\": true}", "spec.verify");
+    expectRejected(head + ", \"verify\": \"yes\"}", "spec.verify");
     expectRejected(head + ", \"sampling\": {\"windows\": 4}}",
                    "interval sampling was removed");
     expectRejected(head + ", \"sampling\": {\"slices\": 4}}",
@@ -206,7 +203,6 @@ TEST(ExperimentSpec, RejectsMalformedDocuments)
                    "clocks.fe");
     expectRejected(head + ", \"measureInstrs\": 1.5}",
                    "non-negative integer");
-    expectRejected(head + ", \"verify\": \"yes\"}", "expected a bool");
     expectRejected(head +
                    ", \"grids\": [{\"tweaks\": {\"srtEnabled\": 1}}]}",
                    "expected a bool");
@@ -254,8 +250,9 @@ TEST(ExperimentSpec, AcceptsTweaksAtTheCoresLimits)
 
 TEST(ExperimentSpec, LoadsDocumentsWithTheAllZeroSamplingBlock)
 {
-    // Spec files and serve journal headers written while interval
-    // sampling existed carry this block right after "verify".
+    // Spec files and serve journal headers written by earlier builds
+    // carry "repeat": 1, "verify": false and this sampling block right
+    // after "measureInstrs".
     const ExperimentSpec &fig12 = figureByName("fig12")->spec;
     Json zeros;
     std::string error;
@@ -266,9 +263,13 @@ TEST(ExperimentSpec, LoadsDocumentsWithTheAllZeroSamplingBlock)
     Json old_form = Json::object();
     for (const auto &[key, value] : canonical.members()) {
         old_form.add(key, value);
-        if (key == "verify")
+        if (key == "measureInstrs") {
+            old_form.add("repeat", 1u);
+            old_form.add("verify", false);
             old_form.add("sampling", zeros);
+        }
     }
+    ASSERT_TRUE(old_form.has("repeat"));
 
     ExperimentSpec back;
     ASSERT_TRUE(ExperimentSpec::fromJson(old_form, &back, &error))
@@ -389,14 +390,6 @@ TEST(Session, RepeatedPointsComeFromTheCache)
         EXPECT_TRUE(row.fromCache);
 }
 
-TEST(Session, RepeatFlagReRunsDeterministically)
-{
-    ExperimentSpec spec = smallSpec();
-    spec.repeat = 2; // diverging repeats would be a fatal error
-    Session session;
-    EXPECT_EQ(session.run(spec).size(), spec.expand().size());
-}
-
 TEST(Session, ObservedCellsSimulateEverySibling)
 {
     // Cells differing only in node or gating share a simulation, but a
@@ -413,43 +406,6 @@ TEST(Session, ObservedCellsSimulateEverySibling)
         EXPECT_FALSE(row.fromCache);
         EXPECT_NE(row.result.statsDoc, nullptr);
     }
-}
-
-TEST(Session, Fig15RepeatReproducesItsDerivedCells)
-{
-    // The repeat pass simulates every cell afresh and is fatal on any
-    // byte difference from the first pass, which simulated a third.
-    ExperimentSpec spec = figureByName("fig15")->spec;
-    spec.warmupInstrs = 1000;
-    spec.measureInstrs = 2000;
-    spec.repeat = 2;
-    Session session;
-    const SweepTable table = session.run(spec);
-    ASSERT_EQ(table.size(), 60u);
-    const SweepTelemetry &t = table.telemetry();
-    EXPECT_EQ(t.cells - t.cacheHits, 20u);
-}
-
-TEST(Session, VerifyCrossChecksNonBaselinePoints)
-{
-    ExperimentSpec spec;
-    spec.name = "verify_me";
-    spec.warmupInstrs = 1000;
-    spec.measureInstrs = 4000;
-    GridSpec grid;
-    grid.benchmarks = {"gzip"};
-    grid.kinds = {CoreKind::Baseline, CoreKind::Flywheel};
-    grid.clocks = {{0.0, 0.5}};
-    // Node/gating axes must not multiply verification work.
-    grid.nodes = {TechNode::N130, TechNode::N60};
-    spec.grids.push_back(grid);
-
-    Session session;
-    VerifyReport report = session.verify(spec);
-    ASSERT_EQ(report.entries.size(), 1u); // deduped: 1 non-baseline
-    EXPECT_TRUE(report.ok()) << report.summary();
-    EXPECT_GT(report.entries[0].report.instructionsChecked, 0u);
-    EXPECT_NE(report.summary().find("PASSED"), std::string::npos);
 }
 
 TEST(TableIndex, FindsRowsByIdentityNotPosition)

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -209,66 +208,6 @@ TEST(UnknownFlagDeathTest, RejectExitsWithUsageStatus)
     };
     EXPECT_EXIT(cli::rejectUnknownFlag("prog", "--zorp", usage),
                 ::testing::ExitedWithCode(2), "unknown option: --zorp");
-}
-
-TEST(SnapshotFlags, ParsesTheSharedFlagSet)
-{
-    const char *argv_c[] = {"prog", "--checkpoint-dir", "/tmp/ck",
-                            "--no-checkpoints"};
-    char **argv = const_cast<char **>(argv_c);
-
-    cli::SnapshotFlags flags;
-    SessionOptions opts;
-    int i = 1;
-    EXPECT_TRUE(flags.tryParse(argv[i], 4, argv, &i));
-    flags.apply(&opts);
-    EXPECT_EQ(opts.checkpointDir, "/tmp/ck");
-    ++i;
-    EXPECT_TRUE(flags.tryParse(argv[i], 4, argv, &i));
-    // --no-checkpoints wins over any configured directory.
-    flags.apply(&opts);
-    EXPECT_EQ(opts.checkpointDir, "");
-
-    // Interval sampling and the store size cap were removed: --sample
-    // and --checkpoint-cap-mb are unknown options.
-    int j = 0;
-    cli::SnapshotFlags other;
-    EXPECT_FALSE(other.tryParse("--jobs", 4, argv, &j));
-    EXPECT_FALSE(other.tryParse("--sample", 4, argv, &j));
-    EXPECT_FALSE(other.tryParse("--checkpoint-cap-mb", 4, argv, &j));
-    EXPECT_EQ(j, 0);
-}
-
-TEST(SnapshotFlags, LeavesTheEnvironmentToTheSessionReader)
-{
-    // FLYWHEEL_CHECKPOINTS reaches the options only through
-    // SessionOptions::fromEnv(); the flags override it only when one
-    // was given.
-    const char *saved = std::getenv("FLYWHEEL_CHECKPOINTS");
-    const std::string restore = saved ? saved : "";
-    ::setenv("FLYWHEEL_CHECKPOINTS", "/tmp/env_store", 1);
-
-    SessionOptions opts = SessionOptions::fromEnv();
-    EXPECT_EQ(opts.checkpointDir, "/tmp/env_store");
-    cli::SnapshotFlags none;
-    none.apply(&opts);
-    EXPECT_EQ(opts.checkpointDir, "/tmp/env_store");
-    SessionOptions plain;
-    none.apply(&plain);
-    EXPECT_EQ(plain.checkpointDir, "");
-
-    const char *argv_c[] = {"prog", "--checkpoint-dir", "/tmp/flag"};
-    char **argv = const_cast<char **>(argv_c);
-    cli::SnapshotFlags flags;
-    int i = 1;
-    EXPECT_TRUE(flags.tryParse(argv[i], 3, argv, &i));
-    flags.apply(&opts);
-    EXPECT_EQ(opts.checkpointDir, "/tmp/flag");
-
-    if (saved)
-        ::setenv("FLYWHEEL_CHECKPOINTS", restore.c_str(), 1);
-    else
-        ::unsetenv("FLYWHEEL_CHECKPOINTS");
 }
 
 TEST(DumpCheckpoint, ListsEverySectionWithItsRawSize)

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -657,6 +658,32 @@ doneFrame(const std::string &worker, const std::string &jobId,
     return done;
 }
 
+/** Sends one frame on a socket every 50 ms until destroyed. */
+class Pinger
+{
+  public:
+    Pinger(FrameSocket &socket, Json frame)
+        : thread_([this, &socket, frame] {
+              while (!stop_ && socket.sendFrame(frame))
+                  std::this_thread::sleep_for(50ms);
+          })
+    {
+    }
+
+    ~Pinger()
+    {
+        stop_ = true;
+        thread_.join();
+    }
+
+    Pinger(const Pinger &) = delete;
+    Pinger &operator=(const Pinger &) = delete;
+
+  private:
+    std::atomic<bool> stop_{false};
+    std::thread thread_;
+};
+
 /** A shard counter (or the daemon-level one, for "serve"). */
 std::uint64_t
 statValue(ServeClient &client, const std::string &group,
@@ -838,6 +865,12 @@ TEST(ServePush, ExpiredLeaseGoesToTheParkedWorkerAndCountsOnItsShard)
     ASSERT_TRUE(w2.sendFrame(workerFrame("lease", "w2")));
     w2Work = nextFrame(w2);
 
+    // A connection that never said hello pings in w1's name; that
+    // must not keep w1's lease alive.
+    FrameSocket stranger;
+    ASSERT_TRUE(stranger.connectTo(daemon.address(), &error)) << error;
+    Pinger pinger(stranger, workerFrame("ping", "w1"));
+
     // The expiry hands the cell to w2 and is charged to w1's shard.
     ASSERT_TRUE(arrivesWithin(w2Work, 10000ms));
     const Json reply = w2Work.get();
@@ -851,6 +884,7 @@ TEST(ServePush, ExpiredLeaseGoesToTheParkedWorkerAndCountsOnItsShard)
     EXPECT_EQ(statValue(client, "serve.shard.w1", "leasesExpired"), 1u);
     EXPECT_EQ(statValue(client, "serve.shard.w2", "leasesExpired"), 0u);
     EXPECT_EQ(statValue(client, "serve", "leasesExpired"), 1u);
+    EXPECT_GT(statValue(client, "serve", "framesRejected"), 0u);
 }
 
 TEST(ServePush, ShutdownAnswersAParkedLeaseWithBye)

@@ -20,7 +20,6 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -273,60 +272,6 @@ rejectUnknownFlag(const char *argv0, const std::string &flag,
 }
 
 /**
- * The checkpoint flags of flywheel_bench.  They hold only what was
- * given: the environment default (FLYWHEEL_CHECKPOINTS) comes from
- * SessionOptions::fromEnv(), and apply() overrides it.
- *
- *   --checkpoint-dir DIR    warm checkpoint store
- *   --no-checkpoints        disable checkpoint reuse entirely
- */
-struct SnapshotFlags
-{
-    std::optional<std::string> dir;
-    bool disabled = false;
-
-    /** Consume one argv flag; true if it was one of ours. */
-    bool
-    tryParse(const std::string &flag, int argc, char **argv, int *i)
-    {
-        if (flag == "--checkpoint-dir") {
-            dir = requireValue(argc, argv, i, flag);
-            return true;
-        }
-        if (flag == "--no-checkpoints") {
-            disabled = true;
-            return true;
-        }
-        return false;
-    }
-
-    /**
-     * Override the store directory these flags set; --no-checkpoints
-     * wins over any directory.
-     */
-    void
-    apply(SessionOptions *opts) const
-    {
-        if (dir)
-            opts->checkpointDir = *dir;
-        if (disabled)
-            opts->checkpointDir.clear();
-    }
-
-    /** The --help block for these flags. */
-    static const char *
-    usageText()
-    {
-        return
-            "checkpoints:\n"
-            "  --checkpoint-dir DIR  reuse warmup checkpoints from "
-            "DIR\n"
-            "                        (default: FLYWHEEL_CHECKPOINTS)\n"
-            "  --no-checkpoints      always simulate the warmup\n";
-    }
-};
-
-/**
  * The read-only `flywheel_bench --dump-checkpoint FILE` verb: decode
  * a `.fws` checkpoint and print its key, format version, content hash
  * and, per section, the name, raw byte count and FNV-1a hash of the
@@ -345,22 +290,16 @@ dumpCheckpoint(const std::string &path, std::ostream &out,
         err << error << '\n';
         return 1;
     }
-    const auto hex = [](std::uint64_t h) {
-        char buf[20];
-        std::snprintf(buf, sizeof(buf), "%016llx",
-                      static_cast<unsigned long long>(h));
-        return std::string(buf);
-    };
     Json doc = Json::object();
     doc.add("key", snap.key());
     doc.add("version", Snapshot::kFormatVersion);
-    doc.add("hash", hex(snap.contentHash()));
+    doc.add("hash", hexDigest(snap.contentHash()));
     Json sections = Json::array();
     for (std::size_t i = 0; i < snap.sectionCount(); ++i) {
         Json s = Json::object();
         s.add("name", snap.sectionName(i));
         s.add("bytes", std::uint64_t(snap.sectionData(i).size()));
-        s.add("fnv1a", hex(fnv1a64(snap.sectionData(i))));
+        s.add("fnv1a", hexDigest(fnv1a64(snap.sectionData(i))));
         sections.push(std::move(s));
     }
     doc.add("sections", std::move(sections));

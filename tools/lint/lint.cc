@@ -842,8 +842,7 @@ isStatWrapperType(const std::string &type)
     std::istringstream is(type);
     std::string tok;
     while (is >> tok)
-        if (tok == "Counter" || tok == "Average" ||
-            tok == "Distribution")
+        if (tok == "Counter" || tok == "Distribution")
             return true;
     return false;
 }
@@ -855,8 +854,7 @@ checkStatsCoverage(const std::vector<ParsedFile> &files,
     for (const ParsedFile &f : files) {
         for (const ClassInfo &cls : f.classes) {
             // The wrapper types themselves live in common/stats.hh.
-            if (cls.name == "Counter" || cls.name == "Average" ||
-                cls.name == "Distribution" || cls.name == "StatGroup")
+            if (cls.name == "Counter" || cls.name == "Distribution")
                 continue;
             std::vector<const Field *> stat_fields;
             for (const Field &fld : cls.fields)

@@ -12,7 +12,7 @@
  *                A field added to Lsq but forgotten in save() breaks
  *                bit-identical resume silently — this makes it a
  *                build failure instead.
- *  - stats     : Counter/Average/Distribution members of a component
+ *  - stats     : Counter/Distribution members of a component
  *                with registerStats() are all registered (matched by
  *                name or accessor name), or carry
  *                `// lint: nostat(<reason>)`.
