@@ -361,6 +361,26 @@ ExperimentSpec::expand() const
     return points;
 }
 
+std::uint64_t
+ExperimentSpec::cellCount() const
+{
+    constexpr std::uint64_t kSaturated = ~std::uint64_t(0);
+    auto mul = [](std::uint64_t a, std::uint64_t b) {
+        return b != 0 && a > kSaturated / b ? kSaturated : a * b;
+    };
+    std::uint64_t total = 0;
+    for (const GridSpec &g : grids) {
+        std::uint64_t cells =
+            g.benchmarks.empty() ? benchmarkNames().size()
+                                 : g.benchmarks.size();
+        for (std::size_t axis : {g.kinds.size(), g.clocks.size(),
+                                 g.nodes.size(), g.gating.size()})
+            cells = mul(cells, axis);
+        total = cells > kSaturated - total ? kSaturated : total + cells;
+    }
+    return total;
+}
+
 Json
 ExperimentSpec::toJson() const
 {
@@ -445,6 +465,12 @@ ExperimentSpec::fromJson(const Json &j, ExperimentSpec *out,
             out->grids.push_back(std::move(grid));
         }
     }
+    // Axes may repeat entries, so a few kilobytes can ask for more
+    // cells than memory holds; refuse before anything expands them.
+    if (out->cellCount() > kMaxCells)
+        return fail(error, "spec: " + std::to_string(out->cellCount()) +
+                               " cells exceed the cap of " +
+                               std::to_string(kMaxCells));
     return true;
 }
 

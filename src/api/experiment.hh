@@ -92,6 +92,12 @@ struct ExperimentSpec
     /** Schema tag required at the top of every spec document. */
     static constexpr const char *kSchema = "flywheel-experiment-v1";
 
+    /**
+     * Most cells a parsed document may expand to: about 47 MB of
+     * SweepPoints.  The largest registered figure has 60 cells.
+     */
+    static constexpr std::uint64_t kMaxCells = 1u << 16;
+
     std::string name;    ///< identifier ("fig12", "my_study")
     std::string title;   ///< one-line human description
     /**
@@ -111,6 +117,12 @@ struct ExperimentSpec
     /** All grid blocks, in order, with run lengths resolved. */
     std::vector<SweepPoint> expand() const;
 
+    /**
+     * The number of points expand() returns, computed without
+     * expanding; saturates at UINT64_MAX instead of overflowing.
+     */
+    std::uint64_t cellCount() const;
+
     /** Canonical document (every field, fixed order). */
     Json toJson() const;
 
@@ -118,7 +130,8 @@ struct ExperimentSpec
      * Strict parse of a spec document.  Members that documents from
      * earlier builds carry are accepted only at the values that meant
      * "off": `"repeat": 1`, `"verify": false` and an all-zero
-     * `sampling` block.
+     * `sampling` block.  A document of more than kMaxCells cells is
+     * rejected.
      */
     static bool fromJson(const Json &j, ExperimentSpec *out,
                          std::string *error);

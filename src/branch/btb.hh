@@ -57,9 +57,6 @@ class Btb
         std::uint64_t lastUse = 0;
     };
 
-    static_assert(std::is_trivially_copyable_v<Entry>,
-                  "arena containers memcpy entries on snapshot save");
-
     BtbParams params_;    // lint: nosnapshot(construction-time config)
     unsigned numSets_;    // lint: nosnapshot(derived from params)
     mutable ArenaVector<Entry> entries_;  ///< lookup refreshes LRU

@@ -253,9 +253,6 @@ class CoreBase
     Lsq lsq_;
     IssueWindow iw_;
 
-    static_assert(std::is_trivially_copyable_v<InFlightInst>,
-                  "arena containers memcpy entries on snapshot save");
-
     /** Reorder buffer, program order, element-stable. */
     ArenaRing<InFlightInst> rob_;
     /** Front-end latches between Fetch and Dispatch. */

@@ -48,7 +48,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <type_traits>
 
 #include "common/arena.hh"
 #include "common/types.hh"
@@ -151,8 +150,6 @@ class IssueWindow
         Tick at;
         std::uint32_t slot;
     };
-    static_assert(std::is_trivially_copyable_v<Timed>,
-                  "arena containers memcpy entries");
     /** Heap order for timed_: the earliest ready tick on top. */
     struct Later
     {

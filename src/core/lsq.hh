@@ -111,8 +111,6 @@ class Lsq
     void refreshMinUnknown();
 
     std::size_t capacity_;  // lint: nosnapshot(geometry checked by restore, not mutated)
-    static_assert(std::is_trivially_copyable_v<Entry>,
-                  "arena containers memcpy entries on snapshot save");
     ArenaVector<Entry> buf_;   ///< ring, program order from head_
     // lint: nosnapshot(save writes entries in order from head_; restore rebuilds at 0)
     std::size_t head_ = 0;

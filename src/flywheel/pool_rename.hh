@@ -112,8 +112,6 @@ class PoolRenameUnit
 
     unsigned physRegs_;  // lint: nosnapshot(geometry checked by restore, not mutated)
     unsigned minPool_;   // lint: nosnapshot(construction-time config)
-    static_assert(std::is_trivially_copyable_v<Pool>,
-                  "arena containers memcpy entries on snapshot save");
     ArenaVector<Pool> pools_;
     std::uint64_t stallsSinceCheck_ = 0;
 };

@@ -96,8 +96,6 @@ class Cache
     unsigned lineShift_ = 0;     // lint: nosnapshot(derived from params)
     unsigned tagShift_ = 0;      // lint: nosnapshot(derived from params)
     std::uint32_t setMask_ = 0;  // lint: nosnapshot(derived from params)
-    static_assert(std::is_trivially_copyable_v<Line>,
-                  "arena containers memcpy entries on snapshot save");
     ArenaVector<Line> lines_;  ///< numSets_ x assoc, row-major
     std::uint64_t useClock_ = 0;
 

@@ -44,7 +44,8 @@ class ServeClient
                 std::string *error);
 
     /**
-     * Full status frame for @p jobId (state/done/shards/...).  With
+     * Status frame for @p jobId: state, cells, done, pending and
+     * leased (per-worker counters are in stats()).  With
      * @p waitSeconds > 0 the server holds a running job's reply until
      * the job ends or the wait runs out.
      */

@@ -2,18 +2,18 @@
  * @file
  * Wire protocol for the distributed sweep service (`flywheel_serve`):
  * newline-delimited JSON frames over a TCP or Unix-domain stream
- * socket, schema `flywheel.serve.v2`.
+ * socket, schema `flywheel.serve.v3`.
  *
  * Every frame is one compact JSON object terminated by '\n' with a
  * mandatory string member "type".  The opening frame of a connection
  * ("submit" from a client, "hello" from a worker) must also carry
- * `"v": "flywheel.serve.v2"`; a version mismatch is rejected before
+ * `"v": "flywheel.serve.v3"`; a version mismatch is rejected before
  * any state changes.  Frames and replies:
  *
  *   client -> server                 server -> client
  *     submit {v, spec}                 submitted {job, cells, resumed}
  *     status {job, wait?}              status {job, state, cells, done,
- *                                              leased, shards: [...]}
+ *                                              pending, leased}
  *     results {job}                    table {job, json, csv}
  *     cancel {job}                     ok {}
  *     stats {}                         stats {stats: <flywheel.stats.v1>}
@@ -21,7 +21,7 @@
  *
  *   worker -> server                 server -> worker
  *     hello {v, worker}                welcome {store, heartbeatSeconds}
- *     lease {worker}                   work {job, cell, spec?} | bye {}
+ *     lease {worker}                   work {job, cell, spec} | bye {}
  *     done {worker, job, cell, key,    ack {}
  *           wall, storeHit, result}
  *     ping {worker}                    (no reply — pings may be sent
@@ -29,7 +29,9 @@
  *                                      lease/done exchange is pending)
  *
  *   lease, done and ping count only on the connection that said hello
- *   and only for the worker it named; any other is rejected.
+ *   and only for the worker it named; any other is rejected.  Every
+ *   `work` frame carries its job's resolved spec document, so neither
+ *   side records which specs a connection has seen.
  *
  *   any error path                   error {error}
  *
@@ -60,7 +62,7 @@
 namespace flywheel::serve {
 
 /** Protocol schema tag carried by every connection-opening frame. */
-inline constexpr const char *kServeSchema = "flywheel.serve.v2";
+inline constexpr const char *kServeSchema = "flywheel.serve.v3";
 
 /**
  * Upper bound on one encoded frame, delimiter included.  A results

@@ -1,18 +1,6 @@
 #include "serve/scheduler.hh"
 
-#include <limits>
-
 namespace flywheel::serve {
-
-double
-JobScheduler::Job::predictedWall(std::size_t cell) const
-{
-    const std::string &bench = cellBench[cell];
-    auto samples = benchSamples.find(bench);
-    if (samples == benchSamples.end() || samples->second == 0)
-        return std::numeric_limits<double>::infinity();
-    return benchWall.at(bench) / double(samples->second);
-}
 
 bool
 JobScheduler::heldBack(const Job &job, std::size_t cell) const
@@ -32,16 +20,14 @@ JobScheduler::dropLease(Job &job,
 
 bool
 JobScheduler::addJob(const std::string &jobId,
-                     const std::vector<std::string> &cellBench,
                      const std::vector<std::string> &cellRun,
                      const std::set<std::size_t> &completed)
 {
     if (jobs_.count(jobId))
         return false;
     Job job;
-    job.cellBench = cellBench;
     job.cellRun = cellRun;
-    for (std::size_t cell = 0; cell < cellBench.size(); ++cell) {
+    for (std::size_t cell = 0; cell < cellRun.size(); ++cell) {
         if (completed.count(cell))
             job.done.insert(cell);
         else
@@ -65,51 +51,34 @@ JobScheduler::lease(const std::string &worker, double now, WorkUnit *out)
     // first.
     for (const std::string &jobId : order_) {
         Job &job = jobs_.at(jobId);
-        // LPT greedy: heaviest predicted cell that is not held back;
-        // ties break to the lowest cell index (std::set iteration
-        // order).
-        bool found = false;
-        std::size_t best = 0;
-        double best_wall = 0.0;
+        // Expansion order: the lowest-indexed cell not held back
+        // (std::set iteration order).
         for (std::size_t cell : job.pending) {
             if (heldBack(job, cell))
                 continue;
-            const double wall = job.predictedWall(cell);
-            if (!found || wall > best_wall) {
-                found = true;
-                best = cell;
-                best_wall = wall;
-            }
+            job.pending.erase(cell);
+            job.leased[cell] = Lease{worker, now + leaseTimeout_};
+            ++leasedRuns_[job.cellRun[cell]];
+            out->jobId = jobId;
+            out->cell = cell;
+            out->worker = worker;
+            return true;
         }
-        if (!found)
-            continue;
-        job.pending.erase(best);
-        job.leased[best] = Lease{worker, now + leaseTimeout_};
-        ++leasedRuns_[job.cellRun[best]];
-        out->jobId = jobId;
-        out->cell = best;
-        out->worker = worker;
-        return true;
     }
     return false;
 }
 
 void
-JobScheduler::completed(const std::string &jobId, std::size_t cell,
-                        double wallSeconds)
+JobScheduler::completed(const std::string &jobId, std::size_t cell)
 {
     auto it = jobs_.find(jobId);
-    if (it == jobs_.end() || cell >= it->second.cellBench.size())
+    if (it == jobs_.end() || cell >= it->second.cellRun.size())
         return;
     Job &job = it->second;
     job.pending.erase(cell);
     if (auto lease = job.leased.find(cell); lease != job.leased.end())
         dropLease(job, lease);
-    if (!job.done.insert(cell).second)
-        return;  // duplicate completion: count the sample once
-    const std::string &bench = job.cellBench[cell];
-    job.benchWall[bench] += wallSeconds;
-    job.benchSamples[bench] += 1;
+    job.done.insert(cell);
 }
 
 void
@@ -182,7 +151,7 @@ JobScheduler::progress(const std::string &jobId) const
     if (it == jobs_.end())
         return p;
     const Job &job = it->second;
-    p.cells = job.cellBench.size();
+    p.cells = job.cellRun.size();
     p.done = job.done.size();
     p.pending = job.pending.size();
     p.leased = job.leased.size();

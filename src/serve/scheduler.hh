@@ -18,13 +18,10 @@
  * deterministic and results are published atomically to a shared
  * store keyed by config — duplicates collapse to the same bytes.
  *
- * Handout order is longest-predicted-first (classic LPT greedy):
- * cells are weighted by the running mean wall-clock of completed
- * cells on the same benchmark within the job — the sweep telemetry
- * signal — so the heavy benchmarks start early and the tail of the
- * sweep is short cells, not a straggler.  Unsampled benchmarks are
- * treated as heaviest (schedule-early), which both seeds the means
- * quickly and is the conservative bound.  Jobs are served FIFO.
+ * Handout order is expansion order: the oldest job's lowest-indexed
+ * pending cell that is not held back, so jobs are served FIFO.  No
+ * wall-time model ranks cells: a longest-predicted-first order
+ * measured no faster on a served sweep (README, "Scheduling").
  *
  * Cells that simulate the same run (one configKey(simulatedConfig()),
  * e.g. fig15's three tech nodes) are never leased at once, in any
@@ -44,7 +41,6 @@
 #define FLYWHEEL_SERVE_SCHEDULER_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -80,33 +76,31 @@ class JobScheduler
         : leaseTimeout_(leaseTimeout) {}
 
     /**
-     * Register a job: per cell, a bench name (LPT weight key) and the
-     * key of the run it simulates (cells with one run key are never
-     * leased at once), with @p completed cells (journal replay)
-     * already done.  Re-adding a known job id is a no-op (idempotent
-     * resubmission = attach).  Returns false on the no-op.
+     * Register a job: per cell, the key of the run it simulates
+     * (cells with one run key are never leased at once), with
+     * @p completed cells (journal replay) already done.  Re-adding a
+     * known job id is a no-op (idempotent resubmission = attach).
+     * Returns false on the no-op.
      */
     bool addJob(const std::string &jobId,
-                const std::vector<std::string> &cellBench,
                 const std::vector<std::string> &cellRun,
                 const std::set<std::size_t> &completed = {});
 
     bool hasJob(const std::string &jobId) const;
 
     /**
-     * Lease the heaviest-predicted pending cell whose run is not
-     * leased to @p worker; false when there is none (all done, all
-     * leased or held back, or no jobs).
+     * Lease the oldest job's lowest-indexed pending cell whose run is
+     * not leased to any worker; false when there is none (all done,
+     * all leased or held back, or no jobs).
      */
     bool lease(const std::string &worker, double now, WorkUnit *out);
 
     /**
-     * Record a completed cell with its wall-clock sample (feeds the
-     * LPT weights) and release any lease on it.  Idempotent: repeats
-     * and completions for unknown cells are ignored.
+     * Record a completed cell and release any lease on it.
+     * Idempotent: repeats and completions for unknown cells are
+     * ignored.
      */
-    void completed(const std::string &jobId, std::size_t cell,
-                   double wallSeconds);
+    void completed(const std::string &jobId, std::size_t cell);
 
     /** Refresh every lease held by @p worker. */
     void heartbeat(const std::string &worker, double now);
@@ -144,17 +138,11 @@ class JobScheduler
 
     struct Job
     {
-        std::vector<std::string> cellBench;
         std::vector<std::string> cellRun;
-        std::set<std::size_t> pending;        // ordered: stable ties
+        std::set<std::size_t> pending;        // ordered: lease order
         std::map<std::size_t, Lease> leased;
         std::set<std::size_t> done;
-        // LPT signal: summed wall / sample count per benchmark.
-        std::map<std::string, double> benchWall;
-        std::map<std::string, std::uint64_t> benchSamples;
         bool cancelled = false;
-
-        double predictedWall(std::size_t cell) const;
     };
 
     /** True while a sibling of @p job's @p cell is leased. */

@@ -7,6 +7,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <set>
 #include <sstream>
 
 #include <fcntl.h>
@@ -567,7 +568,7 @@ ServeDaemon::handleSubmit(Connection &conn, const Json &frame)
 
     if (!scheduler_.hasJob(jobId)) {
         Job job;
-        job.spec = resolved;
+        job.spec = resolved.toJson();
         job.points = resolved.expand();
         job.keys.reserve(job.points.size());
         for (const SweepPoint &pt : job.points)
@@ -612,15 +613,11 @@ ServeDaemon::handleSubmit(Connection &conn, const Json &frame)
         // A cell's run key groups the cells that simulate one run
         // (CellExecutor reduces the rest from it): the scheduler never
         // leases two of them at once, so each run simulates once.
-        std::vector<std::string> benches;
         std::vector<std::string> runs;
-        benches.reserve(job.points.size());
         runs.reserve(job.points.size());
-        for (const SweepPoint &pt : job.points) {
-            benches.push_back(pt.bench);
+        for (const SweepPoint &pt : job.points)
             runs.push_back(configKey(simulatedConfig(pt.config)));
-        }
-        scheduler_.addJob(jobId, benches, runs, completed);
+        scheduler_.addJob(jobId, runs, completed);
         jobs_.emplace(jobId, std::move(job));
         ++jobsSubmitted_;
         if (resumed)
@@ -681,16 +678,6 @@ ServeDaemon::sendStatus(Connection &conn, const std::string &jobId)
     reply.add("done", std::uint64_t(p.done));
     reply.add("pending", std::uint64_t(p.pending));
     reply.add("leased", std::uint64_t(p.leased));
-    Json shards = Json::array();
-    for (const auto &entry : shards_) {
-        Json s = Json::object();
-        s.add("worker", entry.first);
-        s.add("cellsCompleted", entry.second->cellsCompleted);
-        s.add("storeHits", entry.second->storeHits);
-        s.add("wallSeconds", entry.second->wallSeconds);
-        shards.push(std::move(s));
-    }
-    reply.add("shards", std::move(shards));
     sendReply(conn, reply);
 }
 
@@ -827,10 +814,9 @@ ServeDaemon::grantLease(Connection &conn)
     work.add("type", "work");
     work.add("job", unit.jobId);
     work.add("cell", std::uint64_t(unit.cell));
-    // Ship the resolved spec once per (connection, job); the worker
-    // caches its expansion for later cells.
-    if (conn.sentSpecs.insert(unit.jobId).second)
-        work.add("spec", jobs_.at(unit.jobId).spec.toJson());
+    // Every work unit carries its spec, so the daemon keeps no record
+    // of what a connection has seen and a worker keeps one expansion.
+    work.add("spec", jobs_.at(unit.jobId).spec);
     sendReply(conn, work);
     return true;
 }
@@ -879,7 +865,7 @@ ServeDaemon::handleDone(Connection &conn, const Json &frame)
     // to forget the cell, so the completion must be durable first.
     if (first && !before.cancelled)
         job.journal->append(cell, job.keys[cell], wall);
-    scheduler_.completed(jobId, cell, wall);
+    scheduler_.completed(jobId, cell);
 
     ShardStats &s = shard(worker);
     ++s.cellsCompleted;

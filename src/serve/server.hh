@@ -19,9 +19,10 @@
  *    the FNV-1a digest of that resolved spec, making resubmission
  *    idempotent: the same spec resumes its journal instead of
  *    starting over.
- *  - execute: cells are leased to pulling workers (LPT order, one
- *    cell per simulated run at a time, see scheduler.hh), results
- *    are published to the shared store and echoed inline in `done`
+ *  - execute: cells are leased to pulling workers (expansion order,
+ *    one cell per simulated run at a time, see scheduler.hh), each
+ *    `work` frame carrying the job's resolved spec; results are
+ *    published to the shared store and echoed inline in `done`
  *    frames, and every completion is journaled durably before it is
  *    acknowledged.  A lease that finds nothing leasable is parked
  *    and answered with `work` as soon as a submit, a `done` that
@@ -52,7 +53,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -129,7 +129,6 @@ class ServeDaemon
         FrameBuffer inbuf;
         bool isWorker = false;
         std::string worker;            ///< hello name (workers only)
-        std::set<std::string> sentSpecs; ///< jobs whose spec was sent
         bool closed = false;
         Parked parked = Parked::None;  ///< later frames wait behind it
         std::string statusJob;         ///< Parked::Status: the job
@@ -148,7 +147,7 @@ class ServeDaemon
 
     struct Job
     {
-        ExperimentSpec spec;               ///< resolved
+        Json spec;                         ///< resolved, for `work`
         std::vector<SweepPoint> points;
         std::vector<std::string> keys;     ///< configKey per cell
         std::map<std::size_t, RunResult> results;

@@ -5,11 +5,13 @@
  * written through the same ResultStore a local sweep uses
  * (sweep/result_store.hh).
  *
- * This is the durability layer under the job journal: a worker
- * persists the cell result *before* reporting completion, so a
- * server killed between a worker finishing and the journal append
- * re-leases the cell — and the re-leased run is satisfied from this
- * store instead of re-simulating.
+ * This is the layer under the job journal: a worker publishes the
+ * cell result (an atomic rename into place, without fsync) *before*
+ * reporting completion, so a server killed between a worker finishing
+ * and the journal append re-leases the cell — and the re-leased run is
+ * satisfied from this store instead of re-simulating.  A published
+ * file survives a process kill but not necessarily a power loss; a
+ * journaled cell whose file then does not load re-pends on resume.
  */
 
 #ifndef FLYWHEEL_SERVE_STORE_HH

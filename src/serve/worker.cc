@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -132,10 +131,12 @@ runWorker(const WorkerOptions &options)
     Heartbeat heartbeat(socket, name,
                         welcome["heartbeatSeconds"].asDouble());
 
-    // Job specs arrive once per connection and expand once here; the
-    // expansion is deterministic, so every worker sees the same
-    // cell -> point mapping the server journaled.
-    std::map<std::string, std::vector<SweepPoint>> jobPoints;
+    // The expansion of the job this worker last ran.  Every work unit
+    // carries its job's spec, which is expanded again only when the
+    // job changes; expansion is deterministic, so every worker sees
+    // the cell -> point mapping the server journaled.
+    std::string slotJob;
+    std::vector<SweepPoint> points;
 
     while (true) {
         Json lease = Json::object();
@@ -166,7 +167,7 @@ runWorker(const WorkerOptions &options)
         const std::string jobId = reply["job"].asString();
         const std::size_t cell =
             static_cast<std::size_t>(reply["cell"].asU64());
-        if (reply["spec"].isObject()) {
+        if (jobId != slotJob) {
             ExperimentSpec spec;
             if (!ExperimentSpec::fromJson(reply["spec"], &spec,
                                           &error)) {
@@ -174,22 +175,20 @@ runWorker(const WorkerOptions &options)
                         name.c_str(), jobId.c_str(), error.c_str());
                 return 1;
             }
-            jobPoints[jobId] = spec.expand();
+            points = spec.expand();
+            slotJob = jobId;
         }
-        auto points = jobPoints.find(jobId);
-        if (points == jobPoints.end() ||
-            cell >= points->second.size()) {
-            FW_WARN("worker %s: work unit %s/%zu without a usable "
-                    "spec",
-                    name.c_str(), jobId.c_str(), cell);
+        if (cell >= points.size()) {
+            FW_WARN("worker %s: cell %zu is outside job %s's %zu cells",
+                    name.c_str(), cell, jobId.c_str(), points.size());
             return 1;
         }
 
         // The executor publishes a computed result to the store before
-        // returning, so it is durable before the done frame: the
+        // returning, so it is published before the done frame: the
         // server journals on that frame, and a journaled cell must be
         // reloadable.
-        const SweepPoint &point = points->second[cell];
+        const SweepPoint &point = points[cell];
         const auto start = Clock::now();
         bool store_hit = false;
         const RunResult result =
@@ -211,8 +210,8 @@ runWorker(const WorkerOptions &options)
         done.add("storeHit", store_hit);
         done.add("result", toJson(result));
         if (!socket.sendFrame(done)) {
-            // The result is already durable in the store; a farewell
-            // racing the report is still a clean exit.
+            // The result is already published to the store; a
+            // farewell racing the report is still a clean exit.
             if (pendingBye(socket))
                 return 0;
             FW_WARN("worker %s: connection lost reporting %s/%zu",

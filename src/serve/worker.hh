@@ -3,24 +3,25 @@
  * Worker side of the sweep service: connect to a ServeDaemon, pull
  * leased cells, simulate them, publish results.
  *
- * Everything a worker needs to know (the job spec, the shared store
- * path, the heartbeat interval) arrives over the wire, so
- * `flywheel_serve --worker --connect HOST:PORT` on another machine
- * joins a sweep with no shared filesystem assumption beyond the store
- * directory itself.  Between cells it keeps only what it can rebuild:
- * expanded job specs and the in-memory front of its result store.
- * Its checkpoint store is the shared `checkpoints/` directory, which
- * keeps no snapshot in memory between cells unless a persist failed.
- * Cells run through the same CellExecutor and ResultStore as a local
- * Session, which is what keeps distributed results byte-identical to
- * single-process ones.
+ * Everything a worker needs to know (the shared store path and the
+ * heartbeat interval in `welcome`, the job spec in every `work` frame)
+ * arrives over the wire, so `flywheel_serve --worker --connect
+ * HOST:PORT` on another machine joins a sweep with no shared
+ * filesystem assumption beyond the store directory itself.  Between
+ * cells it keeps only what it can rebuild: the expansion of the job it
+ * last ran (a work unit of another job replaces it) and the in-memory
+ * front of its result store.  Its checkpoint store is the shared
+ * `checkpoints/` directory, which keeps no snapshot in memory between
+ * cells unless a persist failed.  Cells run through the same
+ * CellExecutor and ResultStore as a local Session, which is what keeps
+ * distributed results byte-identical to single-process ones.
  *
  * Per cell: the executor checks the shared `results/` store first
  * (another worker, or a previous life of this sweep, may have done
  * it), otherwise simulates and publishes the result file *before* the
  * worker reports `done` — the server's journal append must never
- * precede result durability.  A heartbeat thread pings the server so
- * leases survive long cells.
+ * precede the result's publication.  A heartbeat thread pings the
+ * server so leases survive long cells.
  */
 
 #ifndef FLYWHEEL_SERVE_WORKER_HH

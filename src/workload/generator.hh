@@ -128,9 +128,6 @@ class WorkloadStream
      */
     Arena arena_;  // lint: nosnapshot(backing store; contents saved via the buffers)
 
-    static_assert(std::is_trivially_copyable_v<DynInst>,
-                  "arena containers memcpy entries on snapshot save");
-
     /** Remaining trips for each Loop terminator (by block id);
      *  0 means "not currently armed". */
     ArenaVector<std::uint32_t> tripsLeft_{arena_};

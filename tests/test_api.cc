@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the Experiment API: declarative spec JSON round-trip
- * across every axis, strict rejection of malformed documents, the
- * Session facade, TableIndex lookup, the figure
+ * across every axis, strict rejection of malformed documents and of
+ * documents past the cell cap, the Session facade, TableIndex lookup, the figure
  * registry, and identity between registered figure specs and the
  * shipped files under specs/ (which is what makes
  * `flywheel_bench --spec specs/figNN.json` reproduce the figure).
@@ -294,6 +294,82 @@ TEST(ExperimentSpec, LoadReportsFileAndParseErrors)
     EXPECT_FALSE(ExperimentSpec::load(path, &spec, &error));
     EXPECT_NE(error.find("bogus"), std::string::npos);
     std::remove(path);
+}
+
+/**
+ * A one-grid spec document (gzip, defaults elsewhere) whose @p axes
+ * each repeat their single entry @p n times: n^|axes| cells.
+ */
+Json
+repeatedAxesDoc(std::size_t n, std::initializer_list<const char *> axes)
+{
+    ExperimentSpec spec;
+    spec.name = "repeated_axes";
+    GridSpec grid;
+    grid.benchmarks = {"gzip"};
+    spec.grids.push_back(grid);
+    Json doc = spec.toJson();
+    Json block = doc["grids"].at(0);
+    for (const char *axis : axes) {
+        Json copies = Json::array();
+        for (std::size_t i = 0; i < n; ++i)
+            copies.push(block[axis].at(0));
+        block.set(axis, std::move(copies));
+    }
+    Json grids = Json::array();
+    grids.push(std::move(block));
+    doc.set("grids", std::move(grids));
+    return doc;
+}
+
+TEST(ExperimentSpec, RejectsMoreCellsThanTheCapBeforeExpanding)
+{
+    // Five axes of 100 equal entries: about 5 KB of JSON asking for
+    // 10^10 cells, which expand() would try to reserve at once.
+    ExperimentSpec spec;
+    std::string error;
+    EXPECT_FALSE(ExperimentSpec::fromJson(
+        repeatedAxesDoc(100, {"benchmarks", "kinds", "clocks", "nodes",
+                              "gating"}),
+        &spec, &error));
+    EXPECT_NE(error.find("10000000000 cells"), std::string::npos)
+        << error;
+    EXPECT_NE(error.find("cap of 65536"), std::string::npos) << error;
+
+    // Exactly the cap loads: 16^4 cells.
+    const Json atCap =
+        repeatedAxesDoc(16, {"kinds", "clocks", "nodes", "gating"});
+    ASSERT_TRUE(ExperimentSpec::fromJson(atCap, &spec, &error)) << error;
+    EXPECT_EQ(spec.cellCount(), ExperimentSpec::kMaxCells);
+
+    // One more cell, in a second block, does not.
+    Json over = atCap;
+    Json grids = over["grids"];
+    grids.push(repeatedAxesDoc(1, {})["grids"].at(0));
+    over.set("grids", std::move(grids));
+    EXPECT_FALSE(ExperimentSpec::fromJson(over, &spec, &error));
+    EXPECT_NE(error.find("65537 cells"), std::string::npos) << error;
+}
+
+TEST(ExperimentSpec, CellCountMatchesTheExpansionAndSaturates)
+{
+    for (const FigureDef *def : allFigures())
+        EXPECT_EQ(def->spec.cellCount(), def->spec.expand().size())
+            << def->name;
+    // Its second block lists no benchmarks, which counts all ten.
+    EXPECT_EQ(kitchenSinkSpec().cellCount(),
+              kitchenSinkSpec().expand().size());
+
+    // 10^4 entries on each of five axes is 10^20 cells, past 2^64.
+    GridSpec grid;
+    grid.benchmarks.assign(10000, "gzip");
+    grid.kinds.assign(10000, CoreKind::Baseline);
+    grid.clocks.assign(10000, ClockPoint{});
+    grid.nodes.assign(10000, TechNode::N130);
+    grid.gating.assign(10000, false);
+    ExperimentSpec spec;
+    spec.grids = {grid, grid};
+    EXPECT_EQ(spec.cellCount(), ~std::uint64_t(0));
 }
 
 TEST(GridSpec, TweaksAndLabelReachTheConfig)

@@ -116,19 +116,6 @@ TEST(LintFixtures, DeterminismBadFlagsRandClockAndUnorderedIteration)
     EXPECT_NE(dump(f).find("table_"), std::string::npos) << dump(f);
 }
 
-TEST(LintFixtures, ArenaGoodIsClean)
-{
-    const auto f = lintFixture("arena_good.hh");
-    EXPECT_TRUE(f.empty()) << dump(f);
-}
-
-TEST(LintFixtures, ArenaBadFlagsMissingAssert)
-{
-    const auto f = lintFixture("arena_bad.hh");
-    EXPECT_EQ(countChecker(f, "arena"), 1) << dump(f);
-    EXPECT_NE(dump(f).find("Record"), std::string::npos) << dump(f);
-}
-
 TEST(LintFixtures, HygieneGoodIsClean)
 {
     const auto f = lintFixture("hygiene_good.hh");

@@ -3,12 +3,13 @@
  * Tests for the distributed sweep service: the NDJSON frame codec
  * (round-trip, malformed-frame rejection, buffer overflow poisoning),
  * server-address parsing, the durable job journal (replay, torn-tail
- * tolerance, resume validation), the lease-based scheduler (LPT
- * order, expiry reassignment, worker release, sibling hold-back),
- * push delivery over raw FrameSockets (parked leases answered by a
- * submit, a done, a lease expiry or shutdown; status waits answered
- * at completion or their deadline; reply order behind a parked
- * request; v1 peers rejected), and
+ * tolerance, resume validation), the lease-based scheduler
+ * (expansion order, expiry reassignment, worker release, sibling
+ * hold-back), push delivery over raw FrameSockets (parked leases
+ * answered by a submit, a done, a lease expiry or shutdown; a spec in
+ * every work frame; status waits answered at completion or their
+ * deadline; reply order behind a parked request; v1 and v2 peers and
+ * specs past the cell cap rejected), and
  * in-process end-to-end runs — one ServeDaemon on a Unix socket
  * plus worker threads must produce a table byte-identical to a
  * single-process Session::run of the same spec, simulate each run
@@ -327,10 +328,8 @@ TEST(ServeJournal, NameParsingIsStrict)
 TEST(ServeScheduler, LeasesDrainAJobExactlyOnce)
 {
     JobScheduler sched(60.0);
-    ASSERT_TRUE(
-        sched.addJob("job1", {"gzip", "gcc", "gzip"}, {"0", "1", "2"}));
-    EXPECT_FALSE(
-        sched.addJob("job1", {"gzip", "gcc", "gzip"}, {"0", "1", "2"}));
+    ASSERT_TRUE(sched.addJob("job1", {"0", "1", "2"}));
+    EXPECT_FALSE(sched.addJob("job1", {"0", "1", "2"}));
 
     std::set<std::size_t> leased;
     WorkUnit unit;
@@ -342,52 +341,41 @@ TEST(ServeScheduler, LeasesDrainAJobExactlyOnce)
     EXPECT_FALSE(sched.lease("w1", 0.0, &unit));  // all leased
 
     for (std::size_t cell : leased)
-        sched.completed("job1", cell, 0.1);
+        sched.completed("job1", cell);
     const serve::JobProgress p = sched.progress("job1");
     EXPECT_TRUE(p.complete());
     EXPECT_EQ(p.done, 3u);
 
     // Completion is idempotent; repeats and unknown cells are noise.
-    sched.completed("job1", 0, 0.1);
-    sched.completed("job1", 99, 0.1);
-    sched.completed("nope", 0, 0.1);
+    sched.completed("job1", 0);
+    sched.completed("job1", 99);
+    sched.completed("nope", 0);
     EXPECT_EQ(sched.progress("job1").done, 3u);
 }
 
-TEST(ServeScheduler, HeaviestPredictedBenchLeasesFirst)
+TEST(ServeScheduler, CellsLeaseInExpansionOrder)
 {
+    // Say cells 0 and 1 run gzip and cell 2 gcc: once cell 0 is done,
+    // a longest-predicted-first order leases the unmeasured gcc cell
+    // ahead of cell 1.  Expansion order reads no wall times.
     JobScheduler sched(60.0);
-    ASSERT_TRUE(sched.addJob("job1",
-                             {"slow", "slow", "fast", "fast", "slow"},
-                             {"0", "1", "2", "3", "4"}));
+    ASSERT_TRUE(sched.addJob("job1", {"0", "1", "2"}));
 
     WorkUnit unit;
-    // Nothing is measured yet: unknown-everywhere ties break to the
-    // lowest cell index.
     ASSERT_TRUE(sched.lease("w1", 0.0, &unit));
     EXPECT_EQ(unit.cell, 0u);
-    sched.completed("job1", 0, 5.0);  // slow mean = 5s
-
-    // An unmeasured bench is the conservative heaviest, so it leases
-    // ahead of the measured 5s one.
-    ASSERT_TRUE(sched.lease("w1", 0.0, &unit));
-    EXPECT_EQ(unit.cell, 2u);
-    sched.completed("job1", 2, 0.1);  // fast mean = 0.1s
-
-    // Both measured: LPT hands out the slow cells first, lowest
-    // index breaking the tie.
+    sched.completed("job1", 0);
     ASSERT_TRUE(sched.lease("w1", 0.0, &unit));
     EXPECT_EQ(unit.cell, 1u);
     ASSERT_TRUE(sched.lease("w1", 0.0, &unit));
-    EXPECT_EQ(unit.cell, 4u);
-    ASSERT_TRUE(sched.lease("w1", 0.0, &unit));
-    EXPECT_EQ(unit.cell, 3u);
+    EXPECT_EQ(unit.cell, 2u);
+    EXPECT_FALSE(sched.lease("w1", 0.0, &unit));
 }
 
 TEST(ServeScheduler, ExpiredLeasesReassignToAnotherWorker)
 {
     JobScheduler sched(/*leaseTimeout=*/10.0);
-    ASSERT_TRUE(sched.addJob("job1", {"gzip"}, {"0"}));
+    ASSERT_TRUE(sched.addJob("job1", {"0"}));
 
     WorkUnit unit;
     ASSERT_TRUE(sched.lease("w1", /*now=*/0.0, &unit));
@@ -410,14 +398,14 @@ TEST(ServeScheduler, ExpiredLeasesReassignToAnotherWorker)
 
     // A completion from the expired holder still lands (the store
     // already has the result; duplicates collapse).
-    sched.completed("job1", 0, 2.0);
+    sched.completed("job1", 0);
     EXPECT_TRUE(sched.progress("job1").complete());
 }
 
 TEST(ServeScheduler, ReleaseWorkerRePendsItsLeasesImmediately)
 {
     JobScheduler sched(60.0);
-    ASSERT_TRUE(sched.addJob("job1", {"gzip", "gcc"}, {"0", "1"}));
+    ASSERT_TRUE(sched.addJob("job1", {"0", "1"}));
     WorkUnit unit;
     ASSERT_TRUE(sched.lease("w1", 0.0, &unit));
     ASSERT_TRUE(sched.lease("w2", 0.0, &unit));
@@ -432,11 +420,10 @@ TEST(ServeScheduler, ReleaseWorkerRePendsItsLeasesImmediately)
 TEST(ServeScheduler, CancelDropsPendingAndLeasedCells)
 {
     JobScheduler sched(60.0);
-    ASSERT_TRUE(
-        sched.addJob("job1", {"gzip", "gcc", "vpr"}, {"0", "1", "2"}));
+    ASSERT_TRUE(sched.addJob("job1", {"0", "1", "2"}));
     WorkUnit unit;
     ASSERT_TRUE(sched.lease("w1", 0.0, &unit));
-    sched.completed("job1", unit.cell, 0.1);
+    sched.completed("job1", unit.cell);
     ASSERT_TRUE(sched.lease("w1", 0.0, &unit));
 
     ASSERT_TRUE(sched.cancel("job1"));
@@ -452,8 +439,8 @@ TEST(ServeScheduler, CancelDropsPendingAndLeasedCells)
 TEST(ServeScheduler, JournalReplayedCellsNeverLease)
 {
     JobScheduler sched(60.0);
-    ASSERT_TRUE(sched.addJob("job1", {"gzip", "gcc", "vpr"},
-                             {"0", "1", "2"}, /*completed=*/{0, 2}));
+    ASSERT_TRUE(
+        sched.addJob("job1", {"0", "1", "2"}, /*completed=*/{0, 2}));
     const serve::JobProgress p = sched.progress("job1");
     EXPECT_EQ(p.done, 2u);
     EXPECT_EQ(p.pending, 1u);
@@ -468,8 +455,7 @@ TEST(ServeScheduler, SiblingsOfALeasedRunAreHeldBack)
 {
     JobScheduler sched(60.0);
     // Cells 0-2 simulate run "a" (say, three tech nodes), cell 3 "b".
-    ASSERT_TRUE(sched.addJob("job1", {"gzip", "gzip", "gzip", "gcc"},
-                             {"a", "a", "a", "b"}));
+    ASSERT_TRUE(sched.addJob("job1", {"a", "a", "a", "b"}));
 
     WorkUnit unit;
     ASSERT_TRUE(sched.lease("w1", 0.0, &unit));
@@ -481,24 +467,24 @@ TEST(ServeScheduler, SiblingsOfALeasedRunAreHeldBack)
     EXPECT_EQ(sched.progress("job1").pending, 2u);
 
     // A later job's sibling waits as well.
-    ASSERT_TRUE(sched.addJob("job2", {"gcc"}, {"b"}));
+    ASSERT_TRUE(sched.addJob("job2", {"b"}));
     EXPECT_FALSE(sched.lease("w3", 0.0, &unit));
 
     // A finished run releases its siblings one at a time: the first
     // reduces from the stored run, and so does the next.
-    sched.completed("job1", 0, 1.0);
+    sched.completed("job1", 0);
     ASSERT_TRUE(sched.lease("w3", 0.0, &unit));
     EXPECT_EQ(unit.jobId, "job1");
     EXPECT_EQ(unit.cell, 1u);
     EXPECT_FALSE(sched.lease("w1", 0.0, &unit));
-    sched.completed("job1", 1, 0.0);
-    sched.completed("job1", 3, 1.0);
+    sched.completed("job1", 1);
+    sched.completed("job1", 3);
     ASSERT_TRUE(sched.lease("w1", 0.0, &unit));
     EXPECT_EQ(unit.cell, 2u);
     ASSERT_TRUE(sched.lease("w2", 0.0, &unit));
     EXPECT_EQ(unit.jobId, "job2");
-    sched.completed("job1", 2, 0.0);
-    sched.completed("job2", 0, 0.0);
+    sched.completed("job1", 2);
+    sched.completed("job2", 0);
     EXPECT_TRUE(sched.progress("job1").complete());
     EXPECT_TRUE(sched.progress("job2").complete());
 }
@@ -506,9 +492,9 @@ TEST(ServeScheduler, SiblingsOfALeasedRunAreHeldBack)
 TEST(ServeScheduler, ExpiredReleasedAndCancelledLeasesFreeTheirRun)
 {
     JobScheduler sched(/*leaseTimeout=*/10.0);
-    ASSERT_TRUE(sched.addJob("job1", {"gzip", "gzip"}, {"a", "a"}));
-    ASSERT_TRUE(sched.addJob("job2", {"gcc", "gcc"}, {"b", "b"}));
-    ASSERT_TRUE(sched.addJob("job3", {"vpr", "vpr"}, {"c", "c"}));
+    ASSERT_TRUE(sched.addJob("job1", {"a", "a"}));
+    ASSERT_TRUE(sched.addJob("job2", {"b", "b"}));
+    ASSERT_TRUE(sched.addJob("job3", {"c", "c"}));
 
     WorkUnit unit;
     ASSERT_TRUE(sched.lease("w1", 0.0, &unit));
@@ -534,7 +520,7 @@ TEST(ServeScheduler, ExpiredReleasedAndCancelledLeasesFreeTheirRun)
 
     // Cancelling job3 drops its lease; a resubmission may run "c".
     ASSERT_TRUE(sched.cancel("job3"));
-    ASSERT_TRUE(sched.addJob("job4", {"vpr"}, {"c"}));
+    ASSERT_TRUE(sched.addJob("job4", {"c"}));
     ASSERT_TRUE(sched.lease("w6", 12.0, &unit));
     EXPECT_EQ(unit.jobId, "job4");
 }
@@ -726,6 +712,73 @@ TEST(ServePush, ParkedLeaseIsAnsweredWhenAJobArrives)
     EXPECT_TRUE(reply["spec"].isObject());
 }
 
+TEST(ServePush, EveryWorkFrameCarriesItsSpec)
+{
+    TempDir td;
+    FrameSocket worker;
+    LiveDaemon daemon(td.dir.string());
+    attachWorker(worker, daemon.address(), "w1");
+
+    ServeClient client;
+    std::string error;
+    ASSERT_TRUE(client.connect(daemon.address(), &error)) << error;
+    ServeClient::Submitted submitted;
+    ASSERT_TRUE(client.submit(tinySpec(), &submitted, &error)) << error;
+
+    // Two cells of one job on one connection: the daemon keeps no
+    // record of which specs a connection has seen, so both carry it.
+    const std::string spec =
+        serve::resolveSpec(tinySpec()).toJson().dump(0);
+    for (std::uint64_t cell : {0u, 1u}) {
+        ASSERT_TRUE(worker.sendFrame(workerFrame("lease", "w1")));
+        Json work;
+        ASSERT_TRUE(worker.recvFrame(&work, &error)) << error;
+        ASSERT_EQ(work["type"].asString(), "work");
+        EXPECT_EQ(work["job"].asString(), submitted.jobId);
+        EXPECT_EQ(work["cell"].asU64(), cell);
+        EXPECT_EQ(work["spec"].dump(0), spec) << "cell " << cell;
+    }
+}
+
+TEST(ServePush, SpecPastTheCellCapIsRejectedAndTheDaemonServesOn)
+{
+    TempDir td;
+    LiveDaemon daemon(td.dir.string());
+
+    // Five axes of 100 equal entries: 10^10 cells in about 5 KB.
+    Json doc = tinySpec().toJson();
+    Json grid = doc["grids"].at(0);
+    for (const char *axis :
+         {"benchmarks", "kinds", "clocks", "nodes", "gating"}) {
+        Json copies = Json::array();
+        for (int i = 0; i < 100; ++i)
+            copies.push(grid[axis].at(0));
+        grid.set(axis, std::move(copies));
+    }
+    Json grids = Json::array();
+    grids.push(std::move(grid));
+    doc.set("grids", std::move(grids));
+
+    FrameSocket peer;
+    std::string error;
+    ASSERT_TRUE(peer.connectTo(daemon.address(), &error)) << error;
+    Json submit = frameOf("submit");
+    submit.add("v", serve::kServeSchema);
+    submit.add("spec", doc);
+    ASSERT_TRUE(peer.sendFrame(submit));
+    Json reply;
+    ASSERT_TRUE(peer.recvFrame(&reply, &error)) << error;
+    EXPECT_EQ(reply["type"].asString(), "error");
+    EXPECT_NE(reply["error"].asString().find("10000000000 cells"),
+              std::string::npos)
+        << reply["error"].asString();
+
+    // The daemon is still up and answering.
+    ServeClient client;
+    ASSERT_TRUE(client.connect(daemon.address(), &error)) << error;
+    EXPECT_EQ(statValue(client, "serve", "framesRejected"), 1u);
+}
+
 TEST(ServePush, HeldBackSiblingGoesToTheParkedWorkerOnDone)
 {
     // One run at two tech nodes: two cells, one simulation.
@@ -806,6 +859,10 @@ TEST(ServePush, StatusWaitAnswersOnCompletionAndAtItsDeadline)
                               .count();
     EXPECT_EQ(reply["type"].asString(), "status");
     EXPECT_EQ(reply["state"].asString(), "running");
+    EXPECT_EQ(reply["cells"].asU64(), 4u);
+    EXPECT_EQ(reply["pending"].asU64(), 4u);
+    // Per-worker counters live in the stats frame only.
+    EXPECT_FALSE(reply.has("shards"));
     EXPECT_GE(waited, 0.05);
 
     // A long wait is answered as soon as a worker finishes the job.
@@ -966,21 +1023,28 @@ TEST(ServePush, HeartbeatNotShorterThanTheLeaseTimeoutIsRejected)
 
 TEST(ServePush, VersionOnePeersAreRejected)
 {
+    // v2 peers too: v3 made `work.spec` mandatory, and a v2 daemon
+    // sends it only once per job and connection.
     TempDir td;
     LiveDaemon daemon(td.dir.string());
     std::string error;
-    for (const char *type : {"hello", "submit"}) {
-        FrameSocket peer;
-        ASSERT_TRUE(peer.connectTo(daemon.address(), &error)) << error;
-        Json frame = workerFrame(type, "old");
-        frame.add("v", "flywheel.serve.v1");
-        frame.add("spec", tinySpec().toJson());
-        ASSERT_TRUE(peer.sendFrame(frame));
-        Json reply;
-        ASSERT_TRUE(peer.recvFrame(&reply, &error)) << error;
-        EXPECT_EQ(reply["type"].asString(), "error") << type;
-        EXPECT_NE(reply["error"].asString().find("flywheel.serve.v2"),
-                  std::string::npos);
+    for (const char *version : {"flywheel.serve.v1", "flywheel.serve.v2"}) {
+        for (const char *type : {"hello", "submit"}) {
+            FrameSocket peer;
+            ASSERT_TRUE(peer.connectTo(daemon.address(), &error))
+                << error;
+            Json frame = workerFrame(type, "old");
+            frame.add("v", version);
+            frame.add("spec", tinySpec().toJson());
+            ASSERT_TRUE(peer.sendFrame(frame));
+            Json reply;
+            ASSERT_TRUE(peer.recvFrame(&reply, &error)) << error;
+            EXPECT_EQ(reply["type"].asString(), "error")
+                << version << " " << type;
+            EXPECT_NE(
+                reply["error"].asString().find("flywheel.serve.v3"),
+                std::string::npos);
+        }
     }
 }
 

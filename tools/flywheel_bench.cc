@@ -286,8 +286,9 @@ main(int argc, char **argv)
                 ok = false;
                 continue;
             }
-            std::printf("OK   %s ('%s', %zu points)\n", path.c_str(),
-                        spec.name.c_str(), spec.expand().size());
+            std::printf("OK   %s ('%s', %llu points)\n", path.c_str(),
+                        spec.name.c_str(),
+                        (unsigned long long)spec.cellCount());
         }
         return ok ? 0 : 1;
     }

@@ -150,9 +150,10 @@ runServer(const char *argv0, const std::string &store,
     opts.localWorkers = workers;
     opts.leaseTimeout = lease_timeout;
     opts.heartbeatSeconds = heartbeat;
+    // Local workers learn the store path from `welcome`.
     if (workers > 0)
         opts.workerArgv = {selfExe(argv0), "--worker", "--connect",
-                           "@ADDRESS@", "--store", store};
+                           "@ADDRESS@"};
 
     serve::ServeDaemon daemon(std::move(opts));
     std::string error;

@@ -283,8 +283,6 @@ struct ParsedFile
     std::vector<Token> tokens;
     std::vector<ClassInfo> classes;
     std::vector<OutOfLineBody> outOfLine;
-    std::vector<std::string> asserts;     ///< static_assert(...) texts
-    std::vector<std::string> structNames; ///< class/struct defined here
 };
 
 /** Index of the token matching the opener at @p open (same kind). */
@@ -418,7 +416,6 @@ class StructureParser
             return k + 1;  // forward declaration or elaborated use
         std::size_t close = matchBrace(t, k, "{", "}");
         if (!name.empty()) {
-            f_.structNames.push_back(name);
             ClassInfo info;
             info.name = name;
             info.line = t[i].line;
@@ -469,8 +466,6 @@ class StructureParser
                 std::size_t j = i;
                 while (j < end && t[j].text != ";")
                     ++j;
-                if (tx == "static_assert")
-                    f_.asserts.push_back(joinTokens(t, i, j));
                 i = j + 1;
                 continue;
             }
@@ -647,8 +642,6 @@ class StructureParser
             std::size_t j = i;
             while (j < end && t[j].text != ";")
                 ++j;
-            if (t[i].text == "static_assert")
-                f_.asserts.push_back(joinTokens(t, i, j));
             return j + 1;
         }
         // Scan for the first `(` at statement level; remember the
@@ -1061,108 +1054,6 @@ checkDeterminism(const std::vector<ParsedFile> &files,
 
 // ------------------------------------------------------------- checker 4
 
-const std::set<std::string> &
-builtinScalars()
-{
-    static const std::set<std::string> b = {
-        "bool",     "char",     "short",   "int",      "long",
-        "unsigned", "signed",   "float",   "double",   "size_t",
-        "uint8_t",  "uint16_t", "uint32_t", "uint64_t", "int8_t",
-        "int16_t",  "int32_t",  "int64_t", "uintptr_t"};
-    return b;
-}
-
-void
-checkArenaSafety(const std::vector<ParsedFile> &files,
-                 std::vector<Finding> *out)
-{
-    // Global alias map (using A = B;) so Tick et al. resolve to
-    // their underlying scalar.
-    std::map<std::string, std::string> aliases;
-    for (const ParsedFile &f : files) {
-        const std::vector<Token> &t = f.tokens;
-        for (std::size_t i = 0; i + 3 < t.size(); ++i) {
-            if (t[i].text != "using" || !t[i + 1].ident ||
-                t[i + 2].text != "=")
-                continue;
-            std::size_t j = i + 3;
-            std::string target;
-            while (j < t.size() && t[j].text != ";") {
-                target = t[j].text;  // last token: the scalar name
-                ++j;
-            }
-            if (!target.empty())
-                aliases.emplace(t[i + 1].text, target);
-        }
-    }
-    auto resolves_to_builtin = [&aliases](std::string name) {
-        for (int hops = 0; hops < 8; ++hops) {
-            if (builtinScalars().count(name))
-                return true;
-            auto it = aliases.find(name);
-            if (it == aliases.end())
-                return false;
-            name = it->second;
-        }
-        return false;
-    };
-
-    // Asserts shared between a .cc and its paired header (same path
-    // stem): the assert belongs next to the type definition, usually
-    // in the header, and covers the uses in the .cc.
-    std::map<std::string, std::vector<std::string>> asserts_by_stem;
-    for (const ParsedFile &f : files)
-        for (const std::string &a : f.asserts)
-            asserts_by_stem[pathStem(f.path)].push_back(a);
-
-    for (const ParsedFile &f : files) {
-        const std::vector<Token> &t = f.tokens;
-        const std::vector<std::string> &asserts =
-            asserts_by_stem[pathStem(f.path)];
-        for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-            if (t[i].text != "ArenaVector" && t[i].text != "ArenaRing")
-                continue;
-            if (t[i + 1].text != "<")
-                continue;
-            std::size_t close = matchBrace(t, i + 1, "<", ">");
-            if (close >= t.size())
-                continue;
-            // Pointers are trivially copyable by construction.
-            if (close > 0 && t[close - 1].text == "*")
-                continue;
-            // The element type's principal name: the last identifier
-            // inside the angle brackets.
-            std::string elem;
-            for (std::size_t j = i + 2; j < close; ++j)
-                if (t[j].ident && !isKeyword(t[j].text))
-                    elem = t[j].text;
-            if (elem.empty() || resolves_to_builtin(elem))
-                continue;
-            bool asserted = false;
-            for (const std::string &a : asserts) {
-                if (a.find("is_trivially_copyable") !=
-                        std::string::npos &&
-                    a.find(elem) != std::string::npos) {
-                    asserted = true;
-                    break;
-                }
-            }
-            if (!asserted) {
-                finding(out, f, t[i].line, "arena",
-                        t[i].text + "<" + elem +
-                            ">: add static_assert(std::is_trivially_"
-                            "copyable_v<" +
-                            elem +
-                            ">) in this file or its paired header "
-                            "(the arena containers memcpy elements "
-                            "on snapshot save)");
-            }
-        }
-    }
-}
-
-// ------------------------------------------------------------- checker 5
-
 bool
 isHeaderPath(const std::string &path)
 {
@@ -1240,7 +1131,7 @@ const std::vector<std::string> &
 checkerNames()
 {
     static const std::vector<std::string> names = {
-        "snapshot", "stats", "determinism", "arena", "hygiene"};
+        "snapshot", "stats", "determinism", "hygiene"};
     return names;
 }
 
@@ -1263,7 +1154,6 @@ runLint(const std::vector<LintInput> &files, const LintOptions &options)
     checkSnapshotCoverage(parsed, &out);
     checkStatsCoverage(parsed, &out);
     checkDeterminism(parsed, options, &out);
-    checkArenaSafety(parsed, &out);
     checkHeaderHygiene(parsed, &out);
 
     std::sort(out.begin(), out.end(),

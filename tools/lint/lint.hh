@@ -3,7 +3,10 @@
  * flywheel_lint — project-specific static analysis.
  *
  * A lightweight declaration/usage parser (no libclang) that enforces
- * the invariants this codebase depends on but a compiler cannot see:
+ * the invariants this codebase depends on but a compiler cannot see.
+ * (That the arena containers hold only trivially copyable elements is
+ * one the compiler does see: ArenaVector and ArenaRing static_assert
+ * it, and the arena_rejects_nontrivial_types ctest proves they do.)
  *
  *  - snapshot  : every member field of a class with
  *                save(BinWriter&)/restore(BinReader&) (or the
@@ -24,10 +27,6 @@
  *                byte-stable sweep output).  Escapes:
  *                `// lint: wallclock(<reason>)` and
  *                `// lint: detorder(<reason>)` on the offending line.
- *  - arena     : every repo-defined element type placed in an
- *                ArenaVector/ArenaRing is covered by a
- *                static_assert(std::is_trivially_copyable...) in the
- *                same file (the containers memcpy on snapshot save).
  *  - hygiene   : headers carry a unique FLYWHEEL_*-prefixed include
  *                guard (or #pragma once) and contain no
  *                `using namespace`.
@@ -52,7 +51,7 @@ struct Finding
 {
     std::string file;
     int line = 0;
-    std::string checker;  ///< snapshot|stats|determinism|arena|hygiene
+    std::string checker;  ///< snapshot|stats|determinism|hygiene
     std::string message;
 };
 
