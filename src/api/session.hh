@@ -35,8 +35,8 @@ struct SessionOptions
     unsigned jobs = 0;
     /**
      * Result-file directory shared across runs and processes (see
-     * ResultStore); a serve store's `results/` works too.  Empty
-     * keeps results in memory only.
+     * ResultStore), read on every lookup; a serve store's `results/`
+     * works too.  Empty keeps results in memory only.
      */
     std::string cacheDir;
     /**

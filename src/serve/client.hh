@@ -53,7 +53,7 @@ class ServeClient
                 std::string *error, double waitSeconds = 0.0);
 
     /**
-     * Fetch a finalized job's table; false while it is still
+     * Fetch a finished job's table; false while it is still
      * running.  Either output may be null.
      */
     bool results(const std::string &jobId, std::string *tableJson,

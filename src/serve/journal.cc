@@ -57,6 +57,22 @@ headerJson(const std::string &jobId, const ExperimentSpec &spec,
     return h;
 }
 
+/** write(2) all of @p bytes; false on any error but EINTR. */
+bool
+writeAll(int fd, const std::string &bytes)
+{
+    std::size_t off = 0;
+    while (off < bytes.size()) {
+        const ssize_t put =
+            ::write(fd, bytes.data() + off, bytes.size() - off);
+        if (put < 0 && errno != EINTR)
+            return false;
+        if (put > 0)
+            off += static_cast<std::size_t>(put);
+    }
+    return true;
+}
+
 /** Parse the header line; false + *error if it is unusable. */
 bool
 parseHeader(const std::string &line, JournalState *out,
@@ -168,23 +184,13 @@ journalLoad(const std::string &path, JournalState *out,
     return true;
 }
 
-JournalWriter::~JournalWriter()
-{
-    if (fd_ >= 0)
-        ::close(fd_);
-}
-
 bool
 JournalWriter::open(const std::string &dir, const std::string &jobId,
                     const ExperimentSpec &spec, std::uint64_t cells,
                     std::string *error)
 {
     const std::string path = journalPath(dir, jobId);
-
-    bool need_header = true;
-    std::ifstream probe(path);
-    if (probe) {
-        probe.close();
+    if (std::ifstream(path)) {
         JournalState existing;
         if (!journalLoad(path, &existing, error))
             return false;
@@ -194,32 +200,17 @@ JournalWriter::open(const std::string &dir, const std::string &jobId,
                                 "(id/cell-count mismatch)";
             return false;
         }
-        need_header = false;
+        path_ = path;
+        return true;
     }
 
-    const int fd = ::open(path.c_str(),
-                          O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,
-                          0666);
-    if (fd < 0) {
-        if (error)
-            *error = "cannot open " + path + ": " +
-                     std::strerror(errno);
-        return false;
-    }
-    if (fd_ >= 0)
-        ::close(fd_);
-    fd_ = fd;
     path_ = path;
-
-    if (need_header &&
-        !appendLine(headerJson(jobId, spec, cells).dump(0))) {
-        if (error)
-            *error = "cannot write journal header to " + path;
-        ::close(fd_);
-        fd_ = -1;
-        return false;
-    }
-    return true;
+    if (appendLine(headerJson(jobId, spec, cells).dump(0), true))
+        return true;
+    path_.clear();
+    if (error)
+        *error = "cannot write journal header to " + path;
+    return false;
 }
 
 bool
@@ -242,34 +233,25 @@ JournalWriter::markComplete()
 }
 
 bool
-JournalWriter::appendLine(const std::string &line)
+JournalWriter::appendLine(const std::string &line, bool create)
 {
-    if (fd_ < 0)
+    if (path_.empty())
         return false;
-    std::string bytes = line;
-    bytes += '\n';
     // One write() call per record: O_APPEND makes concurrent appends
     // land whole, and a crash mid-call leaves at most one torn tail
     // line, which replay skips.
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-        const ssize_t put =
-            ::write(fd_, bytes.data() + off, bytes.size() - off);
-        if (put < 0) {
-            if (errno == EINTR)
-                continue;
-            FW_WARN("journal %s: append failed: %s", path_.c_str(),
-                    std::strerror(errno));
-            return false;
-        }
-        off += static_cast<std::size_t>(put);
-    }
-    if (::fdatasync(fd_) != 0) {
-        FW_WARN("journal %s: fdatasync failed: %s", path_.c_str(),
+    const int fd =
+        ::open(path_.c_str(),
+               O_WRONLY | O_APPEND | O_CLOEXEC | (create ? O_CREAT : 0),
+               0666);
+    const bool ok =
+        fd >= 0 && writeAll(fd, line + '\n') && ::fdatasync(fd) == 0;
+    if (!ok)
+        FW_WARN("journal %s: append failed: %s", path_.c_str(),
                 std::strerror(errno));
-        return false;
-    }
-    return true;
+    if (fd >= 0)
+        ::close(fd);
+    return ok;
 }
 
 } // namespace flywheel::serve

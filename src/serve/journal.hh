@@ -11,9 +11,10 @@
  *   line 2..  {"cell": i, "key": "<configKey>", "wall": seconds}
  *   last      {"complete": true}            (only when the job finished)
  *
- * Completed-cell records are appended with a single O_APPEND write
- * followed by fdatasync, so a `kill -9` of the server loses at most
- * the record being written — never corrupts earlier ones.  Replay is
+ * Each record opens the file with O_APPEND, writes once, calls
+ * fdatasync and closes it, so a `kill -9` of the server loses at most
+ * the record being written — never corrupts earlier ones — and no
+ * job, queued, running or finished, holds a descriptor.  Replay is
  * correspondingly tolerant: a torn or garbage tail line (the one a
  * dying process was mid-write on) is counted and ignored, while a
  * readable prefix always loads.  Replaying a journal plus the result
@@ -81,19 +82,14 @@ bool journalLoad(const std::string &path, JournalState *out,
                  std::string *error);
 
 /**
- * Append-side handle.  open() creates the file with its header line
- * (or validates the header of an existing journal being resumed);
- * append()/markComplete() add one durable line each.
+ * Append-side handle: the journal's path, and no descriptor.  open()
+ * creates the file with its header line (or validates the header of
+ * an existing journal being resumed); append()/markComplete() add one
+ * durable line each.
  */
 class JournalWriter
 {
   public:
-    JournalWriter() = default;
-    ~JournalWriter();
-
-    JournalWriter(const JournalWriter &) = delete;
-    JournalWriter &operator=(const JournalWriter &) = delete;
-
     /**
      * Open (creating or resuming) the journal for @p jobId under
      * @p dir.  A pre-existing journal must replay to the same job id
@@ -114,9 +110,9 @@ class JournalWriter
     const std::string &path() const { return path_; }
 
   private:
-    bool appendLine(const std::string &line);
+    /** One durable line; @p create adds O_CREAT (the header only). */
+    bool appendLine(const std::string &line, bool create = false);
 
-    int fd_ = -1;
     std::string path_;
 };
 

@@ -2,12 +2,12 @@
  * @file
  * Wire protocol for the distributed sweep service (`flywheel_serve`):
  * newline-delimited JSON frames over a TCP or Unix-domain stream
- * socket, schema `flywheel.serve.v3`.
+ * socket, schema `flywheel.serve.v4`.
  *
  * Every frame is one compact JSON object terminated by '\n' with a
  * mandatory string member "type".  The opening frame of a connection
  * ("submit" from a client, "hello" from a worker) must also carry
- * `"v": "flywheel.serve.v3"`; a version mismatch is rejected before
+ * `"v": "flywheel.serve.v4"`; a version mismatch is rejected before
  * any state changes.  Frames and replies:
  *
  *   client -> server                 server -> client
@@ -15,7 +15,7 @@
  *     status {job, wait?}              status {job, state, cells, done,
  *                                              pending, leased}
  *     results {job}                    table {job, json, csv}
- *     cancel {job}                     ok {}
+ *     cancel {job}                     ok {} (error once complete)
  *     stats {}                         stats {stats: <flywheel.stats.v1>}
  *     shutdown {}                      ok {}
  *
@@ -23,7 +23,7 @@
  *     hello {v, worker}                welcome {store, heartbeatSeconds}
  *     lease {worker}                   work {job, cell, spec} | bye {}
  *     done {worker, job, cell, key,    ack {}
- *           wall, storeHit, result}
+ *           wall, storeHit}
  *     ping {worker}                    (no reply — pings may be sent
  *                                      from a heartbeat thread while a
  *                                      lease/done exchange is pending)
@@ -31,7 +31,8 @@
  *   lease, done and ping count only on the connection that said hello
  *   and only for the worker it named; any other is rejected.  Every
  *   `work` frame carries its job's resolved spec document, so neither
- *   side records which specs a connection has seen.
+ *   side records which specs a connection has seen.  A `done` carries
+ *   no result: the server loads it from the shared store.
  *
  *   any error path                   error {error}
  *
@@ -62,12 +63,12 @@
 namespace flywheel::serve {
 
 /** Protocol schema tag carried by every connection-opening frame. */
-inline constexpr const char *kServeSchema = "flywheel.serve.v3";
+inline constexpr const char *kServeSchema = "flywheel.serve.v4";
 
 /**
- * Upper bound on one encoded frame, delimiter included.  A results
- * table for a large grid is a few hundred kilobytes; anything near
- * this cap is a protocol error, not data.
+ * Upper bound on one encoded frame, delimiter included.  The server
+ * sends an `error` instead of a reply that would exceed it, and
+ * refuses at submit a spec whose table cannot fit (fig12's is 150 KB).
  */
 inline constexpr std::size_t kMaxFrameBytes = 8u << 20;
 

@@ -1,5 +1,7 @@
 #include "serve/scheduler.hh"
 
+#include <algorithm>
+
 namespace flywheel::serve {
 
 bool
@@ -68,17 +70,24 @@ JobScheduler::lease(const std::string &worker, double now, WorkUnit *out)
     return false;
 }
 
-void
+bool
 JobScheduler::completed(const std::string &jobId, std::size_t cell)
 {
     auto it = jobs_.find(jobId);
     if (it == jobs_.end() || cell >= it->second.cellRun.size())
-        return;
+        return false;
     Job &job = it->second;
     job.pending.erase(cell);
     if (auto lease = job.leased.find(cell); lease != job.leased.end())
         dropLease(job, lease);
-    job.done.insert(cell);
+    const bool news = job.done.insert(cell).second && !job.cancelled;
+    // Every cell done leaves nothing pending or leased: the job goes,
+    // so what lease, heartbeat and expiry walk is work in flight.
+    if (!job.cancelled && job.done.size() == job.cellRun.size()) {
+        jobs_.erase(it);
+        order_.erase(std::find(order_.begin(), order_.end(), jobId));
+    }
+    return news;
 }
 
 void
@@ -157,24 +166,6 @@ JobScheduler::progress(const std::string &jobId) const
     p.leased = job.leased.size();
     p.cancelled = job.cancelled;
     return p;
-}
-
-std::size_t
-JobScheduler::pendingCells() const
-{
-    std::size_t n = 0;
-    for (const auto &entry : jobs_)
-        n += entry.second.pending.size();
-    return n;
-}
-
-std::size_t
-JobScheduler::leasedCells() const
-{
-    std::size_t n = 0;
-    for (const auto &entry : jobs_)
-        n += entry.second.leased.size();
-    return n;
 }
 
 } // namespace flywheel::serve

@@ -56,7 +56,7 @@ struct WorkUnit
     std::string worker;  ///< the worker the unit is (or was) leased to
 };
 
-/** Progress counters for one job (status frames, journal gating). */
+/** Progress counters for one job (status frames). */
 struct JobProgress
 {
     std::size_t cells = 0;
@@ -64,8 +64,6 @@ struct JobProgress
     std::size_t pending = 0;
     std::size_t leased = 0;
     bool cancelled = false;
-
-    bool complete() const { return !cancelled && done == cells; }
 };
 
 class JobScheduler
@@ -78,9 +76,9 @@ class JobScheduler
     /**
      * Register a job: per cell, the key of the run it simulates
      * (cells with one run key are never leased at once), with
-     * @p completed cells (journal replay) already done.  Re-adding a
-     * known job id is a no-op (idempotent resubmission = attach).
-     * Returns false on the no-op.
+     * @p completed cells (journal replay) already done, at least one
+     * cell not.  Re-adding a known job id is a no-op (idempotent
+     * resubmission = attach).  Returns false on the no-op.
      */
     bool addJob(const std::string &jobId,
                 const std::vector<std::string> &cellRun,
@@ -96,11 +94,13 @@ class JobScheduler
     bool lease(const std::string &worker, double now, WorkUnit *out);
 
     /**
-     * Record a completed cell and release any lease on it.
-     * Idempotent: repeats and completions for unknown cells are
-     * ignored.
+     * Record a completed cell and release any lease on it.  True when
+     * the completion is news to journal: the cell was not done and
+     * the job is not cancelled.  A job whose last cell completes
+     * leaves the scheduler.  Idempotent: repeats and completions for
+     * unknown cells are ignored (false).
      */
-    void completed(const std::string &jobId, std::size_t cell);
+    bool completed(const std::string &jobId, std::size_t cell);
 
     /** Refresh every lease held by @p worker. */
     void heartbeat(const std::string &worker, double now);
@@ -117,17 +117,12 @@ class JobScheduler
 
     /**
      * Drop a job's pending and leased cells; done cells stay counted.
-     * False for unknown jobs.
+     * False for unknown jobs, finished ones included.
      */
     bool cancel(const std::string &jobId);
 
     /** Progress for one job; zeroes for unknown ids. */
     JobProgress progress(const std::string &jobId) const;
-
-    /** Total pending cells across jobs. */
-    std::size_t pendingCells() const;
-    /** Total leased cells across jobs. */
-    std::size_t leasedCells() const;
 
   private:
     struct Lease

@@ -21,7 +21,6 @@
 
 #include "common/atomic_file.hh"
 #include "common/log.hh"
-#include "core/report.hh"
 #include "core/sim_driver.hh"
 
 namespace flywheel::serve {
@@ -45,6 +44,16 @@ sendAll(int fd, const std::string &bytes)
     }
     return true;
 }
+
+/**
+ * Most cells whose table can fit one frame (3,647): kMaxFrameBytes
+ * over the fewest bytes a row adds to a `table` frame, its JSON object
+ * and CSV line escaped into the frame's strings.  A row with every
+ * number 0, a three-letter benchmark, the `ra` kind and no label adds
+ * 2,354, so 2,300 is the bound; the 210 rows `--all` exports add
+ * 2,642-2,803 each.
+ */
+constexpr std::uint64_t kMaxTableCells = kMaxFrameBytes / 2300;
 
 } // namespace
 
@@ -80,7 +89,7 @@ ServeDaemon::ServeDaemon(ServeOptions options)
               "jobs accepted (including resumptions)");
     g.counter("jobsResumed", &jobsResumed_,
               "submissions that resumed an existing journal");
-    g.counter("jobsCompleted", &jobsCompleted_, "jobs fully finalized");
+    g.counter("jobsCompleted", &jobsCompleted_, "jobs that completed");
     g.counter("framesHandled", &framesHandled_,
               "protocol frames processed");
     g.counter("framesRejected", &framesRejected_,
@@ -213,17 +222,6 @@ ServeDaemon::start(std::string *error)
         *error = "serve daemon needs a store directory";
         return false;
     }
-    // A lease must outlive the gap between two pings, or a long cell
-    // is leased again while its first worker still runs it.
-    if (!(options_.heartbeatSeconds < options_.leaseTimeout)) {
-        char msg[160];
-        std::snprintf(msg, sizeof(msg),
-                      "heartbeat interval %g s must be shorter than "
-                      "the lease timeout %g s",
-                      options_.heartbeatSeconds, options_.leaseTimeout);
-        *error = msg;
-        return false;
-    }
     if (!makeDirectories(options_.storeDir) ||
         !makeDirectories(options_.storeDir + "/results") ||
         !makeDirectories(options_.storeDir + "/checkpoints")) {
@@ -302,7 +300,8 @@ ServeDaemon::reapLocalWorkers()
         // is outstanding, but bound respawns so a crash-looping cell
         // cannot fork-bomb the host.
         const bool outstanding =
-            scheduler_.pendingCells() + scheduler_.leasedCells() > 0;
+            std::any_of(jobs_.begin(), jobs_.end(),
+                        [this](const auto &job) { return running(job.first); });
         if (!stopping_ && outstanding && respawnBudget_ > 0) {
             --respawnBudget_;
             FW_WARN("local worker %d exited; respawning (%u respawns "
@@ -438,8 +437,7 @@ ServeDaemon::answerParked()
             return;
         if (conn->closed || conn->parked != Parked::Status)
             continue;
-        if (jobState(conn->statusJob) == "running" &&
-            conn->statusDeadline > now)
+        if (running(conn->statusJob) && conn->statusDeadline > now)
             continue;
         conn->parked = Parked::None;
         sendStatus(*conn, conn->statusJob);
@@ -562,17 +560,33 @@ ServeDaemon::handleSubmit(Connection &conn, const Json &frame)
         return;
     }
 
+    // Admission matches delivery: a table no frame can carry is
+    // refused before anything runs.
+    const std::uint64_t cells = spec.cellCount();
+    if (cells > kMaxTableCells) {
+        ++framesRejected_;
+        sendError(conn, "spec has " + std::to_string(cells) +
+                            " cells; a served table carries at most " +
+                            std::to_string(kMaxTableCells) +
+                            " (run it with flywheel_bench --spec)");
+        return;
+    }
+
     const ExperimentSpec resolved = resolveSpec(spec);
     const std::string jobId = jobIdFor(resolved);
-    bool resumed = false;
+    bool resumed = true;  // a live resubmission attaches to the job
 
     if (!scheduler_.hasJob(jobId)) {
         Job job;
         job.spec = resolved.toJson();
-        job.points = resolved.expand();
-        job.keys.reserve(job.points.size());
-        for (const SweepPoint &pt : job.points)
+        // A cell's run key groups the cells that simulate one run
+        // (CellExecutor reduces the rest from it): the scheduler never
+        // leases two of them at once, so each run simulates once.
+        std::vector<std::string> runs;
+        for (const SweepPoint &pt : resolved.expand()) {
             job.keys.push_back(configKey(pt.config));
+            runs.push_back(configKey(simulatedConfig(pt.config)));
+        }
 
         // Resume: replay the journal, then trust only cells whose
         // result file actually loads — a journaled completion whose
@@ -581,83 +595,76 @@ ServeDaemon::handleSubmit(Connection &conn, const Json &frame)
         const std::string path =
             journalPath(options_.storeDir, jobId);
         JournalState replay;
-        std::string replay_error;
-        if (journalLoad(path, &replay, &replay_error)) {
-            resumed = true;
-            for (const JournalEntry &entry : replay.entries) {
-                if (entry.cell >= job.points.size() ||
-                    completed.count(entry.cell))
-                    continue;
-                RunResult result;
-                if (store_.lookup(job.keys[entry.cell], &result)) {
-                    job.results.emplace(entry.cell, std::move(result));
-                    completed.insert(entry.cell);
-                }
-            }
-            if (replay.ignoredLines)
-                FW_WARN("journal %s: ignored %zu damaged line(s)",
-                        path.c_str(), replay.ignoredLines);
-            FW_INFORM("job %s: resumed with %zu/%zu cells from "
-                      "journal",
-                      jobId.c_str(), completed.size(),
-                      job.points.size());
+        resumed = journalLoad(path, &replay, nullptr);
+        for (const JournalEntry &entry : replay.entries) {
+            RunResult result;
+            if (entry.cell < cells && !completed.count(entry.cell) &&
+                store_.lookup(job.keys[entry.cell], &result))
+                completed.insert(entry.cell);
         }
+        if (replay.ignoredLines)
+            FW_WARN("journal %s: ignored %zu damaged line(s)",
+                    path.c_str(), replay.ignoredLines);
+        if (resumed)
+            FW_INFORM("job %s: resumed with %zu/%zu cells from journal",
+                      jobId.c_str(), completed.size(),
+                      std::size_t(cells));
 
-        job.journal = std::make_unique<JournalWriter>();
-        if (!job.journal->open(options_.storeDir, jobId, resolved,
-                               job.points.size(), &error)) {
+        if (!job.journal.open(options_.storeDir, jobId, resolved,
+                              cells, &error)) {
             sendError(conn, "journal: " + error);
             return;
         }
-
-        // A cell's run key groups the cells that simulate one run
-        // (CellExecutor reduces the rest from it): the scheduler never
-        // leases two of them at once, so each run simulates once.
-        std::vector<std::string> runs;
-        runs.reserve(job.points.size());
-        for (const SweepPoint &pt : job.points)
-            runs.push_back(configKey(simulatedConfig(pt.config)));
-        scheduler_.addJob(jobId, runs, completed);
-        jobs_.emplace(jobId, std::move(job));
         ++jobsSubmitted_;
         if (resumed)
             ++jobsResumed_;
-        maybeFinalize(jobId);
-    } else {
-        resumed = true;  // live resubmission attaches to the job
+        if (completed.size() < cells) {
+            scheduler_.addJob(jobId, runs, completed);
+            jobs_.emplace(jobId, std::move(job));
+        } else {
+            // Every cell replayed: the job is finished before it runs.
+            if (!replay.complete)
+                job.journal.markComplete();
+            ++jobsCompleted_;
+        }
     }
 
     Json reply = Json::object();
     reply.add("type", "submitted");
     reply.add("job", jobId);
-    reply.add("cells", std::uint64_t(jobs_.at(jobId).points.size()));
+    reply.add("cells", cells);
     reply.add("resumed", resumed);
     sendReply(conn, reply);
 }
 
-std::string
-ServeDaemon::jobState(const std::string &jobId) const
+bool
+ServeDaemon::running(const std::string &jobId) const
 {
-    const JobProgress p = scheduler_.progress(jobId);
-    if (p.cancelled)
-        return "cancelled";
-    if (p.complete())
-        return "complete";
-    return "running";
+    return scheduler_.hasJob(jobId) &&
+           !scheduler_.progress(jobId).cancelled;
+}
+
+bool
+ServeDaemon::finishedJournal(const std::string &jobId,
+                             JournalState *out) const
+{
+    // The id names a file: anything but a job id's spelling is refused
+    // before a path is built from it.
+    if (jobId.size() != 16 ||
+        jobId.find_first_not_of("0123456789abcdef") != std::string::npos)
+        return false;
+    return journalLoad(journalPath(options_.storeDir, jobId), out,
+                       nullptr) &&
+           out->complete;
 }
 
 void
 ServeDaemon::handleStatus(Connection &conn, const Json &frame)
 {
     const std::string jobId = frame["job"].asString();
-    if (!scheduler_.hasJob(jobId)) {
-        sendError(conn, "unknown job '" + jobId + "'");
-        return;
-    }
     // A running job's status waits for the job to end (answerParked).
     const double wait = frame["wait"].asDouble();
-    if (frame["wait"].isNumber() && wait > 0.0 &&
-        jobState(jobId) == "running") {
+    if (frame["wait"].isNumber() && wait > 0.0 && running(jobId)) {
         conn.parked = Parked::Status;
         conn.statusJob = jobId;
         conn.statusDeadline = nowSeconds() + wait;
@@ -669,11 +676,21 @@ ServeDaemon::handleStatus(Connection &conn, const Json &frame)
 void
 ServeDaemon::sendStatus(Connection &conn, const std::string &jobId)
 {
-    const JobProgress p = scheduler_.progress(jobId);
+    JobProgress p = scheduler_.progress(jobId);
+    const char *state = p.cancelled ? "cancelled" : "running";
+    if (!scheduler_.hasJob(jobId)) {
+        JournalState journal;
+        if (!finishedJournal(jobId, &journal)) {
+            sendError(conn, "unknown job '" + jobId + "'");
+            return;
+        }
+        p.cells = p.done = journal.cells;
+        state = "complete";
+    }
     Json reply = Json::object();
     reply.add("type", "status");
     reply.add("job", jobId);
-    reply.add("state", jobState(jobId));
+    reply.add("state", state);
     reply.add("cells", std::uint64_t(p.cells));
     reply.add("done", std::uint64_t(p.done));
     reply.add("pending", std::uint64_t(p.pending));
@@ -685,21 +702,47 @@ void
 ServeDaemon::handleResults(Connection &conn, const Json &frame)
 {
     const std::string jobId = frame["job"].asString();
-    auto it = jobs_.find(jobId);
-    if (it == jobs_.end()) {
-        sendError(conn, "unknown job '" + jobId + "'");
-        return;
-    }
-    if (!it->second.finalized) {
-        sendError(conn, "job '" + jobId + "' is " + jobState(jobId) +
+    if (scheduler_.hasJob(jobId)) {
+        sendError(conn, "job '" + jobId + "' is " +
+                            (running(jobId) ? "running" : "cancelled") +
                             ", results not ready");
         return;
     }
+    JournalState journal;
+    if (!finishedJournal(jobId, &journal)) {
+        sendError(conn, "unknown job '" + jobId + "'");
+        return;
+    }
+    // Rebuild the table from the store, in expansion order with the
+    // same exportRowKey dedup rule as flywheel_bench's merged export,
+    // so the served table is byte-identical to the single-process
+    // `flywheel_bench --spec ... --json/--csv` output.
+    SweepTable table;
+    std::set<std::string> seen;
+    for (SweepPoint &point : journal.spec.expand()) {
+        if (!seen.insert(exportRowKey(point)).second)
+            continue;
+        SweepRecord rec;
+        const std::string key = configKey(point.config);
+        if (!store_.lookup(key, &rec.result)) {
+            sendError(conn, "job '" + jobId + "': " +
+                                store_.pathFor(key) +
+                                " does not load; resubmit the spec to "
+                                "run its cell again");
+            return;
+        }
+        rec.point = std::move(point);
+        table.add(std::move(rec));
+    }
+    std::ostringstream json;
+    table.writeJson(json);
+    std::ostringstream csv;
+    table.writeCsv(csv);
     Json reply = Json::object();
     reply.add("type", "table");
     reply.add("job", jobId);
-    reply.add("json", it->second.tableJson);
-    reply.add("csv", it->second.tableCsv);
+    reply.add("json", json.str());
+    reply.add("csv", csv.str());
     sendReply(conn, reply);
 }
 
@@ -708,7 +751,10 @@ ServeDaemon::handleCancel(Connection &conn, const Json &frame)
 {
     const std::string jobId = frame["job"].asString();
     if (!scheduler_.cancel(jobId)) {
-        sendError(conn, "unknown job '" + jobId + "'");
+        JournalState journal;
+        sendError(conn, finishedJournal(jobId, &journal)
+                            ? "job '" + jobId + "' is complete"
+                            : "unknown job '" + jobId + "'");
         return;
     }
     Json reply = Json::object();
@@ -779,7 +825,9 @@ ServeDaemon::handleHello(Connection &conn, const Json &frame)
     Json reply = Json::object();
     reply.add("type", "welcome");
     reply.add("store", options_.storeDir);
-    reply.add("heartbeatSeconds", options_.heartbeatSeconds);
+    // Twelve pings per lease lifetime (5 s at the default 60 s): a
+    // live worker's lease never lapses between two of them.
+    reply.add("heartbeatSeconds", options_.leaseTimeout / 12);
     sendReply(conn, reply);
 }
 
@@ -834,21 +882,12 @@ ServeDaemon::handleDone(Connection &conn, const Json &frame)
     const std::size_t cell =
         static_cast<std::size_t>(frame["cell"].asU64());
     auto it = jobs_.find(jobId);
-    if (it == jobs_.end() || cell >= it->second.points.size()) {
+    JournalState finished;
+    if (it == jobs_.end() ? !finishedJournal(jobId, &finished) ||
+                                cell >= finished.cells
+                          : cell >= it->second.keys.size()) {
         ++framesRejected_;
         sendError(conn, "done for unknown job/cell");
-        return;
-    }
-    Job &job = it->second;
-    if (!frame["key"].isString() ||
-        frame["key"].asString() != job.keys[cell]) {
-        ++framesRejected_;
-        sendError(conn, "done key mismatch for job " + jobId);
-        return;
-    }
-    if (!runResultJsonComplete(frame["result"])) {
-        ++framesRejected_;
-        sendError(conn, "done frame carries incomplete result");
         return;
     }
     const double wall = frame["wall"].asDouble();
@@ -856,16 +895,41 @@ ServeDaemon::handleDone(Connection &conn, const Json &frame)
         frame["storeHit"].kind() == Json::Kind::Bool &&
         frame["storeHit"].asBool();
 
-    const JobProgress before = scheduler_.progress(jobId);
-    const bool first =
-        job.results.emplace(cell,
-                            runResultFromJson(frame["result"]))
-            .second;
-    // Journal *before* acknowledging: the ack is the worker's licence
-    // to forget the cell, so the completion must be durable first.
-    if (first && !before.cancelled)
-        job.journal->append(cell, job.keys[cell], wall);
-    scheduler_.completed(jobId, cell);
+    // A late report for a finished job is only counted: its cell is
+    // journaled already.
+    if (it != jobs_.end()) {
+        Job &job = it->second;
+        const std::string &key = job.keys[cell];
+        if (frame["key"].asString() != key) {
+            ++framesRejected_;
+            sendError(conn, "done key mismatch for job " + jobId);
+            return;
+        }
+        // The store holds the one copy of a result: a cell is journaled
+        // only once its result loads there under the daemon's own key,
+        // so every journaled cell is reloadable.
+        RunResult result;
+        if (!store_.lookup(key, &result)) {
+            ++framesRejected_;
+            sendError(conn, "done for job " + jobId + " cell " +
+                                std::to_string(cell) + ": " +
+                                store_.pathFor(key) + " does not load");
+            return;
+        }
+        // Journal *before* acknowledging: the ack is the worker's
+        // licence to forget the cell, so the completion must be
+        // durable first.
+        if (scheduler_.completed(jobId, cell))
+            job.journal.append(cell, key, wall);
+        if (!scheduler_.hasJob(jobId)) {
+            // The last cell: from here on the job is its journal.
+            job.journal.markComplete();
+            ++jobsCompleted_;
+            FW_INFORM("job %s: complete (%zu cells)", jobId.c_str(),
+                      job.keys.size());
+            jobs_.erase(it);
+        }
+    }
 
     ShardStats &s = shard(worker);
     ++s.cellsCompleted;
@@ -876,7 +940,6 @@ ServeDaemon::handleDone(Connection &conn, const Json &frame)
     Json ack = Json::object();
     ack.add("type", "ack");
     sendReply(conn, ack);
-    maybeFinalize(jobId);
 }
 
 void
@@ -893,57 +956,26 @@ ServeDaemon::handlePing(Connection &conn, const Json &frame)
 }
 
 void
-ServeDaemon::maybeFinalize(const std::string &jobId)
-{
-    auto it = jobs_.find(jobId);
-    if (it == jobs_.end() || it->second.finalized)
-        return;
-    const JobProgress p = scheduler_.progress(jobId);
-    if (!p.complete())
-        return;
-    Job &job = it->second;
-
-    // Assemble rows in expansion order with the same exportRowKey
-    // dedup rule as flywheel_bench's merged export, so the served
-    // table is byte-identical to the single-process
-    // `flywheel_bench --spec ... --json/--csv` output.
-    SweepTable table;
-    std::set<std::string> seen;
-    for (std::size_t cell = 0; cell < job.points.size(); ++cell) {
-        auto result = job.results.find(cell);
-        if (result == job.results.end()) {
-            FW_WARN("job %s: cell %zu completed without a result; "
-                    "leaving job unfinalized",
-                    jobId.c_str(), cell);
-            return;
-        }
-        if (!seen.insert(exportRowKey(job.points[cell])).second)
-            continue;
-        SweepRecord rec;
-        rec.point = job.points[cell];
-        rec.result = result->second;
-        table.add(std::move(rec));
-    }
-
-    std::ostringstream json;
-    table.writeJson(json);
-    job.tableJson = json.str();
-    std::ostringstream csv;
-    table.writeCsv(csv);
-    job.tableCsv = csv.str();
-    job.finalized = true;
-    job.journal->markComplete();
-    ++jobsCompleted_;
-    FW_INFORM("job %s: complete (%zu cells, %zu rows)", jobId.c_str(),
-              job.points.size(), table.size());
-}
-
-void
 ServeDaemon::sendReply(Connection &conn, const Json &frame)
 {
     if (conn.fd < 0 || conn.closed)
         return;
-    if (!sendAll(conn.fd, encodeFrame(frame)))
+    const std::string bytes = encodeFrame(frame);
+    if (bytes.size() > kMaxFrameBytes) {
+        // No peer reads a frame over the cap: say so in one that fits.
+        const std::string type = frame["type"].asString();
+        std::string message = "'" + type + "' reply of " +
+                              std::to_string(bytes.size()) +
+                              " bytes exceeds the frame cap of " +
+                              std::to_string(kMaxFrameBytes);
+        if (type == "table")
+            message += "; read the table with flywheel_bench --spec "
+                       "FILE --cache " +
+                       options_.storeDir + "/results";
+        sendError(conn, message);
+        return;
+    }
+    if (!sendAll(conn.fd, bytes))
         dropConnection(conn);
 }
 

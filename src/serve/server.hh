@@ -5,12 +5,11 @@
  *
  * One single-threaded poll(2) loop owns everything: the listening
  * socket (TCP or Unix-domain), every client and worker connection,
- * the JobScheduler, the job journals and the in-memory result
- * assembly.  Workers and clients speak the NDJSON protocol from
- * serve/protocol.hh; simulation happens only in worker processes
- * (spawned locally by the daemon, or attached remotely with
- * `flywheel_serve --worker --connect`), so a slow cell never stalls
- * frame handling.
+ * the JobScheduler and the running jobs.  Workers and clients speak
+ * the NDJSON protocol from serve/protocol.hh; simulation happens only
+ * in worker processes (spawned locally by the daemon, or attached
+ * remotely with `flywheel_serve --worker --connect`), so a slow cell
+ * never stalls frame handling.
  *
  * Job lifecycle:
  *  - submit: run lengths are resolved against this server's
@@ -18,22 +17,26 @@
  *    whatever its env — expands the identical grid; the job id is
  *    the FNV-1a digest of that resolved spec, making resubmission
  *    idempotent: the same spec resumes its journal instead of
- *    starting over.
+ *    starting over.  A spec whose table cannot fit a frame is refused.
  *  - execute: cells are leased to pulling workers (expansion order,
  *    one cell per simulated run at a time, see scheduler.hh), each
- *    `work` frame carrying the job's resolved spec; results are
- *    published to the shared store and echoed inline in `done`
- *    frames, and every completion is journaled durably before it is
- *    acknowledged.  A lease that finds nothing leasable is parked
+ *    `work` frame carrying the job's resolved spec.  A worker
+ *    publishes a cell's result to the shared store before its `done`,
+ *    which carries none: the daemon journals the cell, durably and
+ *    before acknowledging, only once the result loads from the store
+ *    under its own key.  A lease that finds nothing leasable is parked
  *    and answered with `work` as soon as a submit, a `done` that
  *    frees a held-back sibling, a lease expiry or a worker drop makes
  *    a cell leasable.
- *  - finalize: when the last cell lands, rows are assembled in
- *    expansion order with the same dedup rule (exportRowKey) as
- *    `flywheel_bench` exports, so the served table is byte-identical
- *    to a single-process run of the same spec.  A `status {wait}`
- *    parked on the job is answered then (or at cancel, or when its
- *    wait ends), so a waiting client learns of completion at once.
+ *  - finish: the last completion marks the journal complete and the
+ *    job leaves the daemon: it is `job-<id>.json` plus its `results/`
+ *    files, for this daemon and any later one.  `status` reads the
+ *    journal; `results` rebuilds the table from the store in expansion
+ *    order with the same dedup rule (exportRowKey) as `flywheel_bench`
+ *    exports, so the served table is byte-identical to a
+ *    single-process run of the same spec.  A `status {wait}` parked
+ *    on the job is answered then (or at cancel, or when its wait
+ *    ends), so a waiting client learns of completion at once.
  *
  * Crash story: kill -9 the daemon at any point; restarting it and
  * resubmitting the same spec replays the journal, reloads completed
@@ -81,10 +84,11 @@ struct ServeOptions
      * --worker --connect).  Required when localWorkers > 0.
      */
     std::vector<std::string> workerArgv;
-    /** Lease lifetime: a silent worker's cells re-pend after this. */
+    /**
+     * Lease lifetime: a silent worker's cells re-pend after this.
+     * Workers ping every twelfth of it (`welcome.heartbeatSeconds`).
+     */
     double leaseTimeout = 60.0;
-    /** Worker heartbeat interval handed out in `welcome` frames. */
-    double heartbeatSeconds = 5.0;
 };
 
 /** Resolve @p spec's run lengths against this process's defaults. */
@@ -117,8 +121,6 @@ class ServeDaemon
     /** Bound address — the real port when listening on TCP port 0. */
     const ServeAddress &boundAddress() const { return bound_; }
 
-    const ServeOptions &options() const { return options_; }
-
   private:
     /** A request held unanswered until its event (answerParked). */
     enum class Parked { None, Lease, Status };
@@ -145,16 +147,12 @@ class ServeDaemon
         double wallSeconds = 0.0;
     };
 
+    /** A running or cancelled job; a finished one is its journal. */
     struct Job
     {
-        Json spec;                         ///< resolved, for `work`
-        std::vector<SweepPoint> points;
-        std::vector<std::string> keys;     ///< configKey per cell
-        std::map<std::size_t, RunResult> results;
-        std::unique_ptr<JournalWriter> journal;
-        bool finalized = false;
-        std::string tableJson;
-        std::string tableCsv;
+        Json spec;                      ///< resolved, for `work`
+        std::vector<std::string> keys;  ///< configKey per cell
+        JournalWriter journal;
     };
 
     double nowSeconds() const;
@@ -192,8 +190,9 @@ class ServeDaemon
     void dropConnection(Connection &conn);
 
     ShardStats &shard(const std::string &worker);
-    void maybeFinalize(const std::string &jobId);
-    std::string jobState(const std::string &jobId) const;
+    bool running(const std::string &jobId) const;
+    bool finishedJournal(const std::string &jobId,
+                         JournalState *out) const;
 
     ServeOptions options_;
     ServeAddress bound_;

@@ -10,7 +10,6 @@
 
 #include "api/experiment.hh"
 #include "common/log.hh"
-#include "core/report.hh"
 #include "serve/store.hh"
 #include "snapshot/checkpointer.hh"
 #include "sweep/sweep.hh"
@@ -191,9 +190,8 @@ runWorker(const WorkerOptions &options)
         const SweepPoint &point = points[cell];
         const auto start = Clock::now();
         bool store_hit = false;
-        const RunResult result =
-            CellExecutor(&store, checkpointer.get())
-                .run(point.config, &store_hit);
+        CellExecutor(&store, checkpointer.get())
+            .run(point.config, &store_hit);
         const double wall =
             store_hit ? 0.0
                       : std::chrono::duration<double>(Clock::now() -
@@ -208,7 +206,6 @@ runWorker(const WorkerOptions &options)
         done.add("key", configKey(point.config));
         done.add("wall", wall);
         done.add("storeHit", store_hit);
-        done.add("result", toJson(result));
         if (!socket.sendFrame(done)) {
             // The result is already published to the store; a
             // farewell racing the report is still a clean exit.

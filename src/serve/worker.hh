@@ -9,18 +9,19 @@
  * HOST:PORT` on another machine joins a sweep with no shared
  * filesystem assumption beyond the store directory itself.  Between
  * cells it keeps only what it can rebuild: the expansion of the job it
- * last ran (a work unit of another job replaces it) and the in-memory
- * front of its result store.  Its checkpoint store is the shared
- * `checkpoints/` directory, which keeps no snapshot in memory between
- * cells unless a persist failed.  Cells run through the same
- * CellExecutor and ResultStore as a local Session, which is what keeps
- * distributed results byte-identical to single-process ones.
+ * last ran (a work unit of another job replaces it).  Its result and
+ * checkpoint stores are the shared `results/` and `checkpoints/`
+ * directories, which keep nothing in memory between cells unless a
+ * write failed.  Cells run through the same CellExecutor and
+ * ResultStore as a local Session, which is what keeps distributed
+ * results byte-identical to single-process ones.
  *
  * Per cell: the executor checks the shared `results/` store first
  * (another worker, or a previous life of this sweep, may have done
  * it), otherwise simulates and publishes the result file *before* the
- * worker reports `done` — the server's journal append must never
- * precede the result's publication.  A heartbeat thread pings the
+ * worker reports `done`, which carries none: the server reads it from
+ * the store, so a worker whose store is not the server's fails at its
+ * first cell.  A heartbeat thread pings the
  * server so leases survive long cells.
  */
 

@@ -216,16 +216,11 @@ ResultStore::lookup(const std::string &key, RunResult *out)
         }
     }
     // Read outside the lock so the cells of a sweep load concurrently.
-    // Misses are not remembered: another process may publish the key
-    // at any time.
+    // Nothing read is remembered: the file is the one copy, and
+    // another process may publish the key at any time.
     const bool found = readFile(key, out);
     std::lock_guard<std::mutex> lock(mutex_);
-    if (found) {
-        ++hits_;
-        entries_.emplace(key, *out);
-    } else {
-        ++misses_;
-    }
+    ++(found ? hits_ : misses_);
     return found;
 }
 
@@ -270,14 +265,8 @@ ResultStore::readFile(const std::string &key, RunResult *out) const
 bool
 ResultStore::save(const std::string &key, const RunResult &result)
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        entries_[key] = result;
-    }
-    if (!persistent())
-        return true;
     std::string error = "cannot create directory";
-    if (makeDirectories(dir_)) {
+    if (persistent() && makeDirectories(dir_)) {
         Json doc = Json::object();
         doc.add("v", kResultSchema);
         doc.add("key", key);
@@ -285,7 +274,12 @@ ResultStore::save(const std::string &key, const RunResult &result)
         if (atomicWriteFile(pathFor(key), doc.dump(0) + "\n", &error))
             return true;
     }
+    // Memory holds what no file does: every result of a store without
+    // a directory, and those whose write failed.
     std::lock_guard<std::mutex> lock(mutex_);
+    entries_[key] = result;
+    if (!persistent())
+        return true;
     if (!warned_) {
         warned_ = true;
         FW_WARN("result store %s: %s (results stay in memory; further "

@@ -7,15 +7,16 @@
  * maps that key to the finished RunResult.  Repeating a sweep — or
  * enlarging one axis of it — then re-simulates only the new points.
  *
- * A thread-safe in-memory map sits in front of an optional directory
- * holding one file per key, `result-<fnv1a64(key)>.json`, published
+ * Without a directory the store is a thread-safe in-memory map.  With
+ * one, each key is a file, `result-<fnv1a64(key)>.json`, published
  * with unique-temp + rename (common/atomic_file.hh) as soon as the
- * cell finishes.  Any number of threads and processes — local sweeps,
- * distributed-service workers on other machines — can share one
- * directory without tearing each other's files.  The file records the
- * complete key beside the result, so a digest collision, a foreign or
- * malformed file, or one written with an older field set reads as a
- * miss, never as a wrong result.
+ * cell finishes and read on every lookup; memory keeps only a result
+ * whose write failed.  Any number of threads and processes — local
+ * sweeps, distributed-service workers on other machines — can share
+ * one directory without tearing each other's files.  The file records
+ * the complete key beside the result, so a digest collision, a foreign
+ * or malformed file, or one written with an older field set reads as
+ * a miss, never as a wrong result.
  *
  * The same store backs a local Session (`--cache DIR`) and the
  * distributed sweep service (`<store>/results`), so a served grid is
@@ -71,14 +72,14 @@ class ResultStore
 
     /**
      * True and *out filled if @p key is in memory or has a valid
-     * result file (which then stays in memory).
+     * result file; a file read is not kept in memory.
      */
     bool lookup(const std::string &key, RunResult *out);
 
     /**
-     * Keep @p result under @p key and publish its file.  False when
-     * the file cannot be written: the first such failure warns, and
-     * the store keeps serving from memory.
+     * Publish @p result's file under @p key.  False when the file
+     * cannot be written: the first such failure warns, and the store
+     * keeps the result in memory (as it keeps all without a directory).
      */
     bool save(const std::string &key, const RunResult &result);
 

@@ -5,16 +5,20 @@
  * server-address parsing, the durable job journal (replay, torn-tail
  * tolerance, resume validation), the lease-based scheduler
  * (expansion order, expiry reassignment, worker release, sibling
- * hold-back), push delivery over raw FrameSockets (parked leases
- * answered by a submit, a done, a lease expiry or shutdown; a spec in
- * every work frame; status waits answered at completion or their
- * deadline; reply order behind a parked request; v1 and v2 peers and
- * specs past the cell cap rejected), and
- * in-process end-to-end runs — one ServeDaemon on a Unix socket
- * plus worker threads must produce a table byte-identical to a
- * single-process Session::run of the same spec, simulate each run
- * once, and its results/ directory must serve a local Session as a
- * result store.  The store itself is tested in test_sweep.cc.
+ * hold-back, a finished job leaving), push delivery over raw
+ * FrameSockets (parked leases answered by a submit, a done, a lease
+ * expiry or shutdown; a spec in every work frame; status waits
+ * answered at completion or their deadline; reply order behind a
+ * parked request; a done journaled only once its result loads from
+ * the store; late dones and cancels of a finished job; v1-v3 peers,
+ * specs past the cell cap or the delivery limit, and replies past the
+ * frame cap refused), and in-process end-to-end runs — one ServeDaemon
+ * on a Unix socket plus worker threads must produce a table
+ * byte-identical to a single-process Session::run of the same spec,
+ * simulate each run once, hold no descriptor per finished job, answer
+ * for a finished job after a restart, and its results/ directory must
+ * serve a local Session as a result store.  The store itself is
+ * tested in test_sweep.cc.
  */
 
 #include <gtest/gtest.h>
@@ -94,6 +98,17 @@ tinySpec()
     // the job id is environment-independent.
     spec.warmupInstrs = 2000;
     spec.measureInstrs = 5000;
+    return spec;
+}
+
+/** A one-cell spec (gzip, baseline) named @p name. */
+ExperimentSpec
+oneCellSpec(const std::string &name = "serve_one_cell")
+{
+    ExperimentSpec spec = tinySpec();
+    spec.name = name;
+    spec.grids[0].benchmarks = {"gzip"};
+    spec.grids[0].kinds = {CoreKind::Baseline};
     return spec;
 }
 
@@ -340,17 +355,21 @@ TEST(ServeScheduler, LeasesDrainAJobExactlyOnce)
     }
     EXPECT_FALSE(sched.lease("w1", 0.0, &unit));  // all leased
 
-    for (std::size_t cell : leased)
-        sched.completed("job1", cell);
-    const serve::JobProgress p = sched.progress("job1");
-    EXPECT_TRUE(p.complete());
-    EXPECT_EQ(p.done, 3u);
+    // Each first completion is news; the last one ends the job, which
+    // then leaves the scheduler.
+    for (std::size_t cell : leased) {
+        EXPECT_TRUE(sched.hasJob("job1"));
+        EXPECT_TRUE(sched.completed("job1", cell));
+    }
+    EXPECT_FALSE(sched.hasJob("job1"));
+    EXPECT_EQ(sched.progress("job1").cells, 0u);
+    EXPECT_FALSE(sched.cancel("job1"));  // a finished job stays finished
 
     // Completion is idempotent; repeats and unknown cells are noise.
-    sched.completed("job1", 0);
-    sched.completed("job1", 99);
-    sched.completed("nope", 0);
-    EXPECT_EQ(sched.progress("job1").done, 3u);
+    EXPECT_FALSE(sched.completed("job1", 0));
+    EXPECT_FALSE(sched.completed("job1", 99));
+    EXPECT_FALSE(sched.completed("nope", 0));
+    EXPECT_FALSE(sched.lease("w1", 0.0, &unit));
 }
 
 TEST(ServeScheduler, CellsLeaseInExpansionOrder)
@@ -398,8 +417,8 @@ TEST(ServeScheduler, ExpiredLeasesReassignToAnotherWorker)
 
     // A completion from the expired holder still lands (the store
     // already has the result; duplicates collapse).
-    sched.completed("job1", 0);
-    EXPECT_TRUE(sched.progress("job1").complete());
+    EXPECT_TRUE(sched.completed("job1", 0));
+    EXPECT_FALSE(sched.hasJob("job1"));
 }
 
 TEST(ServeScheduler, ReleaseWorkerRePendsItsLeasesImmediately)
@@ -425,15 +444,21 @@ TEST(ServeScheduler, CancelDropsPendingAndLeasedCells)
     ASSERT_TRUE(sched.lease("w1", 0.0, &unit));
     sched.completed("job1", unit.cell);
     ASSERT_TRUE(sched.lease("w1", 0.0, &unit));
+    const std::size_t leasedCell = unit.cell;
 
     ASSERT_TRUE(sched.cancel("job1"));
     EXPECT_FALSE(sched.cancel("nope"));
     const serve::JobProgress p = sched.progress("job1");
     EXPECT_TRUE(p.cancelled);
-    EXPECT_FALSE(p.complete());
     EXPECT_EQ(p.done, 1u);
     EXPECT_EQ(p.pending + p.leased, 0u);
     EXPECT_FALSE(sched.lease("w1", 0.0, &unit));
+
+    // A late completion in a cancelled job counts but is not news to
+    // journal, and the cancelled job stays.
+    EXPECT_FALSE(sched.completed("job1", leasedCell));
+    EXPECT_EQ(sched.progress("job1").done, 2u);
+    EXPECT_TRUE(sched.hasJob("job1"));
 }
 
 TEST(ServeScheduler, JournalReplayedCellsNeverLease)
@@ -485,8 +510,8 @@ TEST(ServeScheduler, SiblingsOfALeasedRunAreHeldBack)
     EXPECT_EQ(unit.jobId, "job2");
     sched.completed("job1", 2);
     sched.completed("job2", 0);
-    EXPECT_TRUE(sched.progress("job1").complete());
-    EXPECT_TRUE(sched.progress("job2").complete());
+    EXPECT_FALSE(sched.hasJob("job1"));
+    EXPECT_FALSE(sched.hasJob("job2"));
 }
 
 TEST(ServeScheduler, ExpiredReleasedAndCancelledLeasesFreeTheirRun)
@@ -627,21 +652,42 @@ arrivesWithin(std::future<Json> &frame,
     return frame.wait_for(timeout) == std::future_status::ready;
 }
 
-/** A done frame for @p cell of @p spec, simulated here. */
+/** A done frame for @p cell of @p spec, whose result it sends nowhere. */
 Json
-doneFrame(const std::string &worker, const std::string &jobId,
-          const ExperimentSpec &spec, std::size_t cell)
+unpublishedDoneFrame(const std::string &worker, const std::string &jobId,
+                     const ExperimentSpec &spec, std::size_t cell)
 {
-    const SweepPoint point = spec.expand().at(cell);
     Json done = workerFrame("done", worker);
     done.add("job", jobId);
     done.add("cell", std::uint64_t(cell));
-    done.add("key", configKey(point.config));
+    done.add("key", configKey(spec.expand().at(cell).config));
     done.add("wall", 0.0);
     done.add("storeHit", false);
-    done.add("result",
-             toJson(CellExecutor(nullptr, nullptr).run(point.config)));
     return done;
+}
+
+/**
+ * Simulate @p cell of @p spec here and publish its result to the
+ * daemon's store under @p dir, as a worker does before its done.
+ */
+void
+publishCell(const std::string &dir, const ExperimentSpec &spec,
+            std::size_t cell)
+{
+    const RunConfig config = spec.expand().at(cell).config;
+    ResultStore store(dir + "/store/results");
+    ASSERT_TRUE(store.save(configKey(config),
+                           CellExecutor(nullptr, nullptr).run(config)));
+}
+
+/** A done frame for @p cell, its result published first. */
+Json
+doneFrame(const std::string &dir, const std::string &worker,
+          const std::string &jobId, const ExperimentSpec &spec,
+          std::size_t cell)
+{
+    publishCell(dir, spec, cell);
+    return unpublishedDoneFrame(worker, jobId, spec, cell);
 }
 
 /** Sends one frame on a socket every 50 ms until destroyed. */
@@ -820,8 +866,8 @@ TEST(ServePush, HeldBackSiblingGoesToTheParkedWorkerOnDone)
     EXPECT_FALSE(arrivesWithin(w2Work, 100ms));
 
     // ...until w1 reports it; w2 does not ask again.
-    ASSERT_TRUE(w1.sendFrame(doneFrame("w1", submitted.jobId, spec,
-                                       first)));
+    ASSERT_TRUE(w1.sendFrame(doneFrame(td.dir.string(), "w1",
+                                       submitted.jobId, spec, first)));
     Json ack;
     ASSERT_TRUE(w1.recvFrame(&ack, &error)) << error;
     EXPECT_EQ(ack["type"].asString(), "ack");
@@ -898,15 +944,12 @@ TEST(ServePush, ExpiredLeaseGoesToTheParkedWorkerAndCountsOnItsShard)
     FrameSocket w2;
     std::future<Json> w2Work;
     ServeOptions options;
-    options.leaseTimeout = 0.3;
-    options.heartbeatSeconds = 0.1;
+    options.leaseTimeout = 0.3;  // workers would ping every 25 ms
     LiveDaemon daemon(td.dir.string(), options);
     attachWorker(w1, daemon.address(), "w1");
     attachWorker(w2, daemon.address(), "w2");
 
-    ExperimentSpec spec = tinySpec();
-    spec.grids[0].benchmarks = {"gzip"};
-    spec.grids[0].kinds = {CoreKind::Baseline};
+    const ExperimentSpec spec = oneCellSpec();
     ServeClient client;
     std::string error;
     ASSERT_TRUE(client.connect(daemon.address(), &error)) << error;
@@ -934,7 +977,8 @@ TEST(ServePush, ExpiredLeaseGoesToTheParkedWorkerAndCountsOnItsShard)
     ASSERT_EQ(reply["type"].asString(), "work");
     ASSERT_EQ(reply["cell"].asU64(), 0u);
     // w2 reports at once, so its own lease cannot lapse as well.
-    ASSERT_TRUE(w2.sendFrame(doneFrame("w2", submitted.jobId, spec, 0)));
+    ASSERT_TRUE(w2.sendFrame(
+        doneFrame(td.dir.string(), "w2", submitted.jobId, spec, 0)));
     Json ack;
     ASSERT_TRUE(w2.recvFrame(&ack, &error)) << error;
     EXPECT_EQ(ack["type"].asString(), "ack");
@@ -1003,32 +1047,207 @@ TEST(ServePush, ParkedRequestHoldsLaterFramesButNotPings)
     EXPECT_EQ(second["type"].asString(), "stats");
 }
 
-TEST(ServePush, HeartbeatNotShorterThanTheLeaseTimeoutIsRejected)
+/**
+ * Submit @p spec through @p client and lease its first cell on the
+ * attached worker socket @p worker named @p name; the job id.
+ */
+std::string
+submitAndLease(ServeClient &client, FrameSocket &worker,
+               const std::string &name, const ExperimentSpec &spec)
+{
+    std::string error;
+    ServeClient::Submitted submitted;
+    EXPECT_TRUE(client.submit(spec, &submitted, &error)) << error;
+    EXPECT_TRUE(worker.sendFrame(workerFrame("lease", name)));
+    Json work;
+    EXPECT_TRUE(worker.recvFrame(&work, &error)) << error;
+    EXPECT_EQ(work["type"].asString(), "work");
+    return submitted.jobId;
+}
+
+/** The reply to @p frame sent on @p socket. */
+Json
+exchange(FrameSocket &socket, const Json &frame)
+{
+    Json reply;
+    std::string error;
+    EXPECT_TRUE(socket.sendFrame(frame));
+    EXPECT_TRUE(socket.recvFrame(&reply, &error)) << error;
+    return reply;
+}
+
+TEST(ServePush, DoneIsJournaledOnlyOnceItsResultLoadsFromTheStore)
 {
     TempDir td;
-    ServeOptions options;
-    options.storeDir = td / "store";
+    FrameSocket w1;
+    LiveDaemon daemon(td.dir.string());
+    attachWorker(w1, daemon.address(), "w1");
+    ServeClient client;
     std::string error;
-    ASSERT_TRUE(serve::parseServeAddress(td / "serve.sock",
-                                         &options.listen, &error));
-    options.leaseTimeout = 1.0;
-    options.heartbeatSeconds = 5.0;
-    ServeDaemon daemon(options);
-    EXPECT_FALSE(daemon.start(&error));
-    EXPECT_NE(error.find("heartbeat interval 5 s"), std::string::npos)
+    ASSERT_TRUE(client.connect(daemon.address(), &error)) << error;
+    const ExperimentSpec spec = oneCellSpec();
+    const std::string jobId = submitAndLease(client, w1, "w1", spec);
+    const std::string journal = serve::journalPath(td / "store", jobId);
+
+    // Reported but never published (say, by a worker on another
+    // store): refused, naming the file, and nothing is journaled.
+    const Json done = unpublishedDoneFrame("w1", jobId, spec, 0);
+    Json reply = exchange(w1, done);
+    EXPECT_EQ(reply["type"].asString(), "error");
+    const std::string file = ResultStore(td / "store/results")
+                                 .pathFor(done["key"].asString());
+    EXPECT_NE(reply["error"].asString().find(file), std::string::npos)
+        << reply["error"].asString();
+    JournalState state;
+    ASSERT_TRUE(serve::journalLoad(journal, &state, &error)) << error;
+    EXPECT_TRUE(state.entries.empty());
+    Json status;
+    ASSERT_TRUE(client.status(jobId, &status, &error)) << error;
+    EXPECT_EQ(status["state"].asString(), "running");
+
+    // Once the result is published, the same report is acked and ends
+    // the job.
+    publishCell(td.dir.string(), spec, 0);
+    reply = exchange(w1, done);
+    EXPECT_EQ(reply["type"].asString(), "ack");
+    ASSERT_TRUE(serve::journalLoad(journal, &state, &error)) << error;
+    EXPECT_EQ(state.uniqueCompleted(), 1u);
+    EXPECT_TRUE(state.complete);
+}
+
+TEST(ServePush, LateDoneForAFinishedJobIsAcked)
+{
+    TempDir td;
+    FrameSocket w1;
+    LiveDaemon daemon(td.dir.string());
+    attachWorker(w1, daemon.address(), "w1");
+    ServeClient client;
+    std::string error;
+    ASSERT_TRUE(client.connect(daemon.address(), &error)) << error;
+    const ExperimentSpec spec = oneCellSpec();
+    const std::string jobId = submitAndLease(client, w1, "w1", spec);
+
+    // The second report comes after the first one finished the job.
+    const Json done = doneFrame(td.dir.string(), "w1", jobId, spec, 0);
+    EXPECT_EQ(exchange(w1, done)["type"].asString(), "ack");
+    EXPECT_EQ(exchange(w1, done)["type"].asString(), "ack");
+    JournalState state;
+    ASSERT_TRUE(serve::journalLoad(serve::journalPath(td / "store", jobId),
+                                   &state, &error))
         << error;
-    EXPECT_NE(error.find("lease timeout 1 s"), std::string::npos)
+    EXPECT_EQ(state.entries.size(), 1u);
+    EXPECT_EQ(statValue(client, "serve.shard.w1", "cellsCompleted"), 2u);
+}
+
+TEST(ServePush, CancellingAFinishedJobLeavesItComplete)
+{
+    TempDir td;
+    FrameSocket w1;
+    LiveDaemon daemon(td.dir.string());
+    attachWorker(w1, daemon.address(), "w1");
+    ServeClient client;
+    std::string error;
+    ASSERT_TRUE(client.connect(daemon.address(), &error)) << error;
+    const ExperimentSpec spec = oneCellSpec();
+    const std::string jobId = submitAndLease(client, w1, "w1", spec);
+    ASSERT_EQ(
+        exchange(w1, doneFrame(td.dir.string(), "w1", jobId, spec, 0))
+            ["type"].asString(),
+        "ack");
+
+    EXPECT_FALSE(client.cancel(jobId, &error));
+    EXPECT_NE(error.find("job '" + jobId + "' is complete"),
+              std::string::npos)
         << error;
+    Json status;
+    ASSERT_TRUE(client.status(jobId, &status, &error)) << error;
+    EXPECT_EQ(status["state"].asString(), "complete");
+    EXPECT_EQ(status["done"].asU64(), 1u);
+
+    // Resubmitting replays the finished journal, and a wait succeeds.
+    ServeClient::Submitted again;
+    ASSERT_TRUE(client.submit(spec, &again, &error)) << error;
+    EXPECT_EQ(again.jobId, jobId);
+    EXPECT_TRUE(again.resumed);
+    EXPECT_TRUE(client.waitForCompletion(jobId, 0.05, nullptr, &error))
+        << error;
+}
+
+TEST(ServePush, SpecOverTheDeliveryLimitIsRefusedAtSubmit)
+{
+    TempDir td;
+    LiveDaemon daemon(td.dir.string());
+
+    // 40 x 100 = 4,000 cells: no frame can carry their table, however
+    // small the rows.
+    ExperimentSpec spec = oneCellSpec();
+    spec.grids[0].benchmarks.assign(40, "gzip");
+    spec.grids[0].clocks.assign(100, ClockPoint{});
+    ServeClient client;
+    std::string error;
+    ASSERT_TRUE(client.connect(daemon.address(), &error)) << error;
+    ServeClient::Submitted submitted;
+    EXPECT_FALSE(client.submit(spec, &submitted, &error));
+    EXPECT_NE(error.find("4000 cells"), std::string::npos) << error;
+    EXPECT_NE(error.find("at most 3647"), std::string::npos) << error;
+    EXPECT_EQ(statValue(client, "serve", "framesRejected"), 1u);
+    EXPECT_FALSE(fs::exists(serve::journalPath(
+        td / "store", serve::jobIdFor(serve::resolveSpec(spec)))));
+}
+
+TEST(ServePush, ReplyOverTheFrameCapIsAnErrorAndTheDaemonServesOn)
+{
+    TempDir td;
+    LiveDaemon daemon(td.dir.string());
+    serve::WorkerOptions wo;
+    wo.connect = daemon.address();
+    wo.name = "wBig";
+    int rc = -1;
+    std::thread worker([&] { rc = serve::runWorker(wo); });
+
+    // Four cells whose rows each carry a 2 MiB label: the spec fits a
+    // frame, and its table (JSON and CSV) does not.  No ASSERT until
+    // the worker thread is joined.
+    ExperimentSpec spec = tinySpec();
+    spec.grids[0].label.assign(std::size_t(2) << 20, 'x');
+    ServeClient client;
+    std::string error;
+    EXPECT_TRUE(client.connect(daemon.address(), &error)) << error;
+    ServeClient::Submitted submitted;
+    EXPECT_TRUE(client.submit(spec, &submitted, &error)) << error;
+    EXPECT_TRUE(client.waitForCompletion(submitted.jobId, 0.05, nullptr,
+                                         &error))
+        << error;
+    std::string json;
+    EXPECT_FALSE(client.results(submitted.jobId, &json, nullptr, &error));
+    EXPECT_NE(error.find("'table' reply of "), std::string::npos)
+        << error;
+    EXPECT_NE(error.find("exceeds the frame cap of 8388608"),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find("flywheel_bench --spec FILE --cache " +
+                         td / "store" + "/results"),
+              std::string::npos)
+        << error;
+
+    Json doc;
+    EXPECT_TRUE(client.stats(&doc, &error)) << error;
+    EXPECT_TRUE(client.shutdown(&error)) << error;
+    daemon.stop();
+    worker.join();
+    EXPECT_EQ(rc, 0);
 }
 
 TEST(ServePush, VersionOnePeersAreRejected)
 {
-    // v2 peers too: v3 made `work.spec` mandatory, and a v2 daemon
-    // sends it only once per job and connection.
+    // v2 and v3 peers too: v3 made `work.spec` mandatory (a v2 daemon
+    // sends it only once per job and connection), and a v3 worker's
+    // done carries a result and expects no check of the store.
     TempDir td;
     LiveDaemon daemon(td.dir.string());
     std::string error;
-    for (const char *version : {"flywheel.serve.v1", "flywheel.serve.v2"}) {
+    for (const char *version :
+         {"flywheel.serve.v1", "flywheel.serve.v2", "flywheel.serve.v3"}) {
         for (const char *type : {"hello", "submit"}) {
             FrameSocket peer;
             ASSERT_TRUE(peer.connectTo(daemon.address(), &error))
@@ -1042,7 +1261,7 @@ TEST(ServePush, VersionOnePeersAreRejected)
             EXPECT_EQ(reply["type"].asString(), "error")
                 << version << " " << type;
             EXPECT_NE(
-                reply["error"].asString().find("flywheel.serve.v3"),
+                reply["error"].asString().find("flywheel.serve.v4"),
                 std::string::npos);
         }
     }
@@ -1297,6 +1516,118 @@ TEST(ServeEndToEnd, RestartedServerResumesFromTheJournal)
         << error;
     EXPECT_TRUE(state.complete);
     EXPECT_EQ(state.uniqueCompleted(), 4u);
+}
+
+/** Open descriptors of this process. */
+std::size_t
+openDescriptors()
+{
+    std::size_t n = 0;
+    for (auto it = fs::directory_iterator("/proc/self/fd");
+         it != fs::directory_iterator(); ++it)
+        ++n;
+    return n;
+}
+
+TEST(ServeEndToEnd, FinishedJobsHoldNoDescriptors)
+{
+    TempDir td;
+    LiveDaemon daemon(td.dir.string());
+    serve::WorkerOptions wo;
+    wo.connect = daemon.address();
+    wo.name = "wFd";
+    int rc = -1;
+    std::thread worker([&] { rc = serve::runWorker(wo); });
+
+    // 200 distinct one-cell jobs in sequence.  They differ only in
+    // name, so one simulates and the rest are store hits.  No ASSERT
+    // until the worker thread is joined.
+    ServeClient client;
+    std::string error;
+    EXPECT_TRUE(client.connect(daemon.address(), &error)) << error;
+    std::string firstId, firstJson, firstCsv;
+    std::size_t afterTen = 0;
+    for (int job = 1; job <= 200; ++job) {
+        ServeClient::Submitted submitted;
+        std::string json, csv;
+        const bool ran =
+            client.submit(oneCellSpec("fd_" + std::to_string(job)),
+                          &submitted, &error) &&
+            client.waitForCompletion(submitted.jobId, 0.05, nullptr,
+                                     &error) &&
+            client.results(submitted.jobId, &json, &csv, &error);
+        EXPECT_TRUE(ran) << "job " << job << ": " << error;
+        if (!ran)
+            break;
+        if (job == 1) {
+            firstId = submitted.jobId;
+            firstJson = json;
+            firstCsv = csv;
+        }
+        if (job == 10)
+            afterTen = openDescriptors();
+    }
+    EXPECT_EQ(openDescriptors(), afterTen);
+
+    // The first job still answers, with its first table.
+    std::string json, csv;
+    EXPECT_TRUE(client.results(firstId, &json, &csv, &error)) << error;
+    EXPECT_EQ(json, firstJson);
+    EXPECT_EQ(csv, firstCsv);
+
+    EXPECT_TRUE(client.shutdown(&error)) << error;
+    daemon.stop();
+    worker.join();
+    EXPECT_EQ(rc, 0);
+}
+
+TEST(ServeEndToEnd, RestartedDaemonAnswersForAJobItDidNotRun)
+{
+    TempDir td;
+    const ExperimentSpec spec = oneCellSpec();
+    std::string error;
+    std::string jobId, servedJson, servedCsv;
+    {
+        FrameSocket w1;
+        LiveDaemon daemon(td.dir.string());
+        attachWorker(w1, daemon.address(), "w1");
+        ServeClient client;
+        ASSERT_TRUE(client.connect(daemon.address(), &error)) << error;
+        jobId = submitAndLease(client, w1, "w1", spec);
+        ASSERT_EQ(exchange(w1, doneFrame(td.dir.string(), "w1", jobId,
+                                         spec, 0))["type"]
+                      .asString(),
+                  "ack");
+        ASSERT_TRUE(client.results(jobId, &servedJson, &servedCsv,
+                                   &error))
+            << error;
+    }
+
+    // A fresh daemon on the same store, and no resubmission.
+    LiveDaemon daemon(td.dir.string());
+    ServeClient client;
+    ASSERT_TRUE(client.connect(daemon.address(), &error)) << error;
+    Json status;
+    ASSERT_TRUE(client.status(jobId, &status, &error)) << error;
+    EXPECT_EQ(status["state"].asString(), "complete");
+    EXPECT_EQ(status["cells"].asU64(), 1u);
+    EXPECT_EQ(status["done"].asU64(), 1u);
+    std::string json, csv;
+    ASSERT_TRUE(client.results(jobId, &json, &csv, &error)) << error;
+    EXPECT_EQ(json, servedJson);
+    EXPECT_EQ(csv, servedCsv);
+
+    // Only a job id's spelling names a file: a path that reaches a
+    // planted copy of a finished journal is an unknown job.
+    fs::create_directories(td.dir / "store" / "job-");
+    fs::copy_file(serve::journalPath(td / "store", jobId),
+                  td / "store/decoy.json");
+    for (const std::string id : {"../x", "/../decoy"}) {
+        EXPECT_FALSE(client.status(id, &status, &error)) << id;
+        EXPECT_NE(error.find("unknown job"), std::string::npos) << error;
+        EXPECT_FALSE(client.results(id, &json, nullptr, &error)) << id;
+        EXPECT_NE(error.find("unknown job"), std::string::npos) << error;
+    }
 }
 
 } // namespace

@@ -676,6 +676,22 @@ TEST(ResultStore, SaveThenLookupRoundTripsThroughFiles)
     EXPECT_FALSE(fresh.lookup("key-b", &out));  // distinct digest
 }
 
+TEST(ResultStore, DiskBackedStoreMissesOnceItsFileIsDeleted)
+{
+    // A store with a directory keeps nothing it saved or read in
+    // memory: the file is the one copy.
+    const ScratchPath dir("fw_result_store_no_front");
+    ResultStore store(dir.path);
+    ASSERT_TRUE(store.save("key-a", resultWithInstructions(7)));
+    RunResult out;
+    ASSERT_TRUE(store.lookup("key-a", &out));
+    EXPECT_EQ(out.instructions, 7u);
+    ASSERT_TRUE(std::filesystem::remove(store.pathFor("key-a")));
+    EXPECT_FALSE(store.lookup("key-a", &out));
+    EXPECT_EQ(store.hits(), 1u);
+    EXPECT_EQ(store.misses(), 1u);
+}
+
 TEST(ResultStore, KeyMismatchAndGarbageReadAsMisses)
 {
     const ScratchPath dir("fw_result_store_garbage");

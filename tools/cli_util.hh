@@ -191,7 +191,7 @@ parseJobs(const std::string &s, const char *flag)
 
 /**
  * Parse a positive, finite seconds value (decimal, fractions allowed)
- * for timing flags like --lease-timeout / --heartbeat; fatal on
+ * for timing flags like --lease-timeout / --poll; fatal on
  * garbage.  strtod accepts "inf" and overflows "1e400" to infinity,
  * and an infinite interval means no wait at all to a sleep or to the
  * JSON encoder (null), so both are rejected.

@@ -5,7 +5,7 @@
  *
  * server (default):
  *   flywheel_serve --store DIR [--listen ADDR] [--workers N]
- *                  [--lease-timeout SEC] [--heartbeat SEC]
+ *                  [--lease-timeout SEC]
  *   Runs the daemon until a client sends --shutdown (or SIGINT/
  *   SIGTERM).  --workers N forks N local worker processes of this
  *   same binary; remote machines join with the worker role.  ADDR is
@@ -66,7 +66,6 @@ usage(const char *argv0)
         "  --workers N          fork N local worker processes\n"
         "  --lease-timeout SEC  re-pend a silent worker's cells "
         "(default 60)\n"
-        "  --heartbeat SEC      worker ping interval (default 5)\n"
         "\n"
         "worker role:\n"
         "  --worker             run the pull loop instead of a server\n"
@@ -137,7 +136,7 @@ writeTable(const std::string &json_path, const std::string &csv_path,
 int
 runServer(const char *argv0, const std::string &store,
           const std::string &listen, unsigned workers,
-          double lease_timeout, double heartbeat)
+          double lease_timeout)
 {
     if (store.empty()) {
         std::fprintf(stderr, "server role requires --store DIR\n");
@@ -149,7 +148,6 @@ runServer(const char *argv0, const std::string &store,
         listen.empty() ? store + "/serve.sock" : listen, "--listen");
     opts.localWorkers = workers;
     opts.leaseTimeout = lease_timeout;
-    opts.heartbeatSeconds = heartbeat;
     // Local workers learn the store path from `welcome`.
     if (workers > 0)
         opts.workerArgv = {selfExe(argv0), "--worker", "--connect",
@@ -188,7 +186,6 @@ main(int argc, char **argv)
     std::string csv_path;
     unsigned workers = 0;
     double lease_timeout = 60.0;
-    double heartbeat = 5.0;
     double poll_seconds = 0.5;
     bool wait = false;
     bool want_stats = false;
@@ -214,8 +211,6 @@ main(int argc, char **argv)
         } else if (flag == "--lease-timeout") {
             lease_timeout =
                 cli::parseSeconds(value(), "--lease-timeout");
-        } else if (flag == "--heartbeat") {
-            heartbeat = cli::parseSeconds(value(), "--heartbeat");
         } else if (flag == "--submit") {
             submit_path = value();
         } else if (flag == "--submit-figure") {
@@ -391,6 +386,5 @@ main(int argc, char **argv)
     }
 
     // ---- server role (default) ------------------------------------
-    return runServer(argv[0], store, listen, workers, lease_timeout,
-                     heartbeat);
+    return runServer(argv[0], store, listen, workers, lease_timeout);
 }
