@@ -76,34 +76,44 @@ Btb::registerStats(obs::StatsGroup &group) const
 void
 Btb::save(BinWriter &w) const
 {
-    // Field-by-field: Entry has padding bytes.
-    w.u64(entries_.size());
-    for (const Entry &e : entries_) {
-        w.u64(e.pc);
-        w.u64(e.target);
-        w.b(e.valid);
-        w.u64(e.lastUse);
+    // Per set: its recency order, then each valid way's PC and its
+    // target as an offset from it, both in instructions.
+    w.uvar(numSets_);
+    for (std::size_t set = 0; set < numSets_; ++set) {
+        const Entry *base = &entries_[set * params_.assoc];
+        recencyToBin(w, base, params_.assoc);
+        for (unsigned i = 0; i < params_.assoc; ++i) {
+            const Entry &e = base[i];
+            if (!e.valid)
+                continue;
+            w.uvar(e.pc / kInstBytes);
+            w.svar(instDelta(e.target, e.pc));
+        }
     }
-    w.u64(useClock_);
-    w.u64(lookups_.value());
-    w.u64(hits_.value());
+    w.uvar(lookups_.value());
+    w.uvar(hits_.value());
 }
 
 void
 Btb::restore(BinReader &r)
 {
-    const std::uint64_t count = r.u64();
-    FW_ASSERT(count == entries_.size(),
-              "BTB snapshot geometry mismatch");
-    for (Entry &e : entries_) {
-        e.pc = r.u64();
-        e.target = r.u64();
-        e.valid = r.b();
-        e.lastUse = r.u64();
+    const std::uint64_t sets = r.uvar();
+    FW_ASSERT(sets == numSets_, "BTB snapshot geometry mismatch");
+    for (std::size_t set = 0; set < numSets_; ++set) {
+        Entry *base = &entries_[set * params_.assoc];
+        recencyFromBin(r, base, params_.assoc);
+        for (unsigned i = 0; i < params_.assoc; ++i) {
+            Entry &e = base[i];
+            e.pc = e.target = 0;
+            if (!e.valid)
+                continue;
+            e.pc = r.uvar() * kInstBytes;
+            e.target = plusInsts(e.pc, r.svar());
+        }
     }
-    useClock_ = r.u64();
-    lookups_.set(r.u64());
-    hits_.set(r.u64());
+    useClock_ = params_.assoc;
+    lookups_.set(r.uvar());
+    hits_.set(r.uvar());
 }
 
 } // namespace flywheel

@@ -43,7 +43,7 @@ class Btb
     /** Register lookup/hit counters with the obs registry. */
     void registerStats(obs::StatsGroup &group) const;
 
-    /** Serialize entries, LRU clock and counters. */
+    /** Serialize each set's recency order and entries, and counters. */
     void save(BinWriter &w) const;
     /** Restore state saved by save() (geometry must match). */
     void restore(BinReader &r);
@@ -60,7 +60,7 @@ class Btb
     BtbParams params_;    // lint: nosnapshot(construction-time config)
     unsigned numSets_;    // lint: nosnapshot(derived from params)
     mutable ArenaVector<Entry> entries_;  ///< lookup refreshes LRU
-    mutable std::uint64_t useClock_ = 0;
+    mutable std::uint64_t useClock_ = 0;  // lint: nosnapshot(restore sets it above the saved recency ranks)
 
     mutable Counter lookups_;
     mutable Counter hits_;

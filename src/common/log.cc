@@ -25,17 +25,14 @@ setLogLevel(LogLevel level)
     g_level.store(level, std::memory_order_relaxed);
 }
 
-namespace detail {
+namespace {
 
 std::string
-formatMsg(const char *fmt, ...)
+vformatMsg(const char *fmt, va_list ap)
 {
-    va_list ap;
-    va_start(ap, fmt);
     va_list ap2;
     va_copy(ap2, ap);
     int needed = std::vsnprintf(nullptr, 0, fmt, ap);
-    va_end(ap);
     if (needed < 0) {
         va_end(ap2);
         return std::string(fmt);
@@ -44,6 +41,32 @@ formatMsg(const char *fmt, ...)
     std::vsnprintf(buf.data(), buf.size(), fmt, ap2);
     va_end(ap2);
     return std::string(buf.data(), static_cast<size_t>(needed));
+}
+
+} // namespace
+
+namespace detail {
+
+std::string
+formatMsg(const char *fmt, ...)
+{
+    va_list ap;
+    va_start(ap, fmt);
+    std::string msg = vformatMsg(fmt, ap);
+    va_end(ap);
+    return msg;
+}
+
+void
+assertFail(const char *file, int line, const char *cond, const char *fmt,
+           ...)
+{
+    va_list ap;
+    va_start(ap, fmt);
+    const std::string msg = vformatMsg(fmt, ap);
+    va_end(ap);
+    panicImpl(file, line,
+              std::string("assertion failed: ") + cond + " — " + msg);
 }
 
 void

@@ -27,6 +27,10 @@ namespace detail {
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 std::string formatMsg(const char *fmt, ...);
+/** FW_ASSERT's failure path: one out-of-line call, no temporaries. */
+[[noreturn, gnu::cold]] void assertFail(const char *file, int line,
+                                        const char *cond,
+                                        const char *fmt, ...);
 } // namespace detail
 
 /**
@@ -52,11 +56,16 @@ std::string formatMsg(const char *fmt, ...);
 #define FW_INFORM(...) \
     ::flywheel::detail::informImpl(::flywheel::detail::formatMsg(__VA_ARGS__))
 
-/** Assert a simulator invariant; on failure behaves like FW_PANIC. */
+/**
+ * Assert a simulator invariant; on failure behaves like FW_PANIC.  The
+ * condition text travels apart from the message's format string, so
+ * it never lands on one of the message's own conversions.
+ */
 #define FW_ASSERT(cond, ...) \
     do { \
         if (!(cond)) { \
-            FW_PANIC("assertion failed: %s — " __VA_ARGS__, #cond); \
+            ::flywheel::detail::assertFail(__FILE__, __LINE__, #cond, \
+                                           __VA_ARGS__); \
         } \
     } while (0)
 

@@ -49,8 +49,7 @@ void
 RenameMap::restore(BinReader &r)
 {
     r.podArray(map_.data(), map_.size());
-    freeList_.resize(static_cast<std::size_t>(r.peekCount()));
-    r.podArray(freeList_.data(), freeList_.size());
+    r.podVec(freeList_);
 }
 
 } // namespace flywheel

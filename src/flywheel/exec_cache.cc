@@ -138,94 +138,163 @@ ExecCache::tracePcs() const
     return pcs;
 }
 
+namespace {
+
+/** Fewest bytes a slot takes: PC delta, op, three registers, rank. */
+constexpr std::size_t kMinSlotBytes = 6;
+/** Fewest bytes a trace takes: start delta, slot and unit counts, rank. */
+constexpr std::size_t kMinTraceBytes = 4;
+
+constexpr std::uint8_t kNoRegByte = 255;
+static_assert(kNumArchRegs < kNoRegByte,
+              "an architected register must fit a slot's register byte");
+static_assert(static_cast<unsigned>(OpClass::Nop) < 16,
+              "an op class must fit a slot's low four op bits");
+
 void
-traceSlotsToBin(BinWriter &w, const std::vector<TraceSlot> &slots)
+regToBin(BinWriter &w, ArchReg reg)
 {
-    // Field-by-field: TraceSlot has padding after isCondBranch.
-    w.u64(slots.size());
-    for (const TraceSlot &s : slots) {
-        w.u64(s.pc);
-        w.u8(static_cast<std::uint8_t>(s.op));
-        w.u16(s.dest);
-        w.u16(s.src1);
-        w.u16(s.src2);
-        w.u64(s.recordedEffAddr);
-        w.b(s.isCondBranch);
-        w.u32(s.rank);
+    FW_ASSERT(reg == kNoArchReg || reg < kNumArchRegs,
+              "trace slot register %u out of range", unsigned(reg));
+    w.u8(reg == kNoArchReg ? kNoRegByte : static_cast<std::uint8_t>(reg));
+}
+
+ArchReg
+regFromBin(BinReader &r)
+{
+    const std::uint8_t b = r.u8();
+    if (b == kNoRegByte)
+        return kNoArchReg;
+    FW_ASSERT(b < kNumArchRegs, "trace snapshot register %u out of range",
+              unsigned(b));
+    return b;
+}
+
+} // namespace
+
+void
+Trace::indexRanks()
+{
+    rankToSlot.assign(slots.size(), 0);
+    for (std::uint32_t i = 0; i < slots.size(); ++i) {
+        FW_ASSERT(slots[i].rank < rankToSlot.size(),
+                  "trace rank out of range");
+        rankToSlot[slots[i].rank] = i;
     }
 }
 
 void
-traceSlotsFromBin(BinReader &r, std::vector<TraceSlot> *out)
+traceBodyToBin(BinWriter &w, Addr start_pc,
+               const std::vector<TraceSlot> &slots,
+               const std::vector<IssueUnit> &units)
 {
-    const std::uint64_t count = r.u64();
-    out->clear();
-    out->reserve(static_cast<std::size_t>(count));
+    // Neighbouring slots sit a few instructions apart, their ranks
+    // near their issue positions and their addresses near the last
+    // memory slot's, so each is a small delta.
+    w.uvar(slots.size());
+    Addr pc = start_pc;
+    Addr eff_addr = 0;
+    for (std::uint32_t i = 0; i < slots.size(); ++i) {
+        const TraceSlot &s = slots[i];
+        w.svar(instDelta(s.pc, pc));
+        pc = s.pc;
+        w.u8(static_cast<std::uint8_t>(static_cast<unsigned>(s.op) |
+                                       (s.isCondBranch ? 0x10u : 0u)));
+        regToBin(w, s.dest);
+        regToBin(w, s.src1);
+        regToBin(w, s.src2);
+        w.svar(std::int64_t(s.rank) - std::int64_t(i));
+        if (isMemOp(s.op)) {
+            w.svar(static_cast<std::int64_t>(s.recordedEffAddr - eff_addr));
+            eff_addr = s.recordedEffAddr;
+        } else {
+            FW_ASSERT(s.recordedEffAddr == 0,
+                      "non-memory trace slot carries an address");
+        }
+    }
+    // Units are contiguous runs of slots (a builder starts each at
+    // its slot count), so their counts say everything.
+    w.uvar(units.size());
+    std::uint32_t next = 0;
+    for (const IssueUnit &u : units) {
+        FW_ASSERT(u.firstSlot == next, "issue units are not contiguous");
+        w.uvar(u.count);
+        next += u.count;
+    }
+    FW_ASSERT(next == slots.size(), "issue units do not cover the slots");
+}
+
+void
+traceBodyFromBin(BinReader &r, Addr start_pc,
+                 std::vector<TraceSlot> *slots,
+                 std::vector<IssueUnit> *units)
+{
+    const std::uint64_t count = r.uvarCount(kMinSlotBytes);
+    slots->clear();
+    slots->reserve(static_cast<std::size_t>(count));
+    Addr pc = start_pc;
+    Addr eff_addr = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
         TraceSlot s;
-        s.pc = r.u64();
-        s.op = static_cast<OpClass>(r.u8());
-        s.dest = static_cast<ArchReg>(r.u16());
-        s.src1 = static_cast<ArchReg>(r.u16());
-        s.src2 = static_cast<ArchReg>(r.u16());
-        s.recordedEffAddr = r.u64();
-        s.isCondBranch = r.b();
-        s.rank = r.u32();
-        out->push_back(s);
+        s.pc = pc = plusInsts(pc, r.svar());
+        const std::uint8_t op = r.u8();
+        FW_ASSERT((op & 0x0F) <= static_cast<unsigned>(OpClass::Nop) &&
+                      op < 0x20,
+                  "trace snapshot op byte 0x%x out of range", unsigned(op));
+        s.op = static_cast<OpClass>(op & 0x0F);
+        s.isCondBranch = op & 0x10;
+        s.dest = regFromBin(r);
+        s.src1 = regFromBin(r);
+        s.src2 = regFromBin(r);
+        s.rank = static_cast<std::uint32_t>(
+            i + static_cast<std::uint64_t>(r.svar()));
+        if (isMemOp(s.op))
+            s.recordedEffAddr = eff_addr += static_cast<Addr>(r.svar());
+        slots->push_back(s);
     }
-}
-
-void
-issueUnitsToBin(BinWriter &w, const std::vector<IssueUnit> &units)
-{
-    // IssueUnit is two packed u32s: memcpy-able.
-    w.podArray(units.data(), units.size());
-}
-
-void
-issueUnitsFromBin(BinReader &r, std::vector<IssueUnit> *out)
-{
-    r.podVec(*out);
-}
-
-void
-traceToBin(BinWriter &w, const Trace &t)
-{
-    w.u64(t.startPc);
-    traceSlotsToBin(w, t.slots);
-    issueUnitsToBin(w, t.units);
-}
-
-std::unique_ptr<Trace>
-traceFromBin(BinReader &r)
-{
-    auto t = std::make_unique<Trace>();
-    t->startPc = r.u64();
-    traceSlotsFromBin(r, &t->slots);
-    issueUnitsFromBin(r, &t->units);
-    t->rankToSlot.assign(t->slots.size(), 0);
-    for (std::uint32_t i = 0; i < t->slots.size(); ++i) {
-        FW_ASSERT(t->slots[i].rank < t->rankToSlot.size(),
-                  "trace snapshot rank out of range");
-        t->rankToSlot[t->slots[i].rank] = i;
+    const std::uint64_t unit_count = r.uvarCount(1);
+    units->clear();
+    units->reserve(static_cast<std::size_t>(unit_count));
+    std::uint64_t next = 0;
+    for (std::uint64_t i = 0; i < unit_count; ++i) {
+        const std::uint64_t n = r.uvar();
+        FW_ASSERT(n <= count - next,
+                  "trace snapshot issue units overrun the slots");
+        units->push_back(IssueUnit{static_cast<std::uint32_t>(next),
+                                   static_cast<std::uint32_t>(n)});
+        next += n;
     }
-    return t;
+    FW_ASSERT(next == count,
+              "trace snapshot issue units cover %llu of %llu slots",
+              (unsigned long long)next, (unsigned long long)count);
 }
 
 void
 ExecCache::save(BinWriter &w) const
 {
-    // Traces in ascending start-PC order so serialization is
-    // deterministic regardless of hash-map iteration order.
-    w.u64(traces_.size());
+    // Traces in ascending start-PC order (deterministic regardless of
+    // hash-map iteration order), each start a delta from the last.
+    // Eviction compares lastUse stamps only with each other, so each
+    // trace carries its recency rank over all traces (1 = LRU).
+    std::vector<std::uint64_t> stamps;
+    stamps.reserve(traces_.size());
+    for (const auto &e : traces_)  // lint: detorder(sorted below)
+        stamps.push_back(e.second.lastUse);
+    std::sort(stamps.begin(), stamps.end());
+
+    w.uvar(traces_.size());
+    Addr prev = 0;
     for (Addr pc : tracePcs()) {
         const Entry &e = traces_.at(pc);
-        traceToBin(w, *e.trace);
-        w.u64(e.lastUse);
+        w.svar(instDelta(pc, prev));
+        prev = pc;
+        traceBodyToBin(w, pc, e.trace->slots, e.trace->units);
+        w.uvar(1 + (std::lower_bound(stamps.begin(), stamps.end(),
+                                     e.lastUse) -
+                    stamps.begin()));
     }
     w.podArray(pinned_.data(), pinned_.size());
     w.u32(usedBlocks_);
-    w.u64(useClock_);
     w.u64(evictions_.value());
 }
 
@@ -234,23 +303,33 @@ ExecCache::restore(BinReader &r)
 {
     traces_.clear();
     usedBlocks_ = 0;
-    const std::uint64_t count = r.u64();
+    const std::uint64_t count = r.uvarCount(kMinTraceBytes);
+    std::vector<bool> ranked(count + 1, false);
+    Addr pc = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
-        std::unique_ptr<Trace> t = traceFromBin(r);
-        const std::uint64_t last_use = r.u64();
+        pc = plusInsts(pc, r.svar());
+        auto t = std::make_unique<Trace>();
+        t->startPc = pc;
+        traceBodyFromBin(r, pc, &t->slots, &t->units);
+        t->indexRanks();
+        const std::uint64_t rank = r.uvar();
+        FW_ASSERT(rank >= 1 && rank <= count && !ranked[rank],
+                  "Execution Cache snapshot ranks are not a recency "
+                  "order");
+        ranked[rank] = true;
         usedBlocks_ += t->numBlocks(blockSlots_);
-        const Addr pc = t->startPc;
         FW_ASSERT(traces_.count(pc) == 0,
                   "duplicate trace in Execution Cache snapshot");
-        traces_[pc] = Entry{std::move(t), last_use};
+        traces_[pc] = Entry{std::move(t), rank};
     }
+    // Every later use stamps above every restored rank.
+    useClock_ = count;
     r.podVec(pinned_);
     const std::uint32_t stored_used = r.u32();
     FW_ASSERT(usedBlocks_ == stored_used &&
                   usedBlocks_ <= totalBlocks_ &&
                   traces_.size() <= taEntries_,
               "Execution Cache snapshot exceeds configured capacity");
-    useClock_ = r.u64();
     evictions_.set(r.u64());
 }
 

@@ -80,22 +80,27 @@ struct Trace
     {
         return static_cast<std::uint32_t>(slots.size());
     }
+
+    /** Rebuild rankToSlot from the slots' ranks. */
+    void indexRanks();
 };
 
 /**
- * Snapshot serialization of a trace: slots field-by-field (TraceSlot
- * has padding bytes), units as packed [firstSlot, count] pairs;
- * rankToSlot is rebuilt on read.  Shared by the Execution Cache and
- * the Flywheel trace builders.
+ * Snapshot codec of a trace body, starting at @p start_pc: per slot,
+ * its PC as an instruction delta from the previous slot's, one byte of
+ * op and conditional flag, one byte per register (255 = none), its
+ * rank as a delta from its slot index, and for loads and stores its
+ * address as a delta from the previous memory slot's; then the issue
+ * units' slot counts.  Shared by the Execution Cache and the Flywheel
+ * trace builders.  The reader bounds each count by the bytes left
+ * before it reserves.
  */
-void traceToBin(BinWriter &w, const Trace &t);
-std::unique_ptr<Trace> traceFromBin(BinReader &r);
-
-/** Slot/unit array codecs (also used for in-progress trace builders). */
-void traceSlotsToBin(BinWriter &w, const std::vector<TraceSlot> &slots);
-void traceSlotsFromBin(BinReader &r, std::vector<TraceSlot> *out);
-void issueUnitsToBin(BinWriter &w, const std::vector<IssueUnit> &units);
-void issueUnitsFromBin(BinReader &r, std::vector<IssueUnit> *out);
+void traceBodyToBin(BinWriter &w, Addr start_pc,
+                    const std::vector<TraceSlot> &slots,
+                    const std::vector<IssueUnit> &units);
+void traceBodyFromBin(BinReader &r, Addr start_pc,
+                      std::vector<TraceSlot> *slots,
+                      std::vector<IssueUnit> *units);
 
 /**
  * Trace store with a block budget (DA capacity) and an entry budget
@@ -163,7 +168,10 @@ class ExecCache
     /** Register occupancy gauges and eviction counter. */
     void registerStats(obs::StatsGroup &group) const;
 
-    /** Serialize every resident trace plus LRU/pin/budget state. */
+    /**
+     * Serialize every resident trace with its recency rank, plus the
+     * pin and budget state.
+     */
     void save(BinWriter &w) const;
     /** Restore state saved by save() (geometry must match). */
     void restore(BinReader &r);
@@ -186,7 +194,7 @@ class ExecCache
     unsigned blockSlots_;   // lint: nosnapshot(construction-time config)
     unsigned taEntries_;    // lint: nosnapshot(construction-time config)
     unsigned usedBlocks_ = 0;
-    std::uint64_t useClock_ = 0;
+    std::uint64_t useClock_ = 0;  // lint: nosnapshot(restore sets it above the saved recency ranks)
     std::unordered_map<Addr, Entry> traces_;
     std::vector<Addr> pinned_;
     Counter evictions_;

@@ -82,8 +82,7 @@ builderToBin(BinWriter &w, const FlywheelCore::Builder &b)
     w.u64(b.startSeq);
     w.u64(b.endSeq);
     w.u64(b.appended);
-    traceSlotsToBin(w, b.slots);
-    issueUnitsToBin(w, b.units);
+    traceBodyToBin(w, b.startPc, b.slots, b.units);
 }
 
 void
@@ -96,8 +95,7 @@ builderFromBin(BinReader &r, FlywheelCore::Builder *out)
     out->startSeq = r.u64();
     out->endSeq = r.u64();
     out->appended = r.u64();
-    traceSlotsFromBin(r, &out->slots);
-    issueUnitsFromBin(r, &out->units);
+    traceBodyFromBin(r, out->startPc, &out->slots, &out->units);
 }
 
 } // namespace
@@ -391,12 +389,7 @@ FlywheelCore::finalizeBuilder(Builder &b, Tick)
     trace->startPc = b.startPc;
     trace->slots = std::move(b.slots);
     trace->units = std::move(b.units);
-    trace->rankToSlot.assign(trace->slots.size(), 0);
-    for (std::uint32_t i = 0; i < trace->slots.size(); ++i) {
-        FW_ASSERT(trace->slots[i].rank < trace->rankToSlot.size(),
-                  "trace rank out of range");
-        trace->rankToSlot[trace->slots[i].rank] = i;
-    }
+    trace->indexRanks();
 
     events_.ecDaWrites += trace->numBlocks(ec_.blockSlots());
     if (ec_.insert(std::move(trace)))

@@ -101,38 +101,40 @@ Cache::registerStats(obs::StatsGroup &group) const
 void
 Cache::save(BinWriter &w) const
 {
-    // Field-by-field per line (Line has padding bytes; the payload
-    // must be a pure function of state, never of padding garbage).
-    w.u64(lines_.size());
-    for (const Line &l : lines_) {
-        w.u64(l.tag);
-        w.b(l.valid);
-        w.u64(l.lastUse);
+    // Per set: its recency order, then the valid ways' tags in way
+    // order.  An invalid way's tag is never read, so it is not
+    // written.
+    w.uvar(numSets_);
+    for (std::size_t set = 0; set < numSets_; ++set) {
+        const Line *base = &lines_[set * params_.assoc];
+        recencyToBin(w, base, params_.assoc);
+        for (std::uint32_t i = 0; i < params_.assoc; ++i)
+            if (base[i].valid)
+                w.uvar(base[i].tag);
     }
-    w.u64(useClock_);
-    w.u64(accesses_.value());
-    w.u64(misses_.value());
-    w.u64(writes_.value());
+    w.uvar(accesses_.value());
+    w.uvar(misses_.value());
+    w.uvar(writes_.value());
 }
 
 void
 Cache::restore(BinReader &r)
 {
-    const std::uint64_t count = r.u64();
-    FW_ASSERT(count == lines_.size(),
-              "cache snapshot geometry mismatch (%s: %llu vs %zu "
-              "lines)",
-              params_.name.c_str(), (unsigned long long)count,
-              lines_.size());
-    for (Line &l : lines_) {
-        l.tag = r.u64();
-        l.valid = r.b();
-        l.lastUse = r.u64();
+    const std::uint64_t sets = r.uvar();
+    FW_ASSERT(sets == numSets_,
+              "cache snapshot geometry mismatch (%s: %llu vs %u sets)",
+              params_.name.c_str(), (unsigned long long)sets,
+              numSets_);
+    for (std::size_t set = 0; set < numSets_; ++set) {
+        Line *base = &lines_[set * params_.assoc];
+        recencyFromBin(r, base, params_.assoc);
+        for (std::uint32_t i = 0; i < params_.assoc; ++i)
+            base[i].tag = base[i].valid ? r.uvar() : 0;
     }
-    useClock_ = r.u64();
-    accesses_.set(r.u64());
-    misses_.set(r.u64());
-    writes_.set(r.u64());
+    useClock_ = params_.assoc;
+    accesses_.set(r.uvar());
+    misses_.set(r.uvar());
+    writes_.set(r.uvar());
 }
 
 } // namespace flywheel

@@ -67,7 +67,10 @@ class Cache
     /** Register live counters and miss rate with the obs registry. */
     void registerStats(obs::StatsGroup &group) const;
 
-    /** Serialize the complete array state (tags, LRU, counters). */
+    /**
+     * Serialize the array state: per set the ways' recency order and
+     * the valid ways' tags, then the counters.
+     */
     void save(BinWriter &w) const;
     /** Restore state saved by save() (geometry must match). */
     void restore(BinReader &r);
@@ -97,7 +100,7 @@ class Cache
     unsigned tagShift_ = 0;      // lint: nosnapshot(derived from params)
     std::uint32_t setMask_ = 0;  // lint: nosnapshot(derived from params)
     ArenaVector<Line> lines_;  ///< numSets_ x assoc, row-major
-    std::uint64_t useClock_ = 0;
+    std::uint64_t useClock_ = 0;  // lint: nosnapshot(restore sets it above the saved recency ranks)
 
     Counter accesses_;
     Counter misses_;

@@ -73,6 +73,7 @@ JobScheduler::lease(const std::string &worker, double now, WorkUnit *out)
 bool
 JobScheduler::completed(const std::string &jobId, std::size_t cell)
 {
+    const bool news = isNews(jobId, cell);
     auto it = jobs_.find(jobId);
     if (it == jobs_.end() || cell >= it->second.cellRun.size())
         return false;
@@ -80,7 +81,7 @@ JobScheduler::completed(const std::string &jobId, std::size_t cell)
     job.pending.erase(cell);
     if (auto lease = job.leased.find(cell); lease != job.leased.end())
         dropLease(job, lease);
-    const bool news = job.done.insert(cell).second && !job.cancelled;
+    job.done.insert(cell);
     // Every cell done leaves nothing pending or leased: the job goes,
     // so what lease, heartbeat and expiry walk is work in flight.
     if (!job.cancelled && job.done.size() == job.cellRun.size()) {
@@ -88,6 +89,14 @@ JobScheduler::completed(const std::string &jobId, std::size_t cell)
         order_.erase(std::find(order_.begin(), order_.end(), jobId));
     }
     return news;
+}
+
+bool
+JobScheduler::isNews(const std::string &jobId, std::size_t cell) const
+{
+    auto it = jobs_.find(jobId);
+    return it != jobs_.end() && cell < it->second.cellRun.size() &&
+           !it->second.cancelled && !it->second.done.count(cell);
 }
 
 void

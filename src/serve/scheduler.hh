@@ -102,6 +102,9 @@ class JobScheduler
      */
     bool completed(const std::string &jobId, std::size_t cell);
 
+    /** What completed() would return, without recording anything. */
+    bool isNews(const std::string &jobId, std::size_t cell) const;
+
     /** Refresh every lease held by @p worker. */
     void heartbeat(const std::string &worker, double now);
 

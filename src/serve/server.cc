@@ -615,17 +615,21 @@ ServeDaemon::handleSubmit(Connection &conn, const Json &frame)
             sendError(conn, "journal: " + error);
             return;
         }
+        // Every cell replayed: the job is finished before it runs,
+        // once its journal says so.
+        const bool finished = completed.size() == cells;
+        if (finished && !replay.complete && !job.journal.markComplete()) {
+            sendError(conn, "journal: cannot write " + path);
+            return;
+        }
         ++jobsSubmitted_;
         if (resumed)
             ++jobsResumed_;
-        if (completed.size() < cells) {
+        if (finished) {
+            ++jobsCompleted_;
+        } else {
             scheduler_.addJob(jobId, runs, completed);
             jobs_.emplace(jobId, std::move(job));
-        } else {
-            // Every cell replayed: the job is finished before it runs.
-            if (!replay.complete)
-                job.journal.markComplete();
-            ++jobsCompleted_;
         }
     }
 
@@ -918,12 +922,23 @@ ServeDaemon::handleDone(Connection &conn, const Json &frame)
         }
         // Journal *before* acknowledging: the ack is the worker's
         // licence to forget the cell, so the completion must be
-        // durable first.
-        if (scheduler_.completed(jobId, cell))
-            job.journal.append(cell, key, wall);
-        if (!scheduler_.hasJob(jobId)) {
-            // The last cell: from here on the job is its journal.
-            job.journal.markComplete();
+        // durable first.  A write that fails leaves the cell leased
+        // and the job running, so a resent report can still land.
+        const bool news = scheduler_.isNews(jobId, cell);
+        const JobProgress progress = scheduler_.progress(jobId);
+        const bool last = news && progress.done + 1 == progress.cells;
+        if (news && (!job.journal.append(cell, key, wall) ||
+                     (last && !job.journal.markComplete()))) {
+            ++framesRejected_;
+            sendError(conn, "done for job " + jobId + " cell " +
+                                std::to_string(cell) +
+                                ": cannot write journal " +
+                                job.journal.path());
+            return;
+        }
+        scheduler_.completed(jobId, cell);
+        if (last) {
+            // From here on the job is its journal.
             ++jobsCompleted_;
             FW_INFORM("job %s: complete (%zu cells)", jobId.c_str(),
                       job.keys.size());

@@ -1,22 +1,27 @@
 /**
  * @file
- * Fixed-width little-endian binary codec for snapshot sections, plus
- * the in-repo LZSS byte compressor the on-disk container uses.
+ * Little-endian binary codec for snapshot sections, plus the in-repo
+ * LZSS byte compressor the on-disk container uses.
  *
  * BinWriter/BinReader are the component-facing API: every stateful
- * layer's save() appends fixed-width fields and bulk arrays to a
- * BinWriter, restore() reads them back in the same order.  Bulk
+ * layer's save() appends fixed-width fields, varints and bulk arrays
+ * to a BinWriter, restore() reads them back in the same order.  Bulk
  * arrays of padding-free trivially-copyable element types go through
  * podArray() at memcpy speed; padded structs are encoded
  * field-by-field so indeterminate padding bytes never reach the
  * payload (the content hash must be a pure function of simulator
- * state).
+ * state).  Sparse state (tags, trace slots) is written as LEB128
+ * varints (uvar) and zigzag-signed deltas (svar), so a section holds
+ * what the continuation needs rather than a memory image.
  *
  * Error handling is asymmetric by design: the snapshot container
  * verifies magic/version/content-hash before any component restore
  * runs, so BinReader treats overruns and count mismatches as
  * simulator bugs (FW_PANIC via FW_ASSERT), while the container-level
  * parser (snapshot.cc) reports truncation/corruption gracefully.
+ * Either way a reader bounds every element count by the bytes left
+ * before it allocates (podVec(), uvarCount()), so a hostile count
+ * dies on the overrun check instead of throwing from the allocator.
  */
 
 #ifndef FLYWHEEL_SNAPSHOT_BINCODEC_HH
@@ -29,6 +34,7 @@
 #include <vector>
 
 #include "common/log.hh"
+#include "common/types.hh"
 
 namespace flywheel {
 
@@ -46,6 +52,25 @@ class BinWriter
     void u32(std::uint32_t v) { fixed(v); }
     void u64(std::uint64_t v) { fixed(v); }
     void b(bool v) { u8(v ? 1 : 0); }
+
+    /** Unsigned LEB128: seven bits per byte, low group first. */
+    void
+    uvar(std::uint64_t v)
+    {
+        while (v >= 0x80) {
+            buf_.push_back(static_cast<char>((v & 0x7F) | 0x80));
+            v >>= 7;
+        }
+        buf_.push_back(static_cast<char>(v));
+    }
+
+    /** Signed varint: zigzag (0, -1, 1, -2, ...) then uvar. */
+    void
+    svar(std::int64_t v)
+    {
+        uvar((static_cast<std::uint64_t>(v) << 1) ^
+             static_cast<std::uint64_t>(v >> 63));
+    }
 
     /** Length-prefixed byte string. */
     void
@@ -119,6 +144,46 @@ class BinReader
     std::uint64_t u64() { return fixed<std::uint64_t>(); }
     bool b() { return u8() != 0; }
 
+    /** Read a BinWriter::uvar; at most 10 bytes and 64 bits. */
+    std::uint64_t
+    uvar()
+    {
+        std::uint64_t v = 0;
+        for (unsigned shift = 0;; shift += 7) {
+            FW_ASSERT(shift < 64,
+                      "snapshot section overrun (varint longer than "
+                      "10 bytes) — component codec out of sync");
+            const std::uint8_t byte = u8();
+            const std::uint64_t bits = byte & 0x7F;
+            FW_ASSERT(shift < 63 || bits <= 1,
+                      "snapshot section overrun (varint overflows 64 "
+                      "bits) — component codec out of sync");
+            v |= bits << shift;
+            if (!(byte & 0x80))
+                return v;
+        }
+    }
+
+    /** Read a BinWriter::svar. */
+    std::int64_t
+    svar()
+    {
+        const std::uint64_t z = uvar();
+        return static_cast<std::int64_t>((z >> 1) ^ (~(z & 1) + 1));
+    }
+
+    /**
+     * Read a uvar element count and bound it by the bytes left: each
+     * element takes at least @p min_bytes, so a count the section
+     * cannot hold fails the overrun check before anyone allocates
+     * from it.
+     */
+    std::uint64_t
+    uvarCount(std::size_t min_bytes)
+    {
+        return bounded(uvar(), min_bytes);
+    }
+
     std::string
     str()
     {
@@ -145,25 +210,21 @@ class BinReader
         p_ += n * sizeof(T);
     }
 
-    /** Read a podArray() block of any count into @p out. */
-    template <typename T>
+    /**
+     * Read a podArray() block of any count into @p out (a std::vector
+     * or an ArenaVector), resized to the stored count.
+     */
+    template <typename Vec>
     void
-    podVec(std::vector<T> &out)
+    podVec(Vec &out)
     {
-        const std::uint64_t n = u64();
-        need(n * sizeof(T));
-        out.resize(static_cast<std::size_t>(n));
+        using T = std::remove_reference_t<decltype(*out.data())>;
+        const std::size_t n =
+            static_cast<std::size_t>(bounded(u64(), sizeof(T)));
+        out.resize(n);
         if (n)
             std::memcpy(out.data(), p_, n * sizeof(T));
         p_ += n * sizeof(T);
-    }
-
-    /** Element count of the podArray starting here (non-consuming). */
-    std::uint64_t
-    peekCount() const
-    {
-        BinReader copy = *this;
-        return copy.u64();
     }
 
     std::size_t remaining() const { return end_ - p_; }
@@ -182,6 +243,17 @@ class BinReader
         return v;
     }
 
+    std::uint64_t
+    bounded(std::uint64_t n, std::size_t min_bytes)
+    {
+        FW_ASSERT(n <= remaining() / min_bytes,
+                  "snapshot section overrun (count %llu of at least "
+                  "%zu bytes each, have %zu) — component codec out of "
+                  "sync",
+                  (unsigned long long)n, min_bytes, remaining());
+        return n;
+    }
+
     void
     need(std::size_t n)
     {
@@ -194,6 +266,80 @@ class BinReader
     const char *p_;
     const char *end_;
 };
+
+/** @p to - @p from in instructions, for svar (both must be aligned). */
+inline std::int64_t
+instDelta(Addr to, Addr from)
+{
+    FW_ASSERT((to | from) % kInstBytes == 0,
+              "snapshot needs instruction-aligned PCs");
+    return static_cast<std::int64_t>(to - from) /
+           std::int64_t(kInstBytes);
+}
+
+/** The address @p insts instructions after @p from (instDelta's inverse). */
+inline Addr
+plusInsts(Addr from, std::int64_t insts)
+{
+    return from + static_cast<Addr>(insts) * kInstBytes;
+}
+
+/**
+ * A set-associative LRU set's replacement state as a recency order.
+ * Replacement compares lastUse stamps only among one set's valid
+ * ways, so the order is all the continuation needs: one byte per
+ * way, 0 if invalid, else 1 + the number of the set's valid ways used
+ * less recently (1 = least recent).  @p Way has `valid` and
+ * `lastUse`; an invalid way's stamp is never read.
+ */
+template <typename Way>
+void
+recencyToBin(BinWriter &w, const Way *set, unsigned ways)
+{
+    FW_ASSERT(ways < 256, "recency ranks fit one byte (%u ways)", ways);
+    for (unsigned i = 0; i < ways; ++i) {
+        unsigned rank = 0;
+        if (set[i].valid) {
+            rank = 1;
+            for (unsigned j = 0; j < ways; ++j)
+                if (set[j].valid && set[j].lastUse < set[i].lastUse)
+                    ++rank;
+        }
+        w.u8(static_cast<std::uint8_t>(rank));
+    }
+}
+
+/**
+ * Read recencyToBin()'s bytes into @p set's `valid` and `lastUse`
+ * (the stamp becomes the rank), checking that the ranks are a
+ * permutation of 1..k over the k valid ways.  A clock restored to
+ * @p ways then stamps every later use above every restored rank.
+ */
+template <typename Way>
+void
+recencyFromBin(BinReader &r, Way *set, unsigned ways)
+{
+    bool seen[256] = {};
+    unsigned valid = 0;
+    unsigned top = 0;
+    for (unsigned i = 0; i < ways; ++i) {
+        const std::uint8_t rank = r.u8();
+        set[i].valid = rank != 0;
+        set[i].lastUse = rank;
+        if (rank == 0)
+            continue;
+        FW_ASSERT(!seen[rank], "snapshot set repeats recency rank %u",
+                  unsigned(rank));
+        seen[rank] = true;
+        ++valid;
+        top = rank > top ? rank : top;
+    }
+    // Distinct ranks whose largest equals their count: exactly 1..k.
+    FW_ASSERT(top == valid,
+              "snapshot set ranks are not a recency order (%u valid "
+              "ways, top rank %u)",
+              valid, top);
+}
 
 /**
  * LZSS byte compression for the on-disk snapshot container: 64 KiB

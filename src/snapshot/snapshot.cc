@@ -209,7 +209,9 @@ Snapshot::deserialize(const std::string &bytes, Snapshot *out,
             !c.bytes(static_cast<std::size_t>(stored_size), &payload))
             return fail(error, "snapshot truncated in section table "
                                "(corrupt or incomplete file)");
-        if (flags & kFlagCompressed) {
+        s.stored = stored_size;
+        s.compressed = flags & kFlagCompressed;
+        if (s.compressed) {
             if (!lzssDecompress(payload,
                                 static_cast<std::size_t>(stored_size),
                                 static_cast<std::size_t>(raw_size),

@@ -8,10 +8,12 @@
  *
  * The payload is an ordered list of named byte sections, one per
  * stateful layer, each written by that layer's save() through the
- * fixed-width binary codec (snapshot/bincodec.hh).  The arena-backed
- * containers make those sections little more than memcpys of
- * contiguous buffers.  The content hash is computed over the raw
- * section bytes, before compression.
+ * binary codec (snapshot/bincodec.hh).  Dense state (predictor
+ * tables, rename maps) goes out as memcpys of the arena-backed
+ * buffers; caches, the BTB and Execution Cache traces go out as
+ * recency ranks and varint deltas, the state their continuation
+ * reads.  The content hash is computed over the raw section bytes,
+ * before compression.
  *
  * The on-disk container (the checkpoint-store `.fws` format) is magic
  * + version + content hash + key + a length-prefixed section table
@@ -48,7 +50,7 @@ class Snapshot
 {
   public:
     /** On-disk format version (bump when any component layout changes). */
-    static constexpr int kFormatVersion = 2;
+    static constexpr int kFormatVersion = 3;
     /** Document magic tag. */
     static constexpr const char *kMagic = "flywheel-snapshot";
 
@@ -65,7 +67,7 @@ class Snapshot
     void
     addSection(std::string name, std::string bytes)
     {
-        sections_.push_back({std::move(name), std::move(bytes)});
+        sections_.push_back({std::move(name), std::move(bytes), 0, false});
     }
 
     /** Reader over @p name's bytes; panics if the section is absent. */
@@ -80,6 +82,19 @@ class Snapshot
     const std::string &sectionData(std::size_t i) const
     {
         return sections_[i].data;
+    }
+    /**
+     * Payload bytes section @p i took in the document it was
+     * deserialized from, and whether they were LZSS-compressed (0 and
+     * false for a snapshot that was never deserialized).
+     */
+    std::uint64_t sectionStored(std::size_t i) const
+    {
+        return sections_[i].stored;
+    }
+    bool sectionCompressed(std::size_t i) const
+    {
+        return sections_[i].compressed;
     }
 
     /**
@@ -115,6 +130,8 @@ class Snapshot
     {
         std::string name;
         std::string data;
+        std::uint64_t stored = 0;
+        bool compressed = false;
     };
 
     std::string key_;

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -238,12 +239,23 @@ TEST(DumpCheckpoint, ListsEverySectionWithItsRawSize)
     const Json &sections = doc["sections"];
     ASSERT_EQ(sections.size(), snap.sectionCount());
     ASSERT_GT(snap.sectionCount(), 0u);
+    // The parts add up to the file: the header (magic with its NUL,
+    // version, content hash, key, section count), then per section
+    // its name, flags, both sizes and its stored payload.
+    std::uint64_t parts = 18 + 4 + 8 + 4 + doc["key"].asString().size() + 4;
     for (std::size_t i = 0; i < snap.sectionCount(); ++i) {
-        EXPECT_EQ(sections.at(i)["name"].asString(), snap.sectionName(i));
-        EXPECT_EQ(sections.at(i)["bytes"].asU64(),
-                  snap.sectionData(i).size());
-        EXPECT_EQ(sections.at(i)["fnv1a"].asString().size(), 16u);
+        const Json &section = sections.at(i);
+        EXPECT_EQ(section["name"].asString(), snap.sectionName(i));
+        EXPECT_EQ(section["bytes"].asU64(), snap.sectionData(i).size());
+        EXPECT_EQ(section["fnv1a"].asString().size(), 16u);
+        const std::uint64_t stored = section["stored"].asU64();
+        EXPECT_LE(stored, section["bytes"].asU64());
+        EXPECT_EQ(section["compressed"].asBool(),
+                  stored < section["bytes"].asU64());
+        parts += 4 + section["name"].asString().size() + 1 + 8 + 8 + stored;
     }
+    EXPECT_EQ(parts, doc["fileBytes"].asU64());
+    EXPECT_EQ(parts, std::filesystem::file_size(path));
 
     // A truncated file exits non-zero with the decoder's error.
     const std::string bytes = snap.serialize();

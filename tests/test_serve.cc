@@ -1115,6 +1115,47 @@ TEST(ServePush, DoneIsJournaledOnlyOnceItsResultLoadsFromTheStore)
     EXPECT_TRUE(state.complete);
 }
 
+TEST(ServePush, DoneIsAckedOnlyOnceTheJournalHoldsIt)
+{
+    TempDir td;
+    FrameSocket w1;
+    LiveDaemon daemon(td.dir.string());
+    attachWorker(w1, daemon.address(), "w1");
+    ServeClient client;
+    std::string error;
+    ASSERT_TRUE(client.connect(daemon.address(), &error)) << error;
+    const ExperimentSpec spec = oneCellSpec();
+    const std::string jobId = submitAndLease(client, w1, "w1", spec);
+    const std::string journal = serve::journalPath(td / "store", jobId);
+
+    // A directory in the journal's place takes no record: the report
+    // is refused, naming the journal, and the job runs on.
+    const std::string aside = journal + ".aside";
+    fs::rename(journal, aside);
+    fs::create_directory(journal);
+    const Json done = doneFrame(td.dir.string(), "w1", jobId, spec, 0);
+    Json reply = exchange(w1, done);
+    EXPECT_EQ(reply["type"].asString(), "error");
+    EXPECT_NE(reply["error"].asString().find(journal), std::string::npos)
+        << reply["error"].asString();
+    Json status;
+    ASSERT_TRUE(client.status(jobId, &status, &error)) << error;
+    EXPECT_EQ(status["state"].asString(), "running");
+
+    // With the journal back, the resent report is acked and ends the
+    // job.
+    fs::remove(journal);
+    fs::rename(aside, journal);
+    reply = exchange(w1, done);
+    EXPECT_EQ(reply["type"].asString(), "ack");
+    ASSERT_TRUE(client.status(jobId, &status, &error)) << error;
+    EXPECT_EQ(status["state"].asString(), "complete");
+    JournalState state;
+    ASSERT_TRUE(serve::journalLoad(journal, &state, &error)) << error;
+    EXPECT_EQ(state.uniqueCompleted(), 1u);
+    EXPECT_TRUE(state.complete);
+}
+
 TEST(ServePush, LateDoneForAFinishedJobIsAcked)
 {
     TempDir td;

@@ -7,7 +7,9 @@
  * snapshots rejected with clear errors), the Checkpointer's
  * compute-once and disk-reuse semantics, runSim's restore through a
  * Checkpointer, checkpoint-key canonicalization, the pinned container
- * content hash, and the CoreStats window-delta operator.
+ * content hash, the CoreStats window-delta operator, the varint codec
+ * and its bounds, and that caches, the BTB and the Execution Cache
+ * save their replacement order, not their timestamps.
  */
 
 #include <gtest/gtest.h>
@@ -26,8 +28,12 @@
 #include <vector>
 
 #include "api/session.hh"
+#include "branch/btb.hh"
+#include "common/random.hh"
 #include "core/report.hh"
 #include "core/sim_driver.hh"
+#include "flywheel/exec_cache.hh"
+#include "mem/cache.hh"
 #include "snapshot/checkpointer.hh"
 #include "snapshot/snapshot.hh"
 #include "sweep/sweep.hh"
@@ -331,6 +337,284 @@ TEST(SnapshotFile, RejectsRawSizeBeyondCompressedExpansion)
     EXPECT_NO_THROW(ok = Snapshot::deserialize(w.take(), &out, &error));
     EXPECT_FALSE(ok);
     EXPECT_NE(error.find("corrupt"), std::string::npos) << error;
+}
+
+TEST(SnapshotCodec, VarintsRoundTripAtTheirEdges)
+{
+    const std::uint64_t unsigned_values[] = {
+        0, 1, 127, 128, 16383, 16384, 0xFFFFFFFFULL,
+        std::uint64_t(1) << 63, ~std::uint64_t(0)};
+    const std::int64_t signed_values[] = {
+        0, -1, 1, -64, 64, -65, INT64_MIN, INT64_MAX};
+    BinWriter w;
+    for (std::uint64_t v : unsigned_values)
+        w.uvar(v);
+    for (std::int64_t v : signed_values)
+        w.svar(v);
+    BinReader r(w.bytes());
+    for (std::uint64_t v : unsigned_values)
+        EXPECT_EQ(r.uvar(), v);
+    for (std::int64_t v : signed_values)
+        EXPECT_EQ(r.svar(), v);
+    EXPECT_EQ(r.remaining(), 0u);
+
+    // Seven bits per byte, small magnitudes in one byte.
+    BinWriter sizes;
+    sizes.uvar(127);
+    sizes.svar(-64);
+    sizes.svar(63);
+    EXPECT_EQ(sizes.size(), 3u);
+    sizes.uvar(~std::uint64_t(0));
+    EXPECT_EQ(sizes.size(), 13u);
+}
+
+TEST(SnapshotCodecDeathTest, MalformedVarintsAndCountsDieOnTheOverrunCheck)
+{
+    // Eleven continuation bytes: longer than any 64-bit varint.
+    const std::string too_long(11, '\x80');
+    EXPECT_DEATH(BinReader(too_long).uvar(), "snapshot section overrun");
+    // Ten bytes whose last carries bits past bit 63.
+    const std::string overflow = std::string(9, '\xFF') + '\x02';
+    EXPECT_DEATH(BinReader(overflow).uvar(), "snapshot section overrun");
+    // A cut varint is a short read like any other.
+    EXPECT_DEATH(BinReader(std::string(1, '\x80')).uvar(),
+                 "snapshot section overrun");
+
+    // A podArray count of 2^61 (whose byte size wraps to 0) behind the
+    // Execution Cache's pin list.
+    BinWriter pins;
+    pins.uvar(0);  // no traces
+    pins.u64(std::uint64_t(1) << 61);
+    EXPECT_DEATH(
+        {
+            ExecCache ec(64, 8, 16);
+            BinReader r(pins.bytes());
+            ec.restore(r);
+        },
+        "snapshot section overrun");
+
+    // A trace slot count of 2^40, which reserve() would try to
+    // allocate.
+    BinWriter slots;
+    slots.uvar(std::uint64_t(1) << 40);
+    slots.u64(0);
+    EXPECT_DEATH(
+        {
+            std::vector<TraceSlot> s;
+            std::vector<IssueUnit> u;
+            BinReader r(slots.bytes());
+            traceBodyFromBin(r, 0x1000, &s, &u);
+        },
+        "snapshot section overrun");
+}
+
+/** Bytes @p component saves. */
+template <typename T>
+std::string
+savedBytes(const T &component)
+{
+    BinWriter w;
+    component.save(w);
+    return w.take();
+}
+
+/**
+ * A trace at @p pc of @p n slots issued in reverse program order, in
+ * one unit: ALU ops and a load.
+ */
+std::unique_ptr<Trace>
+makeTrace(Addr pc, std::uint32_t n)
+{
+    auto t = std::make_unique<Trace>();
+    t->startPc = pc;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        TraceSlot s;
+        s.rank = n - 1 - i;
+        s.pc = pc + kInstBytes * s.rank;
+        s.op = i == 1 ? OpClass::Load : OpClass::IntAlu;
+        s.dest = static_cast<ArchReg>(i % kNumArchRegs);
+        s.src1 = static_cast<ArchReg>((i + 1) % kNumArchRegs);
+        s.recordedEffAddr = i == 1 ? 0x10000000 + 8 * pc : 0;
+        t->slots.push_back(s);
+    }
+    t->units.push_back(IssueUnit{0, n});
+    t->indexRanks();
+    return t;
+}
+
+const CacheParams kTinyCache{"tiny", 256, 2, 32, 2, 1};  // 4 sets
+const BtbParams kTinyBtb{8, 2};                          // 4 sets
+
+TEST(SnapshotOrder, SameRecencyOrderSavesTheSameBytes)
+{
+    // Two histories that leave each set with the same lines in the
+    // same order but stamp them differently.  Set 0 holds 0x000 then
+    // 0x100; set 1 holds 0x020.
+    Arena arena;
+    Cache a(arena, kTinyCache);
+    Cache b(arena, kTinyCache);
+    for (Addr addr : {0x000, 0x100, 0x020})
+        a.access(addr, false);
+    for (Addr addr : {0x020, 0x000, 0x100})
+        b.access(addr, false);
+    EXPECT_EQ(savedBytes(a), savedBytes(b));
+
+    Btb btb_a(arena, kTinyBtb);
+    Btb btb_b(arena, kTinyBtb);
+    btb_a.update(0x1000, 0x2000);  // set 0
+    btb_a.update(0x1010, 0x0F00);  // set 0
+    btb_a.update(0x1004, 0x1100);  // set 1
+    btb_b.update(0x1004, 0x1100);
+    btb_b.update(0x1000, 0x2000);
+    btb_b.update(0x1010, 0x0F00);
+    EXPECT_EQ(savedBytes(btb_a), savedBytes(btb_b));
+
+    // The EC orders all its traces: 0x100 before 0x200 in both, but
+    // b's touch of 0x100 moved both of its stamps.
+    ExecCache ec_a(64, 8, 16);
+    ExecCache ec_b(64, 8, 16);
+    ec_a.insert(makeTrace(0x100, 5));
+    ec_a.insert(makeTrace(0x200, 9));
+    ec_b.insert(makeTrace(0x100, 5));
+    ASSERT_NE(ec_b.lookup(0x100), nullptr);
+    ec_b.insert(makeTrace(0x200, 9));
+    EXPECT_EQ(savedBytes(ec_a), savedBytes(ec_b));
+}
+
+TEST(SnapshotOrder, RestoredComponentsEvictTheSameVictims)
+{
+    // Each component runs a seeded sequence; halfway a copy is saved
+    // and restored into a fresh twin, and both run the rest.  Every
+    // outcome (hit, target, residency, eviction count) and the final
+    // saved bytes must agree.
+    constexpr unsigned kSteps = 4000;
+    Pcg32 rng(0xF1A5);
+
+    Arena arena;
+    Cache cache(arena, kTinyCache);
+    Cache cache_twin(arena, kTinyCache);
+    for (unsigned i = 0; i < kSteps; ++i) {
+        if (i == kSteps / 2) {
+            const std::string bytes = savedBytes(cache);
+            BinReader r(bytes);
+            cache_twin.restore(r);
+        }
+        const Addr addr = Addr(rng.below(24)) * 32;
+        const bool write = rng.chance(0.3);
+        const bool hit = cache.access(addr, write);
+        if (i >= kSteps / 2) {
+            ASSERT_EQ(cache_twin.access(addr, write), hit) << "step " << i;
+        }
+    }
+    EXPECT_EQ(savedBytes(cache), savedBytes(cache_twin));
+
+    Btb btb(arena, kTinyBtb);
+    Btb btb_twin(arena, kTinyBtb);
+    for (unsigned i = 0; i < kSteps; ++i) {
+        if (i == kSteps / 2) {
+            const std::string bytes = savedBytes(btb);
+            BinReader r(bytes);
+            btb_twin.restore(r);
+        }
+        const Addr pc = 0x4000 + Addr(rng.below(24)) * kInstBytes;
+        const Addr target = 0x4000 + Addr(rng.below(64)) * kInstBytes;
+        if (rng.chance(0.5)) {
+            btb.update(pc, target);
+            if (i >= kSteps / 2)
+                btb_twin.update(pc, target);
+        } else {
+            const std::optional<Addr> got = btb.lookup(pc);
+            if (i >= kSteps / 2) {
+                ASSERT_EQ(btb_twin.lookup(pc), got) << "step " << i;
+            }
+        }
+    }
+    EXPECT_EQ(savedBytes(btb), savedBytes(btb_twin));
+
+    ExecCache ec(16, 4, 8);
+    ExecCache ec_twin(16, 4, 8);
+    for (unsigned i = 0; i < kSteps; ++i) {
+        if (i == kSteps / 2) {
+            const std::string bytes = savedBytes(ec);
+            BinReader r(bytes);
+            ec_twin.restore(r);
+        }
+        const Addr pc = 0x8000 + Addr(rng.below(20)) * 64;
+        if (rng.chance(0.4)) {
+            const std::uint32_t n = 1 + rng.below(10);
+            const bool stored = ec.insert(makeTrace(pc, n));
+            if (i >= kSteps / 2) {
+                ASSERT_EQ(ec_twin.insert(makeTrace(pc, n)), stored);
+            }
+        } else {
+            const bool hit = ec.lookup(pc) != nullptr;
+            if (i >= kSteps / 2) {
+                ASSERT_EQ(ec_twin.lookup(pc) != nullptr, hit)
+                    << "step " << i;
+            }
+        }
+        if (i >= kSteps / 2) {
+            ASSERT_EQ(ec_twin.tracePcs(), ec.tracePcs()) << "step " << i;
+            ASSERT_EQ(ec_twin.evictions(), ec.evictions());
+        }
+    }
+    EXPECT_GT(ec.evictions(), 0u);
+    EXPECT_EQ(savedBytes(ec), savedBytes(ec_twin));
+}
+
+TEST(SnapshotOrder, SaveRestoreSaveIsByteIdenticalPerSection)
+{
+    for (CoreKind kind : {CoreKind::Baseline,
+                          CoreKind::RegisterAllocation,
+                          CoreKind::Flywheel}) {
+        SCOPED_TRACE(coreKindName(kind));
+        const RunConfig config = smallConfig("gcc", kind);
+        StaticProgram program(config.profile);
+        WorkloadStream stream(program);
+        auto core = makeCore(config, stream);
+        core->run(7321);
+        Snapshot first;
+        core->save(first);
+
+        StaticProgram program_b(config.profile);
+        WorkloadStream stream_b(program_b);
+        auto restored = makeCore(config, stream_b);
+        restored->restore(throughBytes(first));
+        Snapshot second;
+        restored->save(second);
+        EXPECT_EQ(sectionsOf(first), sectionsOf(second));
+    }
+}
+
+TEST(SnapshotOrder, RestoredRunSavesWhatTheStraightRunSaves)
+{
+    // The restored core's stamps restart at the saved ranks, the
+    // straight core's keep counting; at the same later retire count
+    // both must save the same sections.
+    for (CoreKind kind : {CoreKind::Baseline,
+                          CoreKind::RegisterAllocation,
+                          CoreKind::Flywheel}) {
+        SCOPED_TRACE(coreKindName(kind));
+        const RunConfig config = smallConfig("vortex", kind);
+        StaticProgram program(config.profile);
+        WorkloadStream stream(program);
+        auto straight = makeCore(config, stream);
+        straight->run(6007);
+        Snapshot mid;
+        straight->save(mid);
+        straight->run(9000);
+        Snapshot straight_end;
+        straight->save(straight_end);
+
+        StaticProgram program_b(config.profile);
+        WorkloadStream stream_b(program_b);
+        auto restored = makeCore(config, stream_b);
+        restored->restore(throughBytes(mid));
+        restored->run(9000);
+        Snapshot restored_end;
+        restored->save(restored_end);
+        EXPECT_EQ(sectionsOf(straight_end), sectionsOf(restored_end));
+    }
 }
 
 TEST(CheckpointerTest, ComputesOncePerKeyAndReloadsFromDisk)

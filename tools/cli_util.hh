@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -273,10 +274,12 @@ rejectUnknownFlag(const char *argv0, const std::string &flag,
 
 /**
  * The read-only `flywheel_bench --dump-checkpoint FILE` verb: decode
- * a `.fws` checkpoint and print its key, format version, content hash
- * and, per section, the name, raw byte count and FNV-1a hash of the
- * raw bytes as JSON on @p out.  Diffing two dumps shows which
- * component's section differs between two checkpoints.
+ * a `.fws` checkpoint and print its key, format version, content
+ * hash, file size and, per section, the name, raw byte count, the
+ * bytes it takes in the file, whether those are LZSS-compressed, and
+ * the FNV-1a hash of the raw bytes as JSON on @p out.  Diffing two
+ * dumps shows which component's section differs between two
+ * checkpoints, and what each component costs on disk.
  * @return the exit status: 0, or 1 with the decoder's error on
  * @p err when the file does not decode.
  */
@@ -294,11 +297,16 @@ dumpCheckpoint(const std::string &path, std::ostream &out,
     doc.add("key", snap.key());
     doc.add("version", Snapshot::kFormatVersion);
     doc.add("hash", hexDigest(snap.contentHash()));
+    std::error_code ec;
+    doc.add("fileBytes",
+            std::uint64_t(std::filesystem::file_size(path, ec)));
     Json sections = Json::array();
     for (std::size_t i = 0; i < snap.sectionCount(); ++i) {
         Json s = Json::object();
         s.add("name", snap.sectionName(i));
         s.add("bytes", std::uint64_t(snap.sectionData(i).size()));
+        s.add("stored", snap.sectionStored(i));
+        s.add("compressed", snap.sectionCompressed(i));
         s.add("fnv1a", hexDigest(fnv1a64(snap.sectionData(i))));
         sections.push(std::move(s));
     }
