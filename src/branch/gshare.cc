@@ -63,18 +63,33 @@ void
 Gshare::save(BinWriter &w) const
 {
     w.u16(history_);
-    w.podArray(table_.data(), table_.size());
-    w.u64(lookups_.value());
-    w.u64(updates_.value());
+    // Two-bit counters, four per byte, the first in the low bits.
+    w.uvar(table_.size());
+    for (std::size_t i = 0; i < table_.size(); i += 4) {
+        unsigned byte = 0;
+        for (std::size_t j = 0; j < 4 && i + j < table_.size(); ++j)
+            byte |= unsigned(table_[i + j]) << (2 * j);
+        w.u8(static_cast<std::uint8_t>(byte));
+    }
+    w.uvar(lookups_.value());
+    w.uvar(updates_.value());
 }
 
 void
 Gshare::restore(BinReader &r)
 {
     history_ = r.u16();
-    r.podArray(table_.data(), table_.size());
-    lookups_.set(r.u64());
-    updates_.set(r.u64());
+    const std::uint64_t counters = r.uvar();
+    FW_ASSERT(counters == table_.size(),
+              "gshare snapshot holds %llu counters, expected %zu",
+              (unsigned long long)counters, table_.size());
+    for (std::size_t i = 0; i < table_.size(); i += 4) {
+        const std::uint8_t byte = r.u8();
+        for (std::size_t j = 0; j < 4 && i + j < table_.size(); ++j)
+            table_[i + j] = (byte >> (2 * j)) & 3;
+    }
+    lookups_.set(r.uvar());
+    updates_.set(r.uvar());
 }
 
 } // namespace flywheel

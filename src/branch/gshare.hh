@@ -59,7 +59,10 @@ class Gshare
     /** Register lookup/update counters with the obs registry. */
     void registerStats(obs::StatsGroup &group) const;
 
-    /** Serialize history register, pattern table and counters. */
+    /**
+     * Serialize the history register, the pattern table (four
+     * counters per byte) and the lookup and update counts.
+     */
     void save(BinWriter &w) const;
     /** Restore state saved by save() (geometry must match). */
     void restore(BinReader &r);

@@ -1,6 +1,7 @@
 #include "core/core_base.hh"
 
 #include <cmath>
+#include <cstring>
 
 #include "common/log.hh"
 #include "core/report.hh"
@@ -10,83 +11,128 @@ namespace flywheel {
 
 namespace {
 
+static_assert(sizeof(EnergyEvents) % sizeof(std::uint64_t) == 0,
+              "EnergyEvents must stay an array of u64 fields");
+
+/** A struct of u64 counters (EnergyEvents, CoreStats) as uvars. */
+template <typename Counters>
+void
+countersToBin(BinWriter &w, const Counters &c)
+{
+    std::uint64_t words[sizeof(Counters) / sizeof(std::uint64_t)];
+    std::memcpy(words, &c, sizeof(c));
+    for (std::uint64_t v : words)
+        w.uvar(v);
+}
+
+template <typename Counters>
+void
+countersFromBin(BinReader &r, Counters *c)
+{
+    std::uint64_t words[sizeof(Counters) / sizeof(std::uint64_t)];
+    for (std::uint64_t &v : words)
+        v = r.uvar();
+    std::memcpy(c, words, sizeof(words));
+}
+
+/** A physical register as a uvar: 0 = none, else 1 + the register. */
+void
+physToBin(BinWriter &w, PhysReg reg)
+{
+    w.uvar(reg == kNoPhysReg ? 0 : std::uint64_t(reg) + 1);
+}
+
+PhysReg
+physFromBin(BinReader &r)
+{
+    const std::uint64_t v = r.uvar();
+    FW_ASSERT(v <= kNoPhysReg,
+              "snapshot physical register %llu out of range",
+              (unsigned long long)(v - 1));
+    return v == 0 ? kNoPhysReg : static_cast<PhysReg>(v - 1);
+}
+
 /**
  * Snapshot codec for one in-flight instruction: the architectural
- * DynInst followed by every microarchitectural field, in fixed
+ * record (InstRecordCodec), one byte of the eight flags, physical
+ * registers and small counters as uvars, and the four timestamps as
+ * deltas from the section's base tick.  Field by field, in fixed
  * positional order (the snapshot format version gates changes).
- * Field-by-field because InFlightInst has padding bytes.
  */
 void
-inflightToBin(BinWriter &w, const InFlightInst &i)
+inflightToBin(BinWriter &w, InstRecordCodec &records, Tick base,
+              const InFlightInst &i)
 {
-    dynInstToBin(w, i.arch);
-    w.u16(i.destPhys);
-    w.u16(i.oldDestPhys);
-    w.u16(i.src1Phys);
-    w.u16(i.src2Phys);
-    w.u16(i.poolPrevSlot);
-    w.u64(i.dispatchReady);
-    w.u64(i.iwVisible);
-    w.u64(i.issueTick);
-    w.u64(i.completeTick);
-    w.b(i.inIw);
-    w.u32(i.iwPos);
-    w.b(i.issued);
-    w.b(i.completed);
-    w.b(i.squashed);
-    w.b(i.mispredicted);
-    w.b(i.predictedTaken);
-    w.b(i.btbMissBubble);
-    w.u16(i.historyAtPredict);
-    w.b(i.fromEc);
-    w.u32(i.traceRank);
+    records.put(w, i.arch);
+    w.u8(static_cast<std::uint8_t>(
+        (i.issued ? 0x01 : 0) | (i.completed ? 0x02 : 0) |
+        (i.squashed ? 0x04 : 0) | (i.inIw ? 0x08 : 0) |
+        (i.mispredicted ? 0x10 : 0) | (i.predictedTaken ? 0x20 : 0) |
+        (i.btbMissBubble ? 0x40 : 0) | (i.fromEc ? 0x80 : 0)));
+    physToBin(w, i.destPhys);
+    physToBin(w, i.oldDestPhys);
+    physToBin(w, i.src1Phys);
+    physToBin(w, i.src2Phys);
+    w.uvar(i.poolPrevSlot);
+    tickToBin(w, base, i.dispatchReady);
+    tickToBin(w, base, i.iwVisible);
+    tickToBin(w, base, i.issueTick);
+    tickToBin(w, base, i.completeTick);
+    w.uvar(i.iwPos);
+    w.uvar(i.historyAtPredict);
+    w.uvar(i.traceRank);
 }
 
 InFlightInst
-inflightFromBin(BinReader &r)
+inflightFromBin(BinReader &r, InstRecordCodec &records, Tick base)
 {
     InFlightInst i;
-    i.arch = dynInstFromBin(r);
-    i.destPhys = static_cast<PhysReg>(r.u16());
-    i.oldDestPhys = static_cast<PhysReg>(r.u16());
-    i.src1Phys = static_cast<PhysReg>(r.u16());
-    i.src2Phys = static_cast<PhysReg>(r.u16());
-    i.poolPrevSlot = r.u16();
-    i.dispatchReady = r.u64();
-    i.iwVisible = r.u64();
-    i.issueTick = r.u64();
-    i.completeTick = r.u64();
-    i.inIw = r.b();
-    i.iwPos = r.u32();
-    i.issued = r.b();
-    i.completed = r.b();
-    i.squashed = r.b();
-    i.mispredicted = r.b();
-    i.predictedTaken = r.b();
-    i.btbMissBubble = r.b();
-    i.historyAtPredict = r.u16();
-    i.fromEc = r.b();
-    i.traceRank = r.u32();
+    i.arch = records.get(r);
+    const std::uint8_t flags = r.u8();
+    i.issued = flags & 0x01;
+    i.completed = flags & 0x02;
+    i.squashed = flags & 0x04;
+    i.inIw = flags & 0x08;
+    i.mispredicted = flags & 0x10;
+    i.predictedTaken = flags & 0x20;
+    i.btbMissBubble = flags & 0x40;
+    i.fromEc = flags & 0x80;
+    i.destPhys = physFromBin(r);
+    i.oldDestPhys = physFromBin(r);
+    i.src1Phys = physFromBin(r);
+    i.src2Phys = physFromBin(r);
+    i.poolPrevSlot = static_cast<std::uint16_t>(r.uvar());
+    i.dispatchReady = tickFromBin(r, base);
+    i.iwVisible = tickFromBin(r, base);
+    i.issueTick = tickFromBin(r, base);
+    i.completeTick = tickFromBin(r, base);
+    i.iwPos = static_cast<std::uint32_t>(r.uvar());
+    i.historyAtPredict = static_cast<std::uint16_t>(r.uvar());
+    i.traceRank = static_cast<std::uint32_t>(r.uvar());
     return i;
 }
 
 void
-instRingToBin(BinWriter &w, const ArenaRing<InFlightInst> &q)
+instRingToBin(BinWriter &w, const StaticProgram &program, Tick base,
+              const ArenaRing<InFlightInst> &q)
 {
-    w.u64(q.size());
+    InstRecordCodec records(program);
+    w.uvar(q.size());
     for (const InFlightInst &i : q)
-        inflightToBin(w, i);
+        inflightToBin(w, records, base, i);
 }
 
 void
-instRingFromBin(BinReader &r, ArenaRing<InFlightInst> *out)
+instRingFromBin(BinReader &r, const StaticProgram &program, Tick base,
+                ArenaRing<InFlightInst> *out)
 {
     out->clear();
-    const std::uint64_t count = r.u64();
+    const std::uint64_t count = r.uvar();
     FW_ASSERT(count <= out->capacity(),
               "instruction-queue snapshot exceeds configured capacity");
+    InstRecordCodec records(program);
     for (std::uint64_t i = 0; i < count; ++i)
-        out->push_back(inflightFromBin(r));
+        out->push_back(inflightFromBin(r, records, base));
 }
 
 } // namespace
@@ -593,26 +639,27 @@ CoreBase::save(Snapshot &snap) const
     put("lsq", [this](BinWriter &w) { lsq_.save(w); });
 
     put("pipe", [this](BinWriter &w) {
-        instRingToBin(w, rob_);
-        instRingToBin(w, feQueue_);
-        w.podArray(regReady_.data(), regReady_.size());
+        // Every tick is a delta from the core's clock.
+        const Tick base = events_.totalTicks;
+        const StaticProgram &program = stream_.program();
+        w.uvar(base);
+        instRingToBin(w, program, base, rob_);
+        instRingToBin(w, program, base, feQueue_);
+        for (Tick t : regReady_)
+            tickToBin(w, base, t);
         iw_.save(w, [this](const InFlightInst *p) {
             return robIndexOf(p);
         });
-        w.u64(issuedPending_.size());
+        w.uvar(issuedPending_.size());
         for (const InFlightInst *p : issuedPending_)
-            w.u64(robIndexOf(p));
-        w.u64(minCompleteTick_);
-        static_assert(sizeof(EnergyEvents) % sizeof(std::uint64_t) == 0,
-                      "EnergyEvents must stay an array of u64 fields");
-        w.podArray(reinterpret_cast<const std::uint64_t *>(&events_),
-                   sizeof(EnergyEvents) / sizeof(std::uint64_t));
-        w.podArray(reinterpret_cast<const std::uint64_t *>(&stats_),
-                   kCoreStatsFieldCount);
-        w.u64(fetchStallUntil_);
+            w.uvar(robIndexOf(p));
+        tickToBin(w, base, minCompleteTick_);
+        countersToBin(w, events_);
+        countersToBin(w, stats_);
+        tickToBin(w, base, fetchStallUntil_);
         w.b(waitingOnMispredict_);
-        w.u64(lastProgressRetired_);
-        w.u64(lastProgressTick_);
+        w.uvar(lastProgressRetired_);
+        tickToBin(w, base, lastProgressTick_);
     });
 }
 
@@ -645,33 +692,37 @@ CoreBase::restore(const Snapshot &snap)
     }
 
     BinReader r = snap.section("pipe");
-    instRingFromBin(r, &rob_);
-    instRingFromBin(r, &feQueue_);
+    const Tick base = r.uvar();
+    const StaticProgram &program = stream_.program();
+    instRingFromBin(r, program, base, &rob_);
+    instRingFromBin(r, program, base, &feQueue_);
     FW_ASSERT(rob_.size() <= params_.robEntries &&
                   feQueue_.size() <= feQueueCap_,
               "core snapshot exceeds configured structure sizes");
-    r.podArray(regReady_.data(), regReady_.size());
+    for (Tick &t : regReady_)
+        t = tickFromBin(r, base);
 
     iw_.restore(r, [this](std::uint64_t idx) { return robAt(idx); });
 
     issuedPending_.clear();
-    const std::uint64_t pending = r.u64();
+    const std::uint64_t pending = r.uvar();
+    FW_ASSERT(pending <= rob_.size(),
+              "issued-pending snapshot lists %llu of %zu ROB entries",
+              (unsigned long long)pending, rob_.size());
     for (std::uint64_t i = 0; i < pending; ++i) {
-        InFlightInst *p = robAt(r.u64());
+        InFlightInst *p = robAt(r.uvar());
         FW_ASSERT(p != nullptr && p->issued && !p->completed,
                   "issued-pending snapshot inconsistent with the ROB");
         issuedPending_.push_back(p);
     }
-    minCompleteTick_ = r.u64();
+    minCompleteTick_ = tickFromBin(r, base);
 
-    r.podArray(reinterpret_cast<std::uint64_t *>(&events_),
-               sizeof(EnergyEvents) / sizeof(std::uint64_t));
-    r.podArray(reinterpret_cast<std::uint64_t *>(&stats_),
-               kCoreStatsFieldCount);
-    fetchStallUntil_ = r.u64();
+    countersFromBin(r, &events_);
+    countersFromBin(r, &stats_);
+    fetchStallUntil_ = tickFromBin(r, base);
     waitingOnMispredict_ = r.b();
-    lastProgressRetired_ = r.u64();
-    lastProgressTick_ = r.u64();
+    lastProgressRetired_ = r.uvar();
+    lastProgressTick_ = tickFromBin(r, base);
 }
 
 void

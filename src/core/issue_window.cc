@@ -172,15 +172,14 @@ IssueWindow::save(BinWriter &w,
                   const std::function<std::uint64_t(const InFlightInst *)>
                       &index_of) const
 {
-    // Tombstones are kept (as all-ones sentinels) so the restored
-    // array matches slot for slot: every entry's recorded iwPos
-    // remains valid without re-deriving anything.  The wake-up state
-    // is derived and is not serialized.
-    constexpr std::uint64_t kNone = ~std::uint64_t(0);
-    w.u64(order_.size());
+    // Tombstones are kept (as 0; an entry is 1 + its ROB index) so
+    // the restored array matches slot for slot: every entry's
+    // recorded iwPos remains valid without re-deriving anything.  The
+    // wake-up state is derived and is not serialized.
+    w.uvar(order_.size());
     for (const InFlightInst *p : order_)
-        w.u64(p == nullptr ? kNone : index_of(p));
-    w.u64(lastSeq_);
+        w.uvar(p == nullptr ? 0 : index_of(p) + 1);
+    w.uvar(lastSeq_);
 }
 
 void
@@ -188,19 +187,18 @@ IssueWindow::restore(BinReader &r,
                      const std::function<InFlightInst *(std::uint64_t)>
                          &at)
 {
-    constexpr std::uint64_t kNone = ~std::uint64_t(0);
     order_.clear();
     used_ = 0;
-    const std::uint64_t slots = r.u64();
+    const std::uint64_t slots = r.uvar();
     FW_ASSERT(slots <= order_.capacity(),
               "issue-window snapshot has too many slots");
     for (std::uint64_t i = 0; i < slots; ++i) {
-        const std::uint64_t idx = r.u64();
-        if (idx == kNone) {
+        const std::uint64_t entry = r.uvar();
+        if (entry == 0) {
             order_.push_back(nullptr);
             continue;
         }
-        InFlightInst *p = at(idx);
+        InFlightInst *p = at(entry - 1);
         FW_ASSERT(p != nullptr && p->inIw &&
                       p->iwPos == order_.size(),
                   "issue-window snapshot inconsistent with the ROB");
@@ -208,7 +206,7 @@ IssueWindow::restore(BinReader &r,
         ++used_;
     }
     FW_ASSERT(used_ <= capacity_, "issue-window snapshot overflows");
-    lastSeq_ = r.u64();
+    lastSeq_ = r.uvar();
     now_ = 0;
     rebuild();
 }

@@ -5,6 +5,7 @@
 #include "common/log.hh"
 #include "obs/stats_registry.hh"
 #include "snapshot/bincodec.hh"
+#include "workload/program.hh"
 
 namespace flywheel {
 
@@ -140,34 +141,28 @@ ExecCache::tracePcs() const
 
 namespace {
 
-/** Fewest bytes a slot takes: PC delta, op, three registers, rank. */
-constexpr std::size_t kMinSlotBytes = 6;
+/** Fewest bytes a slot takes: PC delta and rank. */
+constexpr std::size_t kMinSlotBytes = 2;
 /** Fewest bytes a trace takes: start delta, slot and unit counts, rank. */
 constexpr std::size_t kMinTraceBytes = 4;
 
-constexpr std::uint8_t kNoRegByte = 255;
-static_assert(kNumArchRegs < kNoRegByte,
-              "an architected register must fit a slot's register byte");
-static_assert(static_cast<unsigned>(OpClass::Nop) < 16,
-              "an op class must fit a slot's low four op bits");
-
-void
-regToBin(BinWriter &w, ArchReg reg)
+/** The program's instruction at @p pc as a slot (rank and address 0). */
+TraceSlot
+programSlot(const StaticProgram &program, Addr pc)
 {
-    FW_ASSERT(reg == kNoArchReg || reg < kNumArchRegs,
-              "trace slot register %u out of range", unsigned(reg));
-    w.u8(reg == kNoArchReg ? kNoRegByte : static_cast<std::uint8_t>(reg));
-}
-
-ArchReg
-regFromBin(BinReader &r)
-{
-    const std::uint8_t b = r.u8();
-    if (b == kNoRegByte)
-        return kNoArchReg;
-    FW_ASSERT(b < kNumArchRegs, "trace snapshot register %u out of range",
-              unsigned(b));
-    return b;
+    DynInst d;
+    FW_ASSERT(program.decodeAt(pc, &d),
+              "trace slot at pc 0x%llx is not an instruction of "
+              "program %s",
+              (unsigned long long)pc, program.profile().name);
+    TraceSlot s;
+    s.pc = pc;
+    s.op = d.op;
+    s.dest = d.dest;
+    s.src1 = d.src1;
+    s.src2 = d.src2;
+    s.isCondBranch = d.isCondBranch;
+    return s;
 }
 
 } // namespace
@@ -184,25 +179,27 @@ Trace::indexRanks()
 }
 
 void
-traceBodyToBin(BinWriter &w, Addr start_pc,
+traceBodyToBin(BinWriter &w, const StaticProgram &program, Addr start_pc,
                const std::vector<TraceSlot> &slots,
                const std::vector<IssueUnit> &units)
 {
+    // A builder records only correct-path instructions, so a slot's
+    // op, registers and conditional flag are the program's at its PC.
     // Neighbouring slots sit a few instructions apart, their ranks
     // near their issue positions and their addresses near the last
-    // memory slot's, so each is a small delta.
+    // memory slot's, so each stored field is a small delta.
     w.uvar(slots.size());
     Addr pc = start_pc;
     Addr eff_addr = 0;
     for (std::uint32_t i = 0; i < slots.size(); ++i) {
         const TraceSlot &s = slots[i];
+        const TraceSlot p = programSlot(program, s.pc);
+        FW_ASSERT(p.op == s.op && p.dest == s.dest && p.src1 == s.src1 &&
+                      p.src2 == s.src2 && p.isCondBranch == s.isCondBranch,
+                  "trace slot at pc 0x%llx differs from the program",
+                  (unsigned long long)s.pc);
         w.svar(instDelta(s.pc, pc));
         pc = s.pc;
-        w.u8(static_cast<std::uint8_t>(static_cast<unsigned>(s.op) |
-                                       (s.isCondBranch ? 0x10u : 0u)));
-        regToBin(w, s.dest);
-        regToBin(w, s.src1);
-        regToBin(w, s.src2);
         w.svar(std::int64_t(s.rank) - std::int64_t(i));
         if (isMemOp(s.op)) {
             w.svar(static_cast<std::int64_t>(s.recordedEffAddr - eff_addr));
@@ -225,8 +222,8 @@ traceBodyToBin(BinWriter &w, Addr start_pc,
 }
 
 void
-traceBodyFromBin(BinReader &r, Addr start_pc,
-                 std::vector<TraceSlot> *slots,
+traceBodyFromBin(BinReader &r, const StaticProgram &program,
+                 Addr start_pc, std::vector<TraceSlot> *slots,
                  std::vector<IssueUnit> *units)
 {
     const std::uint64_t count = r.uvarCount(kMinSlotBytes);
@@ -235,17 +232,8 @@ traceBodyFromBin(BinReader &r, Addr start_pc,
     Addr pc = start_pc;
     Addr eff_addr = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
-        TraceSlot s;
-        s.pc = pc = plusInsts(pc, r.svar());
-        const std::uint8_t op = r.u8();
-        FW_ASSERT((op & 0x0F) <= static_cast<unsigned>(OpClass::Nop) &&
-                      op < 0x20,
-                  "trace snapshot op byte 0x%x out of range", unsigned(op));
-        s.op = static_cast<OpClass>(op & 0x0F);
-        s.isCondBranch = op & 0x10;
-        s.dest = regFromBin(r);
-        s.src1 = regFromBin(r);
-        s.src2 = regFromBin(r);
+        pc = plusInsts(pc, r.svar());
+        TraceSlot s = programSlot(program, pc);
         s.rank = static_cast<std::uint32_t>(
             i + static_cast<std::uint64_t>(r.svar()));
         if (isMemOp(s.op))
@@ -270,7 +258,7 @@ traceBodyFromBin(BinReader &r, Addr start_pc,
 }
 
 void
-ExecCache::save(BinWriter &w) const
+ExecCache::save(BinWriter &w, const StaticProgram &program) const
 {
     // Traces in ascending start-PC order (deterministic regardless of
     // hash-map iteration order), each start a delta from the last.
@@ -288,7 +276,7 @@ ExecCache::save(BinWriter &w) const
         const Entry &e = traces_.at(pc);
         w.svar(instDelta(pc, prev));
         prev = pc;
-        traceBodyToBin(w, pc, e.trace->slots, e.trace->units);
+        traceBodyToBin(w, program, pc, e.trace->slots, e.trace->units);
         w.uvar(1 + (std::lower_bound(stamps.begin(), stamps.end(),
                                      e.lastUse) -
                     stamps.begin()));
@@ -299,7 +287,7 @@ ExecCache::save(BinWriter &w) const
 }
 
 void
-ExecCache::restore(BinReader &r)
+ExecCache::restore(BinReader &r, const StaticProgram &program)
 {
     traces_.clear();
     usedBlocks_ = 0;
@@ -310,7 +298,7 @@ ExecCache::restore(BinReader &r)
         pc = plusInsts(pc, r.svar());
         auto t = std::make_unique<Trace>();
         t->startPc = pc;
-        traceBodyFromBin(r, pc, &t->slots, &t->units);
+        traceBodyFromBin(r, program, pc, &t->slots, &t->units);
         t->indexRanks();
         const std::uint64_t rank = r.uvar();
         FW_ASSERT(rank >= 1 && rank <= count && !ranked[rank],

@@ -35,6 +35,7 @@ namespace flywheel {
 namespace obs { class StatsGroup; }
 class BinWriter;
 class BinReader;
+class StaticProgram;
 
 /**
  * One recorded instruction slot.  Field order follows a measured
@@ -87,19 +88,21 @@ struct Trace
 
 /**
  * Snapshot codec of a trace body, starting at @p start_pc: per slot,
- * its PC as an instruction delta from the previous slot's, one byte of
- * op and conditional flag, one byte per register (255 = none), its
- * rank as a delta from its slot index, and for loads and stores its
+ * its PC as an instruction delta from the previous slot's, its rank
+ * as a delta from its slot index, and for loads and stores its
  * address as a delta from the previous memory slot's; then the issue
- * units' slot counts.  Shared by the Execution Cache and the Flywheel
- * trace builders.  The reader bounds each count by the bytes left
- * before it reserves.
+ * units' slot counts.  A slot's op, registers and conditional flag
+ * are the program's at its PC (builders record only correct-path
+ * instructions): the writer asserts so and the reader derives them
+ * with StaticProgram::decodeAt.  Shared by the Execution Cache and
+ * the Flywheel trace builders.  The reader bounds each count by the
+ * bytes left before it reserves.
  */
-void traceBodyToBin(BinWriter &w, Addr start_pc,
-                    const std::vector<TraceSlot> &slots,
+void traceBodyToBin(BinWriter &w, const StaticProgram &program,
+                    Addr start_pc, const std::vector<TraceSlot> &slots,
                     const std::vector<IssueUnit> &units);
-void traceBodyFromBin(BinReader &r, Addr start_pc,
-                      std::vector<TraceSlot> *slots,
+void traceBodyFromBin(BinReader &r, const StaticProgram &program,
+                      Addr start_pc, std::vector<TraceSlot> *slots,
                       std::vector<IssueUnit> *units);
 
 /**
@@ -170,11 +173,15 @@ class ExecCache
 
     /**
      * Serialize every resident trace with its recency rank, plus the
-     * pin and budget state.
+     * pin and budget state.  Every slot must be an instruction of
+     * @p program, which supplies its static fields on restore.
      */
-    void save(BinWriter &w) const;
-    /** Restore state saved by save() (geometry must match). */
-    void restore(BinReader &r);
+    void save(BinWriter &w, const StaticProgram &program) const;
+    /**
+     * Restore state saved by save() (geometry must match) over the
+     * same @p program.
+     */
+    void restore(BinReader &r, const StaticProgram &program);
 
   private:
     // The trace store stays on the heap (unordered_map of owning

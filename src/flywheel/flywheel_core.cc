@@ -74,7 +74,8 @@ FlywheelCore::ecResidency() const
 namespace {
 
 void
-builderToBin(BinWriter &w, const FlywheelCore::Builder &b)
+builderToBin(BinWriter &w, const StaticProgram &program,
+             const FlywheelCore::Builder &b)
 {
     w.b(b.active);
     w.b(b.bounded);
@@ -82,11 +83,12 @@ builderToBin(BinWriter &w, const FlywheelCore::Builder &b)
     w.u64(b.startSeq);
     w.u64(b.endSeq);
     w.u64(b.appended);
-    traceBodyToBin(w, b.startPc, b.slots, b.units);
+    traceBodyToBin(w, program, b.startPc, b.slots, b.units);
 }
 
 void
-builderFromBin(BinReader &r, FlywheelCore::Builder *out)
+builderFromBin(BinReader &r, const StaticProgram &program,
+               FlywheelCore::Builder *out)
 {
     *out = FlywheelCore::Builder{};
     out->active = r.b();
@@ -95,7 +97,7 @@ builderFromBin(BinReader &r, FlywheelCore::Builder *out)
     out->startSeq = r.u64();
     out->endSeq = r.u64();
     out->appended = r.u64();
-    traceBodyFromBin(r, out->startPc, &out->slots, &out->units);
+    traceBodyFromBin(r, program, out->startPc, &out->slots, &out->units);
 }
 
 } // namespace
@@ -104,18 +106,19 @@ void
 FlywheelCore::save(Snapshot &snap) const
 {
     CoreBase::save(snap);
+    const StaticProgram &program = stream_.program();
     BinWriter w;
     w.str("flywheel");
 
     pools_.save(w);
-    ec_.save(w);
+    ec_.save(w, program);
 
     w.b(mode_ == Mode::Exec);
     w.u64(beCur_);
     w.u64(nextFe_);
     w.u64(nextBe_);
-    builderToBin(w, builder_);
-    builderToBin(w, finalizing_);
+    builderToBin(w, program, builder_);
+    builderToBin(w, program, finalizing_);
     w.b(needNewTrace_);
     w.b(draining_);
     w.u64(drainLookupPc_);
@@ -123,9 +126,10 @@ FlywheelCore::save(Snapshot &snap) const
     // A live replay/pending trace is referenced by start PC; both are
     // pinned in the EC while live, so the PC resolves on restore.
     w.u64(replay_.trace ? replay_.trace->startPc : kNoRobIndex);
-    w.u64(replay_.actual.size());
+    InstRecordCodec records(program);
+    w.uvar(replay_.actual.size());
     for (const DynInst &d : replay_.actual)
-        dynInstToBin(w, d);
+        records.put(w, d);
     w.u32(replay_.valid);
     w.b(replay_.divergent);
     w.b(replay_.divergenceResolved);
@@ -142,22 +146,23 @@ FlywheelCore::save(Snapshot &snap) const
     // the replay logic never touches them again) and must serialize
     // as "none".  A stale pointer may even alias a reused ring slot,
     // so membership alone is not enough: the entry must also BE that
-    // rank of this replay (sequence-number identity).
-    w.u64(replay_.byRank.size());
+    // rank of this replay (sequence-number identity).  Each rank is
+    // 0 for none, else 1 + its ROB index.
+    w.uvar(replay_.byRank.size());
     for (std::size_t rank = 0; rank < replay_.byRank.size(); ++rank) {
         const InFlightInst *p = replay_.byRank[rank];
-        std::uint64_t idx = kNoRobIndex;
+        std::uint64_t entry = 0;
         if (p != nullptr) {
             for (std::size_t i = 0; i < rob_.size(); ++i) {
                 if (&rob_[i] != p)
                     continue;
                 if (rob_[i].fromEc &&
                     rob_[i].arch.seq == replay_.baseSeq + rank)
-                    idx = i;
+                    entry = i + 1;
                 break;
             }
         }
-        w.u64(idx);
+        w.uvar(entry);
     }
 
     w.b(pending_.valid);
@@ -175,6 +180,7 @@ void
 FlywheelCore::restore(const Snapshot &snap)
 {
     CoreBase::restore(snap);
+    const StaticProgram &program = stream_.program();
     BinReader r = snap.section("core");
     const std::string type = r.str();
     FW_ASSERT(type == "flywheel",
@@ -182,14 +188,14 @@ FlywheelCore::restore(const Snapshot &snap)
               type.c_str());
 
     pools_.restore(r);
-    ec_.restore(r);
+    ec_.restore(r, program);
 
     mode_ = r.b() ? Mode::Exec : Mode::Create;
     beCur_ = r.u64();
     nextFe_ = r.u64();
     nextBe_ = r.u64();
-    builderFromBin(r, &builder_);
-    builderFromBin(r, &finalizing_);
+    builderFromBin(r, program, &builder_);
+    builderFromBin(r, program, &finalizing_);
     needNewTrace_ = r.b();
     draining_ = r.b();
     drainLookupPc_ = r.u64();
@@ -202,9 +208,11 @@ FlywheelCore::restore(const Snapshot &snap)
                   "replayed trace 0x%llx missing from the restored EC",
                   (unsigned long long)replay_pc);
     }
-    const std::uint64_t actual_n = r.u64();
+    InstRecordCodec records(program);
+    const std::uint64_t actual_n =
+        r.uvarCount(InstRecordCodec::kMinBytes);
     for (std::uint64_t i = 0; i < actual_n; ++i)
-        replay_.actual.push_back(dynInstFromBin(r));
+        replay_.actual.push_back(records.get(r));
     replay_.valid = r.u32();
     replay_.divergent = r.b();
     replay_.divergenceResolved = r.b();
@@ -216,9 +224,11 @@ FlywheelCore::restore(const Snapshot &snap)
     replay_.start = r.u64();
     replay_.baseSeq = r.u64();
     replay_.endHandled = r.b();
-    const std::uint64_t by_rank_n = r.u64();
-    for (std::uint64_t i = 0; i < by_rank_n; ++i)
-        replay_.byRank.push_back(robAt(r.u64()));
+    const std::uint64_t by_rank_n = r.uvarCount(1);
+    for (std::uint64_t i = 0; i < by_rank_n; ++i) {
+        const std::uint64_t entry = r.uvar();
+        replay_.byRank.push_back(entry == 0 ? nullptr : robAt(entry - 1));
+    }
 
     pending_ = PendingReplay{};
     pending_.valid = r.b();

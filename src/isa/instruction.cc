@@ -2,9 +2,6 @@
 
 #include <sstream>
 
-#include "common/log.hh"
-#include "snapshot/bincodec.hh"
-
 namespace flywheel {
 
 const char *
@@ -43,38 +40,6 @@ DynInst::toString() const
     if (op == OpClass::Load || op == OpClass::Store)
         os << " @0x" << std::hex << effAddr << std::dec;
     return os.str();
-}
-
-void
-dynInstToBin(BinWriter &w, const DynInst &d)
-{
-    w.u64(d.seq);
-    w.u64(d.pc);
-    w.u8(static_cast<std::uint8_t>(d.op));
-    w.u16(d.dest);
-    w.u16(d.src1);
-    w.u16(d.src2);
-    w.b(d.isCondBranch);
-    w.b(d.taken);
-    w.u64(d.target);
-    w.u64(d.effAddr);
-}
-
-DynInst
-dynInstFromBin(BinReader &r)
-{
-    DynInst d;
-    d.seq = r.u64();
-    d.pc = r.u64();
-    d.op = static_cast<OpClass>(r.u8());
-    d.dest = r.u16();
-    d.src1 = r.u16();
-    d.src2 = r.u16();
-    d.isCondBranch = r.b();
-    d.taken = r.b();
-    d.target = r.u64();
-    d.effAddr = r.u64();
-    return d;
 }
 
 } // namespace flywheel

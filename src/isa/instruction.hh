@@ -101,19 +101,6 @@ struct DynInst
     std::string toString() const;
 };
 
-class BinWriter;
-class BinReader;
-
-/**
- * Snapshot serialization of one DynInst: fixed-width fields in
- * declaration order (field-by-field, never a raw struct memcpy —
- * DynInst has padding bytes, and snapshot payloads must be a pure
- * function of simulator state).  The pair below must stay in
- * lock-step; the snapshot format version gates layout changes.
- */
-void dynInstToBin(BinWriter &w, const DynInst &d);
-DynInst dynInstFromBin(BinReader &r);
-
 } // namespace flywheel
 
 #endif // FLYWHEEL_ISA_INSTRUCTION_HH

@@ -160,6 +160,11 @@ journalLoad(const std::string &path, JournalState *out,
             state.complete = true;
             continue;
         }
+        if (rec["cancelled"].kind() == Json::Kind::Bool &&
+            rec["cancelled"].asBool()) {
+            state.cancelled = true;
+            continue;
+        }
         if (!rec["cell"].isNumber() || !rec["key"].isString() ||
             rec["key"].asString().empty()) {
             ++state.ignoredLines;
@@ -227,8 +232,20 @@ JournalWriter::append(std::size_t cell, const std::string &key,
 bool
 JournalWriter::markComplete()
 {
+    return appendMarker("complete");
+}
+
+bool
+JournalWriter::markCancelled()
+{
+    return appendMarker("cancelled");
+}
+
+bool
+JournalWriter::appendMarker(const char *name)
+{
     Json rec = Json::object();
-    rec.add("complete", true);
+    rec.add(name, true);
     return appendLine(rec.dump(0));
 }
 

@@ -9,7 +9,11 @@
  *   line 1    {"v": "flywheel.serve.journal.v1", "job": "<16 hex>",
  *              "cells": N, "spec": { ...resolved ExperimentSpec... }}
  *   line 2..  {"cell": i, "key": "<configKey>", "wall": seconds}
+ *             {"cancelled": true}           (each time the job is cancelled)
  *   last      {"complete": true}            (only when the job finished)
+ *
+ * A cancelled job's journal stays: resubmitting the spec resumes it
+ * from the cells it holds.
  *
  * Each record opens the file with O_APPEND, writes once, calls
  * fdatasync and closes it, so a `kill -9` of the server loses at most
@@ -58,6 +62,8 @@ struct JournalState
     ExperimentSpec spec;
     std::vector<JournalEntry> entries;
     bool complete = false;
+    /** A cancel marker is present (complete wins over it). */
+    bool cancelled = false;
     /** Torn/garbage lines ignored during replay (0 on a clean file). */
     std::size_t ignoredLines = 0;
 
@@ -84,8 +90,8 @@ bool journalLoad(const std::string &path, JournalState *out,
 /**
  * Append-side handle: the journal's path, and no descriptor.  open()
  * creates the file with its header line (or validates the header of
- * an existing journal being resumed); append()/markComplete() add one
- * durable line each.
+ * an existing journal being resumed); append(), markComplete() and
+ * markCancelled() add one durable line each.
  */
 class JournalWriter
 {
@@ -107,9 +113,14 @@ class JournalWriter
     /** Durably append the completion marker. */
     bool markComplete();
 
+    /** Durably append a cancel marker. */
+    bool markCancelled();
+
     const std::string &path() const { return path_; }
 
   private:
+    /** One durable `{"<name>": true}` line. */
+    bool appendMarker(const char *name);
     /** One durable line; @p create adds O_CREAT (the header only). */
     bool appendLine(const std::string &line, bool create = false);
 

@@ -20,6 +20,16 @@ JobScheduler::dropLease(Job &job,
     return job.leased.erase(it);
 }
 
+void
+JobScheduler::dropJob(std::map<std::string, Job>::iterator it)
+{
+    Job &job = it->second;
+    for (auto lease = job.leased.begin(); lease != job.leased.end();)
+        lease = dropLease(job, lease);
+    order_.erase(std::find(order_.begin(), order_.end(), it->first));
+    jobs_.erase(it);
+}
+
 bool
 JobScheduler::addJob(const std::string &jobId,
                      const std::vector<std::string> &cellRun,
@@ -84,10 +94,8 @@ JobScheduler::completed(const std::string &jobId, std::size_t cell)
     job.done.insert(cell);
     // Every cell done leaves nothing pending or leased: the job goes,
     // so what lease, heartbeat and expiry walk is work in flight.
-    if (!job.cancelled && job.done.size() == job.cellRun.size()) {
-        jobs_.erase(it);
-        order_.erase(std::find(order_.begin(), order_.end(), jobId));
-    }
+    if (job.done.size() == job.cellRun.size())
+        dropJob(it);
     return news;
 }
 
@@ -96,7 +104,7 @@ JobScheduler::isNews(const std::string &jobId, std::size_t cell) const
 {
     auto it = jobs_.find(jobId);
     return it != jobs_.end() && cell < it->second.cellRun.size() &&
-           !it->second.cancelled && !it->second.done.count(cell);
+           !it->second.done.count(cell);
 }
 
 void
@@ -153,11 +161,7 @@ JobScheduler::cancel(const std::string &jobId)
     auto it = jobs_.find(jobId);
     if (it == jobs_.end())
         return false;
-    Job &job = it->second;
-    job.pending.clear();
-    for (auto lease = job.leased.begin(); lease != job.leased.end();)
-        lease = dropLease(job, lease);
-    job.cancelled = true;
+    dropJob(it);
     return true;
 }
 
@@ -173,7 +177,6 @@ JobScheduler::progress(const std::string &jobId) const
     p.done = job.done.size();
     p.pending = job.pending.size();
     p.leased = job.leased.size();
-    p.cancelled = job.cancelled;
     return p;
 }
 

@@ -63,7 +63,6 @@ struct JobProgress
     std::size_t done = 0;
     std::size_t pending = 0;
     std::size_t leased = 0;
-    bool cancelled = false;
 };
 
 class JobScheduler
@@ -95,10 +94,9 @@ class JobScheduler
 
     /**
      * Record a completed cell and release any lease on it.  True when
-     * the completion is news to journal: the cell was not done and
-     * the job is not cancelled.  A job whose last cell completes
-     * leaves the scheduler.  Idempotent: repeats and completions for
-     * unknown cells are ignored (false).
+     * the completion is news to journal: the cell was not done.  A job
+     * whose last cell completes leaves the scheduler.  Idempotent:
+     * repeats and completions for unknown cells are ignored (false).
      */
     bool completed(const std::string &jobId, std::size_t cell);
 
@@ -119,8 +117,9 @@ class JobScheduler
     std::vector<WorkUnit> releaseWorker(const std::string &worker);
 
     /**
-     * Drop a job's pending and leased cells; done cells stay counted.
-     * False for unknown jobs, finished ones included.
+     * Drop a job with its pending and leased cells, as its last
+     * completion does.  False for unknown jobs, finished and
+     * cancelled ones included.
      */
     bool cancel(const std::string &jobId);
 
@@ -140,7 +139,6 @@ class JobScheduler
         std::set<std::size_t> pending;        // ordered: lease order
         std::map<std::size_t, Lease> leased;
         std::set<std::size_t> done;
-        bool cancelled = false;
     };
 
     /** True while a sibling of @p job's @p cell is leased. */
@@ -148,6 +146,8 @@ class JobScheduler
     /** Erase @p it from @p job's leases and release its run. */
     std::map<std::size_t, Lease>::iterator
     dropLease(Job &job, std::map<std::size_t, Lease>::iterator it);
+    /** Release @p it's leases and forget the job. */
+    void dropJob(std::map<std::string, Job>::iterator it);
 
     double leaseTimeout_;
     std::vector<std::string> order_;      // FIFO across jobs

@@ -299,10 +299,7 @@ ServeDaemon::reapLocalWorkers()
         // lease timeout reclaims them.  Keep capacity up while work
         // is outstanding, but bound respawns so a crash-looping cell
         // cannot fork-bomb the host.
-        const bool outstanding =
-            std::any_of(jobs_.begin(), jobs_.end(),
-                        [this](const auto &job) { return running(job.first); });
-        if (!stopping_ && outstanding && respawnBudget_ > 0) {
+        if (!stopping_ && !jobs_.empty() && respawnBudget_ > 0) {
             --respawnBudget_;
             FW_WARN("local worker %d exited; respawning (%u respawns "
                     "left)",
@@ -437,7 +434,8 @@ ServeDaemon::answerParked()
             return;
         if (conn->closed || conn->parked != Parked::Status)
             continue;
-        if (running(conn->statusJob) && conn->statusDeadline > now)
+        if (scheduler_.hasJob(conn->statusJob) &&
+            conn->statusDeadline > now)
             continue;
         conn->parked = Parked::None;
         sendStatus(*conn, conn->statusJob);
@@ -642,15 +640,8 @@ ServeDaemon::handleSubmit(Connection &conn, const Json &frame)
 }
 
 bool
-ServeDaemon::running(const std::string &jobId) const
-{
-    return scheduler_.hasJob(jobId) &&
-           !scheduler_.progress(jobId).cancelled;
-}
-
-bool
-ServeDaemon::finishedJournal(const std::string &jobId,
-                             JournalState *out) const
+ServeDaemon::endedJournal(const std::string &jobId,
+                          JournalState *out) const
 {
     // The id names a file: anything but a job id's spelling is refused
     // before a path is built from it.
@@ -659,7 +650,7 @@ ServeDaemon::finishedJournal(const std::string &jobId,
         return false;
     return journalLoad(journalPath(options_.storeDir, jobId), out,
                        nullptr) &&
-           out->complete;
+           (out->complete || out->cancelled);
 }
 
 void
@@ -668,7 +659,8 @@ ServeDaemon::handleStatus(Connection &conn, const Json &frame)
     const std::string jobId = frame["job"].asString();
     // A running job's status waits for the job to end (answerParked).
     const double wait = frame["wait"].asDouble();
-    if (frame["wait"].isNumber() && wait > 0.0 && running(jobId)) {
+    if (frame["wait"].isNumber() && wait > 0.0 &&
+        scheduler_.hasJob(jobId)) {
         conn.parked = Parked::Status;
         conn.statusJob = jobId;
         conn.statusDeadline = nowSeconds() + wait;
@@ -681,15 +673,17 @@ void
 ServeDaemon::sendStatus(Connection &conn, const std::string &jobId)
 {
     JobProgress p = scheduler_.progress(jobId);
-    const char *state = p.cancelled ? "cancelled" : "running";
+    const char *state = "running";
     if (!scheduler_.hasJob(jobId)) {
         JournalState journal;
-        if (!finishedJournal(jobId, &journal)) {
+        if (!endedJournal(jobId, &journal)) {
             sendError(conn, "unknown job '" + jobId + "'");
             return;
         }
-        p.cells = p.done = journal.cells;
-        state = "complete";
+        p.cells = journal.cells;
+        p.done = journal.complete ? journal.cells
+                                  : journal.uniqueCompleted();
+        state = journal.complete ? "complete" : "cancelled";
     }
     Json reply = Json::object();
     reply.add("type", "status");
@@ -707,14 +701,17 @@ ServeDaemon::handleResults(Connection &conn, const Json &frame)
 {
     const std::string jobId = frame["job"].asString();
     if (scheduler_.hasJob(jobId)) {
-        sendError(conn, "job '" + jobId + "' is " +
-                            (running(jobId) ? "running" : "cancelled") +
-                            ", results not ready");
+        sendError(conn, "job '" + jobId + "' is running, results not ready");
         return;
     }
     JournalState journal;
-    if (!finishedJournal(jobId, &journal)) {
+    if (!endedJournal(jobId, &journal)) {
         sendError(conn, "unknown job '" + jobId + "'");
+        return;
+    }
+    if (!journal.complete) {
+        sendError(conn,
+                  "job '" + jobId + "' is cancelled, results not ready");
         return;
     }
     // Rebuild the table from the store, in expansion order with the
@@ -754,12 +751,30 @@ void
 ServeDaemon::handleCancel(Connection &conn, const Json &frame)
 {
     const std::string jobId = frame["job"].asString();
-    if (!scheduler_.cancel(jobId)) {
+    auto it = jobs_.find(jobId);
+    if (it != jobs_.end()) {
+        // A cancelled job ends as a finished one does: its journal,
+        // marked, and the results that reached the store.  A
+        // resubmission resumes it from the journal.
+        if (!it->second.journal.markCancelled()) {
+            sendError(conn, "journal: cannot write " +
+                                it->second.journal.path());
+            return;
+        }
+        scheduler_.cancel(jobId);
+        jobs_.erase(it);
+        FW_INFORM("job %s: cancelled", jobId.c_str());
+    } else {
+        // Cancelling a cancelled job again is a no-op.
         JournalState journal;
-        sendError(conn, finishedJournal(jobId, &journal)
-                            ? "job '" + jobId + "' is complete"
-                            : "unknown job '" + jobId + "'");
-        return;
+        if (!endedJournal(jobId, &journal)) {
+            sendError(conn, "unknown job '" + jobId + "'");
+            return;
+        }
+        if (journal.complete) {
+            sendError(conn, "job '" + jobId + "' is complete");
+            return;
+        }
     }
     Json reply = Json::object();
     reply.add("type", "ok");
@@ -886,9 +901,9 @@ ServeDaemon::handleDone(Connection &conn, const Json &frame)
     const std::size_t cell =
         static_cast<std::size_t>(frame["cell"].asU64());
     auto it = jobs_.find(jobId);
-    JournalState finished;
-    if (it == jobs_.end() ? !finishedJournal(jobId, &finished) ||
-                                cell >= finished.cells
+    JournalState ended;
+    if (it == jobs_.end() ? !endedJournal(jobId, &ended) ||
+                                cell >= ended.cells
                           : cell >= it->second.keys.size()) {
         ++framesRejected_;
         sendError(conn, "done for unknown job/cell");
@@ -899,8 +914,8 @@ ServeDaemon::handleDone(Connection &conn, const Json &frame)
         frame["storeHit"].kind() == Json::Kind::Bool &&
         frame["storeHit"].asBool();
 
-    // A late report for a finished job is only counted: its cell is
-    // journaled already.
+    // A late report for a finished or cancelled job is only counted:
+    // its cell is journaled already, or the job no longer wants it.
     if (it != jobs_.end()) {
         Job &job = it->second;
         const std::string &key = job.keys[cell];

@@ -37,6 +37,10 @@
  *    single-process run of the same spec.  A `status {wait}` parked
  *    on the job is answered then (or at cancel, or when its wait
  *    ends), so a waiting client learns of completion at once.
+ *  - cancel: the journal gets a cancel marker and the job leaves the
+ *    daemon as a finished one does; `status` reads `cancelled` from
+ *    the journal, a late `done` is acked but not journaled, and a
+ *    resubmission resumes the job from its journal.
  *
  * Crash story: kill -9 the daemon at any point; restarting it and
  * resubmitting the same spec replays the journal, reloads completed
@@ -147,7 +151,7 @@ class ServeDaemon
         double wallSeconds = 0.0;
     };
 
-    /** A running or cancelled job; a finished one is its journal. */
+    /** A running job; a finished or cancelled one is its journal. */
     struct Job
     {
         Json spec;                      ///< resolved, for `work`
@@ -190,9 +194,8 @@ class ServeDaemon
     void dropConnection(Connection &conn);
 
     ShardStats &shard(const std::string &worker);
-    bool running(const std::string &jobId) const;
-    bool finishedJournal(const std::string &jobId,
-                         JournalState *out) const;
+    /** The journal of a job that completed or was cancelled. */
+    bool endedJournal(const std::string &jobId, JournalState *out) const;
 
     ServeOptions options_;
     ServeAddress bound_;

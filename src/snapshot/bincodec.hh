@@ -10,9 +10,12 @@
  * podArray() at memcpy speed; padded structs are encoded
  * field-by-field so indeterminate padding bytes never reach the
  * payload (the content hash must be a pure function of simulator
- * state).  Sparse state (tags, trace slots) is written as LEB128
- * varints (uvar) and zigzag-signed deltas (svar), so a section holds
- * what the continuation needs rather than a memory image.
+ * state).  Sparse state (tags, trace slots, instruction records) is
+ * written as LEB128 varints (uvar) and zigzag-signed deltas (svar),
+ * timestamps as deltas from one base tick (tickToBin), and nothing
+ * the restoring core can re-derive from its program is written at
+ * all (InstRecordCodec, traceBodyToBin), so a section holds what the
+ * continuation needs rather than a memory image.
  *
  * Error handling is asymmetric by design: the snapshot container
  * verifies magic/version/content-hash before any component restore
@@ -37,6 +40,21 @@
 #include "common/types.hh"
 
 namespace flywheel {
+
+/** Zigzag map of a signed value (0, -1, 1, -2, ... -> 0, 1, 2, 3, ...). */
+inline std::uint64_t
+zigzag(std::int64_t v)
+{
+    return (static_cast<std::uint64_t>(v) << 1) ^
+           static_cast<std::uint64_t>(v >> 63);
+}
+
+/** zigzag()'s inverse. */
+inline std::int64_t
+unzigzag(std::uint64_t z)
+{
+    return static_cast<std::int64_t>((z >> 1) ^ (~(z & 1) + 1));
+}
 
 /** Append-only little-endian binary section writer. */
 class BinWriter
@@ -65,12 +83,7 @@ class BinWriter
     }
 
     /** Signed varint: zigzag (0, -1, 1, -2, ...) then uvar. */
-    void
-    svar(std::int64_t v)
-    {
-        uvar((static_cast<std::uint64_t>(v) << 1) ^
-             static_cast<std::uint64_t>(v >> 63));
-    }
+    void svar(std::int64_t v) { uvar(zigzag(v)); }
 
     /** Length-prefixed byte string. */
     void
@@ -165,12 +178,7 @@ class BinReader
     }
 
     /** Read a BinWriter::svar. */
-    std::int64_t
-    svar()
-    {
-        const std::uint64_t z = uvar();
-        return static_cast<std::int64_t>((z >> 1) ^ (~(z & 1) + 1));
-    }
+    std::int64_t svar() { return unzigzag(uvar()); }
 
     /**
      * Read a uvar element count and bound it by the bytes left: each
@@ -282,6 +290,34 @@ inline Addr
 plusInsts(Addr from, std::int64_t insts)
 {
     return from + static_cast<Addr>(insts) * kInstBytes;
+}
+
+/**
+ * A tick as a uvar: 0 for kTickMax, else 1 + the zigzag of its
+ * distance from @p base.  A core's timestamps sit within a few
+ * hundred cycles of its clock, so most take three bytes, not eight.
+ */
+inline void
+tickToBin(BinWriter &w, Tick base, Tick t)
+{
+    if (t == kTickMax) {
+        w.uvar(0);
+        return;
+    }
+    const std::uint64_t z = zigzag(static_cast<std::int64_t>(t - base));
+    FW_ASSERT(z != ~std::uint64_t(0),
+              "snapshot tick %llu lies 2^63 from its base %llu",
+              (unsigned long long)t, (unsigned long long)base);
+    w.uvar(z + 1);
+}
+
+/** Read a tickToBin() tick written against @p base. */
+inline Tick
+tickFromBin(BinReader &r, Tick base)
+{
+    const std::uint64_t v = r.uvar();
+    return v == 0 ? kTickMax
+                  : base + static_cast<Tick>(unzigzag(v - 1));
 }
 
 /**

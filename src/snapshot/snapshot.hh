@@ -8,12 +8,14 @@
  *
  * The payload is an ordered list of named byte sections, one per
  * stateful layer, each written by that layer's save() through the
- * binary codec (snapshot/bincodec.hh).  Dense state (predictor
- * tables, rename maps) goes out as memcpys of the arena-backed
- * buffers; caches, the BTB and Execution Cache traces go out as
- * recency ranks and varint deltas, the state their continuation
- * reads.  The content hash is computed over the raw section bytes,
- * before compression.
+ * binary codec (snapshot/bincodec.hh).  Dense state (rename maps,
+ * the stream's cursor tables) goes out as memcpys of the
+ * arena-backed buffers; caches, the BTB and Execution Cache traces
+ * go out as recency ranks and varint deltas, in-flight timestamps as
+ * deltas from the core's clock, and instruction records and trace
+ * slots without the static fields the program supplies on restore:
+ * the state their continuation reads.  The content hash is computed
+ * over the raw section bytes, before compression.
  *
  * The on-disk container (the checkpoint-store `.fws` format) is magic
  * + version + content hash + key + a length-prefixed section table
@@ -49,8 +51,13 @@ namespace flywheel {
 class Snapshot
 {
   public:
-    /** On-disk format version (bump when any component layout changes). */
-    static constexpr int kFormatVersion = 3;
+    /**
+     * On-disk format version (bump when any component layout
+     * changes).  A file of another version is refused, and the
+     * version is part of every checkpoint key, so an older store is
+     * recomputed, never read.
+     */
+    static constexpr int kFormatVersion = 4;
     /** Document magic tag. */
     static constexpr const char *kMagic = "flywheel-snapshot";
 

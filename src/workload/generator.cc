@@ -38,10 +38,7 @@ WorkloadStream::produce()
         // Straight-line op.
         const StaticOp &sop = blk.ops[opIdx_];
         inst.pc = blk.pc + static_cast<Addr>(opIdx_) * kInstBytes;
-        inst.op = sop.op;
-        inst.dest = sop.dest;
-        inst.src1 = sop.src1;
-        inst.src2 = sop.src2;
+        prog_.staticFields(blk, opIdx_, &inst);
         if (isMemOp(sop.op)) {
             const DataObject &obj = prog_.objects()[sop.memObj];
             std::uint32_t &cur = cursors_[sop.memObj];
@@ -61,18 +58,14 @@ WorkloadStream::produce()
 
     // Terminator branch.
     inst.pc = blk.branchPc();
-    inst.op = OpClass::Branch;
-    inst.src1 = blk.term.condSrc;
-    inst.target = blocks[blk.term.target].pc;
+    prog_.staticFields(blk, opIdx_, &inst);
 
     bool taken = false;
     switch (blk.term.kind) {
       case TermKind::Jump:
         taken = true;
-        inst.isCondBranch = false;
         break;
       case TermKind::Loop: {
-        inst.isCondBranch = true;
         std::uint32_t &left = tripsLeft_[curBlock_];
         if (left == 0) {
             // Fresh loop activation.  The base trip count is stable
@@ -94,7 +87,6 @@ WorkloadStream::produce()
       }
       case TermKind::Biased:
       case TermKind::Call:
-        inst.isCondBranch = true;
         taken = rng_.chance(blk.term.pTaken);
         break;
       case TermKind::None:
@@ -129,10 +121,13 @@ WorkloadStream::save(BinWriter &w) const
     w.podArray(tripsLeft_.data(), tripsLeft_.size());
     w.podArray(baseTrips_.data(), baseTrips_.size());
     w.podArray(cursors_.data(), cursors_.size());
-    w.u64(lookahead_.size() - head_);
+    // The last consumed instruction, then the pending ones: one list
+    // in program order.
+    InstRecordCodec records(prog_);
+    records.put(w, current_);
+    w.uvar(lookahead_.size() - head_);
     for (std::size_t i = head_; i < lookahead_.size(); ++i)
-        dynInstToBin(w, lookahead_[i]);
-    dynInstToBin(w, current_);
+        records.put(w, lookahead_[i]);
     w.u64(consumed_);
     w.u64(nextSeq_);
 }
@@ -157,12 +152,13 @@ WorkloadStream::restore(BinReader &r)
     r.podArray(tripsLeft_.data(), tripsLeft_.size());
     r.podArray(baseTrips_.data(), baseTrips_.size());
     r.podArray(cursors_.data(), cursors_.size());
-    const std::uint64_t pending = r.u64();
+    InstRecordCodec records(prog_);
+    current_ = records.get(r);
+    const std::uint64_t pending = r.uvarCount(InstRecordCodec::kMinBytes);
     lookahead_.clear();
     head_ = 0;
     for (std::uint64_t i = 0; i < pending; ++i)
-        lookahead_.push_back(dynInstFromBin(r));
-    current_ = dynInstFromBin(r);
+        lookahead_.push_back(records.get(r));
     consumed_ = r.u64();
     nextSeq_ = r.u64();
 }

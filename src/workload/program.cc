@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/log.hh"
+#include "snapshot/bincodec.hh"
 
 namespace flywheel {
 
@@ -322,6 +323,113 @@ StaticProgram::assignAddresses()
         b.pc = pc;
         pc += static_cast<Addr>(b.size()) * kInstBytes;
     }
+}
+
+bool
+StaticProgram::decodeAt(Addr pc, DynInst *out) const
+{
+    if (pc < codeBase() || pc % kInstBytes != 0)
+        return false;
+    // The last block starting at or before pc.
+    auto it = std::upper_bound(
+        blocks_.begin(), blocks_.end(), pc,
+        [](Addr a, const BasicBlock &b) { return a < b.pc; });
+    if (it == blocks_.begin())
+        return false;
+    const BasicBlock &blk = *--it;
+    const std::size_t idx = (pc - blk.pc) / kInstBytes;
+    if (idx >= blk.size())
+        return false;
+    staticFields(blk, idx, out);
+    return true;
+}
+
+namespace {
+
+constexpr std::uint8_t kTaken = 0x01;
+constexpr std::uint8_t kDerived = 0x02;  ///< static fields from the program
+
+/** An architected register as a uvar: 0 = none, else 1 + the register. */
+void
+putReg(BinWriter &w, ArchReg reg)
+{
+    w.uvar(reg == kNoArchReg ? 0 : std::uint64_t(reg) + 1);
+}
+
+ArchReg
+getReg(BinReader &r)
+{
+    const std::uint64_t v = r.uvar();
+    if (v == 0)
+        return kNoArchReg;
+    FW_ASSERT(v <= kNumArchRegs,
+              "snapshot record register %llu out of range",
+              (unsigned long long)(v - 1));
+    return static_cast<ArchReg>(v - 1);
+}
+
+} // namespace
+
+void
+InstRecordCodec::put(BinWriter &w, const DynInst &d)
+{
+    DynInst s;
+    const bool derived =
+        prog_.decodeAt(d.pc, &s) && s.op == d.op && s.dest == d.dest &&
+        s.src1 == d.src1 && s.src2 == d.src2 &&
+        s.isCondBranch == d.isCondBranch && s.target == d.target;
+    w.u8((d.taken ? kTaken : 0) | (derived ? kDerived : 0));
+    w.svar(static_cast<std::int64_t>(d.seq - seq_));
+    w.svar(instDelta(d.pc, pc_));
+    seq_ = d.seq;
+    pc_ = d.pc;
+    if (!derived) {
+        w.u8(static_cast<std::uint8_t>(d.op));
+        putReg(w, d.dest);
+        putReg(w, d.src1);
+        putReg(w, d.src2);
+        w.b(d.isCondBranch);
+        w.uvar(d.target);
+    }
+    if (isMemOp(d.op)) {
+        w.svar(static_cast<std::int64_t>(d.effAddr - addr_));
+        addr_ = d.effAddr;
+    } else {
+        FW_ASSERT(d.effAddr == 0,
+                  "non-memory record at pc 0x%llx carries an address",
+                  (unsigned long long)d.pc);
+    }
+}
+
+DynInst
+InstRecordCodec::get(BinReader &r)
+{
+    DynInst d;
+    const std::uint8_t flags = r.u8();
+    FW_ASSERT(flags <= (kTaken | kDerived),
+              "snapshot record flags 0x%x out of range", unsigned(flags));
+    d.taken = flags & kTaken;
+    d.seq = seq_ += static_cast<InstSeqNum>(r.svar());
+    d.pc = pc_ = plusInsts(pc_, r.svar());
+    if (flags & kDerived) {
+        FW_ASSERT(prog_.decodeAt(d.pc, &d),
+                  "snapshot record at pc 0x%llx is not an instruction "
+                  "of program %s",
+                  (unsigned long long)d.pc, prog_.profile().name);
+    } else {
+        const std::uint8_t op = r.u8();
+        FW_ASSERT(op <= static_cast<unsigned>(OpClass::Nop),
+                  "snapshot record op %u out of range", unsigned(op));
+        d.op = static_cast<OpClass>(op);
+        d.dest = getReg(r);
+        d.src1 = getReg(r);
+        d.src2 = getReg(r);
+        d.isCondBranch = r.b();
+        d.target = r.uvar();
+    }
+    if (isMemOp(d.op))
+        d.effAddr = addr_ += static_cast<Addr>(r.svar());
+    return d;
 }
 
 } // namespace flywheel

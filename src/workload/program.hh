@@ -16,11 +16,17 @@
  * (loop trip counts and branch bias), trace locality (static code
  * footprint vs. Execution Cache capacity) and rename-pool pressure
  * (destination register working set size).
+ *
+ * An instruction's static fields (op, registers, conditional flag,
+ * branch target) are a function of its PC in the program
+ * (StaticProgram::decodeAt), so checkpoints store only the dynamic
+ * fields of the instructions they hold (InstRecordCodec).
  */
 
 #ifndef FLYWHEEL_WORKLOAD_PROGRAM_HH
 #define FLYWHEEL_WORKLOAD_PROGRAM_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -133,6 +139,42 @@ class StaticProgram
     const std::vector<DataObject> &objects() const { return objects_; }
     std::uint32_t entryBlock() const { return entry_; }
 
+    /**
+     * Fill @p out's static fields (op, registers, conditional flag
+     * and branch target) from instruction @p idx of @p blk, where
+     * idx == blk.ops.size() is the terminator branch.  The stream and
+     * decodeAt() both read instructions through it.
+     */
+    void
+    staticFields(const BasicBlock &blk, std::size_t idx,
+                 DynInst *out) const
+    {
+        if (idx < blk.ops.size()) {
+            const StaticOp &sop = blk.ops[idx];
+            out->op = sop.op;
+            out->dest = sop.dest;
+            out->src1 = sop.src1;
+            out->src2 = sop.src2;
+            out->isCondBranch = false;
+            out->target = 0;
+            return;
+        }
+        out->op = OpClass::Branch;
+        out->dest = kNoArchReg;
+        out->src1 = blk.term.condSrc;
+        out->src2 = kNoArchReg;
+        out->isCondBranch = blk.term.kind != TermKind::Jump;
+        out->target = blocks_[blk.term.target].pc;
+    }
+
+    /**
+     * The static fields of the instruction at @p pc (staticFields()),
+     * or false when @p pc is not an instruction of the program: below
+     * codeBase(), past the last block, or misaligned.  Blocks lie in
+     * id order from codeBase(), so a binary search finds the block.
+     */
+    bool decodeAt(Addr pc, DynInst *out) const;
+
     /** Base address of the code segment. */
     static constexpr Addr codeBase() { return 0x1000; }
     /** Base address of the data segment. */
@@ -146,6 +188,42 @@ class StaticProgram
     std::vector<BasicBlock> blocks_;
     std::vector<DataObject> objects_;
     std::uint32_t entry_ = 0;
+};
+
+class BinWriter;
+class BinReader;
+
+/**
+ * Snapshot codec for one list of DynInst records (the ROB, the
+ * front-end queue, the stream's lookahead, a replay's correct path):
+ * a record keeps only what the program cannot re-derive.  Each is one
+ * flags byte (taken; static fields match the program), its sequence
+ * number and PC as svar deltas from the list's previous record, and
+ * for loads and stores its address as an svar delta from the
+ * previous memory record's.  A record whose static fields differ
+ * from the program at its PC (a wrong-path replay entry carries
+ * target 0 and may have dropped its destination) writes them in
+ * full.  One codec object encodes or decodes one list, in order.
+ */
+class InstRecordCodec
+{
+  public:
+    /** Fewest bytes a record takes: flags, sequence and PC deltas. */
+    static constexpr std::size_t kMinBytes = 3;
+
+    explicit InstRecordCodec(const StaticProgram &program)
+        : prog_(program)
+    {
+    }
+
+    void put(BinWriter &w, const DynInst &d);
+    DynInst get(BinReader &r);
+
+  private:
+    const StaticProgram &prog_;
+    InstSeqNum seq_ = 0;
+    Addr pc_ = 0;
+    Addr addr_ = 0;
 };
 
 } // namespace flywheel

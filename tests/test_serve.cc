@@ -448,17 +448,15 @@ TEST(ServeScheduler, CancelDropsPendingAndLeasedCells)
 
     ASSERT_TRUE(sched.cancel("job1"));
     EXPECT_FALSE(sched.cancel("nope"));
-    const serve::JobProgress p = sched.progress("job1");
-    EXPECT_TRUE(p.cancelled);
-    EXPECT_EQ(p.done, 1u);
-    EXPECT_EQ(p.pending + p.leased, 0u);
+    // A cancelled job leaves the scheduler, as a finished one does.
+    EXPECT_FALSE(sched.hasJob("job1"));
+    EXPECT_FALSE(sched.cancel("job1"));
+    EXPECT_EQ(sched.progress("job1").cells, 0u);
     EXPECT_FALSE(sched.lease("w1", 0.0, &unit));
 
-    // A late completion in a cancelled job counts but is not news to
-    // journal, and the cancelled job stays.
+    // A late completion in a cancelled job is not news to journal.
     EXPECT_FALSE(sched.completed("job1", leasedCell));
-    EXPECT_EQ(sched.progress("job1").done, 2u);
-    EXPECT_TRUE(sched.hasJob("job1"));
+    EXPECT_FALSE(sched.hasJob("job1"));
 }
 
 TEST(ServeScheduler, JournalReplayedCellsNeverLease)
@@ -1214,6 +1212,45 @@ TEST(ServePush, CancellingAFinishedJobLeavesItComplete)
         << error;
 }
 
+TEST(ServePush, CancelledJobLeavesTheDaemonAndALateDoneIsAcked)
+{
+    TempDir td;
+    FrameSocket w1;
+    LiveDaemon daemon(td.dir.string());
+    attachWorker(w1, daemon.address(), "w1");
+    ServeClient client;
+    std::string error;
+    ASSERT_TRUE(client.connect(daemon.address(), &error)) << error;
+    const ExperimentSpec spec = tinySpec();
+    const std::string jobId = submitAndLease(client, w1, "w1", spec);
+
+    ASSERT_TRUE(client.cancel(jobId, &error)) << error;
+    Json status;
+    ASSERT_TRUE(client.status(jobId, &status, &error)) << error;
+    EXPECT_EQ(status["state"].asString(), "cancelled");
+    EXPECT_EQ(status["cells"].asU64(), 4u);
+    EXPECT_EQ(status["done"].asU64(), 0u);
+    std::string json, csv;
+    EXPECT_FALSE(client.results(jobId, &json, &csv, &error));
+    EXPECT_NE(error.find("is cancelled"), std::string::npos) << error;
+    EXPECT_TRUE(client.cancel(jobId, &error)) << error;
+
+    // The worker finishes the cell it leased before the cancel: its
+    // report is acked and counted, but not journaled.
+    EXPECT_EQ(
+        exchange(w1, doneFrame(td.dir.string(), "w1", jobId, spec, 0))
+            ["type"].asString(),
+        "ack");
+    EXPECT_EQ(statValue(client, "serve.shard.w1", "cellsCompleted"), 1u);
+    JournalState state;
+    ASSERT_TRUE(serve::journalLoad(serve::journalPath(td / "store", jobId),
+                                   &state, &error))
+        << error;
+    EXPECT_TRUE(state.cancelled);
+    EXPECT_FALSE(state.complete);
+    EXPECT_EQ(state.entries.size(), 0u);
+}
+
 TEST(ServePush, SpecOverTheDeliveryLimitIsRefusedAtSubmit)
 {
     TempDir td;
@@ -1394,6 +1431,62 @@ TEST(ServeEndToEnd, DistributedRunMatchesLocalByteForByte)
         serve::journalPath(options.storeDir, submitted.jobId), &state,
         &error))
         << error;
+    EXPECT_TRUE(state.complete);
+    EXPECT_EQ(state.uniqueCompleted(), 4u);
+}
+
+TEST(ServeEndToEnd, CancelledSpecResubmitsAndCompletes)
+{
+    TempDir td;
+    LiveDaemon daemon(td.dir.string());
+    ServeClient client;
+    std::string error;
+    ASSERT_TRUE(client.connect(daemon.address(), &error)) << error;
+
+    // Submit, let one cell finish, cancel while the rest wait.
+    const ExperimentSpec spec = tinySpec();
+    FrameSocket w1;
+    attachWorker(w1, daemon.address(), "w1");
+    const std::string jobId = submitAndLease(client, w1, "w1", spec);
+    ASSERT_EQ(
+        exchange(w1, doneFrame(td.dir.string(), "w1", jobId, spec, 0))
+            ["type"].asString(),
+        "ack");
+    ASSERT_TRUE(client.cancel(jobId, &error)) << error;
+
+    // The resubmitted spec resumes from the journal and completes.
+    serve::WorkerOptions wo;
+    wo.connect = daemon.address();
+    wo.name = "wA";
+    int rc = -1;
+    std::thread worker([&] { rc = serve::runWorker(wo); });
+    ServeClient::Submitted again;
+    ASSERT_TRUE(client.submit(spec, &again, &error)) << error;
+    EXPECT_EQ(again.jobId, jobId);
+    EXPECT_TRUE(again.resumed);
+    EXPECT_TRUE(client.waitForCompletion(jobId, 0.05, nullptr, &error))
+        << error;
+    std::string servedJson, servedCsv;
+    EXPECT_TRUE(client.results(jobId, &servedJson, &servedCsv, &error))
+        << error;
+    ASSERT_TRUE(client.shutdown(&error)) << error;
+    worker.join();
+    EXPECT_EQ(rc, 0);
+
+    // Equal to the single-process table (flywheel_bench --spec).
+    Session session{SessionOptions{}};
+    const SweepTable local = session.run(spec);
+    std::ostringstream localJson, localCsv;
+    local.writeJson(localJson);
+    local.writeCsv(localCsv);
+    EXPECT_EQ(servedJson, localJson.str());
+    EXPECT_EQ(servedCsv, localCsv.str());
+
+    JournalState state;
+    ASSERT_TRUE(serve::journalLoad(serve::journalPath(td / "store", jobId),
+                                   &state, &error))
+        << error;
+    EXPECT_TRUE(state.cancelled);
     EXPECT_TRUE(state.complete);
     EXPECT_EQ(state.uniqueCompleted(), 4u);
 }

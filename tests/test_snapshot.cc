@@ -339,6 +339,14 @@ TEST(SnapshotFile, RejectsRawSizeBeyondCompressedExpansion)
     EXPECT_NE(error.find("corrupt"), std::string::npos) << error;
 }
 
+/** The program whose code the Execution Cache tests' traces lie in. */
+const StaticProgram &
+traceProgram()
+{
+    static const StaticProgram program(benchmarkByName("gcc"));
+    return program;
+}
+
 TEST(SnapshotCodec, VarintsRoundTripAtTheirEdges)
 {
     const std::uint64_t unsigned_values[] = {
@@ -346,16 +354,24 @@ TEST(SnapshotCodec, VarintsRoundTripAtTheirEdges)
         std::uint64_t(1) << 63, ~std::uint64_t(0)};
     const std::int64_t signed_values[] = {
         0, -1, 1, -64, 64, -65, INT64_MIN, INT64_MAX};
+    // Ticks around a base, with kTickMax its own value.
+    const Tick base = 123456789;
+    const Tick ticks[] = {base, base + 1, base - 1, 0, kTickMax,
+                          kTickMax - 1};
     BinWriter w;
     for (std::uint64_t v : unsigned_values)
         w.uvar(v);
     for (std::int64_t v : signed_values)
         w.svar(v);
+    for (Tick t : ticks)
+        tickToBin(w, base, t);
     BinReader r(w.bytes());
     for (std::uint64_t v : unsigned_values)
         EXPECT_EQ(r.uvar(), v);
     for (std::int64_t v : signed_values)
         EXPECT_EQ(r.svar(), v);
+    for (Tick t : ticks)
+        EXPECT_EQ(tickFromBin(r, base), t);
     EXPECT_EQ(r.remaining(), 0u);
 
     // Seven bits per byte, small magnitudes in one byte.
@@ -382,6 +398,7 @@ TEST(SnapshotCodecDeathTest, MalformedVarintsAndCountsDieOnTheOverrunCheck)
 
     // A podArray count of 2^61 (whose byte size wraps to 0) behind the
     // Execution Cache's pin list.
+    const StaticProgram &program = traceProgram();
     BinWriter pins;
     pins.uvar(0);  // no traces
     pins.u64(std::uint64_t(1) << 61);
@@ -389,12 +406,13 @@ TEST(SnapshotCodecDeathTest, MalformedVarintsAndCountsDieOnTheOverrunCheck)
         {
             ExecCache ec(64, 8, 16);
             BinReader r(pins.bytes());
-            ec.restore(r);
+            ec.restore(r, program);
         },
         "snapshot section overrun");
 
     // A trace slot count of 2^40, which reserve() would try to
     // allocate.
+    const Addr code = StaticProgram::codeBase();
     BinWriter slots;
     slots.uvar(std::uint64_t(1) << 40);
     slots.u64(0);
@@ -403,9 +421,38 @@ TEST(SnapshotCodecDeathTest, MalformedVarintsAndCountsDieOnTheOverrunCheck)
             std::vector<TraceSlot> s;
             std::vector<IssueUnit> u;
             BinReader r(slots.bytes());
-            traceBodyFromBin(r, 0x1000, &s, &u);
+            traceBodyFromBin(r, program, code, &s, &u);
         },
         "snapshot section overrun");
+
+    // A slot one instruction below the code, whose fields the program
+    // cannot supply.
+    BinWriter stray;
+    stray.uvar(1);
+    stray.svar(-1);  // pc delta
+    stray.svar(0);   // rank
+    stray.uvar(1);   // one unit of one slot
+    stray.uvar(1);
+    EXPECT_DEATH(
+        {
+            std::vector<TraceSlot> s;
+            std::vector<IssueUnit> u;
+            BinReader r(stray.bytes());
+            traceBodyFromBin(r, program, code, &s, &u);
+        },
+        "trace slot at pc 0xffc is not an instruction of program gcc");
+
+    // A record flagged as the program's instruction at pc 0.
+    BinWriter record;
+    record.u8(0x02);  // derived from the program
+    record.svar(1);   // sequence number
+    record.svar(0);   // pc 0
+    EXPECT_DEATH(
+        {
+            BinReader r(record.bytes());
+            InstRecordCodec(program).get(r);
+        },
+        "snapshot record at pc 0x0 is not an instruction of program gcc");
 }
 
 /** Bytes @p component saves. */
@@ -418,23 +465,37 @@ savedBytes(const T &component)
     return w.take();
 }
 
+std::string
+savedBytes(const ExecCache &ec)
+{
+    BinWriter w;
+    ec.save(w, traceProgram());
+    return w.take();
+}
+
 /**
- * A trace at @p pc of @p n slots issued in reverse program order, in
- * one unit: ALU ops and a load.
+ * A trace at @p offset bytes into traceProgram()'s code of @p n
+ * slots issued in reverse program order, in one unit: each slot is
+ * the program's instruction at its PC, and memory slots carry an
+ * address.
  */
 std::unique_ptr<Trace>
-makeTrace(Addr pc, std::uint32_t n)
+makeTrace(Addr offset, std::uint32_t n)
 {
     auto t = std::make_unique<Trace>();
-    t->startPc = pc;
+    t->startPc = StaticProgram::codeBase() + offset;
     for (std::uint32_t i = 0; i < n; ++i) {
         TraceSlot s;
         s.rank = n - 1 - i;
-        s.pc = pc + kInstBytes * s.rank;
-        s.op = i == 1 ? OpClass::Load : OpClass::IntAlu;
-        s.dest = static_cast<ArchReg>(i % kNumArchRegs);
-        s.src1 = static_cast<ArchReg>((i + 1) % kNumArchRegs);
-        s.recordedEffAddr = i == 1 ? 0x10000000 + 8 * pc : 0;
+        s.pc = t->startPc + kInstBytes * s.rank;
+        DynInst d;
+        EXPECT_TRUE(traceProgram().decodeAt(s.pc, &d));
+        s.op = d.op;
+        s.dest = d.dest;
+        s.src1 = d.src1;
+        s.src2 = d.src2;
+        s.isCondBranch = d.isCondBranch;
+        s.recordedEffAddr = isMemOp(d.op) ? 0x10000000 + 8 * s.pc : 0;
         t->slots.push_back(s);
     }
     t->units.push_back(IssueUnit{0, n});
@@ -471,12 +532,13 @@ TEST(SnapshotOrder, SameRecencyOrderSavesTheSameBytes)
 
     // The EC orders all its traces: 0x100 before 0x200 in both, but
     // b's touch of 0x100 moved both of its stamps.
+    const Addr code = StaticProgram::codeBase();
     ExecCache ec_a(64, 8, 16);
     ExecCache ec_b(64, 8, 16);
     ec_a.insert(makeTrace(0x100, 5));
     ec_a.insert(makeTrace(0x200, 9));
     ec_b.insert(makeTrace(0x100, 5));
-    ASSERT_NE(ec_b.lookup(0x100), nullptr);
+    ASSERT_NE(ec_b.lookup(code + 0x100), nullptr);
     ec_b.insert(makeTrace(0x200, 9));
     EXPECT_EQ(savedBytes(ec_a), savedBytes(ec_b));
 }
@@ -537,14 +599,15 @@ TEST(SnapshotOrder, RestoredComponentsEvictTheSameVictims)
         if (i == kSteps / 2) {
             const std::string bytes = savedBytes(ec);
             BinReader r(bytes);
-            ec_twin.restore(r);
+            ec_twin.restore(r, traceProgram());
         }
-        const Addr pc = 0x8000 + Addr(rng.below(20)) * 64;
+        const Addr offset = Addr(rng.below(20)) * 64;
+        const Addr pc = StaticProgram::codeBase() + offset;
         if (rng.chance(0.4)) {
             const std::uint32_t n = 1 + rng.below(10);
-            const bool stored = ec.insert(makeTrace(pc, n));
+            const bool stored = ec.insert(makeTrace(offset, n));
             if (i >= kSteps / 2) {
-                ASSERT_EQ(ec_twin.insert(makeTrace(pc, n)), stored);
+                ASSERT_EQ(ec_twin.insert(makeTrace(offset, n)), stored);
             }
         } else {
             const bool hit = ec.lookup(pc) != nullptr;
@@ -614,6 +677,26 @@ TEST(SnapshotOrder, RestoredRunSavesWhatTheStraightRunSaves)
         Snapshot restored_end;
         restored->save(restored_end);
         EXPECT_EQ(sectionsOf(straight_end), sectionsOf(restored_end));
+    }
+}
+
+TEST(SnapshotSize, StoredCheckpointBytesArePinned)
+{
+    // The file a store keeps for a gcc warmup at smallConfig's
+    // lengths.  A format change that grows checkpoints moves these
+    // numbers; update them only with such a change.
+    const std::string dir = ::testing::TempDir() + "fw_snap_size";
+    const std::pair<CoreKind, std::uintmax_t> pins[] = {
+        {CoreKind::Flywheel, 9258}, {CoreKind::Baseline, 6740}};
+    for (const auto &[kind, bytes] : pins) {
+        SCOPED_TRACE(coreKindName(kind));
+        const RunConfig config = smallConfig("gcc", kind);
+        Checkpointer store(dir);
+        const std::string path = store.pathFor(checkpointKey(config));
+        std::remove(path.c_str());
+        runSim(config, &store);
+        ASSERT_EQ(store.computes(), 1u);
+        EXPECT_EQ(std::filesystem::file_size(path), bytes);
     }
 }
 

@@ -209,8 +209,8 @@ TEST(ConfigKey, DigestIsPinned)
     EXPECT_EQ(fnv1a64(configKey(pt.config)), 0x001d66fe852e92f7ULL);
     // Checkpoint keys and .fws file names derive from configKey of a
     // canonicalized config and carry Snapshot::kFormatVersion
-    // ("ckptv=3;"); pin that digest too.
-    EXPECT_EQ(fnv1a64(checkpointKey(pt.config)), 0xd1a81a4044c50745ULL);
+    // ("ckptv=4;"); pin that digest too.
+    EXPECT_EQ(fnv1a64(checkpointKey(pt.config)), 0x27e8b3ed4801e73cULL);
     // fnv1a64 itself is standard 64-bit FNV-1a.
     EXPECT_EQ(fnv1a64(""), 14695981039346656037ULL);
     EXPECT_EQ(fnv1a64("key-a"), 0x71132af295f22d16ULL);

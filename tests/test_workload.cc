@@ -2,14 +2,17 @@
  * @file
  * Tests of the synthetic workload substrate: static program
  * invariants and dynamic stream semantics, swept across every paper
- * benchmark profile.
+ * benchmark profile, and the snapshot record codec that derives an
+ * instruction's static fields from the program.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
+#include "snapshot/bincodec.hh"
 #include "workload/generator.hh"
 #include "workload/profiles.hh"
 
@@ -85,6 +88,22 @@ TEST_P(ProgramInvariants, BlockSizesWithinCaps)
         ASSERT_GE(b.ops.size(), 1u);
         ASSERT_LE(b.ops.size(), 16u);
     }
+}
+
+TEST_P(ProgramInvariants, DecodeAtRefusesPcsOutsideTheCode)
+{
+    StaticProgram prog(profile());
+    const BasicBlock &last = prog.blocks().back();
+    const Addr end = last.pc + last.size() * kInstBytes;
+    DynInst d;
+    EXPECT_TRUE(prog.decodeAt(StaticProgram::codeBase(), &d));
+    EXPECT_TRUE(prog.decodeAt(end - kInstBytes, &d));
+    EXPECT_FALSE(prog.decodeAt(0, &d));
+    EXPECT_FALSE(prog.decodeAt(StaticProgram::codeBase() - kInstBytes, &d));
+    EXPECT_FALSE(prog.decodeAt(end, &d));
+    EXPECT_FALSE(prog.decodeAt(StaticProgram::dataBase(), &d));
+    EXPECT_FALSE(prog.decodeAt(StaticProgram::codeBase() + 2, &d));
+    EXPECT_FALSE(prog.decodeAt(end - 1, &d));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, ProgramInvariants,
@@ -197,6 +216,23 @@ TEST_P(StreamInvariants, BranchesHaveCondSources)
         if (d.isBranch() && d.isCondBranch) {
             ASSERT_NE(d.src1, kNoArchReg);
         }
+    }
+}
+
+TEST_P(StreamInvariants, DecodeAtMatchesEveryStreamedInstruction)
+{
+    StaticProgram prog(benchmarkByName(GetParam()));
+    WorkloadStream s(prog);
+    for (int i = 0; i < 200000; ++i) {
+        const DynInst &d = s.next();
+        DynInst e;
+        ASSERT_TRUE(prog.decodeAt(d.pc, &e)) << d.toString();
+        ASSERT_EQ(e.op, d.op) << d.toString();
+        ASSERT_EQ(e.dest, d.dest) << d.toString();
+        ASSERT_EQ(e.src1, d.src1) << d.toString();
+        ASSERT_EQ(e.src2, d.src2) << d.toString();
+        ASSERT_EQ(e.isCondBranch, d.isCondBranch) << d.toString();
+        ASSERT_EQ(e.target, d.target) << d.toString();
     }
 }
 
@@ -320,6 +356,65 @@ TEST(WorkloadProfiles, VortexHasLargestCodeFootprint)
             EXPECT_LT(p.staticBlocks, vortex_blocks);
         }
     }
+}
+
+TEST(InstRecordCodec, RoundTripsCorrectPathWrongPathAndDefaultRecords)
+{
+    StaticProgram prog(benchmarkByName("gcc"));
+    WorkloadStream s(prog);
+    // Correct-path records: a stretch of the stream with a load, a
+    // store and a taken branch in it.
+    std::vector<DynInst> list;
+    bool load = false, store = false, taken = false;
+    while (!(load && store && taken) || list.size() < 16) {
+        const DynInst &d = s.next();
+        load |= d.isLoad();
+        store |= d.isStore();
+        taken |= d.isBranch() && d.taken;
+        list.push_back(d);
+    }
+    const std::size_t correct = list.size();
+    // Wrong-path replay entries: a branch with target 0, and an op
+    // whose destination was dropped.
+    auto first = [&list](bool (DynInst::*has)() const) {
+        return *std::find_if(list.begin(), list.end(),
+                             [has](const DynInst &d) { return (d.*has)(); });
+    };
+    DynInst wrong_branch = first(&DynInst::isBranch);
+    wrong_branch.target = 0;
+    DynInst wrong_dest = first(&DynInst::hasDest);
+    wrong_dest.dest = kNoArchReg;
+    list.push_back(wrong_branch);
+    list.push_back(wrong_dest);
+    list.push_back(DynInst{});
+
+    BinWriter w;
+    InstRecordCodec writer(prog);
+    std::vector<std::size_t> sizes;
+    for (const DynInst &d : list) {
+        const std::size_t before = w.size();
+        writer.put(w, d);
+        sizes.push_back(w.size() - before);
+    }
+    BinReader r(w.bytes());
+    InstRecordCodec reader(prog);
+    for (std::size_t i = 0; i < list.size(); ++i) {
+        const DynInst d = reader.get(r);
+        EXPECT_TRUE(sameInst(d, list[i]))
+            << i << ": " << d.toString() << " vs " << list[i].toString();
+    }
+    EXPECT_EQ(r.remaining(), 0u);
+
+    // A correct-path record derives its static fields: a non-memory
+    // one is its flags and two one-byte deltas.  A record that differs
+    // from the program carries them.
+    for (std::size_t i = 1; i < correct; ++i) {
+        if (!isMemOp(list[i].op)) {
+            EXPECT_EQ(sizes[i], InstRecordCodec::kMinBytes) << i;
+        }
+    }
+    EXPECT_GT(sizes[correct], InstRecordCodec::kMinBytes);
+    EXPECT_GT(sizes[correct + 1], InstRecordCodec::kMinBytes);
 }
 
 TEST(Workload, LoopTripsRoughlyMatchMean)
