@@ -1,12 +1,14 @@
 /**
  * @file
- * Shared helpers for the paper-figure registrations: spec-building
- * shorthand and fixed-width table printing, so every figure emits
- * the same kind of rows the paper's figures plot.
+ * Shared helpers for the paper-figure registrations: the Fig 12/13/14
+ * grid, and fixed-width table printing, so every figure emits the
+ * same kind of rows the paper's figures plot.
  *
  * The figures themselves live in the bench/ translation units as
  * ExperimentSpec + renderer registrations (api/figures.hh), all
- * served by the `flywheel_bench` CLI.
+ * served by the `flywheel_bench` CLI.  Their stdout and exported CSV
+ * are the goldens: tests/e2e/figures.sh compares `--all` at short
+ * run lengths with tests/golden/all.{txt,csv}.
  */
 
 #ifndef FLYWHEEL_BENCH_BENCH_UTIL_HH
@@ -17,13 +19,44 @@
 #include <vector>
 
 #include "api/figures.hh"
-#include "api/paper_grids.hh"
 #include "workload/profiles.hh"
 
 namespace flywheel::bench {
-// feBoostAxis() and baselinePlusFeSpec() come from api/paper_grids.hh
-// (shared with the golden regression); unqualified use resolves to
-// the parent flywheel namespace.
+
+/** The Fig 12/13/14 front-end boost axis (the paper's FE0..FE100). */
+inline const std::vector<double> &
+feBoostAxis()
+{
+    static const std::vector<double> axis{0.0, 0.25, 0.5, 0.75, 1.0};
+    return axis;
+}
+
+/**
+ * The Fig 12/13/14 grid, shared by the three figures so they simulate
+ * it once: a baseline block plus a BE+50% Flywheel block across
+ * feBoostAxis(), rendered by the figure registered under @p name.
+ */
+inline ExperimentSpec
+baselinePlusFeSpec(const std::string &name, const std::string &title)
+{
+    ExperimentSpec spec;
+    spec.name = name;
+    spec.title = title;
+    spec.render = name;
+
+    GridSpec baseline;
+    baseline.kinds = {CoreKind::Baseline};
+    baseline.clocks = {{0.0, 0.0}};
+    spec.grids.push_back(baseline);
+
+    GridSpec flywheel;
+    flywheel.kinds = {CoreKind::Flywheel};
+    flywheel.clocks.clear();
+    for (double fe : feBoostAxis())
+        flywheel.clocks.push_back({fe, 0.5});
+    spec.grids.push_back(flywheel);
+    return spec;
+}
 
 /** Print the row label column. */
 inline void

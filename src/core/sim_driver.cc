@@ -1,13 +1,12 @@
 #include "core/sim_driver.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
 
+#include "common/decimal.hh"
 #include "common/log.hh"
 #include "core/baseline_core.hh"
 #include "flywheel/flywheel_core.hh"
@@ -75,21 +74,8 @@ validCoreParams(const CoreParams &params, std::string *error)
 bool
 parseInstrCount(const char *text, std::uint64_t *out)
 {
-    if (!text || !*text)
-        return false;
-    // Strict decimal only: strtoull would silently accept "100k"
-    // (prefix), "-1" (wraps to a huge count) and "0x10".
-    if (!std::isdigit(static_cast<unsigned char>(text[0])))
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (errno == ERANGE || *end != '\0')
-        return false;
-    if (v < 1)
-        return false;
-    *out = static_cast<std::uint64_t>(v);
-    return true;
+    return text && parseDecimal(text, 1, ~std::uint64_t(0), out) ==
+                       DecimalParse::Ok;
 }
 
 namespace {

@@ -173,11 +173,8 @@ RunResult reduceFor(const RunConfig &config, const RunResult &simulated);
 
 /**
  * Strict instruction-count parser shared by the FLYWHEEL_SIM_INSTRS /
- * FLYWHEEL_WARMUP_INSTRS overrides: decimal digits only, no sign, no
- * trailing text, no overflow, value >= 1.  Mirrors the FLYWHEEL_JOBS
- * discipline (ThreadPool::parseJobsValue) — strtoull alone would
- * silently accept "100k" (prefix), "-1" (wraps to a huge count) and
- * overflowed values.
+ * FLYWHEEL_WARMUP_INSTRS overrides: a parseDecimal() value >= 1
+ * (common/decimal.hh).
  */
 bool parseInstrCount(const char *text, std::uint64_t *out);
 

@@ -146,12 +146,15 @@ constexpr std::size_t kMinSlotBytes = 2;
 /** Fewest bytes a trace takes: start delta, slot and unit counts, rank. */
 constexpr std::size_t kMinTraceBytes = 4;
 
-/** The program's instruction at @p pc as a slot (rank and address 0). */
+/**
+ * The program's instruction at @p pc as a slot (rank and address 0);
+ * @p block is the decodeAt() hint of the trace's previous slot.
+ */
 TraceSlot
-programSlot(const StaticProgram &program, Addr pc)
+programSlot(const StaticProgram &program, Addr pc, std::size_t *block)
 {
     DynInst d;
-    FW_ASSERT(program.decodeAt(pc, &d),
+    FW_ASSERT(program.decodeAt(pc, &d, block),
               "trace slot at pc 0x%llx is not an instruction of "
               "program %s",
               (unsigned long long)pc, program.profile().name);
@@ -191,9 +194,10 @@ traceBodyToBin(BinWriter &w, const StaticProgram &program, Addr start_pc,
     w.uvar(slots.size());
     Addr pc = start_pc;
     Addr eff_addr = 0;
+    std::size_t block = 0;
     for (std::uint32_t i = 0; i < slots.size(); ++i) {
         const TraceSlot &s = slots[i];
-        const TraceSlot p = programSlot(program, s.pc);
+        const TraceSlot p = programSlot(program, s.pc, &block);
         FW_ASSERT(p.op == s.op && p.dest == s.dest && p.src1 == s.src1 &&
                       p.src2 == s.src2 && p.isCondBranch == s.isCondBranch,
                   "trace slot at pc 0x%llx differs from the program",
@@ -231,9 +235,10 @@ traceBodyFromBin(BinReader &r, const StaticProgram &program,
     slots->reserve(static_cast<std::size_t>(count));
     Addr pc = start_pc;
     Addr eff_addr = 0;
+    std::size_t block = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
         pc = plusInsts(pc, r.svar());
-        TraceSlot s = programSlot(program, pc);
+        TraceSlot s = programSlot(program, pc, &block);
         s.rank = static_cast<std::uint32_t>(
             i + static_cast<std::uint64_t>(r.svar()));
         if (isMemOp(s.op))

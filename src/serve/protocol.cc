@@ -11,6 +11,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "common/decimal.hh"
+
 namespace flywheel::serve {
 
 std::string
@@ -115,32 +117,25 @@ parseServeAddress(const std::string &text, ServeAddress *out,
     }
     const std::size_t colon = text.rfind(':');
     if (colon != std::string::npos && colon > 0 &&
-        colon + 1 < text.size() &&
         text.find('/') == std::string::npos) {
-        bool digits = true;
-        for (std::size_t i = colon + 1; i < text.size(); ++i)
-            digits = digits && text[i] >= '0' && text[i] <= '9';
-        if (digits) {
-            // Overflow-safe accumulation: stop as soon as the value
-            // leaves the valid port range.  Port 0 is legal — it asks
-            // a *listener* for an ephemeral port (connecting to it
-            // just fails).
-            long port = 0;
-            for (std::size_t i = colon + 1; i < text.size(); ++i) {
-                port = port * 10 + (text[i] - '0');
-                if (port > 65535)
-                    break;
-            }
-            if (port > 65535) {
-                if (error)
-                    *error = "bad TCP port in address '" + text + "'";
-                return false;
-            }
+        // Port 0 is legal — it asks a *listener* for an ephemeral port
+        // (connecting to it just fails).  A tail that is not a plain
+        // decimal makes the whole text a socket path.
+        std::uint64_t port = 0;
+        switch (parseDecimal(std::string_view(text).substr(colon + 1), 0,
+                             65535, &port)) {
+          case DecimalParse::Ok:
             out->tcp = true;
             out->host = text.substr(0, colon);
             out->port = static_cast<int>(port);
             out->path.clear();
             return true;
+          case DecimalParse::OutOfRange:
+            if (error)
+                *error = "bad TCP port in address '" + text + "'";
+            return false;
+          case DecimalParse::Malformed:
+            break;
         }
     }
     out->tcp = false;

@@ -29,9 +29,10 @@
  *
  * Restoring a snapshot into a freshly constructed core over an
  * identically configured program/stream and then simulating must be
- * bit-identical to never having snapshotted at all — the differential
- * and golden-figure machinery referee that contract (see
- * tests/test_snapshot.cc and the save/restore fuzz mode).
+ * bit-identical to never having snapshotted at all.
+ * tests/test_snapshot.cc, the save/restore fuzz mode and
+ * tests/e2e/checkpoint_store.sh (fig12 through a cold store, a warm
+ * store and none) referee that contract.
  */
 
 #ifndef FLYWHEEL_SNAPSHOT_SNAPSHOT_HH

@@ -1,11 +1,10 @@
 #include "sweep/thread_pool.hh"
 
 #include <atomic>
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 
+#include "common/decimal.hh"
 #include "common/log.hh"
 
 namespace flywheel {
@@ -13,18 +12,8 @@ namespace flywheel {
 bool
 ThreadPool::parseJobsValue(const char *text, unsigned *out)
 {
-    if (!text || !*text)
-        return false;
-    // Strict decimal only: strtoul would silently accept "8 threads"
-    // (prefix), "-2" (wraps to a huge value) and "0x10".
-    if (!std::isdigit(static_cast<unsigned char>(text[0])))
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    unsigned long v = std::strtoul(text, &end, 10);
-    if (errno == ERANGE || *end != '\0')
-        return false;
-    if (v < 1 || v > kMaxJobs)
+    std::uint64_t v = 0;
+    if (!text || parseDecimal(text, 1, kMaxJobs, &v) != DecimalParse::Ok)
         return false;
     *out = static_cast<unsigned>(v);
     return true;

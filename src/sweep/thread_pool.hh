@@ -78,7 +78,8 @@ class ThreadPool
 
     /**
      * Strict FLYWHEEL_JOBS parser (exposed for tests): true and *out
-     * filled only for a plain decimal in [1, kMaxJobs].
+     * filled only for a plain decimal in [1, kMaxJobs]
+     * (parseDecimal(), common/decimal.hh).
      */
     static bool parseJobsValue(const char *text, unsigned *out);
 

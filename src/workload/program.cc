@@ -326,21 +326,29 @@ StaticProgram::assignAddresses()
 }
 
 bool
-StaticProgram::decodeAt(Addr pc, DynInst *out) const
+StaticProgram::decodeAt(Addr pc, DynInst *out, std::size_t *block) const
 {
     if (pc < codeBase() || pc % kInstBytes != 0)
         return false;
-    // The last block starting at or before pc.
-    auto it = std::upper_bound(
-        blocks_.begin(), blocks_.end(), pc,
-        [](Addr a, const BasicBlock &b) { return a < b.pc; });
-    if (it == blocks_.begin())
-        return false;
-    const BasicBlock &blk = *--it;
-    const std::size_t idx = (pc - blk.pc) / kInstBytes;
-    if (idx >= blk.size())
-        return false;
-    staticFields(blk, idx, out);
+    auto holds = [&](std::size_t b) {
+        return pc >= blocks_[b].pc &&
+               (pc - blocks_[b].pc) / kInstBytes < blocks_[b].size();
+    };
+    std::size_t b = block ? *block : 0;
+    if (b >= blocks_.size() || !holds(b)) {
+        // The last block starting at or before pc.
+        auto it = std::upper_bound(
+            blocks_.begin(), blocks_.end(), pc,
+            [](Addr a, const BasicBlock &blk) { return a < blk.pc; });
+        if (it == blocks_.begin())
+            return false;
+        b = static_cast<std::size_t>(it - blocks_.begin()) - 1;
+        if (!holds(b))
+            return false;
+    }
+    if (block)
+        *block = b;
+    staticFields(blocks_[b], (pc - blocks_[b].pc) / kInstBytes, out);
     return true;
 }
 
@@ -375,8 +383,8 @@ InstRecordCodec::put(BinWriter &w, const DynInst &d)
 {
     DynInst s;
     const bool derived =
-        prog_.decodeAt(d.pc, &s) && s.op == d.op && s.dest == d.dest &&
-        s.src1 == d.src1 && s.src2 == d.src2 &&
+        prog_.decodeAt(d.pc, &s, &block_) && s.op == d.op &&
+        s.dest == d.dest && s.src1 == d.src1 && s.src2 == d.src2 &&
         s.isCondBranch == d.isCondBranch && s.target == d.target;
     w.u8((d.taken ? kTaken : 0) | (derived ? kDerived : 0));
     w.svar(static_cast<std::int64_t>(d.seq - seq_));
@@ -412,7 +420,7 @@ InstRecordCodec::get(BinReader &r)
     d.seq = seq_ += static_cast<InstSeqNum>(r.svar());
     d.pc = pc_ = plusInsts(pc_, r.svar());
     if (flags & kDerived) {
-        FW_ASSERT(prog_.decodeAt(d.pc, &d),
+        FW_ASSERT(prog_.decodeAt(d.pc, &d, &block_),
                   "snapshot record at pc 0x%llx is not an instruction "
                   "of program %s",
                   (unsigned long long)d.pc, prog_.profile().name);

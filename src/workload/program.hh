@@ -172,8 +172,11 @@ class StaticProgram
      * or false when @p pc is not an instruction of the program: below
      * codeBase(), past the last block, or misaligned.  Blocks lie in
      * id order from codeBase(), so a binary search finds the block.
+     * A decoder walking a list passes @p block, the index of the block
+     * that held its previous PC: it is tried before the search, and
+     * on success holds the block of @p pc.
      */
-    bool decodeAt(Addr pc, DynInst *out) const;
+    bool decodeAt(Addr pc, DynInst *out, std::size_t *block = nullptr) const;
 
     /** Base address of the code segment. */
     static constexpr Addr codeBase() { return 0x1000; }
@@ -224,6 +227,7 @@ class InstRecordCodec
     InstSeqNum seq_ = 0;
     Addr pc_ = 0;
     Addr addr_ = 0;
+    std::size_t block_ = 0;  ///< the last record's block (decodeAt hint)
 };
 
 } // namespace flywheel

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/decimal.hh"
 #include "common/json.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
@@ -128,6 +129,29 @@ TEST(Stats, DistributionBucketsAndOverflow)
     EXPECT_EQ(d.overflow(), 1u);
     EXPECT_EQ(d.max(), 100u);
     EXPECT_NEAR(d.mean(), 155.0 / 4, 1e-9);
+}
+
+TEST(Decimal, RangeIsInclusiveAndOverflowIsOutOfRange)
+{
+    constexpr std::uint64_t kMax = ~std::uint64_t(0);
+    std::uint64_t v = 7;
+    EXPECT_EQ(parseDecimal("18446744073709551615", 0, kMax, &v),
+              DecimalParse::Ok);
+    EXPECT_EQ(v, kMax);
+    EXPECT_EQ(parseDecimal("0003", 3, 3, &v), DecimalParse::Ok);
+    EXPECT_EQ(v, 3u);
+
+    v = 7;  // written only on success
+    EXPECT_EQ(parseDecimal("18446744073709551616", 0, kMax, &v),
+              DecimalParse::OutOfRange);
+    EXPECT_EQ(parseDecimal("2", 3, 9, &v), DecimalParse::OutOfRange);
+    EXPECT_EQ(parseDecimal("10", 3, 9, &v), DecimalParse::OutOfRange);
+    // Text that is not a plain decimal is malformed, even past an
+    // overflow; the callers' tests cover the rest of the garbage.
+    for (const char *bad : {"", "-1", "99999999999999999999x"})
+        EXPECT_EQ(parseDecimal(bad, 0, kMax, &v),
+                  DecimalParse::Malformed) << "'" << bad << "'";
+    EXPECT_EQ(v, 7u);
 }
 
 TEST(JsonEdge, EscapeSequencesRoundTrip)

@@ -169,6 +169,53 @@ TEST(ClockPlan, HeadroomGrowsWithScaling)
     EXPECT_GT(fe60, fe130);
 }
 
+/**
+ * The timing model's exact Table 1 output: per node, the six module
+ * frequencies in kTable1's order (MHz), the baseline period (ps) and
+ * the FE and BE headroom.  table1's stdout rounds them, so only this
+ * pin sees a change in their low digits.
+ */
+struct Table1Pin
+{
+    TechNode node;
+    double mhz[6];
+    double baselinePeriodPs, maxFeBoost, maxBeBoost;
+};
+
+const Table1Pin kTable1Pins[] = {
+    {TechNode::N180,
+     {949.66761633428303, 1300.3901170351105, 1028.2154413765991,
+      1149.4252873563219, 1000.0, 1059.1548826435453},
+     1053.0, 0.36931079323797134, 0.052999999999999936},
+    {TechNode::N130,
+     {1195.9134764115599, 1790.1483126686737, 1423.6829188291372,
+      1569.8147733518433, 1384.6153846153845, 1446.5289743761705},
+     836.18089412336508, 0.4968878167007249, 0.15778893032465913},
+    {TechNode::N90,
+     {1525.0248655778209, 2564.0687959086758, 2056.4308827531981,
+      2223.0670170157018, 2000.0, 2048.477888398922},
+     655.72701309437809, 0.68132917290969464, 0.31145402618875617},
+    {TechNode::N60,
+     {1950.5401087541227, 3799.0901356941454, 3084.6463241297974,
+      3240.9358476581497, 3000.0, 2986.4081338220153},
+     512.6785117168057, 0.94771187664567202, 0.53106727742683391},
+};
+
+TEST(ClockPlan, Table1NumbersArePinned)
+{
+    for (const Table1Pin &pin : kTable1Pins) {
+        const ModuleFrequencies f = moduleFrequencies(pin.node);
+        for (std::size_t i = 0; i < 6; ++i)
+            EXPECT_EQ(f.*kTable1[i].field, pin.mhz[i])
+                << techName(pin.node) << " " << kTable1[i].name;
+        const ClockPlan plan = deriveClockPlan(pin.node);
+        EXPECT_EQ(plan.baselinePeriodPs, pin.baselinePeriodPs)
+            << techName(pin.node);
+        EXPECT_EQ(plan.maxFeBoost, pin.maxFeBoost) << techName(pin.node);
+        EXPECT_EQ(plan.maxBeBoost, pin.maxBeBoost) << techName(pin.node);
+    }
+}
+
 TEST(ClockPlan, IssueWindowSetsBaseline)
 {
     // At 0.25um the two-cycle D-cache is marginally slower than the

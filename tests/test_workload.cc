@@ -106,6 +106,39 @@ TEST_P(ProgramInvariants, DecodeAtRefusesPcsOutsideTheCode)
     EXPECT_FALSE(prog.decodeAt(end - 1, &d));
 }
 
+TEST_P(ProgramInvariants, DecodeAtHintNeverChangesTheAnswer)
+{
+    StaticProgram prog(profile());
+    const std::size_t blocks = prog.blocks().size();
+    const BasicBlock &last = prog.blocks().back();
+    const Addr end = last.pc + last.size() * kInstBytes;
+    auto same = [](const DynInst &a, const DynInst &b) {
+        return a.op == b.op && a.dest == b.dest && a.src1 == b.src1 &&
+               a.src2 == b.src2 && a.isCondBranch == b.isCondBranch &&
+               a.target == b.target;
+    };
+    // Walk every instruction and the PCs just outside the code, with
+    // a running hint and with stale or out-of-range ones.
+    std::size_t running = 0;
+    for (Addr pc = StaticProgram::codeBase() - kInstBytes;
+         pc <= end; pc += kInstBytes) {
+        DynInst want;
+        const bool found = prog.decodeAt(pc, &want);
+        for (std::size_t stale : {std::size_t(0), blocks - 1, blocks}) {
+            DynInst got;
+            ASSERT_EQ(prog.decodeAt(pc, &got, &stale), found) << pc;
+            EXPECT_TRUE(!found || same(got, want)) << pc;
+        }
+        DynInst got;
+        ASSERT_EQ(prog.decodeAt(pc, &got, &running), found) << pc;
+        if (!found)
+            continue;
+        EXPECT_TRUE(same(got, want)) << pc;
+        const BasicBlock &b = prog.blocks()[running];
+        EXPECT_TRUE(pc >= b.pc && pc < b.pc + b.size() * kInstBytes);
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, ProgramInvariants,
                          ::testing::ValuesIn(benchmarkNames()),
                          [](const auto &param_info) { return param_info.param; });

@@ -11,8 +11,6 @@
 #ifndef FLYWHEEL_TOOLS_CLI_UTIL_HH
 #define FLYWHEEL_TOOLS_CLI_UTIL_HH
 
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -25,6 +23,7 @@
 #include <vector>
 
 #include "api/session.hh"
+#include "common/decimal.hh"
 #include "common/log.hh"
 #include "obs/stats_registry.hh"
 #include "obs/trace.hh"
@@ -151,27 +150,26 @@ parseDoubles(const std::string &arg, const char *flag)
 }
 
 /**
- * Parse one unsigned decimal no greater than @p max; fatal on garbage.
- * Rejects a leading sign explicitly because strtoull silently wraps
- * negative input ("-1" -> 2^64-1), which would turn a typo into an
- * attempt to enqueue 2^64 seeds, and rejects overflow, which strtoull
- * clamps to 2^64-1.  A caller that narrows the result passes the
- * narrower type's maximum as @p max.
+ * Parse one unsigned decimal no greater than @p max with
+ * parseDecimal() (common/decimal.hh); fatal on garbage.  A sign is
+ * garbage, so a typo "-1" never becomes an attempt to enqueue 2^64
+ * seeds.  A caller that narrows the result passes the narrower type's
+ * maximum as @p max.
  */
 inline std::uint64_t
 parseU64(const std::string &s, const char *flag,
          std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
-    if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])))
+    std::uint64_t v = 0;
+    switch (parseDecimal(s, 0, max, &v)) {
+      case DecimalParse::Ok:
+        break;
+      case DecimalParse::Malformed:
         FW_FATAL("%s: bad number '%s'", flag, s.c_str());
-    char *end = nullptr;
-    errno = 0;
-    std::uint64_t v = std::strtoull(s.c_str(), &end, 10);
-    if (end != s.c_str() + s.size())
-        FW_FATAL("%s: bad number '%s'", flag, s.c_str());
-    if (errno == ERANGE || v > max)
+      case DecimalParse::OutOfRange:
         FW_FATAL("%s: '%s' is out of range (max %llu)", flag, s.c_str(),
                  static_cast<unsigned long long>(max));
+    }
     return v;
 }
 

@@ -14,14 +14,15 @@
  *   flywheel_bench --dump-spec fig12             # registry -> JSON
  *   flywheel_bench --dump-checkpoint d/ckpt-X.fws  # sections -> JSON
  *   flywheel_bench --validate-spec specs/fig12.json
- *   flywheel_bench --check-golden tests/golden
  *
- * Figure stdout is byte-identical to the historical standalone bench
- * binaries for any worker count; `--json`/`--csv` additionally
- * export the executed grid(s) in the sweep table formats.
+ * Figure stdout is byte-identical for any worker count; `--json`/
+ * `--csv` additionally export the executed grid(s) in the sweep table
+ * formats.  `--all --csv` at short run lengths is the golden
+ * regression: tests/e2e/figures.sh compares its stdout and CSV with
+ * tests/golden/all.{txt,csv}.
  *
- * Exit status: 0 on success, 1 on golden or validation failure, 2 on
- * usage errors.
+ * Exit status: 0 on success, 1 on validation failure, 2 on usage
+ * errors.
  */
 
 #include <cstdio>
@@ -33,7 +34,6 @@
 #include "api/session.hh"
 #include "common/log.hh"
 #include "tools/cli_util.hh"
-#include "verify/golden.hh"
 
 using namespace flywheel;
 
@@ -75,17 +75,16 @@ usage(const char *argv0)
         "  --csv FILE           export executed grid(s) as CSV "
         "('-' = stdout)\n"
         "\n"
-        "golden-figure regression:\n"
-        "  --check-golden DIR    rebuild snapshots and diff against "
-        "DIR\n"
-        "  --refresh-golden DIR  rebuild and overwrite the snapshots "
-        "in DIR\n"
-        "\n"
         "checkpoint debugging:\n"
         "  --dump-checkpoint FILE  print a .fws checkpoint's header "
         "and section\n"
         "                        table (name, bytes, FNV-1a) as "
-        "JSON\n",
+        "JSON\n"
+        "\n"
+        "The golden figures are --all's stdout and --csv export at\n"
+        "FLYWHEEL_WARMUP_INSTRS=2000 FLYWHEEL_SIM_INSTRS=5000: "
+        "tests/golden/all.txt\n"
+        "and all.csv, checked by tests/e2e/figures.sh.\n",
         argv0, cli::ObsFlags::usageText());
 }
 
@@ -170,8 +169,6 @@ main(int argc, char **argv)
     std::vector<std::string> validate_paths;
     std::string dump_spec_name;
     std::string dump_checkpoint_path;
-    std::string check_golden_dir;
-    std::string refresh_golden_dir;
     std::string json_path;
     std::string csv_path;
     bool list_only = false;
@@ -213,10 +210,6 @@ main(int argc, char **argv)
             json_path = value();
         } else if (flag == "--csv") {
             csv_path = value();
-        } else if (flag == "--check-golden") {
-            check_golden_dir = value();
-        } else if (flag == "--refresh-golden") {
-            refresh_golden_dir = value();
         } else if (flag == "--help" || flag == "-h") {
             usage(argv[0]);
             return 0;
@@ -228,28 +221,21 @@ main(int argc, char **argv)
     // One mode per invocation: silently dropping a requested figure
     // run because --list/--validate-spec/... also appeared would let
     // a CI script skip work while reporting success.
+    const bool run_mode =
+        run_all || !figure_names.empty() || !spec_paths.empty();
     const int modes = (list_only ? 1 : 0) +
                       (!dump_spec_name.empty() ? 1 : 0) +
                       (!dump_checkpoint_path.empty() ? 1 : 0) +
                       (!validate_paths.empty() ? 1 : 0) +
-                      (!check_golden_dir.empty() ? 1 : 0) +
-                      (!refresh_golden_dir.empty() ? 1 : 0) +
-                      (run_all || !figure_names.empty() ||
-                               !spec_paths.empty()
-                           ? 1
-                           : 0);
+                      (run_mode ? 1 : 0);
     if (modes > 1) {
         std::fprintf(stderr,
                      "choose one mode: --list, --dump-spec, "
-                     "--dump-checkpoint, --validate-spec, "
-                     "--check-golden, "
-                     "--refresh-golden, or a --figure/--all/--spec "
-                     "run\n");
+                     "--dump-checkpoint, --validate-spec, or a "
+                     "--figure/--all/--spec run\n");
         return 2;
     }
     // Run-only flags must not be silently ignored by other modes.
-    const bool run_mode =
-        run_all || !figure_names.empty() || !spec_paths.empty();
     if (!run_mode && (!json_path.empty() || !csv_path.empty() ||
                       progress || obs_flags.active())) {
         std::fprintf(stderr,
@@ -290,39 +276,6 @@ main(int argc, char **argv)
                         spec.name.c_str(),
                         (unsigned long long)spec.cellCount());
         }
-        return ok ? 0 : 1;
-    }
-
-    // ---- golden-figure modes --------------------------------------
-    GoldenOptions golden_opts;
-    golden_opts.jobs = opts.jobs;
-    if (!refresh_golden_dir.empty()) {
-        if (!writeGoldenFiles(refresh_golden_dir, golden_opts))
-            return 1;
-        std::printf("golden files refreshed in %s\n",
-                    refresh_golden_dir.c_str());
-        return 0;
-    }
-    if (!check_golden_dir.empty()) {
-        bool ok = true;
-        for (const GoldenDiff &d :
-             checkGoldenFiles(check_golden_dir, golden_opts)) {
-            if (d.ok()) {
-                std::printf("%-7s OK (%s)\n", d.figure.c_str(),
-                            d.path.c_str());
-                continue;
-            }
-            ok = false;
-            std::printf("%-7s FAIL (%s)%s\n", d.figure.c_str(),
-                        d.path.c_str(),
-                        d.missing ? " [missing/unreadable]" : "");
-            for (const std::string &diff : d.differences)
-                std::printf("    %s\n", diff.c_str());
-        }
-        if (!ok)
-            std::printf("golden mismatch; after a deliberate change, "
-                        "refresh with: %s --refresh-golden %s\n",
-                        argv[0], check_golden_dir.c_str());
         return ok ? 0 : 1;
     }
 
